@@ -7,7 +7,6 @@ closed-loop benchmarks (adaptive cruise control, quarter-car active
 suspension) plus feasibility diagnostics and property suites.
 """
 
-from ._accel import NUMBA_ENABLED
 from .barrier import (
     CertificateTerms,
     HocbfDesign,
@@ -21,15 +20,11 @@ from .barrier import (
 from .gp import (
     BaseKernelParams,
     CompositeGpModel,
-    ConfidenceParams,
     ResidualDataset,
     base_kernel,
-    beta_bound,
     composite_kernel,
     fit,
-    grid_refine,
     load_dataset_csv,
-    log_marginal_likelihood,
     posterior_coefficients,
     save_dataset_csv,
 )
@@ -50,3 +45,7 @@ from .socp import (
 )
 
 __version__ = "0.1.0"
+
+# There is one numeric path, plain numpy.  The constant stays because
+# benchmark records written by perfbench/environment.py carry it.
+NUMBA_ENABLED = False

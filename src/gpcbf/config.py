@@ -42,8 +42,6 @@ class GpConfig:
 @dataclass
 class FilterConfig:
     beta: float = 2.0
-    delta: float = 0.05
-    soft_weight: float = 10.0
     solver_tol: float = 1e-8
     solver_max_iter: int = 100
     trace: bool = False
@@ -55,7 +53,6 @@ class SimConfig:
     control_period: float = 1e-2
     horizon: float = 20.0
     x0: list = field(default_factory=lambda: [20.0, 100.0])
-    seed: int = 0
 
 
 @dataclass
@@ -113,8 +110,6 @@ class ExperimentConfig:
             raise ConfigError("noise variance must be non-negative")
         if self.filter.beta < 0:
             raise ConfigError("filter.beta must be non-negative")
-        if not 0 < self.filter.delta < 1:
-            raise ConfigError("filter.delta must lie in (0, 1)")
         if self.sim.dt <= 0 or self.sim.control_period < self.sim.dt:
             raise ConfigError("need 0 < sim.dt <= sim.control_period")
         if self.sim.horizon < 0:

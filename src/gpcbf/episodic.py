@@ -325,7 +325,6 @@ def make_gp_socp_controller(
     model: CompositeGpModel,
     beta: float,
     u_nom_fn: Callable,
-    soft: Sequence[tuple] = (),
     tol: float = 1e-8,
     max_iter: int = 100,
 ) -> Callable:
@@ -340,7 +339,7 @@ def make_gp_socp_controller(
         cert = certificate_terms(design, x)
         mu, sigma = posterior_coefficients(model, x)
         outcome = safety_filter_step(
-            u_nom, cert, mu, sigma, beta, design.gamma, soft=soft, tol=tol, max_iter=max_iter
+            u_nom, cert, mu, sigma, beta, design.gamma, tol=tol, max_iter=max_iter
         )
         if outcome.status == STATUS_OPTIMAL:
             u = outcome.u
@@ -391,7 +390,6 @@ def episodic_train(
     jitter_schedule: Sequence[float] = DEFAULT_JITTER_SCHEDULE,
     solver_tol: float = 1e-8,
     solver_max_iter: int = 100,
-    soft: Sequence[tuple] = (),
 ) -> TrainResult:
     """Run-collect-retrain until an episode completes without violation.
 
@@ -417,7 +415,7 @@ def episodic_train(
             controller = make_nominal_qp_controller(design, u_nom_fn)
         else:
             controller = make_gp_socp_controller(
-                design, model, beta, u_nom_fn, soft=soft, tol=solver_tol, max_iter=solver_max_iter
+                design, model, beta, u_nom_fn, tol=solver_tol, max_iter=solver_max_iter
             )
         log = run_episode(
             plant,

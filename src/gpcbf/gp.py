@@ -18,9 +18,6 @@ regressor y*:
 
 which is exactly the structure the cone filter needs.  Column j of Kbar is
 the base-kernel vector at (x*, x_j) scaled elementwise by y_j.
-
-Gram and cross-kernel assembly are the hot kernels; see ``_accel`` for the
-JIT/fallback switch.
 """
 
 import csv
@@ -31,7 +28,6 @@ from typing import Sequence
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from ._accel import NUMBA_ENABLED, maybe_njit
 from .errors import IllConditionedDataError
 
 DEFAULT_JITTER_SCHEDULE = (0.0, 1e-10, 1e-8, 1e-6)
@@ -133,27 +129,8 @@ def load_dataset_csv(path, n: int, noise_variance: float) -> ResidualDataset:
     )
 
 
-@maybe_njit
-def _gram_composite_loops(X, Y, sf2, inv_ell2):
+def _gram_composite(X, Y, sf2, inv_ell2):
     """Gram matrix of the composite kernel: K[i,j] = sum_t k_t(x_i,x_j) y_it y_jt."""
-    N = X.shape[0]
-    q = sf2.size
-    K = np.empty((N, N))
-    for i in range(N):
-        for j in range(i, N):
-            acc = 0.0
-            for t in range(q):
-                sq = 0.0
-                for d in range(X.shape[1]):
-                    diff = X[i, d] - X[j, d]
-                    sq += diff * diff * inv_ell2[t, d]
-                acc += sf2[t] * math.exp(-0.5 * sq) * Y[i, t] * Y[j, t]
-            K[i, j] = acc
-            K[j, i] = acc
-    return K
-
-
-def _gram_composite_numpy(X, Y, sf2, inv_ell2):
     N, n = X.shape
     q = sf2.size
     diff2 = (X[:, None, :] - X[None, :, :]) ** 2  # (N, N, n)
@@ -164,31 +141,11 @@ def _gram_composite_numpy(X, Y, sf2, inv_ell2):
     return K
 
 
-@maybe_njit
-def _cross_kbar_loops(X, Y, xstar, sf2, inv_ell2):
+def _cross_kbar(X, Y, xstar, sf2, inv_ell2):
     """Kbar (q, N): column j is the base-kernel vector at (x*, x_j) times y_j."""
-    N = X.shape[0]
-    q = sf2.size
-    out = np.empty((q, N))
-    for j in range(N):
-        for t in range(q):
-            sq = 0.0
-            for d in range(X.shape[1]):
-                diff = xstar[d] - X[j, d]
-                sq += diff * diff * inv_ell2[t, d]
-            out[t, j] = sf2[t] * math.exp(-0.5 * sq) * Y[j, t]
-    return out
-
-
-def _cross_kbar_numpy(X, Y, xstar, sf2, inv_ell2):
     diff2 = (xstar[None, :] - X) ** 2  # (N, n)
     kt = sf2[:, None] * np.exp(-0.5 * (inv_ell2 @ diff2.T))  # (q, N)
     return kt * Y.T
-
-
-# The flag selects the compiled loop kernels or the vectorized numpy path.
-_gram_composite = _gram_composite_loops if NUMBA_ENABLED else _gram_composite_numpy
-_cross_kbar = _cross_kbar_loops if NUMBA_ENABLED else _cross_kbar_numpy
 
 
 @dataclass(frozen=True)
@@ -282,35 +239,6 @@ def _chol_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
     return solve_triangular(L.T, y, lower=False)
 
 
-def log_marginal_likelihood(model: CompositeGpModel) -> float:
-    """log p(z | X, Y) of the fitted model (zero prior mean)."""
-    N = len(model.dataset)
-    if N == 0:
-        return 0.0
-    logdet = 2.0 * float(np.sum(np.log(np.diag(model.factor))))
-    return -0.5 * float(model.dataset.z @ model.weights) - 0.5 * logdet - 0.5 * N * math.log(
-        2.0 * math.pi
-    )
-
-
-def grid_refine(
-    dataset: ResidualDataset,
-    candidates: Sequence[Sequence[BaseKernelParams]],
-    jitter_schedule: Sequence[float] = DEFAULT_JITTER_SCHEDULE,
-) -> CompositeGpModel:
-    """Pick the candidate hyperparameter set with the best marginal likelihood."""
-    if not candidates:
-        raise ValueError("need at least one candidate parameter set")
-    best = None
-    best_ll = -math.inf
-    for params in candidates:
-        model = fit(dataset, params, jitter_schedule)
-        ll = log_marginal_likelihood(model)
-        if ll > best_ll:
-            best, best_ll = model, ll
-    return best
-
-
 def posterior_coefficients(model: CompositeGpModel, xstar) -> tuple[np.ndarray, np.ndarray]:
     """Posterior (mu, Sigma) at a query state.
 
@@ -336,34 +264,3 @@ def posterior_coefficients(model: CompositeGpModel, xstar) -> tuple[np.ndarray, 
     sigma = lam_star - V.T @ V
     sigma = 0.5 * (sigma + sigma.T) + SIGMA_JITTER * np.eye(q)
     return mu, sigma
-
-
-@dataclass(frozen=True)
-class ConfidenceParams:
-    """Scaling beta used by the filter plus the reporting inputs behind it.
-
-    In experiments beta is a configuration scalar; eta (RKHS norm bound) and
-    kappa (mutual-information bound) feed :func:`beta_bound` for reporting.
-    """
-
-    beta: float
-    delta: float = 0.05
-    eta: float = 0.0
-    kappa: float = 0.0
-
-    def __post_init__(self):
-        if self.beta <= 0.0:
-            raise ValueError("beta must be positive")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
-        if self.eta < 0.0 or self.kappa < 0.0:
-            raise ValueError("eta and kappa must be non-negative")
-
-
-def beta_bound(c: ConfidenceParams, N: int) -> float:
-    """High-probability scaling sqrt(2 eta^2 + 300 kappa ln^3((N+1)/delta)).
-
-    Natural logarithm throughout.
-    """
-    logterm = math.log((N + 1) / c.delta)
-    return math.sqrt(2.0 * c.eta**2 + 300.0 * c.kappa * logterm**3)

@@ -20,8 +20,7 @@ condition (S3 negative definite) apply verbatim to the solved program.
 The solver is a dense primal-dual interior-point method on the homogeneous
 self-dual embedding with Nesterov-Todd scaling and Mehrotra correction,
 specialized to tiny cone products (a handful of variables, a handful of
-cones).  It is deterministic and uses no external optimizer; the iteration
-core is a JIT hot kernel (see ``_accel``).
+cones).  It is deterministic and uses no external optimizer.
 """
 
 import math
@@ -30,7 +29,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._accel import maybe_njit
 from .barrier import CertificateTerms
 from .errors import FactorizationError
 
@@ -119,35 +117,14 @@ def assemble_safety_cone(
     return SafetyConeData(A=A, b=b, c=c, d=d)
 
 
-def build_S(
-    cert: CertificateTerms,
-    mu: np.ndarray,
-    sigma: np.ndarray,
-    beta: float,
-    gamma: np.ndarray,
-) -> np.ndarray:
-    """Feasibility test matrix S = beta^2 Sigma - phi^T phi (Schur complement form).
+def build_S(phi: np.ndarray, sigma: np.ndarray, beta: float) -> np.ndarray:
+    """Feasibility test matrix S = beta^2 Sigma - phi^T phi, symmetrized.
 
-    Assembled blockwise from the cone data: S1 = beta^2 (L^r)^T L^r - zf_eff^T
-    zf_eff, S2 = beta (L^r)^T A - zf_eff^T c, S3 = A^T A - c^T c.
+    phi is the effective certificate row from :func:`effective_phi`; the
+    trailing m x m block S3 is the cone's A^T A - c^T c.
     """
-    gamma = np.asarray(gamma, dtype=float)
-    r = gamma.size
-    cone = assemble_safety_cone(cert, mu, sigma, beta, gamma)
-    phi = effective_phi(cert, mu)
-    zf_eff = phi[:r]
-    c = phi[r:]
-    if beta == 0.0:
-        bLr = np.zeros((r + c.size, r))
-    else:
-        L = matrix_sqrt_factor(sigma)
-        bLr = beta * L[:, :r]
-    S1 = bLr.T @ bLr - np.outer(zf_eff, zf_eff)
-    S2 = bLr.T @ cone.A - np.outer(zf_eff, c)
-    S3 = cone.A.T @ cone.A - np.outer(c, c)
-    top = np.hstack((S1, S2))
-    bottom = np.hstack((S2.T, S3))
-    S = np.vstack((top, bottom))
+    phi = np.asarray(phi, dtype=float).reshape(-1)
+    S = beta**2 * np.asarray(sigma, dtype=float) - np.outer(phi, phi)
     return 0.5 * (S + S.T)
 
 
@@ -181,11 +158,10 @@ def pointwise_conditions(
 
 @dataclass(frozen=True)
 class ConeProgram:
-    """Epigraph-form SOCP over omega = [u; t; slacks].
+    """Epigraph-form SOCP over omega = [u; t].
 
     cones holds (M, n, p, q) blocks encoding |M w + n| <= p.w + q; affines
-    holds (a, b) rows encoding a.w + b >= 0 (soft-constraint slack support
-    and degenerate safety cones).
+    holds (a, b) rows encoding a.w + b >= 0 (degenerate safety cones).
     """
 
     n_var: int
@@ -196,20 +172,11 @@ class ConeProgram:
     affines: Sequence[tuple]
 
 
-def build_program(
-    u_nom,
-    safety: Optional[SafetyConeData],
-    soft: Sequence[tuple] = (),
-) -> ConeProgram:
-    """Assemble the filter program.
-
-    soft entries are (a, b, weight): each adds a slack variable sl >= 0 with
-    linear cost weight and relaxes the row to a.u + b + sl >= 0.
-    """
+def build_program(u_nom, safety: Optional[SafetyConeData]) -> ConeProgram:
+    """Assemble the filter program: min t s.t. |u - u_nom| <= t and the safety cone."""
     u_nom = np.atleast_1d(np.asarray(u_nom, dtype=float))
     m = u_nom.size
-    n_soft = len(soft)
-    n_var = m + 1 + n_soft
+    n_var = m + 1
     f = np.zeros(n_var)
     f[m] = 1.0
     cones = []
@@ -230,16 +197,6 @@ def build_program(
             M2 = np.zeros((safety.A.shape[0], n_var))
             M2[:, :m] = safety.A
             cones.append((M2, safety.b.copy(), c_full, safety.d))
-
-    for i, (a, b, weight) in enumerate(soft):
-        f[m + 1 + i] = float(weight)
-        row = np.zeros(n_var)
-        row[:m] = np.atleast_1d(np.asarray(a, dtype=float))
-        row[m + 1 + i] = 1.0
-        affines.append((row, float(b)))
-        nonneg = np.zeros(n_var)
-        nonneg[m + 1 + i] = 1.0
-        affines.append((nonneg, 0.0))
 
     return ConeProgram(
         n_var=n_var, m=m, f=f, u_nom=u_nom.copy(), cones=tuple(cones), affines=tuple(affines)
@@ -313,7 +270,7 @@ def _equilibrate(G, h, f, dims, rounds: int = 3):
 def solve(program: ConeProgram, tol: float = 1e-8, max_iter: int = 100) -> FilterOutcome:
     """Solve the filter SOCP.
 
-    When omega = [u_nom; 0; 0] already satisfies every constraint the
+    When omega = [u_nom; 0] already satisfies every constraint the
     analytic answer u_nom is returned without running the iterative solver
     (the objective's lower bound 0 is attained).  Otherwise the interior-point
     core runs on the equilibrated problem; max_iterations returns the best
@@ -356,7 +313,6 @@ def solve(program: ConeProgram, tol: float = 1e-8, max_iter: int = 100) -> Filte
 # ---------------------------------------------------------------------------
 
 
-@maybe_njit
 def _cone_identity(dims):
     q = int(np.sum(dims))
     e = np.zeros(q)
@@ -367,7 +323,6 @@ def _cone_identity(dims):
     return e
 
 
-@maybe_njit
 def _soc_v_apply(w0, wbar, u0, ubar):
     """Apply V(w) = [[w0, wbar^T], [wbar, I + wbar wbar^T / (1 + w0)]]."""
     dot = 0.0
@@ -379,7 +334,6 @@ def _soc_v_apply(w0, wbar, u0, ubar):
     return top, bottom
 
 
-@maybe_njit
 def _nt_scaling(s, z, dims):
     """Per-cone NT scaling point and scaled variable lambda = W z = W^{-1} s."""
     q = s.size
@@ -419,7 +373,6 @@ def _nt_scaling(s, z, dims):
     return wvec, eta, lam
 
 
-@maybe_njit
 def _w_apply(wvec, eta, dims, u, inverse):
     """W u (inverse=False) or W^{-1} u (inverse=True) for the NT scaling."""
     out = np.zeros(u.size)
@@ -441,7 +394,6 @@ def _w_apply(wvec, eta, dims, u, inverse):
     return out
 
 
-@maybe_njit
 def _dense_scaling(wvec, eta, dims):
     """Dense block-diagonal W and W^{-1} for the current NT scaling."""
     q = wvec.size
@@ -474,7 +426,6 @@ def _dense_scaling(wvec, eta, dims):
     return Wm, Wim
 
 
-@maybe_njit
 def _arrow(lam, dims):
     q = lam.size
     out = np.zeros((q, q))
@@ -494,7 +445,6 @@ def _arrow(lam, dims):
     return out
 
 
-@maybe_njit
 def _jordan_mul(u, v, dims):
     out = np.zeros(u.size)
     off = 0
@@ -511,7 +461,6 @@ def _jordan_mul(u, v, dims):
     return out
 
 
-@maybe_njit
 def _max_step(s, ds, dims):
     """sup {alpha >= 0 : s + alpha ds stays in the cone product}."""
     alpha = 1e100
@@ -552,7 +501,6 @@ def _max_step(s, ds, dims):
     return alpha
 
 
-@maybe_njit
 def _ipm_core(f, G, h, dims, tol, max_iter):
     """HSD predictor-corrector loop.  Returns (w, status, iters, pres, dres, gap)."""
     q, p = G.shape
@@ -675,7 +623,6 @@ def _ipm_core(f, G, h, dims, tol, max_iter):
     return best_w, status, iters, best_pres, best_dres, best_gap
 
 
-@maybe_njit
 def _step_all(s, z, tau, kappa, ds, dz, dtau, dkap, dims):
     alpha = min(_max_step(s, ds, dims), _max_step(z, dz, dims))
     if dtau < 0.0:
@@ -685,7 +632,6 @@ def _step_all(s, z, tau, kappa, ds, dz, dtau, dkap, dims):
     return min(alpha, 1.0)
 
 
-@maybe_njit
 def _assemble_kkt(G, h, f, Wm, Wim, Lam, tau, kappa):
     """Augmented Newton matrix over (dx, dz, dtau) after eliminating ds, dkappa.
 
@@ -717,7 +663,6 @@ def _assemble_kkt(G, h, f, Wm, Wim, Lam, tau, kappa):
     return M, scale, LWi
 
 
-@maybe_njit
 def _kkt_solve(M, scale, LWi, G, h, f, Lam, Wm, Wim, tau, kappa,
                bx, bz, btau, ds_t, dkt):
     """One Newton solve with two refinement passes in the original equations."""
@@ -764,7 +709,6 @@ def safety_filter_step(
     sigma: np.ndarray,
     beta: float,
     gamma: np.ndarray,
-    soft: Sequence[tuple] = (),
     tol: float = 1e-8,
     max_iter: int = 100,
 ) -> FilterOutcome:
@@ -781,10 +725,10 @@ def safety_filter_step(
     else:
         necessary = -math.inf
     r = gamma.size
-    S = build_S(cert, mu, sigma, beta, gamma)
+    S = build_S(phi, sigma, beta)
     certified, max_eig = feasibility_sufficient(S[r:, r:])
 
-    program = build_program(u_nom, cone, soft)
+    program = build_program(u_nom, cone)
     outcome = solve(program, tol=tol, max_iter=max_iter)
     if outcome.status != STATUS_OPTIMAL and necessary > math.sqrt(tol):
         outcome.status = STATUS_INFEASIBLE

@@ -284,7 +284,7 @@ def feasibility_suite(seed: int = 0, n_states: int = 1000) -> dict:
             out = solve(build_program(u_nom, cone_data), tol=1e-9)
             phi = effective_phi(cert, mu)
             nec = feasibility_necessary(phi, sigma, beta)
-            S = build_S(cert, mu, sigma, beta, gamma)
+            S = build_S(phi, sigma, beta)
             certified, _ = feasibility_sufficient(S[gamma.size :, gamma.size :])
             statuses[out.status] += 1
             checked += 1

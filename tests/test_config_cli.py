@@ -74,9 +74,14 @@ class TestCli:
     def test_run_missing_config_exits_2(self, capsys):
         assert cli.main(["run", "/nonexistent/config.yaml"]) == 2
 
-    def test_run_invalid_config_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "section",
+        ["gp:\n  bogus_key: 1", "filter:\n  delta: 0.05", "filter:\n  soft_weight: 10", "sim:\n  seed: 0"],
+        ids=["gp-bogus_key", "filter-delta", "filter-soft_weight", "sim-seed"],
+    )
+    def test_run_invalid_config_exits_2(self, section, tmp_path, capsys):
         path = tmp_path / "bad.yaml"
-        path.write_text("plant: acc\ngp:\n  bogus_key: 1\n")
+        path.write_text(f"plant: acc\n{section}\n")
         assert cli.main(["run", str(path)]) == 2
 
     def test_validate_reports_json(self, capsys):

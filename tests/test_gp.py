@@ -8,21 +8,14 @@ from hypothesis import strategies as st
 from gpcbf.errors import IllConditionedDataError
 from gpcbf.gp import (
     BaseKernelParams,
-    ConfidenceParams,
     ResidualDataset,
-    _cross_kbar_loops,
-    _cross_kbar_numpy,
+    _cross_kbar,
     _gram_composite,
-    _gram_composite_loops,
-    _gram_composite_numpy,
     _stacked_params,
     base_kernel,
-    beta_bound,
     composite_kernel,
     fit,
-    grid_refine,
     load_dataset_csv,
-    log_marginal_likelihood,
     posterior_coefficients,
     save_dataset_csv,
 )
@@ -100,30 +93,43 @@ class TestCompositeKernel:
             )
 
 
-class TestAccelKernels:
-    """JIT loop kernels and the plain-numpy fallback agree."""
+class TestKernelAssembly:
+    """Vectorized Gram and cross-kernel assembly, entry by entry against the reference kernel."""
 
-    def test_gram_paths_agree(self):
+    def test_gram_matches_reference(self):
         rng = np.random.default_rng(2)
         ds = _random_dataset(rng, 15)
         params = _random_params(rng, 3, 2)
         sf2, inv_ell2 = _stacked_params(params, 2)
-        K_jit = _gram_composite_loops(ds.X, ds.Y, sf2, inv_ell2)
-        K_np = _gram_composite_numpy(ds.X, ds.Y, sf2, inv_ell2)
-        np.testing.assert_allclose(K_jit, K_np, rtol=1e-12, atol=1e-14)
+        K = _gram_composite(ds.X, ds.Y, sf2, inv_ell2)
+        sf2s = [p.signal_variance for p in params]
+        ells = [p.lengthscales for p in params]
+        N = len(ds)
+        K_ref = np.array(
+            [
+                [composite_kernel_ref(ds.X[i], ds.Y[i], ds.X[j], ds.Y[j], sf2s, ells) for j in range(N)]
+                for i in range(N)
+            ]
+        )
+        np.testing.assert_allclose(K, K_ref, rtol=1e-12)
 
-    def test_cross_paths_agree(self):
+    def test_cross_matches_reference(self):
         rng = np.random.default_rng(3)
         ds = _random_dataset(rng, 12)
         params = _random_params(rng, 3, 2)
         sf2, inv_ell2 = _stacked_params(params, 2)
         xstar = rng.normal(size=2)
-        np.testing.assert_allclose(
-            _cross_kbar_loops(ds.X, ds.Y, xstar, sf2, inv_ell2),
-            _cross_kbar_numpy(ds.X, ds.Y, xstar, sf2, inv_ell2),
-            rtol=1e-12,
-            atol=1e-14,
+        kbar = _cross_kbar(ds.X, ds.Y, xstar, sf2, inv_ell2)
+        sf2s = [p.signal_variance for p in params]
+        ells = [p.lengthscales for p in params]
+        # column j, row t: the composite kernel between (x*, e_t) and (x_j, y_j)
+        kbar_ref = np.array(
+            [
+                [composite_kernel_ref(xstar, e_t, ds.X[j], ds.Y[j], sf2s, ells) for j in range(len(ds))]
+                for e_t in np.eye(3)
+            ]
         )
+        np.testing.assert_allclose(kbar, kbar_ref, rtol=1e-12)
 
 
 class TestFit:
@@ -252,62 +258,6 @@ class TestPosterior:
         _, sigma = posterior_coefficients(model, xstar)
         prior = model.prior_lambda(xstar)
         assert float(ystar @ sigma @ ystar) <= float(ystar @ prior @ ystar) + 1e-8
-
-
-class TestBetaBound:
-    def test_kappa_zero(self):
-        c = ConfidenceParams(beta=2.0, delta=0.5, eta=1.0, kappa=0.0)
-        assert beta_bound(c, 100) == pytest.approx(math.sqrt(2.0))
-
-    def test_all_zero(self):
-        c = ConfidenceParams(beta=2.0, delta=0.1, eta=0.0, kappa=0.0)
-        assert beta_bound(c, 10) == 0.0
-
-    def test_hand_value(self):
-        c = ConfidenceParams(beta=2.0, delta=0.05, eta=1.0, kappa=0.1)
-        val = beta_bound(c, 0)
-        assert val == pytest.approx(math.sqrt(2.0 + 30.0 * math.log(20.0) ** 3), rel=1e-12)
-        assert val == pytest.approx(28.435, abs=5e-3)
-
-    @pytest.mark.parametrize("delta", [0.0, 1.0, -0.2, 2.0])
-    def test_delta_domain(self, delta):
-        with pytest.raises(ValueError):
-            ConfidenceParams(beta=1.0, delta=delta)
-
-    def test_beta_must_be_positive(self):
-        with pytest.raises(ValueError):
-            ConfidenceParams(beta=0.0)
-
-
-class TestLikelihoodRefinement:
-    def test_refinement_prefers_generating_lengthscale(self):
-        rng = np.random.default_rng(20)
-        X = np.linspace(-3, 3, 40)[:, None]
-        Y = np.ones((40, 1))
-        z = np.sin(1.5 * X[:, 0]) + 0.05 * rng.normal(size=40)
-        ds = ResidualDataset(X=X, Y=Y, z=z, noise_variance=0.05**2)
-        candidates = [
-            [BaseKernelParams(1.0, np.array([ell]))] for ell in (0.05, 0.7, 20.0)
-        ]
-        best = grid_refine(ds, candidates)
-        assert best.params[0].lengthscales[0] == pytest.approx(0.7)
-
-    def test_empty_model_likelihood_zero(self):
-        ds = ResidualDataset(X=np.zeros((0, 1)), Y=np.zeros((0, 1)), z=np.zeros(0), noise_variance=0.1)
-        model = fit(ds, [BaseKernelParams(1.0, np.array([1.0]))])
-        assert log_marginal_likelihood(model) == 0.0
-
-    def test_matches_direct_formula(self):
-        rng = np.random.default_rng(21)
-        ds = _random_dataset(rng, 8)
-        params = _random_params(rng, 3, 2)
-        model = fit(ds, params)
-        sf2, inv_ell2 = _stacked_params(params, 2)
-        K = _gram_composite(ds.X, ds.Y, sf2, inv_ell2) + ds.noise_variance * np.eye(8)
-        direct = -0.5 * ds.z @ np.linalg.solve(K, ds.z) - 0.5 * np.linalg.slogdet(K)[
-            1
-        ] - 4.0 * math.log(2.0 * math.pi)
-        assert log_marginal_likelihood(model) == pytest.approx(direct, rel=1e-10)
 
 
 class TestDatasetCsv:

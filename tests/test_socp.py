@@ -117,22 +117,16 @@ class TestBuildProgram:
         np.testing.assert_allclose(prog.f, [0.0, 1.0])
         assert len(prog.cones) == 1
 
-    def test_soft_constraint_adds_slack(self):
-        prog = build_program(np.zeros(1), None, soft=[(np.array([1.0]), 0.5, 7.0)])
-        assert prog.n_var == 3
-        np.testing.assert_allclose(prog.f, [0.0, 1.0, 7.0])
-        assert len(prog.affines) == 2
-
     def test_safety_cone_zero_padded(self):
         cone = SafetyConeData(
             A=np.arange(3.0).reshape(3, 1), b=np.ones(3), c=np.array([2.0]), d=1.0
         )
-        prog = build_program(np.zeros(1), cone, soft=[(np.array([0.0]), 0.0, 1.0)])
+        prog = build_program(np.zeros(1), cone)
         M2, n2, p2, q2 = prog.cones[1]
-        assert M2.shape == (3, 3)
+        assert M2.shape == (3, 2)
         np.testing.assert_allclose(M2[:, 0], [0.0, 1.0, 2.0])
         np.testing.assert_allclose(M2[:, 1:], 0.0)
-        np.testing.assert_allclose(p2, [2.0, 0.0, 0.0])
+        np.testing.assert_allclose(p2, [2.0, 0.0])
 
 
 class TestSolve:
@@ -188,19 +182,6 @@ class TestSolve:
             slacks = out.diagnostics["constraint_slacks"]
             assert min(slacks) >= -1e-7
 
-    def test_soft_constraint_tradeoff(self):
-        # weight above 1 enforces u >= 10; weight below 1 leaves u at nominal
-        tight = solve(
-            build_program(np.array([5.0]), None, soft=[(np.array([1.0]), -10.0, 100.0)]),
-            tol=1e-9,
-        )
-        loose = solve(
-            build_program(np.array([5.0]), None, soft=[(np.array([1.0]), -10.0, 0.1)]),
-            tol=1e-9,
-        )
-        assert tight.u[0] == pytest.approx(10.0, abs=1e-6)
-        assert loose.u[0] == pytest.approx(5.0, abs=1e-6)
-
     def test_multi_input_projection(self):
         # m = 2 affine constraint: solution is the Euclidean projection
         cone = SafetyConeData(
@@ -237,23 +218,31 @@ class TestBuildS:
         return cert, mu, sigma, beta, gamma
 
     def test_schur_identity(self):
+        # Blockwise from the cone data: S1 = beta^2 (L^r)^T L^r - zf zf^T,
+        # S2 = beta (L^r)^T A - zf c^T, S3 = A^T A - c c^T.
         rng = np.random.default_rng(7)
         for _ in range(30):
             cert, mu, sigma, beta, gamma = self._random_inputs(rng)
-            S = build_S(cert, mu, sigma, beta, gamma)
+            r = gamma.size
+            cone = assemble_safety_cone(cert, mu, sigma, beta, gamma)
             phi = effective_phi(cert, mu)
-            M_over_1 = beta**2 * sigma - np.outer(phi, phi)
-            np.testing.assert_allclose(S, M_over_1, atol=1e-10 * max(1, np.abs(M_over_1).max()))
+            zf, c = phi[:r], phi[r:]
+            bLr = beta * matrix_sqrt_factor(sigma)[:, :r]
+            S1 = bLr.T @ bLr - np.outer(zf, zf)
+            S2 = bLr.T @ cone.A - np.outer(zf, c)
+            S3 = cone.A.T @ cone.A - np.outer(c, c)
+            blockwise = np.block([[S1, S2], [S2.T, S3]])
+            S = build_S(phi, sigma, beta)
+            np.testing.assert_allclose(S, blockwise, atol=1e-10 * max(1, np.abs(blockwise).max()))
 
     def test_identity_case(self):
-        cert = _cert([0.0, 0.0], [0.0], 0.0)
-        S = build_S(cert, np.zeros(3), np.eye(3), 1.0, np.array([1.0, 1.0]))
+        S = build_S(np.zeros(3), np.eye(3), 1.0)
         np.testing.assert_allclose(S, np.eye(3), atol=1e-12)
 
     def test_symmetry(self):
         rng = np.random.default_rng(8)
         cert, mu, sigma, beta, gamma = self._random_inputs(rng, r=3, m=2)
-        S = build_S(cert, mu, sigma, beta, gamma)
+        S = build_S(effective_phi(cert, mu), sigma, beta)
         np.testing.assert_allclose(S, S.T, atol=1e-12)
 
 
@@ -302,7 +291,7 @@ class TestPointwiseConditions:
             if out.status != STATUS_OPTIMAL:
                 continue
             phi = effective_phi(cert, mu)
-            S = build_S(cert, mu, sigma, beta, gamma)
+            S = build_S(phi, sigma, beta)
             affine, quad = pointwise_conditions(gamma, out.u, S, phi)
             assert affine >= -1e-8
             assert quad <= 1e-8 * max(1.0, np.abs(S).max() * (1 + float(out.u @ out.u)))
@@ -319,14 +308,14 @@ class TestPointwiseConditions:
             sigma = _random_spd(rng, r + m, scale=0.05)
             beta = 0.4
             gamma = np.array([1.5, 1.0])
-            S = build_S(cert, mu, sigma, beta, gamma)
+            phi = effective_phi(cert, mu)
+            S = build_S(phi, sigma, beta)
             S3 = S[r:, r:]
             certified, max_eig = feasibility_sufficient(S3)
             if not certified:
                 continue
             eigvals, eigvecs = np.linalg.eigh(S3)
             e_m = eigvecs[:, -1]
-            phi = effective_phi(cert, mu)
             c = phi[r:]
             u = 1e6 * np.sign(float(c @ e_m)) * e_m
             affine, quad = pointwise_conditions(gamma, u, S, phi)
