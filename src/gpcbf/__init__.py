@@ -29,12 +29,10 @@ from .gp import (
     save_dataset_csv,
 )
 from .socp import (
-    ConeProgram,
     FilterOutcome,
     SafetyConeData,
     assemble_safety_cone,
     build_S,
-    build_program,
     effective_phi,
     feasibility_necessary,
     feasibility_sufficient,

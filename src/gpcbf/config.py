@@ -43,7 +43,6 @@ class GpConfig:
 class FilterConfig:
     beta: float = 2.0
     solver_tol: float = 1e-8
-    solver_max_iter: int = 100
     trace: bool = False
 
 

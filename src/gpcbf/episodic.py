@@ -112,7 +112,7 @@ class EpisodeLog:
     necessary: np.ndarray
     sufficient: np.ndarray
     iterations: np.ndarray
-    solver_gap: np.ndarray
+    cone_margin: np.ndarray
     termination: str
     violation_time: Optional[float]
     min_h: float
@@ -132,7 +132,7 @@ class EpisodeLog:
             + ["sigma", "status", "necessary_value", "sufficient_eig"]
         )
         if trace:
-            header += ["solve_iterations", "solver_gap"]
+            header += ["solve_iterations", "cone_margin"]
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
@@ -147,7 +147,7 @@ class EpisodeLog:
                     + [f"{self.necessary[k]:.17g}", f"{self.sufficient[k]:.17g}"]
                 )
                 if trace:
-                    row += [str(int(self.iterations[k])), f"{self.solver_gap[k]:.17g}"]
+                    row += [str(int(self.iterations[k])), f"{self.cone_margin[k]:.17g}"]
                 writer.writerow(row)
 
 
@@ -175,7 +175,7 @@ def run_episode(
 
     rows_t, rows_x, rows_u, rows_h = [], [], [], []
     rows_zeta, rows_sigma, rows_status = [], [], []
-    rows_nec, rows_suf, rows_iter, rows_gap = [], [], [], []
+    rows_nec, rows_suf, rows_iter, rows_margin = [], [], [], []
     termination = TERM_COMPLETED
     violation_time = None
     min_h = float(design.h(x))
@@ -199,7 +199,7 @@ def run_episode(
         rows_nec.append(float(info.get("necessary_value", np.nan)))
         rows_suf.append(float(info.get("sufficient_eig", np.nan)))
         rows_iter.append(int(info.get("iterations", 0)))
-        rows_gap.append(float(info.get("solver_gap", np.nan)))
+        rows_margin.append(float(info.get("cone_margin", np.nan)))
 
         if info.get("status") == "infeasible":
             consec_infeasible += 1
@@ -236,7 +236,7 @@ def run_episode(
             rows_nec.append(np.nan)
             rows_suf.append(np.nan)
             rows_iter.append(0)
-            rows_gap.append(np.nan)
+            rows_margin.append(np.nan)
             break
 
     if termination == TERM_COMPLETED and violation_time is not None and rows_h and rows_h[-1] < 0.0:
@@ -256,7 +256,7 @@ def run_episode(
         necessary=np.asarray(rows_nec),
         sufficient=np.asarray(rows_suf),
         iterations=np.asarray(rows_iter, dtype=int),
-        solver_gap=np.asarray(rows_gap),
+        cone_margin=np.asarray(rows_margin),
         termination=termination,
         violation_time=violation_time,
         min_h=min_h,
@@ -326,7 +326,6 @@ def make_gp_socp_controller(
     beta: float,
     u_nom_fn: Callable,
     tol: float = 1e-8,
-    max_iter: int = 100,
 ) -> Callable:
     """Uncertainty-aware cone filter around a nominal control law.
 
@@ -338,9 +337,7 @@ def make_gp_socp_controller(
         u_nom = np.atleast_1d(np.asarray(u_nom_fn(t, x), dtype=float))
         cert = certificate_terms(design, x)
         mu, sigma = posterior_coefficients(model, x)
-        outcome = safety_filter_step(
-            u_nom, cert, mu, sigma, beta, design.gamma, tol=tol, max_iter=max_iter
-        )
+        outcome = safety_filter_step(u_nom, cert, mu, sigma, beta, design.gamma, tol=tol)
         if outcome.status == STATUS_OPTIMAL:
             u = outcome.u
         else:
@@ -358,7 +355,7 @@ def make_gp_socp_controller(
             "necessary_value": outcome.diagnostics.get("necessary_condition_value", np.nan),
             "sufficient_eig": outcome.diagnostics.get("sufficient_condition_eigenvalue", np.nan),
             "iterations": outcome.iterations,
-            "solver_gap": outcome.diagnostics.get("solver_gap", np.nan),
+            "cone_margin": outcome.diagnostics.get("cone_margin", np.nan),
         }
         return u, info
 
@@ -389,7 +386,6 @@ def episodic_train(
     noise_variance: Optional[float] = None,
     jitter_schedule: Sequence[float] = DEFAULT_JITTER_SCHEDULE,
     solver_tol: float = 1e-8,
-    solver_max_iter: int = 100,
 ) -> TrainResult:
     """Run-collect-retrain until an episode completes without violation.
 
@@ -414,9 +410,7 @@ def episodic_train(
         if ep == 0:
             controller = make_nominal_qp_controller(design, u_nom_fn)
         else:
-            controller = make_gp_socp_controller(
-                design, model, beta, u_nom_fn, tol=solver_tol, max_iter=solver_max_iter
-            )
+            controller = make_gp_socp_controller(design, model, beta, u_nom_fn, tol=solver_tol)
         log = run_episode(
             plant,
             design,

@@ -188,7 +188,6 @@ def run_benchmark(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> Bench
         noise_variance=cfg.gp.noise_variance,
         jitter_schedule=tuple(cfg.gp.jitter_schedule),
         solver_tol=cfg.filter.solver_tol,
-        solver_max_iter=cfg.filter.solver_max_iter,
         **common,
     )
     log_gp = finish_arm("gp", train.episodes[-1])

@@ -22,7 +22,7 @@ the base-kernel vector at (x*, x_j) scaled elementwise by y_j.
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -150,21 +150,42 @@ def _cross_kbar(X, Y, xstar, sf2, inv_ell2):
 
 @dataclass(frozen=True)
 class CompositeGpModel:
-    """Fitted residual model; immutable and safe for concurrent queries."""
+    """Fitted residual model; immutable and safe for concurrent queries.
+
+    The query invariants (stacked kernel parameters, contiguous X and Y, a
+    Fortran-ordered factor for LAPACK) are fixed when the model is built,
+    so a posterior query does no per-call preparation.
+    """
 
     dataset: ResidualDataset
     params: Sequence[BaseKernelParams]
     factor: np.ndarray  # lower Cholesky of K_c + (sigma_n^2 + jitter) I, (N, N)
     weights: np.ndarray  # (K_c + sigma_n^2 I)^{-1} z
     jitter: float
+    sf2: np.ndarray = field(init=False, repr=False)  # (q,)
+    inv_ell2: np.ndarray = field(init=False, repr=False)  # (q, n)
+    X: np.ndarray = field(init=False, repr=False)
+    Y: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        sf2, inv_ell2 = _stacked_params(self.params, self.dataset.X.shape[1])
+        object.__setattr__(self, "sf2", sf2)
+        object.__setattr__(self, "inv_ell2", inv_ell2)
+        object.__setattr__(self, "X", np.ascontiguousarray(self.dataset.X))
+        object.__setattr__(self, "Y", np.ascontiguousarray(self.dataset.Y))
+        object.__setattr__(self, "factor", np.asfortranarray(self.factor))
 
     @property
     def q(self) -> int:
         return len(self.params)
 
     def prior_lambda(self, x) -> np.ndarray:
+        """Lambda(x, x) = diag(sf2): every base kernel is stationary."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        return np.diag([base_kernel(x, x, p) for p in self.params])
+        n = self.inv_ell2.shape[1]
+        if x.shape != (n,):
+            raise ValueError(f"query state of shape {x.shape}, model state dimension {n}")
+        return np.diag(self.sf2)
 
 
 def _stacked_params(params: Sequence[BaseKernelParams], n: int):
@@ -251,14 +272,7 @@ def posterior_coefficients(model: CompositeGpModel, xstar) -> tuple[np.ndarray, 
     q = model.q
     if len(model.dataset) == 0:
         return np.zeros(q), lam_star + SIGMA_JITTER * np.eye(q)
-    sf2, inv_ell2 = _stacked_params(model.params, model.dataset.X.shape[1])
-    kbar = _cross_kbar(
-        np.ascontiguousarray(model.dataset.X),
-        np.ascontiguousarray(model.dataset.Y),
-        np.ascontiguousarray(xstar),
-        sf2,
-        inv_ell2,
-    )
+    kbar = _cross_kbar(model.X, model.Y, xstar, model.sf2, model.inv_ell2)
     mu = kbar @ model.weights
     V = _forward_sub(model.factor, kbar.T)  # solves L V = Kbar^T
     sigma = lam_star - V.T @ V

@@ -1,4 +1,4 @@
-"""Uncertainty-aware min-norm safety filter as a second-order cone program.
+"""Uncertainty-aware min-norm safety filter as a projection onto one cone.
 
 The chance-constrained filter
 
@@ -15,30 +15,57 @@ first r / last m columns) and mu split the same way.  Folding the constant
 e_r h(x) into the r-th drift coordinate (legal because gamma_r = 1) puts the
 constraint in the exact form the feasibility results analyze, so the
 necessary condition (phi Sigma^{-1} phi^T >= beta^2) and the sufficient
-condition (S3 negative definite) apply verbatim to the solved program.
+condition (S3 negative definite) apply verbatim to the filter.
 
-The solver is a dense primal-dual interior-point method on the homogeneous
-self-dual embedding with Nesterov-Todd scaling and Mehrotra correction,
-specialized to tiny cone products (a handful of variables, a handful of
-cones).  It is deterministic and uses no external optimizer.
+The filter input is the Euclidean projection of u_nom onto the convex set
+K = {u : |A u + b| <= c u + d}.  With H = A^T A - c c^T (the block S3),
+g = A^T b - d c and k = b^T b - d^2,
+
+    K = {u : Q(u) = u^T H u + 2 g^T u + k <= 0  and  c u + d >= 0}:
+
+Q <= 0 is the union of two nappes and the sign of c u + d picks one.  H is
+a rank-one downdate of A^T A, so it has at most one negative eigenvalue.
+``solve`` takes one of four exact paths:
+
+- u_nom in K: u_nom itself (the analytic path);
+- beta = 0 (A = 0, b = 0): the closed-form half-space projection;
+- m = 1: K is an interval whose finite ends are roots of the scalar
+  quadratic Q, so the answer is the root on the branch c u + d >= 0 nearest
+  u_nom, from the cancellation-free quadratic formula;
+- m >= 2: stationarity gives u(lam) = (I + lam H)^{-1} (u_nom - lam g) with
+  lam >= 0, and the answer is the root of the secular function Q(u(lam))
+  with c u(lam) + d > 0 (More, "Generalizations of the trust region
+  problem", 1993).  After one eigendecomposition of H it is a scalar
+  rational function with at most one pole on lam > 0, and the right root
+  lies beyond the pole when u_nom sits deep on the wrong side.  Its roots
+  are those of a polynomial of degree <= 2m, each refined by Newton steps
+  on the cone margin along u(lam) without crossing the pole.
+
+Every candidate is polished by Newton steps on the cone margin
+c u + d - |A u + b|, and the nearest one whose margin is at least
+-tol * max(1, |A u + b|) is returned.  When no root qualifies, the
+projection can only lie where Q has no gradient: at an apex of the cone
+(A u + b = 0 = c u + d), or anywhere on H u + g = 0 when K has no interior.
+The filter's cones have neither, because Sigma is positive definite and
+gamma_r = 1.  A step is infeasible when K is empty.
 """
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
-from .barrier import CertificateTerms
-from .errors import FactorizationError
+from .barrier import CertificateTerms, halfspace_qp_filter
+from .errors import FactorizationError, InfeasibleConstraintError
 
 __all__ = [
-    "ConeProgram",
     "FilterOutcome",
     "SafetyConeData",
     "assemble_safety_cone",
     "build_S",
-    "build_program",
+    "cone_margin",
     "effective_phi",
     "feasibility_necessary",
     "feasibility_sufficient",
@@ -50,9 +77,9 @@ __all__ = [
 
 STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE = "infeasible"
-STATUS_MAX_ITERATIONS = "max_iterations"
 
-_STATUS_NAMES = {0: STATUS_OPTIMAL, 1: STATUS_INFEASIBLE, 2: STATUS_MAX_ITERATIONS}
+_EPS = np.finfo(float).eps
+_MAX_POLISH = 3  # Newton steps per candidate; each roughly squares the error
 
 
 def matrix_sqrt_factor(sigma: np.ndarray) -> np.ndarray:
@@ -67,12 +94,18 @@ def matrix_sqrt_factor(sigma: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SafetyConeData:
-    """Per-step cone constraint |A u + b| <= c u + d; rebuilt every step."""
+    """Per-step cone constraint |A u + b| <= c u + d; rebuilt every step.
+
+    ``factor`` is the upper Cholesky factor of Sigma that cone assembly took,
+    kept for the feasibility diagnostics; None when beta = 0 or when the
+    cone was written by hand.
+    """
 
     A: np.ndarray  # (m + r, m)
     b: np.ndarray  # (m + r,)
     c: np.ndarray  # (m,)
     d: float
+    factor: Optional[np.ndarray] = None
 
     @property
     def degenerate(self) -> bool:
@@ -105,6 +138,7 @@ def assemble_safety_cone(
     gamma = np.asarray(gamma, dtype=float)
     r = gamma.size
     m = mu.size - r
+    L = None
     if beta == 0.0:
         A = np.zeros((m + r, m))
         b = np.zeros(m + r)
@@ -114,7 +148,7 @@ def assemble_safety_cone(
         b = beta * (L[:, :r] @ gamma)
     c = cert.zg + mu[r:]
     d = float((cert.zf + mu[:r]) @ gamma) + cert.const
-    return SafetyConeData(A=A, b=b, c=c, d=d)
+    return SafetyConeData(A=A, b=b, c=c, d=d, factor=L)
 
 
 def build_S(phi: np.ndarray, sigma: np.ndarray, beta: float) -> np.ndarray:
@@ -137,6 +171,15 @@ def feasibility_necessary(phi: np.ndarray, sigma: np.ndarray, beta: float) -> fl
     return 1.0 - float(phi @ sol) / beta**2
 
 
+def _necessary_from_factor(phi: np.ndarray, L: np.ndarray, beta: float) -> float:
+    """:func:`feasibility_necessary` from the upper factor L^T L = Sigma.
+
+    phi Sigma^{-1} phi^T = |z|^2 with L^T z = phi: one triangular solve.
+    """
+    z = solve_triangular(L, phi, trans="T", check_finite=False)
+    return 1.0 - float(z @ z) / beta**2
+
+
 def feasibility_sufficient(S3: np.ndarray) -> tuple[bool, float]:
     """Negative definiteness certificate for pointwise feasibility."""
     S3 = np.asarray(S3, dtype=float)
@@ -156,550 +199,241 @@ def pointwise_conditions(
     return float(np.asarray(phi).reshape(-1) @ y), float(y @ S @ y)
 
 
-@dataclass(frozen=True)
-class ConeProgram:
-    """Epigraph-form SOCP over omega = [u; t].
-
-    cones holds (M, n, p, q) blocks encoding |M w + n| <= p.w + q; affines
-    holds (a, b) rows encoding a.w + b >= 0 (degenerate safety cones).
-    """
-
-    n_var: int
-    m: int
-    f: np.ndarray
-    u_nom: np.ndarray
-    cones: Sequence[tuple]
-    affines: Sequence[tuple]
-
-
-def build_program(u_nom, safety: Optional[SafetyConeData]) -> ConeProgram:
-    """Assemble the filter program: min t s.t. |u - u_nom| <= t and the safety cone."""
-    u_nom = np.atleast_1d(np.asarray(u_nom, dtype=float))
-    m = u_nom.size
-    n_var = m + 1
-    f = np.zeros(n_var)
-    f[m] = 1.0
-    cones = []
-    affines = []
-
-    M1 = np.zeros((m, n_var))
-    M1[:, :m] = np.eye(m)
-    p1 = np.zeros(n_var)
-    p1[m] = 1.0
-    cones.append((M1, -u_nom.copy(), p1, 0.0))
-
-    if safety is not None:
-        c_full = np.zeros(n_var)
-        c_full[:m] = safety.c
-        if safety.degenerate:
-            affines.append((c_full, safety.d))
-        else:
-            M2 = np.zeros((safety.A.shape[0], n_var))
-            M2[:, :m] = safety.A
-            cones.append((M2, safety.b.copy(), c_full, safety.d))
-
-    return ConeProgram(
-        n_var=n_var, m=m, f=f, u_nom=u_nom.copy(), cones=tuple(cones), affines=tuple(affines)
-    )
-
-
 @dataclass
 class FilterOutcome:
-    """Solver result plus the per-step feasibility diagnostics."""
+    """Filter input, status, root-finder iterations and per-step diagnostics."""
 
     u: np.ndarray
-    t: float
     status: str
     iterations: int
     diagnostics: dict = field(default_factory=dict)
 
 
-def _flatten(program: ConeProgram):
-    """Stack cones and affines into (G, h, dims) with s = h - G w in K."""
-    rows_G = []
-    rows_h = []
-    dims = []
-    for M, n, p, q in program.cones:
-        rows_G.append(-np.vstack((p.reshape(1, -1), M)))
-        rows_h.append(np.concatenate(([q], n)))
-        dims.append(M.shape[0] + 1)
-    for a, b in program.affines:
-        rows_G.append(-a.reshape(1, -1))
-        rows_h.append(np.array([b]))
-        dims.append(1)
-    G = np.ascontiguousarray(np.vstack(rows_G))
-    h = np.ascontiguousarray(np.concatenate(rows_h))
-    return G, h, np.asarray(dims, dtype=np.int64)
+def cone_margin(cone: SafetyConeData, u: np.ndarray) -> float:
+    """c u + d - |A u + b|; u satisfies the cone when it is >= 0."""
+    return float(cone.c @ u + cone.d - np.linalg.norm(cone.A @ u + cone.b))
 
 
-def constraint_slacks(program: ConeProgram, w: np.ndarray) -> list:
-    """Margins p.w + q - |M w + n| per cone, then a.w + b per affine row."""
-    out = []
-    for M, n, p, q in program.cones:
-        out.append(float(p @ w + q - np.linalg.norm(M @ w + n)))
-    for a, b in program.affines:
-        out.append(float(a @ w + b))
-    return out
+def solve(u_nom, cone: SafetyConeData, tol: float = 1e-8) -> FilterOutcome:
+    """Project u_nom onto the safety cone.
 
-
-def _equilibrate(G, h, f, dims, rounds: int = 3):
-    """Ruiz scaling: per-column and per-cone-block (uniform inside a block,
-    which preserves cone membership) so the core iterates on O(1) data."""
-    q, p = G.shape
-    col = np.ones(p)
-    row = np.ones(q)
-    starts = np.concatenate(([0], np.cumsum(dims)))
-    for _ in range(rounds):
-        Gs = G * row[:, None] * col[None, :]
-        cmax = np.maximum(np.abs(Gs).max(axis=0), 1e-12)
-        col /= np.sqrt(cmax)
-        Gs = G * row[:, None] * col[None, :]
-        hs = np.abs(h) * row
-        for b in range(len(dims)):
-            lo, hi = starts[b], starts[b + 1]
-            bmax = max(np.abs(Gs[lo:hi]).max(), hs[lo:hi].max(), 1e-12)
-            row[lo:hi] /= math.sqrt(bmax)
-    return (
-        np.ascontiguousarray(G * row[:, None] * col[None, :]),
-        np.ascontiguousarray(h * row),
-        np.ascontiguousarray(f * col),
-        col,
-    )
-
-
-def solve(program: ConeProgram, tol: float = 1e-8, max_iter: int = 100) -> FilterOutcome:
-    """Solve the filter SOCP.
-
-    When omega = [u_nom; 0] already satisfies every constraint the
-    analytic answer u_nom is returned without running the iterative solver
-    (the objective's lower bound 0 is attained).  Otherwise the interior-point
-    core runs on the equilibrated problem; max_iterations returns the best
-    iterate found.
+    ``optimal`` means the returned u has cone margin >= -tol * max(1, |A u + b|);
+    ``infeasible`` means no such u exists, and u is u_nom.  ``iterations``
+    counts root-finder and polishing iterations; it is 0 when u_nom already
+    satisfies the cone.
     """
-    m = program.m
-    w0 = np.zeros(program.n_var)
-    w0[:m] = program.u_nom
-    if all(s >= 0.0 for s in constraint_slacks(program, w0)):
+    u_nom = np.atleast_1d(np.asarray(u_nom, dtype=float))
+    margin = cone_margin(cone, u_nom)
+    if margin >= 0.0:
         return FilterOutcome(
-            u=program.u_nom.copy(),
-            t=0.0,
+            u=u_nom.copy(),
             status=STATUS_OPTIMAL,
             iterations=0,
-            diagnostics={"analytic": True, "constraint_slacks": constraint_slacks(program, w0)},
+            diagnostics={"analytic": True, "cone_margin": margin},
         )
-    G, h, dims = _flatten(program)
-    Gs, hs, fs, col = _equilibrate(G, h, np.asarray(program.f, dtype=float), dims)
-    ws, status_code, iters, pres, dres, gap = _ipm_core(fs, Gs, hs, dims, tol, max_iter)
-    w = ws * col
-    status = _STATUS_NAMES[int(status_code)]
-    u = w[:m].copy()
+    with np.errstate(all="ignore"):  # overflowing candidates fail the feasibility check
+        u, status, iterations, margin = _project(cone, u_nom, tol, margin)
     return FilterOutcome(
         u=u,
-        t=float(w[m]),
         status=status,
-        iterations=int(iters),
-        diagnostics={
-            "analytic": False,
-            "constraint_slacks": constraint_slacks(program, w),
-            "solver_pres": float(pres),
-            "solver_dres": float(dres),
-            "solver_gap": float(gap),
-        },
+        iterations=iterations,
+        diagnostics={"analytic": False, "cone_margin": margin},
     )
 
 
-# ---------------------------------------------------------------------------
-# interior-point core (homogeneous self-dual embedding, NT scaling)
-# ---------------------------------------------------------------------------
+def _project(cone: SafetyConeData, u_nom: np.ndarray, tol: float, margin: float):
+    """The nearest candidate that passes the feasibility check; (u, status, iterations, margin)."""
+    iterations = 0
+    if cone.degenerate:
+        try:
+            candidates = [halfspace_qp_filter(u_nom, cone.c, cone.d)]
+        except InfeasibleConstraintError:
+            candidates = []
+    elif u_nom.size == 1:
+        candidates = _scalar_candidates(cone, u_nom)
+    else:
+        candidates, iterations = _secular_candidates(cone, u_nom)
+    found, steps = _nearest_feasible(cone, u_nom, candidates, tol)
+    if found is None and not cone.degenerate:
+        found, more = _nearest_feasible(cone, u_nom, [_nearest_critical(cone, u_nom)], tol)
+        steps += more
+    if found is None:
+        return u_nom.copy(), STATUS_INFEASIBLE, iterations + steps, margin
+    u, margin = found
+    return u, STATUS_OPTIMAL, iterations + steps, margin
 
 
-def _cone_identity(dims):
-    q = int(np.sum(dims))
-    e = np.zeros(q)
-    off = 0
-    for d in dims:
-        e[off] = 1.0
-        off += d
-    return e
+def _quadric(cone: SafetyConeData):
+    """(H, g, k) with |A u + b|^2 - (c u + d)^2 = u^T H u + 2 g^T u + k."""
+    A, b, c, d = cone.A, cone.b, cone.c, cone.d
+    return A.T @ A - np.outer(c, c), A.T @ b - d * c, float(b @ b) - d * d
 
 
-def _soc_v_apply(w0, wbar, u0, ubar):
-    """Apply V(w) = [[w0, wbar^T], [wbar, I + wbar wbar^T / (1 + w0)]]."""
-    dot = 0.0
-    for i in range(wbar.size):
-        dot += wbar[i] * ubar[i]
-    top = w0 * u0 + dot
-    scale = u0 + dot / (1.0 + w0)
-    bottom = ubar + scale * wbar
-    return top, bottom
+def _nearest_critical(cone: SafetyConeData, u_nom: np.ndarray) -> np.ndarray:
+    """Nearest point with H u + g = 0 and c u + d >= 0.
 
-
-def _nt_scaling(s, z, dims):
-    """Per-cone NT scaling point and scaled variable lambda = W z = W^{-1} s."""
-    q = s.size
-    wvec = np.zeros(q)
-    eta = np.zeros(dims.size)
-    lam = np.zeros(q)
-    off = 0
-    for ci in range(dims.size):
-        d = int(dims[ci])
-        if d == 1:
-            w = math.sqrt(s[off] / z[off])
-            wvec[off] = w
-            eta[ci] = w
-            lam[off] = math.sqrt(s[off] * z[off])
-        else:
-            s0 = s[off]
-            z0 = z[off]
-            sbar = s[off + 1 : off + d]
-            zbar = z[off + 1 : off + d]
-            rho_s = math.sqrt(max(s0 * s0 - np.dot(sbar, sbar), 1e-300))
-            rho_z = math.sqrt(max(z0 * z0 - np.dot(zbar, zbar), 1e-300))
-            st0 = s0 / rho_s
-            zt0 = z0 / rho_z
-            stb = sbar / rho_s
-            ztb = zbar / rho_z
-            gam = math.sqrt((1.0 + st0 * zt0 + np.dot(stb, ztb)) / 2.0)
-            w0 = (st0 + zt0) / (2.0 * gam)
-            wbar = (stb - ztb) / (2.0 * gam)
-            et = math.sqrt(rho_s / rho_z)
-            wvec[off] = w0
-            wvec[off + 1 : off + d] = wbar
-            eta[ci] = et
-            l0, lbar = _soc_v_apply(w0, wbar, z0, zbar)
-            lam[off] = et * l0
-            lam[off + 1 : off + d] = et * lbar
-        off += d
-    return wvec, eta, lam
-
-
-def _w_apply(wvec, eta, dims, u, inverse):
-    """W u (inverse=False) or W^{-1} u (inverse=True) for the NT scaling."""
-    out = np.zeros(u.size)
-    off = 0
-    for ci in range(dims.size):
-        d = int(dims[ci])
-        if d == 1:
-            out[off] = u[off] * (1.0 / wvec[off] if inverse else wvec[off])
-        else:
-            w0 = wvec[off]
-            wbar = wvec[off + 1 : off + d].copy()
-            if inverse:
-                wbar = -wbar
-            t0, tb = _soc_v_apply(w0, wbar, u[off], u[off + 1 : off + d])
-            scale = 1.0 / eta[ci] if inverse else eta[ci]
-            out[off] = scale * t0
-            out[off + 1 : off + d] = scale * tb
-        off += d
-    return out
-
-
-def _dense_scaling(wvec, eta, dims):
-    """Dense block-diagonal W and W^{-1} for the current NT scaling."""
-    q = wvec.size
-    Wm = np.zeros((q, q))
-    Wim = np.zeros((q, q))
-    off = 0
-    for ci in range(dims.size):
-        d = int(dims[ci])
-        if d == 1:
-            Wm[off, off] = wvec[off]
-            Wim[off, off] = 1.0 / wvec[off]
-        else:
-            w0 = wvec[off]
-            wbar = wvec[off + 1 : off + d]
-            et = eta[ci]
-            blk = np.empty((d, d))
-            blk[0, 0] = w0
-            for i in range(d - 1):
-                blk[0, i + 1] = wbar[i]
-                blk[i + 1, 0] = wbar[i]
-                for j in range(d - 1):
-                    blk[i + 1, j + 1] = wbar[i] * wbar[j] / (1.0 + w0)
-                blk[i + 1, i + 1] += 1.0
-            for i in range(d):
-                for j in range(d):
-                    Wm[off + i, off + j] = et * blk[i, j]
-                    sign = -1.0 if (i == 0) != (j == 0) else 1.0
-                    Wim[off + i, off + j] = sign * blk[i, j] / et
-        off += d
-    return Wm, Wim
-
-
-def _arrow(lam, dims):
-    q = lam.size
-    out = np.zeros((q, q))
-    off = 0
-    for ci in range(dims.size):
-        d = int(dims[ci])
-        if d == 1:
-            out[off, off] = lam[off]
-        else:
-            l0 = lam[off]
-            out[off, off] = l0
-            for i in range(d - 1):
-                out[off, off + 1 + i] = lam[off + 1 + i]
-                out[off + 1 + i, off] = lam[off + 1 + i]
-                out[off + 1 + i, off + 1 + i] = l0
-        off += d
-    return out
-
-
-def _jordan_mul(u, v, dims):
-    out = np.zeros(u.size)
-    off = 0
-    for ci in range(dims.size):
-        d = int(dims[ci])
-        if d == 1:
-            out[off] = u[off] * v[off]
-        else:
-            ub = u[off + 1 : off + d]
-            vb = v[off + 1 : off + d]
-            out[off] = u[off] * v[off] + np.dot(ub, vb)
-            out[off + 1 : off + d] = u[off] * vb + v[off] * ub
-        off += d
-    return out
-
-
-def _max_step(s, ds, dims):
-    """sup {alpha >= 0 : s + alpha ds stays in the cone product}."""
-    alpha = 1e100
-    off = 0
-    for ci in range(dims.size):
-        d = int(dims[ci])
-        if d == 1:
-            if ds[off] < 0.0:
-                alpha = min(alpha, -s[off] / ds[off])
-        else:
-            s0 = s[off]
-            sbar = s[off + 1 : off + d]
-            d0 = ds[off]
-            dbar = ds[off + 1 : off + d]
-            if d0 < 0.0:
-                alpha = min(alpha, -s0 / d0)
-            A = d0 * d0 - np.dot(dbar, dbar)
-            B = s0 * d0 - np.dot(sbar, dbar)
-            C = s0 * s0 - np.dot(sbar, sbar)
-            disc = B * B - A * C
-            if abs(A) < 1e-300:
-                if B < 0.0:
-                    alpha = min(alpha, -C / (2.0 * B))
-            elif disc >= 0.0:
-                sq = math.sqrt(disc)
-                r1 = (-B - sq) / A
-                r2 = (-B + sq) / A
-                if A < 0.0:
-                    root = max(r1, r2)
-                    if root > 0.0:
-                        alpha = min(alpha, root)
-                else:
-                    if r1 > 0.0:
-                        alpha = min(alpha, r1)
-                    elif r2 > 0.0:
-                        alpha = min(alpha, r2)
-        off += d
-    return alpha
-
-
-def _ipm_core(f, G, h, dims, tol, max_iter):
-    """HSD predictor-corrector loop.  Returns (w, status, iters, pres, dres, gap)."""
-    q, p = G.shape
-    nu = dims.size
-    e = _cone_identity(dims)
-    x = np.zeros(p)
-    s = e.copy()
-    z = e.copy()
-    tau = 1.0
-    kappa = 1.0
-
-    norm_f = max(1.0, math.sqrt(np.dot(f, f)))
-    norm_h = max(1.0, math.sqrt(np.dot(h, h)))
-    g_scale = max(1.0, math.sqrt(np.sum(G * G)))
-
-    best_w = np.zeros(p)
-    best_err = 1e300
-    best_pres = 1e300
-    best_dres = 1e300
-    best_gap = 1e300
-    best_it = 0
-
-    status = 2
-    iters = 0
-    for it in range(max_iter):
-        iters = it
-        if not (
-            np.all(np.isfinite(x))
-            and np.all(np.isfinite(s))
-            and np.all(np.isfinite(z))
-            and math.isfinite(tau)
-            and math.isfinite(kappa)
-            and tau > 0.0
-        ):
-            break
-        rx = G.T @ z + f * tau
-        rz = s + G @ x - h * tau
-        rtau = kappa + np.dot(f, x) + np.dot(h, z)
-
-        xt = x / tau
-        st = s / tau
-        zt = z / tau
-        pvec = G @ xt + st - h
-        dvec = G.T @ zt + f
-        pres = math.sqrt(np.dot(pvec, pvec)) / norm_h
-        dres = math.sqrt(np.dot(dvec, dvec)) / norm_f
-        pcost = np.dot(f, xt)
-        dcost = -np.dot(h, zt)
-        gap = np.dot(st, zt)
-        gap_rel = gap / max(1.0, max(abs(pcost), abs(dcost)))
-
-        err = max(pres, max(dres, gap_rel))
-        if err < best_err:
-            best_err = err
-            best_w = xt.copy()
-            best_pres = pres
-            best_dres = dres
-            best_gap = gap
-            best_it = it
-        if pres <= tol and dres <= tol and gap_rel <= tol:
-            return xt, 0, it, pres, dres, gap
-
-        hz = np.dot(h, z)
-        if hz < -1e-14:
-            gtz = G.T @ z
-            cert = math.sqrt(np.dot(gtz, gtz)) / (-hz)
-            if cert <= tol * g_scale:
-                return best_w, 1, it, pres, dres, gap
-        mu = (np.dot(s, z) + tau * kappa) / (nu + 1.0)
-        if tau < 1e-10 * max(1.0, kappa) and mu < 1e-10:
-            if hz < 0.0:
-                return best_w, 1, it, pres, dres, gap
-            return best_w, 2, it, pres, dres, gap
-        # Numerical floor: no progress for a while, or the iterate degraded
-        # far past the best one seen (NT scaling breakdown).
-        if it - best_it > 8 or err > 1e6 * best_err:
-            break
-
-        wvec, eta, lam = _nt_scaling(s, z, dims)
-        Wm, Wim = _dense_scaling(wvec, eta, dims)
-        Lam = _arrow(lam, dims)
-        M, scale, LWi = _assemble_kkt(G, h, f, Wm, Wim, Lam, tau, kappa)
-
-        lamlam = _jordan_mul(lam, lam, dims)
-
-        # Affine (predictor) direction.
-        dx_a, dz_a, dsv_a, dtau_a, dkap_a = _kkt_solve(
-            M, scale, LWi, G, h, f, Lam, Wm, Wim, tau, kappa,
-            -rx, -rz, -rtau, -lamlam, -tau * kappa,
-        )
-        alpha_a = _step_all(s, z, tau, kappa, dsv_a, dz_a, dtau_a, dkap_a, dims)
-        mu_aff = (
-            np.dot(s + alpha_a * dsv_a, z + alpha_a * dz_a)
-            + (tau + alpha_a * dtau_a) * (kappa + alpha_a * dkap_a)
-        ) / (nu + 1.0)
-        sigma = (mu_aff / mu) ** 3
-        if not math.isfinite(sigma):
-            break
-        sigma = min(max(sigma, 0.0), 1.0)
-
-        # Combined (corrector) direction.
-        wis = _w_apply(wvec, eta, dims, dsv_a, True)
-        wz = _w_apply(wvec, eta, dims, dz_a, False)
-        corr = _jordan_mul(wis, wz, dims)
-        rho = 1.0 - sigma
-        ds_t = -lamlam - corr + sigma * mu * e
-        dkt = -tau * kappa - dtau_a * dkap_a + sigma * mu
-        dx, dz, dsv, dtau, dkap = _kkt_solve(
-            M, scale, LWi, G, h, f, Lam, Wm, Wim, tau, kappa,
-            -rho * rx, -rho * rz, -rho * rtau, ds_t, dkt,
-        )
-        alpha = 0.99 * _step_all(s, z, tau, kappa, dsv, dz, dtau, dkap, dims)
-        alpha = min(alpha, 1.0)
-        x = x + alpha * dx
-        s = s + alpha * dsv
-        z = z + alpha * dz
-        tau = tau + alpha * dtau
-        kappa = kappa + alpha * dkap
-
-    return best_w, status, iters, best_pres, best_dres, best_gap
-
-
-def _step_all(s, z, tau, kappa, ds, dz, dtau, dkap, dims):
-    alpha = min(_max_step(s, ds, dims), _max_step(z, dz, dims))
-    if dtau < 0.0:
-        alpha = min(alpha, -tau / dtau)
-    if dkap < 0.0:
-        alpha = min(alpha, -kappa / dkap)
-    return min(alpha, 1.0)
-
-
-def _assemble_kkt(G, h, f, Wm, Wim, Lam, tau, kappa):
-    """Augmented Newton matrix over (dx, dz, dtau) after eliminating ds, dkappa.
-
-    Rows: dual equation; NT-linearized complementarity with ds substituted
-    from the primal equation; the gap equation with dkappa substituted.
-    Returned row-equilibrated together with the scaling vector.
+    With no root on the nappe, the projection lies where Q has no gradient:
+    at an apex (A u + b = 0 = c u + d), or, when K has no interior, on the
+    affine set H u + g = 0 where Q vanishes.  Points where c u + d < 0 are
+    exchanged for the nearest one that also has c u + d = 0.
     """
-    q, p = G.shape
-    n = p + q + 1
-    M = np.zeros((n, n))
-    LWi = Lam @ Wim
-    M[:p, p : p + q] = G.T
-    M[:p, n - 1] = f
-    M[p : p + q, :p] = -(LWi @ G)
-    M[p : p + q, p : p + q] = Lam @ Wm
-    M[p : p + q, n - 1] = LWi @ h
-    M[n - 1, :p] = f
-    M[n - 1, p : p + q] = h
-    M[n - 1, n - 1] = -kappa / tau
-    scale = np.ones(n)
-    for i in range(n):
-        amax = np.max(np.abs(M[i]))
-        if amax > 0.0:
-            scale[i] = 1.0 / amax
-            M[i] *= scale[i]
-    # Static regularization; the refinement passes solve the true equations.
-    for i in range(n):
-        M[i, i] += 1e-13 if M[i, i] >= 0.0 else -1e-13
-    return M, scale, LWi
+    c, d = cone.c, cone.d
+    H, g, _ = _quadric(cone)
+    u = u_nom - np.linalg.lstsq(H, H @ u_nom + g, rcond=None)[0]
+    if float(c @ u) + d < 0.0:
+        M = np.vstack((H, c))
+        u = u_nom - np.linalg.lstsq(M, M @ u_nom + np.append(g, d), rcond=None)[0]
+    return u
 
 
-def _kkt_solve(M, scale, LWi, G, h, f, Lam, Wm, Wim, tau, kappa,
-               bx, bz, btau, ds_t, dkt):
-    """One Newton solve with two refinement passes in the original equations."""
-    q, p = G.shape
-    n = p + q + 1
-    rhs = np.empty(n)
-    rhs[:p] = bx
-    rhs[p : p + q] = ds_t - LWi @ bz
-    rhs[n - 1] = btau - dkt / tau
-    sol = np.linalg.solve(M, rhs * scale)
-    dx = sol[:p]
-    dz = sol[p : p + q]
-    dtau = sol[n - 1]
-    ds = bz - G @ dx + h * dtau
-    dkap = (dkt - kappa * dtau) / tau
-    for _ in range(2):
-        q1 = bx - (G.T @ dz + f * dtau)
-        q2 = bz - (ds + G @ dx - h * dtau)
-        q4 = ds_t - Lam @ (Wm @ dz + Wim @ ds)
-        q3 = btau - (dkap + np.dot(f, dx) + np.dot(h, dz))
-        q5 = dkt - (kappa * dtau + tau * dkap)
-        rr = np.empty(n)
-        rr[:p] = q1
-        rr[p : p + q] = q4 - LWi @ q2
-        rr[n - 1] = q3 - q5 / tau
-        csol = np.linalg.solve(M, rr * scale)
-        dx = dx + csol[:p]
-        dz = dz + csol[p : p + q]
-        dtau = dtau + csol[n - 1]
-        ds = ds + (q2 - G @ csol[:p] + h * csol[n - 1])
-        dkap = dkap + (q5 - kappa * csol[n - 1]) / tau
-    return dx, dz, ds, dtau, dkap
+def _nearest_feasible(cone: SafetyConeData, u_nom: np.ndarray, candidates, tol: float):
+    """Polish each candidate; ((u, margin) of the nearest feasible one or None, steps)."""
+    found, best, steps = None, math.inf, 0
+    for cand in candidates:
+        cand, taken = _polish(cone, cand)
+        steps += taken
+        cand_margin = cone_margin(cone, cand)
+        scale = max(1.0, float(np.linalg.norm(cone.A @ cand + cone.b)))
+        dist = float(np.linalg.norm(cand - u_nom))
+        if cand_margin >= -tol * scale and dist < best:
+            found, best = (cand, cand_margin), dist
+    return found, steps
 
 
-# ---------------------------------------------------------------------------
-# high-level per-step filter
-# ---------------------------------------------------------------------------
+def _scalar_candidates(cone: SafetyConeData, u_nom: np.ndarray) -> list:
+    """m = 1: the root of Q on the branch c u + d >= 0 nearest u_nom, if any."""
+    c, d = float(cone.c[0]), cone.d
+    H, g, k = _quadric(cone)
+    H, g = float(H[0, 0]), float(g[0])
+    # Roots of H u^2 + 2 g u + k without cancellation: q / H and k / q.
+    disc = g * g - H * k
+    if disc < 0.0:
+        return []
+    q = -(g + math.copysign(math.sqrt(disc), g))
+    roots = ([q / H] if H != 0.0 else []) + ([k / q] if q != 0.0 else [])
+    u0 = float(u_nom[0])
+    best = None
+    for root in roots:
+        if c * root + d >= 0.0 and (best is None or abs(root - u0) < abs(best - u0)):
+            best = root
+    return [] if best is None else [np.array([best])]
+
+
+def _secular_candidates(cone: SafetyConeData, u_nom: np.ndarray):
+    """m >= 2: candidate projections from the secular equation; (list, iterations).
+
+    Any u(lam) with lam >= 0, Q(u(lam)) = 0 and c u(lam) + d > 0 meets the
+    KKT conditions of the convex projection, so it is the answer.  Q(u(lam))
+    times prod_i (1 + lam h_i)^2 is a polynomial of degree <= 2m; each of its
+    real roots lam >= 0, refined by Newton on the cone margin along u(lam)
+    without crossing the pole, is a candidate when u(lam) lands on the nappe
+    c u + d > 0.
+    """
+    A, b, c, d = cone.A, cone.b, cone.c, cone.d
+    H, g, k = _quadric(cone)
+    h, V = np.linalg.eigh(H)  # only h[0] can be negative, so only it makes a pole
+    h[np.abs(h) <= 8.0 * _EPS * float(np.sum(A * A) + c @ c)] = 0.0  # rounding noise
+    w = V.T @ u_nom
+    gam = V.T @ g
+    a = h * w + gam  # gradient of Q / 2 at u_nom, eigenbasis
+    noise = 8.0 * _EPS * (np.abs(h).max() * np.linalg.norm(w) + np.linalg.norm(g))
+    a[np.abs(a) <= noise] = 0.0  # else a flat direction adds a spurious distant root
+    q0 = float(w @ (h * w + 2.0 * gam)) + k
+    q0_size = float(np.abs(h) @ w**2 + 2.0 * np.abs(gam) @ np.abs(w) + b @ b) + d * d
+
+    def point(lam):
+        return V @ ((w - lam * gam) / (1.0 + lam * h))
+
+    candidates = []
+    iterations = 0
+    for lam in _numerator_roots(h, a * a, q0, (np.abs(h * w) + np.abs(gam)) ** 2, q0_size):
+        side = math.copysign(1.0, 1.0 + lam * h[0])
+        u = point(lam)
+        for _ in range(_MAX_POLISH):
+            res = A @ u + b
+            s = float(np.linalg.norm(res))
+            t = float(c @ u) + d
+            if t <= 0.0 or s == 0.0:
+                break
+            slope = -float((c - A.T @ res / s) @ (V @ (a / (1.0 + lam * h) ** 2)))
+            step = lam - (t - s) / slope if slope != 0.0 else math.nan
+            if not (step >= 0.0 and math.copysign(1.0, 1.0 + step * h[0]) == side):
+                break
+            iterations += 1
+            done = abs(step - lam) <= 4.0 * _EPS * lam
+            lam, u = step, point(step)
+            if done:
+                break
+        # u(lam) is undefined at the pole; roots on the other nappe are no
+        # candidates, and skipping them spares their polishing.
+        if abs(1.0 + lam * h[0]) > 1e-12 and float(c @ u) + d > 0.0:
+            candidates.append(u)
+    return candidates, iterations
+
+
+def _numerator_roots(h, a2, q0, a2_size, q0_size) -> list:
+    """Real roots lam >= 0 of Q(u(lam)) prod_i (1 + lam h_i)^2, a polynomial.
+
+    In the eigenbasis of H,
+    Q(u(lam)) = Q(u_nom) - sum_i a2_i lam (2 + lam h_i) / (1 + lam h_i)^2.
+    a2_size and q0_size bound the magnitudes of the terms behind a2 and
+    Q(u_nom); a coefficient below the rounding error of its own terms is
+    zero, else a vanishing leading coefficient adds spurious roots.
+    """
+    coef = _numerator(h, a2, q0, -1.0)
+    coef[np.abs(coef) <= 64.0 * _EPS * _numerator(np.abs(h), a2_size, q0_size, 1.0)] = 0.0
+    try:
+        roots = np.polynomial.Polynomial(coef).trim().roots()
+    except np.linalg.LinAlgError:  # non-finite data, or a companion matrix that overflows
+        return []
+    real = np.abs(roots.imag) <= 1e-8 * np.maximum(1.0, np.abs(roots))
+    return [float(z) for z in roots.real[real] if z >= 0.0]
+
+
+def _numerator(h, a2, q0, sign) -> np.ndarray:
+    """Coefficients, lowest degree first, of the polynomial in lam
+
+    q0 prod_i (1 + lam h_i)^2 + sign sum_i a2_i lam (2 + lam h_i) prod_(j != i) (1 + lam h_j)^2.
+    """
+    P = np.polynomial.Polynomial
+    squares = [P([1.0, hi]) ** 2 for hi in h]
+
+    def product(skip):
+        out = P([1.0])
+        for j, sq in enumerate(squares):
+            if j != skip:
+                out = out * sq
+        return out
+
+    num = q0 * product(-1)
+    for i in range(h.size):
+        num = num + sign * a2[i] * P([0.0, 2.0, h[i]]) * product(i)
+    coef = np.zeros(2 * h.size + 1)
+    coef[: num.coef.size] = num.coef
+    return coef
+
+
+def _polish(cone: SafetyConeData, u: np.ndarray):
+    """Newton steps on the cone margin along its gradient; (u, steps taken)."""
+    A, b, c, d = cone.A, cone.b, cone.c, cone.d
+    res = A @ u + b
+    s = float(np.linalg.norm(res))
+    t = float(c @ u) + d
+    steps = 0
+    while steps < _MAX_POLISH and s > 0.0 and abs(t - s) > 4.0 * _EPS * (abs(t) + s):
+        grad = c - (A.T @ res) / s
+        norm2 = float(grad @ grad)
+        if norm2 == 0.0:
+            break
+        u_new = u - ((t - s) / norm2) * grad
+        res_new = A @ u_new + b
+        s_new = float(np.linalg.norm(res_new))
+        t_new = float(c @ u_new) + d
+        if abs(t_new - s_new) >= abs(t - s):
+            break
+        u, res, s, t = u_new, res_new, s_new, t_new
+        steps += 1
+    return u, steps
 
 
 def safety_filter_step(
@@ -710,28 +444,20 @@ def safety_filter_step(
     beta: float,
     gamma: np.ndarray,
     tol: float = 1e-8,
-    max_iter: int = 100,
 ) -> FilterOutcome:
-    """Assemble the cone, solve, and attach feasibility diagnostics.
-
-    A step the solver could not finish is upgraded to ``infeasible`` whenever
-    the necessary-condition value certifies it.
-    """
+    """Assemble the cone, project u_nom onto it, and attach feasibility diagnostics."""
     gamma = np.asarray(gamma, dtype=float)
     cone = assemble_safety_cone(cert, mu, sigma, beta, gamma)
     phi = effective_phi(cert, mu)
     if beta > 0.0:
-        necessary = feasibility_necessary(phi, sigma, beta)
+        necessary = _necessary_from_factor(phi, cone.factor, beta)
     else:
         necessary = -math.inf
     r = gamma.size
     S = build_S(phi, sigma, beta)
     certified, max_eig = feasibility_sufficient(S[r:, r:])
 
-    program = build_program(u_nom, cone)
-    outcome = solve(program, tol=tol, max_iter=max_iter)
-    if outcome.status != STATUS_OPTIMAL and necessary > math.sqrt(tol):
-        outcome.status = STATUS_INFEASIBLE
+    outcome = solve(u_nom, cone, tol=tol)
     outcome.diagnostics.update(
         {
             "necessary_condition_value": necessary,

@@ -27,7 +27,6 @@ from .socp import (
     SafetyConeData,
     assemble_safety_cone,
     build_S,
-    build_program,
     effective_phi,
     feasibility_necessary,
     feasibility_sufficient,
@@ -195,7 +194,7 @@ def solver_suite(seed: int = 0, cases: int = 500, tol: float = 2e-4) -> dict:
     t0 = time.monotonic()
     for _ in range(cases):
         cone, u_nom = random_feasible_instance(rng)
-        out = solve(build_program(u_nom, cone), tol=1e-9)
+        out = solve(u_nom, cone, tol=1e-9)
         ustar = grid_oracle_u(cone, u_nom)
         if out.status != STATUS_OPTIMAL or ustar is None:
             non_optimal += 1
@@ -265,7 +264,7 @@ def feasibility_suite(seed: int = 0, n_states: int = 1000) -> dict:
     counterexamples_necessary = 0
     counterexamples_sufficient = 0
     condition_violations = 0
-    statuses = {"optimal": 0, "infeasible": 0, "max_iterations": 0}
+    statuses = {"optimal": 0, "infeasible": 0}
     checked = 0
     for plant_name in ("acc", "suspension"):
         sc, models, states = _benchmark_filter_states(plant_name, rng, n_states // 2)
@@ -281,7 +280,7 @@ def feasibility_suite(seed: int = 0, n_states: int = 1000) -> dict:
             except FactorizationError:
                 continue
             u_nom = np.atleast_1d(sc.u_nom(0.0, x))
-            out = solve(build_program(u_nom, cone_data), tol=1e-9)
+            out = solve(u_nom, cone_data, tol=1e-9)
             phi = effective_phi(cert, mu)
             nec = feasibility_necessary(phi, sigma, beta)
             S = build_S(phi, sigma, beta)

@@ -76,8 +76,20 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "section",
-        ["gp:\n  bogus_key: 1", "filter:\n  delta: 0.05", "filter:\n  soft_weight: 10", "sim:\n  seed: 0"],
-        ids=["gp-bogus_key", "filter-delta", "filter-soft_weight", "sim-seed"],
+        [
+            "gp:\n  bogus_key: 1",
+            "filter:\n  delta: 0.05",
+            "filter:\n  soft_weight: 10",
+            "filter:\n  solver_max_iter: 100",
+            "sim:\n  seed: 0",
+        ],
+        ids=[
+            "gp-bogus_key",
+            "filter-delta",
+            "filter-soft_weight",
+            "filter-solver_max_iter",
+            "sim-seed",
+        ],
     )
     def test_run_invalid_config_exits_2(self, section, tmp_path, capsys):
         path = tmp_path / "bad.yaml"

@@ -241,7 +241,7 @@ class TestEpisodeCsv:
         path = tmp_path / "trace.csv"
         log.to_csv(path, trace=True)
         header = path.read_text().splitlines()[0].split(",")
-        assert header[-2:] == ["solve_iterations", "solver_gap"]
+        assert header[-2:] == ["solve_iterations", "cone_margin"]
 
 
 def test_noise_estimate_has_floor():

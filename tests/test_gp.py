@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_triangular
 
 from gpcbf.errors import IllConditionedDataError
 from gpcbf.gp import (
+    SIGMA_JITTER,
     BaseKernelParams,
     ResidualDataset,
     _cross_kbar,
@@ -172,6 +174,31 @@ class TestFit:
 
 
 class TestPosterior:
+    def test_invariants_fixed_at_fit_match_per_query_assembly(self):
+        # Stacked parameters, contiguous X/Y and the Fortran-ordered factor
+        # stored by fit give the (mu, Sigma) of assembling everything per
+        # query from the dataset with a C-ordered factor.
+        rng = np.random.default_rng(14)
+        ds = _random_dataset(rng, 40)
+        params = _random_params(rng, 3, 2)
+        model = fit(ds, params)
+        assert model.factor.flags.f_contiguous
+        Lc = np.ascontiguousarray(model.factor)
+        weights = solve_triangular(Lc.T, solve_triangular(Lc, ds.z, lower=True), lower=False)
+        sf2, inv_ell2 = _stacked_params(params, 2)
+        for _ in range(20):
+            xstar = rng.normal(size=2) * 2.0
+            mu, sigma = posterior_coefficients(model, xstar)
+            kbar = _cross_kbar(
+                np.ascontiguousarray(ds.X), np.ascontiguousarray(ds.Y), xstar, sf2, inv_ell2
+            )
+            V = solve_triangular(Lc, kbar.T, lower=True)
+            ref = np.diag([base_kernel(xstar, xstar, p) for p in params]) - V.T @ V
+            ref = 0.5 * (ref + ref.T) + SIGMA_JITTER * np.eye(3)
+            mu_ref = kbar @ weights
+            np.testing.assert_allclose(mu, mu_ref, rtol=0, atol=1e-12 * np.abs(mu_ref).max())
+            np.testing.assert_allclose(sigma, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+
     def test_scalar_sanity_vs_textbook_gp(self):
         # m + r = 1: composite GP with y = 1 is a plain GP on x
         params = [BaseKernelParams(1.7, np.array([0.8]))]

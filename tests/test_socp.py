@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gpcbf.barrier import CertificateTerms, halfspace_qp_filter
 from gpcbf.errors import FactorizationError
@@ -9,7 +11,7 @@ from gpcbf.socp import (
     SafetyConeData,
     assemble_safety_cone,
     build_S,
-    build_program,
+    cone_margin,
     effective_phi,
     feasibility_necessary,
     feasibility_sufficient,
@@ -110,39 +112,20 @@ class TestEffectivePhi:
             assert float(phi @ y) == pytest.approx(float(cone.c @ [u]) + cone.d, rel=1e-12)
 
 
-class TestBuildProgram:
-    def test_minimal_shape(self):
-        prog = build_program(np.zeros(1), None)
-        assert prog.n_var == 2
-        np.testing.assert_allclose(prog.f, [0.0, 1.0])
-        assert len(prog.cones) == 1
-
-    def test_safety_cone_zero_padded(self):
-        cone = SafetyConeData(
-            A=np.arange(3.0).reshape(3, 1), b=np.ones(3), c=np.array([2.0]), d=1.0
-        )
-        prog = build_program(np.zeros(1), cone)
-        M2, n2, p2, q2 = prog.cones[1]
-        assert M2.shape == (3, 2)
-        np.testing.assert_allclose(M2[:, 0], [0.0, 1.0, 2.0])
-        np.testing.assert_allclose(M2[:, 1:], 0.0)
-        np.testing.assert_allclose(p2, [2.0, 0.0])
-
-
 class TestSolve:
     def test_inactive_constraint_returns_nominal(self):
         cone = SafetyConeData(A=np.zeros((3, 1)), b=np.zeros(3), c=np.array([1.0]), d=0.0)
-        out = solve(build_program(np.array([5.0]), cone))
+        out = solve(np.array([5.0]), cone)
         assert out.status == STATUS_OPTIMAL
         assert out.iterations == 0
+        assert out.diagnostics["analytic"] is True
         np.testing.assert_allclose(out.u, [5.0])
-        assert out.t == 0.0
 
     def test_matches_grid_oracle(self):
         rng = np.random.default_rng(3)
         for _ in range(150):
             cone, u_nom = random_feasible_instance(rng)
-            out = solve(build_program(u_nom, cone), tol=1e-9)
+            out = solve(u_nom, cone, tol=1e-9)
             assert out.status == STATUS_OPTIMAL
             ustar = grid_oracle_u(cone, u_nom)
             assert abs(float(out.u[0]) - ustar) <= 2e-4
@@ -152,23 +135,14 @@ class TestSolve:
         cone = SafetyConeData(
             A=np.array([[1.0]]), b=np.array([0.0]), c=np.array([0.0]), d=-5.0
         )
-        out = solve(build_program(np.zeros(1), cone), tol=1e-9)
+        out = solve(np.zeros(1), cone, tol=1e-9)
         assert out.status == STATUS_INFEASIBLE
-
-    def test_epigraph_tight_at_optimum(self):
-        rng = np.random.default_rng(4)
-        for _ in range(50):
-            cone, u_nom = random_feasible_instance(rng)
-            out = solve(build_program(u_nom, cone), tol=1e-9)
-            if out.status == STATUS_OPTIMAL and out.iterations > 0:
-                assert out.t == pytest.approx(float(np.abs(out.u - u_nom)[0]), abs=1e-7)
 
     def test_deterministic(self):
         rng = np.random.default_rng(5)
         cone, u_nom = random_feasible_instance(rng)
-        prog = build_program(u_nom, cone)
-        out1 = solve(prog, tol=1e-9)
-        out2 = solve(prog, tol=1e-9)
+        out1 = solve(u_nom, cone, tol=1e-9)
+        out2 = solve(u_nom, cone, tol=1e-9)
         assert float(out1.u[0]) == float(out2.u[0])
         assert out1.iterations == out2.iterations
 
@@ -176,11 +150,10 @@ class TestSolve:
         rng = np.random.default_rng(6)
         for _ in range(100):
             cone, u_nom = random_feasible_instance(rng)
-            prog = build_program(u_nom, cone)
-            out = solve(prog, tol=1e-9)
+            out = solve(u_nom, cone, tol=1e-9)
             assert out.status == STATUS_OPTIMAL
-            slacks = out.diagnostics["constraint_slacks"]
-            assert min(slacks) >= -1e-7
+            assert out.diagnostics["cone_margin"] >= -1e-7
+            assert out.diagnostics["cone_margin"] == cone_margin(cone, out.u)
 
     def test_multi_input_projection(self):
         # m = 2 affine constraint: solution is the Euclidean projection
@@ -188,9 +161,171 @@ class TestSolve:
             A=np.zeros((4, 2)), b=np.zeros(4), c=np.array([1.0, 1.0]), d=-4.0
         )
         u_nom = np.array([1.0, 1.0])
-        out = solve(build_program(u_nom, cone), tol=1e-10)
+        out = solve(u_nom, cone, tol=1e-10)
         expected = halfspace_qp_filter(u_nom, np.array([1.0, 1.0]), -4.0)
         np.testing.assert_allclose(out.u, expected, atol=1e-8)
+
+    def test_scalar_root_on_wrong_branch_skipped(self):
+        # |u| <= u - 1 is empty.  |u| <= 2u - 1 is u >= 1: Q has roots 1/3
+        # and 1, and from u_nom = 0 the nearer root 1/3 lies on the branch
+        # 2u - 1 < 0, so the projection is the other root.
+        empty = SafetyConeData(A=np.array([[1.0]]), b=np.zeros(1), c=np.array([1.0]), d=-1.0)
+        assert solve(np.array([-10.0]), empty).status == STATUS_INFEASIBLE
+        half_line = SafetyConeData(A=np.array([[1.0]]), b=np.zeros(1), c=np.array([2.0]), d=-1.0)
+        out = solve(np.array([0.0]), half_line, tol=1e-12)
+        assert out.status == STATUS_OPTIMAL
+        assert float(out.u[0]) == pytest.approx(1.0, abs=1e-12)
+        assert out.diagnostics["analytic"] is False
+
+
+def _random_filter_inputs(rng, r, m, sigma_scale=0.3, beta_range=(0.2, 1.5)):
+    cert = _cert(rng.normal(size=r), rng.normal(size=m), rng.normal())
+    mu = 0.3 * rng.normal(size=r + m)
+    sigma = _random_spd(rng, r + m, scale=sigma_scale)
+    beta = float(rng.uniform(*beta_range))
+    gamma = np.concatenate((rng.uniform(0.5, 3.0, size=r - 1), [1.0]))
+    return cert, mu, sigma, beta, gamma
+
+
+class TestGeneralProjection:
+    """The secular-equation path of :func:`solve` (m >= 2) and degenerate cones."""
+
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_kkt_certificate(self, m, r):
+        # u - u_nom = nu * grad(margin) with nu >= 0 at a feasible u certifies
+        # the projection onto the convex cone.  Half of the u_nom lie deep on
+        # the wrong side (c u + d << 0); those inside the opposite nappe
+        # (|A u + b| <= -(c u + d)) have their root beyond the pole.
+        rng = np.random.default_rng(100 + 10 * m + r)
+        checked = beyond_pole = 0
+        for i in range(120):
+            cert, mu, sigma, beta, gamma = _random_filter_inputs(rng, r, m)
+            if i % 3 == 0:  # ill-conditioned Sigma: eigenvalues from 1e-8 to 10
+                Q, _ = np.linalg.qr(rng.normal(size=(r + m, r + m)))
+                sigma = (Q * 10.0 ** rng.uniform(-8.0, 1.0, size=r + m)) @ Q.T
+                sigma = 0.5 * (sigma + sigma.T)
+            cone = assemble_safety_cone(cert, mu, sigma, beta, gamma)
+            u_nom = 3.0 * rng.normal(size=m)
+            if i % 2:
+                cc = float(cone.c @ cone.c)
+                u_nom -= (float(cone.c @ u_nom) + cone.d + 30.0 * (1.0 + abs(cone.d))) / cc * cone.c
+            opposite = np.linalg.norm(cone.A @ u_nom + cone.b) <= -(float(cone.c @ u_nom) + cone.d)
+            out = solve(u_nom, cone, tol=1e-9)
+            if out.status != STATUS_OPTIMAL or out.diagnostics["analytic"]:
+                continue
+            res = cone.A @ out.u + cone.b
+            s = float(np.linalg.norm(res))
+            assert out.diagnostics["cone_margin"] >= -1e-9 * max(1.0, s)
+            grad = cone.c - cone.A.T @ res / s
+            step = out.u - u_nom
+            nu = float(step @ grad) / float(grad @ grad)
+            assert nu >= 0.0
+            np.testing.assert_allclose(step, nu * grad, atol=1e-8 * max(1.0, np.linalg.norm(step)))
+            checked += 1
+            beyond_pole += bool(opposite)
+        assert checked >= 30 and beyond_pole >= 5
+
+    @pytest.mark.parametrize(
+        "A, b, c, d, u_nom, expected",
+        [
+            # |u1| <= u2 from below its apex: the projection is the apex.
+            ([[1.0, 0.0]], [0.0], [0.0, 1.0], 0.0, [0.0, -1.0], [0.0, 0.0]),
+            # |(u1 + 2, u1 + u2)| <= u1 + u2 is the ray u1 = -2, u2 >= 2.
+            ([[-1.0, 0.0], [-1.0, -1.0]], [-2.0, 0.0], [1.0, 1.0], 0.0, [30.0, 9.0], [-2.0, 9.0]),
+            # |u - 1| <= 1 - u is u <= 1: Q vanishes identically.
+            ([[1.0]], [-1.0], [-1.0], 1.0, [3.0], [1.0]),
+        ],
+    )
+    def test_cones_without_interior_or_with_an_apex(self, A, b, c, d, u_nom, expected):
+        cone = SafetyConeData(A=np.array(A), b=np.array(b), c=np.array(c), d=d)
+        out = solve(np.array(u_nom), cone, tol=1e-10)
+        assert out.status == STATUS_OPTIMAL
+        np.testing.assert_allclose(out.u, expected, atol=1e-9)
+
+    @pytest.mark.parametrize(
+        "A, b, c, d, u_nom, distance",
+        [
+            # One row for three inputs: H has an exact zero eigenvalue, and the
+            # secular numerator loses two degrees whose coefficients come out
+            # as rounding noise.  Kept, they add a root 52 from u_nom.
+            (
+                [[0.33950947157970146, -1.2853813931526517, 2.3691638529901975]],
+                [-0.028263162188416974],
+                [2.416912669832169, -0.8674214463025013, -0.5678464805360192],
+                2.5996614902670028,
+                [-5.374969896278695, 2.0935291034593964, -1.6910263723903098],
+                5.113659820421114,
+            ),
+            # The gradient of Q along H's null direction is zero up to
+            # rounding; kept, its noise adds a root 47.9 from u_nom.
+            (
+                [[-2.0, 0.0, 1.0], [-2.0, -2.0, -1.0]],
+                [2.0, -1.0],
+                [2.0, -1.0, -2.0],
+                1.0,
+                [-42.57901736676994, -19.825518156759596, -12.385513988789976],
+                41.8924019340362,
+            ),
+        ],
+    )
+    def test_rounding_noise_adds_no_distant_root(self, A, b, c, d, u_nom, distance):
+        # The distances come from SLSQP; both roots above also satisfy the cone.
+        cone = SafetyConeData(A=np.array(A), b=np.array(b), c=np.array(c), d=d)
+        u_nom = np.array(u_nom)
+        out = solve(u_nom, cone, tol=1e-10)
+        assert out.status == STATUS_OPTIMAL
+        assert np.linalg.norm(out.u - u_nom) == pytest.approx(distance, rel=1e-7)
+
+    def test_infeasible_verdicts_match_feasibility_conditions(self):
+        # A positive necessary-condition value proves the cone empty; a
+        # negative definite S3 proves it non-empty (possible only for m = 1,
+        # since S3 = A^T A - c c^T has at most one negative eigenvalue).
+        rng = np.random.default_rng(15)
+        certified_infeasible = certified_feasible = 0
+        for i in range(600):
+            r, m = 2 + i % 3, 1 + (i // 3) % 3
+            cert, mu, sigma, beta, gamma = _random_filter_inputs(rng, r, m, beta_range=(0.2, 4.0))
+            u_nom = 3.0 * rng.normal(size=m)
+            out = safety_filter_step(u_nom, cert, mu, sigma, beta, gamma, tol=1e-9)
+            phi = effective_phi(cert, mu)
+            if feasibility_necessary(phi, sigma, beta) > 1e-9:
+                assert out.status == STATUS_INFEASIBLE
+                certified_infeasible += 1
+            if out.diagnostics["sufficient_certified"]:
+                assert out.status == STATUS_OPTIMAL
+                certified_feasible += 1
+        assert certified_infeasible >= 20 and certified_feasible >= 20
+
+    def test_necessary_value_from_factor_matches_dense_solve(self):
+        rng = np.random.default_rng(16)
+        for i in range(50):
+            r, m = 2 + i % 3, 1 + i % 2
+            cert, mu, sigma, beta, gamma = _random_filter_inputs(rng, r, m, beta_range=(0.2, 4.0))
+            out = safety_filter_step(np.zeros(m), cert, mu, sigma, beta, gamma)
+            dense = feasibility_necessary(effective_phi(cert, mu), sigma, beta)
+            value = out.diagnostics["necessary_condition_value"]
+            assert value == pytest.approx(dense, rel=1e-12, abs=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 3),
+        st.integers(1, 4),
+        st.data(),
+    )
+    def test_returned_u_satisfies_cone_or_is_flagged(self, m, rows, data):
+        entries = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+        A = np.array(data.draw(st.lists(entries, min_size=rows * m, max_size=rows * m)))
+        b = np.array(data.draw(st.lists(entries, min_size=rows, max_size=rows)))
+        c = np.array(data.draw(st.lists(entries, min_size=m, max_size=m)))
+        d = data.draw(entries)
+        u_nom = np.array(data.draw(st.lists(entries, min_size=m, max_size=m)))
+        cone = SafetyConeData(A=A.reshape(rows, m), b=b, c=c, d=d)
+        out = solve(u_nom, cone, tol=1e-8)
+        if out.status != STATUS_INFEASIBLE:
+            assert out.status == STATUS_OPTIMAL
+            scale = max(1.0, float(np.linalg.norm(cone.A @ out.u + cone.b)))
+            assert cone_margin(cone, out.u) >= -1e-8 * scale
 
 
 class TestFeasibilityNecessary:
@@ -287,7 +422,7 @@ class TestPointwiseConditions:
             beta = float(rng.uniform(0.2, 1.5))
             gamma = np.array([rng.uniform(0.5, 3.0), 1.0])
             cone = assemble_safety_cone(cert, mu, sigma, beta, gamma)
-            out = solve(build_program(rng.normal(size=m), cone), tol=1e-9)
+            out = solve(rng.normal(size=m), cone, tol=1e-9)
             if out.status != STATUS_OPTIMAL:
                 continue
             phi = effective_phi(cert, mu)
@@ -338,10 +473,11 @@ class TestFilterInvariants:
             outs = []
             for beta in betas:
                 cone = assemble_safety_cone(cert, mu, sigma, beta, gamma)
-                outs.append(solve(build_program(u_nom, cone), tol=1e-9))
+                outs.append(solve(u_nom, cone, tol=1e-9))
             if any(o.status != STATUS_OPTIMAL for o in outs):
                 continue
-            assert outs[1].t >= outs[0].t - 1e-7
+            dists = [float(np.linalg.norm(o.u - u_nom)) for o in outs]
+            assert dists[1] >= dists[0] - 1e-7
             checked += 1
 
     def test_beta_zero_reduces_to_halfspace(self):
@@ -371,11 +507,12 @@ class TestFilterInvariants:
         d = out.diagnostics
         assert "necessary_condition_value" in d
         assert "sufficient_condition_eigenvalue" in d
-        assert "constraint_slacks" in d
+        assert "cone_margin" in d
         assert d["degenerate_zg"] is False
 
     def test_necessary_condition_certificate_upgrades_status(self):
         # tiny beta-scaled uncertainty dominated by phi: value > 0 certifies
+        # that the cone is empty, which the exact projection reports
         cert = _cert([0.0, 0.0], [0.0], 0.0)
         mu = np.array([1.0, 0.0, 0.0])
         sigma = np.eye(3)
