@@ -130,31 +130,11 @@ def _build(cls, data, path):
     kwargs = {}
     for name, value in data.items():
         ftype = fields[name].type
-        if dataclasses.is_dataclass(_resolve(ftype)):
-            kwargs[name] = _build(_resolve(ftype), value, f"{path}.{name}" if path else name)
+        if dataclasses.is_dataclass(ftype):
+            kwargs[name] = _build(ftype, value, f"{path}.{name}" if path else name)
         else:
             kwargs[name] = value
     return cls(**kwargs)
-
-
-_NESTED = {
-    "hocbf": HocbfConfig,
-    "gp": GpConfig,
-    "filter": FilterConfig,
-    "sim": SimConfig,
-    "episodic": EpisodicConfig,
-    "controller": ControllerConfig,
-    "disturbance": DisturbanceConfig,
-    "output": OutputConfig,
-}
-
-
-def _resolve(ftype):
-    if isinstance(ftype, str):
-        return {c.__name__: c for c in list(_NESTED.values()) + [ExperimentConfig]}.get(
-            ftype, str
-        )
-    return ftype
 
 
 def from_dict(data: dict) -> ExperimentConfig:

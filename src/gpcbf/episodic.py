@@ -14,7 +14,7 @@ run / label / refit until an episode finishes without a safety violation.
 """
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -37,23 +37,8 @@ TERM_VIOLATION = "safety_violation"
 TERM_INFEASIBLE = "infeasible_abort"
 TERM_ABORTED = "aborted"
 
-
-@dataclass(frozen=True)
-class FdConfig:
-    """Central-difference sampling: interval dt and window of 2 r_max + 1 points."""
-
-    dt: float
-    r_max: int
-
-    def __post_init__(self):
-        if self.dt <= 0.0:
-            raise ValueError("sampling interval must be positive")
-        if self.r_max < 1:
-            raise ValueError("need r_max >= 1")
-
-    @property
-    def window(self) -> int:
-        return 2 * self.r_max + 1
+# Consecutive infeasible filter steps after which an episode is abandoned.
+MAX_CONSECUTIVE_INFEASIBLE = 5
 
 
 def fd_derivative(samples, order: int, dt: float) -> float:
@@ -78,9 +63,9 @@ def label_window(
     x_center: np.ndarray,
     u_center: np.ndarray,
     design: HocbfDesign,
-    fd: FdConfig,
+    dt: float,
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """One labeled row ((x, y), z) from a barrier window centered at (x, u)."""
+    """One labeled row ((x, y), z) from a barrier window sampled every dt, centered at (x, u)."""
     h_window = np.asarray(h_window, dtype=float)
     if h_window.size != 2 * design.r + 1:
         raise ValueError(f"window must hold {2 * design.r + 1} samples")
@@ -88,7 +73,7 @@ def label_window(
     r = design.r
     z = 0.0
     for j in range(1, r + 1):
-        measured = fd_derivative(h_window, j, fd.dt)
+        measured = fd_derivative(h_window, j, dt)
         nominal = float(design.lie_f_chain[j - 1](x_center))
         if j == r:
             nominal += float(design.lie_g(x_center) @ u_center)
@@ -151,6 +136,23 @@ class EpisodeLog:
                 writer.writerow(row)
 
 
+def _log_row(design: HocbfDesign, t: float, x: np.ndarray, u: np.ndarray, info: dict) -> tuple:
+    """One logged step in EpisodeLog's field order; diagnostics missing from info read NaN."""
+    return (
+        t,
+        x.copy(),
+        u.copy(),
+        float(design.h(x)),
+        zeta_chain(design, x),
+        float(info.get("sigma", np.nan)),
+        str(info.get("status", "nominal")),
+        float(info.get("necessary_value", np.nan)),
+        float(info.get("sufficient_eig", np.nan)),
+        int(info.get("iterations", 0)),
+        float(info.get("cone_margin", np.nan)),
+    )
+
+
 def run_episode(
     plant: PlantModel,
     design: HocbfDesign,
@@ -159,51 +161,35 @@ def run_episode(
     horizon: float,
     dt: float = 1e-3,
     control_period: float = 1e-2,
-    disturbance: Optional[Callable[[float], float]] = None,
     stop_on_violation: bool = True,
-    max_consecutive_infeasible: int = 5,
 ) -> EpisodeLog:
-    """Integrate the true plant under a filtered controller.
+    """Integrate plant.field under a filtered controller, one RK4 step per dt.
 
-    controller(t, x) returns (u, info); info carries the filter diagnostics
-    logged per step.  Stops at the horizon, at the first barrier violation
-    when flagged, or after too many consecutive infeasible filter steps.
+    controller(t, x) returns (u, info); u is held for a control period and
+    info carries the filter diagnostics logged for the step.  Stops at the
+    horizon, at the first barrier violation when flagged (logging the
+    crossing state as a trailing "violation" row), on a non-finite state, or
+    after MAX_CONSECUTIVE_INFEASIBLE infeasible filter steps in a row.
     """
     x = np.asarray(x0, dtype=float).copy()
     substeps = max(1, int(round(control_period / dt)))
     n_ctrl = int(round(horizon / control_period))
 
-    rows_t, rows_x, rows_u, rows_h = [], [], [], []
-    rows_zeta, rows_sigma, rows_status = [], [], []
-    rows_nec, rows_suf, rows_iter, rows_margin = [], [], [], []
+    rows = []
     termination = TERM_COMPLETED
     violation_time = None
     min_h = float(design.h(x))
     consec_infeasible = 0
 
-    def field(xs, us, ts):
-        d = disturbance(ts) if disturbance is not None else 0.0
-        return plant.field_true(xs, us, d)
-
     t = 0.0
     for k in range(n_ctrl):
         u, info = controller(t, x)
         u = np.atleast_1d(np.asarray(u, dtype=float))
-        rows_t.append(t)
-        rows_x.append(x.copy())
-        rows_u.append(u.copy())
-        rows_h.append(float(design.h(x)))
-        rows_zeta.append(zeta_chain(design, x))
-        rows_sigma.append(float(info.get("sigma", np.nan)))
-        rows_status.append(str(info.get("status", "nominal")))
-        rows_nec.append(float(info.get("necessary_value", np.nan)))
-        rows_suf.append(float(info.get("sufficient_eig", np.nan)))
-        rows_iter.append(int(info.get("iterations", 0)))
-        rows_margin.append(float(info.get("cone_margin", np.nan)))
+        rows.append(_log_row(design, t, x, u, info))
 
         if info.get("status") == "infeasible":
             consec_infeasible += 1
-            if consec_infeasible >= max_consecutive_infeasible:
+            if consec_infeasible >= MAX_CONSECUTIVE_INFEASIBLE:
                 termination = TERM_INFEASIBLE
                 break
         else:
@@ -212,7 +198,7 @@ def run_episode(
         stop = False
         try:
             for i in range(substeps):
-                x = rk4_step(field, x, u, t, dt)
+                x = rk4_step(plant.field, x, u, t, dt)
                 t = t + dt
                 hval = float(design.h(x))
                 min_h = min(min_h, hval)
@@ -226,37 +212,26 @@ def run_episode(
             break
         if stop:
             termination = TERM_VIOLATION
-            rows_t.append(t)
-            rows_x.append(x.copy())
-            rows_u.append(u.copy())
-            rows_h.append(float(design.h(x)))
-            rows_zeta.append(zeta_chain(design, x))
-            rows_sigma.append(np.nan)
-            rows_status.append("violation")
-            rows_nec.append(np.nan)
-            rows_suf.append(np.nan)
-            rows_iter.append(0)
-            rows_margin.append(np.nan)
+            rows.append(_log_row(design, t, x, u, {"status": "violation"}))
             break
 
-    if termination == TERM_COMPLETED and violation_time is not None and rows_h and rows_h[-1] < 0.0:
+    t_, x_, u_, h, zeta, sigma, status, nec, suf, iters, margin = zip(*rows) if rows else [()] * 11
+    if termination == TERM_COMPLETED and violation_time is not None and h and h[-1] < 0.0:
         termination = TERM_VIOLATION
 
-    n = plant.n
-    m = plant.m
     return EpisodeLog(
         design_r=design.r,
-        t=np.asarray(rows_t),
-        x=np.asarray(rows_x).reshape(-1, n) if rows_x else np.zeros((0, n)),
-        u=np.asarray(rows_u).reshape(-1, m) if rows_u else np.zeros((0, m)),
-        h=np.asarray(rows_h),
-        zeta=np.asarray(rows_zeta).reshape(-1, design.r) if rows_zeta else np.zeros((0, design.r)),
-        sigma=np.asarray(rows_sigma),
-        status=rows_status,
-        necessary=np.asarray(rows_nec),
-        sufficient=np.asarray(rows_suf),
-        iterations=np.asarray(rows_iter, dtype=int),
-        cone_margin=np.asarray(rows_margin),
+        t=np.asarray(t_, dtype=float),
+        x=np.asarray(x_, dtype=float).reshape(-1, plant.n),
+        u=np.asarray(u_, dtype=float).reshape(-1, plant.m),
+        h=np.asarray(h, dtype=float),
+        zeta=np.asarray(zeta, dtype=float).reshape(-1, design.r),
+        sigma=np.asarray(sigma, dtype=float),
+        status=list(status),
+        necessary=np.asarray(nec, dtype=float),
+        sufficient=np.asarray(suf, dtype=float),
+        iterations=np.asarray(iters, dtype=int),
+        cone_margin=np.asarray(margin, dtype=float),
         termination=termination,
         violation_time=violation_time,
         min_h=min_h,
@@ -275,14 +250,13 @@ def label_episode(
     row, which is off the control grid) are dropped.
     """
     r = design.r
-    fd = FdConfig(dt=control_period, r_max=r)
     usable = len(log)
     if usable and log.status and log.status[-1] == "violation":
         usable -= 1
     rows = []
     for c in range(r, usable - r, max(1, stride)):
         window = log.h[c - r : c + r + 1]
-        rows.append(label_window(window, log.x[c], log.u[c], design, fd))
+        rows.append(label_window(window, log.x[c], log.u[c], design, control_period))
     return rows
 
 
@@ -380,7 +354,6 @@ def episodic_train(
     horizon: float,
     dt: float = 1e-3,
     control_period: float = 1e-2,
-    disturbance: Optional[Callable[[float], float]] = None,
     max_episodes: int = 6,
     label_stride: int = 5,
     noise_variance: Optional[float] = None,
@@ -419,7 +392,6 @@ def episodic_train(
             horizon,
             dt=dt,
             control_period=control_period,
-            disturbance=disturbance,
             stop_on_violation=True,
         )
         episodes.append(log)

@@ -33,7 +33,6 @@ class Scenario:
     design_nom: HocbfDesign
     design_true: HocbfDesign
     u_nom: Callable
-    disturbance: Optional[Callable[[float], float]]
     kernel_params: list
 
 
@@ -41,7 +40,6 @@ def build_scenario(cfg: ExperimentConfig) -> Scenario:
     """Instantiate plant, barrier designs, nominal controller, and kernels."""
     gains = cfg.hocbf.resolve_gains()
     D = cfg.hocbf.threshold
-    disturbance = None
     if cfg.plant == "acc":
         plant = plants.make_acc_plant()
         design_nom = plants.acc_design(plants.ACC_NOMINAL, gains, D)
@@ -52,20 +50,19 @@ def build_scenario(cfg: ExperimentConfig) -> Scenario:
             return plants.clf_nominal_acc(x, v_d, lam, plants.ACC_NOMINAL)
 
     elif cfg.plant == "suspension":
-        plant = plants.make_suspension_plant()
+        d = cfg.disturbance
+        plant = plants.make_suspension_plant(
+            road=lambda t: plants.road_profile(t, d.amplitude, d.start, d.width)
+        )
         design_nom = plants.suspension_design(plants.SUSPENSION_NOMINAL, gains, D)
         design_true = plants.suspension_design(plants.SUSPENSION_TRUE, gains, D)
         A, B = plants.suspension_linear_matrices(plants.SUSPENSION_NOMINAL)
         K, _ = plants.lqr_gain(
             A, B, cfg.controller.lqr_q * np.eye(4), np.array([[cfg.controller.lqr_r]])
         )
-        d = cfg.disturbance
 
         def u_nom(t, x):
             return -(K @ x)
-
-        def disturbance(t):
-            return plants.road_profile(t, d.amplitude, d.start, d.width)
 
     elif cfg.plant == "synthetic":
         plant = plants.make_synthetic_plant()
@@ -91,7 +88,7 @@ def build_scenario(cfg: ExperimentConfig) -> Scenario:
         if ell.size != n:
             raise ValueError(f"lengthscales must have {n} entries per coordinate")
         kernel_params.append(BaseKernelParams(float(sf2), ell))
-    return Scenario(plant, design_nom, design_true, u_nom, disturbance, kernel_params)
+    return Scenario(plant, design_nom, design_true, u_nom, kernel_params)
 
 
 @dataclass
@@ -146,7 +143,6 @@ def run_benchmark(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> Bench
         horizon=sim.horizon,
         dt=sim.dt,
         control_period=sim.control_period,
-        disturbance=sc.disturbance,
     )
 
     arms = {}

@@ -1,11 +1,13 @@
-"""Benchmark plants with paired true/nominal parameter sets.
+"""Benchmark plants: the true dynamics as one vector field each.
 
 Two closed-loop case studies: adaptive cruise control (keep a safe headway
 while tracking a desired speed) and a quarter-car active suspension (bound
-the body displacement under a road bump).  Both barriers have relative
-degree two; their Lie-derivative chains are hand-derived below.  A synthetic
-zero-mismatch double integrator rounds out the set for end-to-end sanity
-checks.
+the body displacement under a road bump).  A plant is what the runner
+integrates: the true-parameter field, with the road disturbance folded in.
+The nominal model reaches the filter only through the barrier designs,
+whose Lie-derivative chains are hand-derived below (relative degree two
+throughout).  A synthetic double integrator with an optional drift mismatch
+rounds out the set for end-to-end sanity checks.
 """
 
 from dataclasses import dataclass
@@ -57,97 +59,64 @@ class SuspensionParams:
                 raise ValueError(f"{name} must be positive")
 
 
+# The fields below add the input term as (1/m) u after the drift, never
+# (drift + u) / m: closed-loop outputs depend on that rounding.
+
+
 def acc_dynamics(x, u, p: AccParams) -> np.ndarray:
-    """x = [v, z]: ego speed and headway; vdot = (u - F_r(v)) / m, zdot = v0 - v."""
+    """x = [v, z]: ego speed and headway; vdot = -F_r(v) / m + u / m, zdot = v0 - v."""
     v = x[0]
     u = float(np.asarray(u).reshape(-1)[0])
-    return np.array([(-p.rolling_resistance(v) + u) / p.m, p.v0 - v])
+    return np.array([-p.rolling_resistance(v) / p.m + (1.0 / p.m) * u, p.v0 - v])
 
 
 def suspension_dynamics(x, u, d, p: SuspensionParams) -> np.ndarray:
-    """x = [x1, x2, x3, x4]: body/wheel displacements then velocities."""
+    """x = [x1, x2, x3, x4]: body/wheel displacements then velocities; d is the road height."""
     x1, x2, x3, x4 = x
     u = float(np.asarray(u).reshape(-1)[0])
+    wheel = (p.k1 * (x1 - x2) - p.k2 * x2 + p.b * (x3 - x4)) / p.m2 - (1.0 / p.m2) * u
+    if d != 0.0:
+        wheel = wheel + (p.k2 / p.m2) * d
     return np.array(
-        [
-            x3,
-            x4,
-            (p.k1 * (x2 - x1) + p.b * (x4 - x3) + u) / p.m1,
-            (p.k1 * (x1 - x2) - p.k2 * x2 + p.b * (x3 - x4) - u + p.k2 * d) / p.m2,
-        ]
+        [x3, x4, (p.k1 * (x2 - x1) + p.b * (x4 - x3)) / p.m1 + (1.0 / p.m1) * u, wheel]
     )
 
 
 @dataclass(frozen=True)
 class PlantModel:
-    """Control-affine true/nominal pair sharing dimensions and structure."""
+    """True dynamics xdot = field(x, u, t), disturbances included."""
 
     name: str
     n: int
     m: int
-    f_true: Callable[[np.ndarray], np.ndarray]
-    g_true: Callable[[np.ndarray], np.ndarray]
-    f_nom: Callable[[np.ndarray], np.ndarray]
-    g_nom: Callable[[np.ndarray], np.ndarray]
-    params_true: dict
-    params_nom: dict
-    disturbance_gain: Optional[Callable[[np.ndarray], np.ndarray]] = None
-
-    def field_true(self, x, u, d: float = 0.0) -> np.ndarray:
-        xdot = self.f_true(x) + self.g_true(x) @ np.atleast_1d(u)
-        if self.disturbance_gain is not None and d != 0.0:
-            xdot = xdot + self.disturbance_gain(x) * d
-        return xdot
+    field: Callable[[np.ndarray, np.ndarray, float], np.ndarray]
 
 
-def make_acc_plant(params_true: dict = ACC_TRUE, params_nom: dict = ACC_NOMINAL) -> PlantModel:
-    pt = AccParams(**params_true)
-    pn = AccParams(**params_nom)
-    return PlantModel(
-        name="acc",
-        n=2,
-        m=1,
-        f_true=lambda x: acc_dynamics(x, 0.0, pt),
-        g_true=lambda x: np.array([[1.0 / pt.m], [0.0]]),
-        f_nom=lambda x: acc_dynamics(x, 0.0, pn),
-        g_nom=lambda x: np.array([[1.0 / pn.m], [0.0]]),
-        params_true=dict(params_true),
-        params_nom=dict(params_nom),
-    )
+def make_acc_plant(params: dict = ACC_TRUE) -> PlantModel:
+    p = AccParams(**params)
+    return PlantModel(name="acc", n=2, m=1, field=lambda x, u, t: acc_dynamics(x, u, p))
 
 
 def make_suspension_plant(
-    params_true: dict = SUSPENSION_TRUE, params_nom: dict = SUSPENSION_NOMINAL
+    params: dict = SUSPENSION_TRUE, road: Optional[Callable[[float], float]] = None
 ) -> PlantModel:
-    pt = SuspensionParams(**params_true)
-    pn = SuspensionParams(**params_nom)
-    return PlantModel(
-        name="suspension",
-        n=4,
-        m=1,
-        f_true=lambda x: suspension_dynamics(x, 0.0, 0.0, pt),
-        g_true=lambda x: np.array([[0.0], [0.0], [1.0 / pt.m1], [-1.0 / pt.m2]]),
-        f_nom=lambda x: suspension_dynamics(x, 0.0, 0.0, pn),
-        g_nom=lambda x: np.array([[0.0], [0.0], [1.0 / pn.m1], [-1.0 / pn.m2]]),
-        params_true=dict(params_true),
-        params_nom=dict(params_nom),
-        disturbance_gain=lambda x: np.array([0.0, 0.0, 0.0, pt.k2 / pt.m2]),
-    )
+    """Quarter car driven over the road height profile road(t) (flat when None)."""
+    p = SuspensionParams(**params)
+
+    def field(x, u, t):
+        return suspension_dynamics(x, u, road(t) if road is not None else 0.0, p)
+
+    return PlantModel(name="suspension", n=4, m=1, field=field)
 
 
 def make_synthetic_plant(mismatch: float = 0.0) -> PlantModel:
-    """Double integrator; mismatch scales an extra drift on the true side."""
-    return PlantModel(
-        name="synthetic",
-        n=2,
-        m=1,
-        f_true=lambda x: np.array([x[1], mismatch * (1.0 + 0.5 * x[0] ** 2)]),
-        g_true=lambda x: np.array([[0.0], [1.0]]),
-        f_nom=lambda x: np.array([x[1], 0.0]),
-        g_nom=lambda x: np.array([[0.0], [1.0]]),
-        params_true={"mismatch": mismatch},
-        params_nom={},
-    )
+    """Double integrator; mismatch scales an extra drift on the acceleration."""
+
+    def field(x, u, t):
+        u = float(np.asarray(u).reshape(-1)[0])
+        return np.array([x[1], mismatch * (1.0 + 0.5 * x[0] ** 2) + u])
+
+    return PlantModel(name="synthetic", n=2, m=1, field=field)
 
 
 # ---------------------------------------------------------------------------

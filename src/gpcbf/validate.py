@@ -228,7 +228,6 @@ def _benchmark_filter_states(plant_name: str, rng: np.random.Generator, n_states
         cfg.sim.horizon,
         dt=cfg.sim.dt,
         control_period=cfg.sim.control_period,
-        disturbance=sc.disturbance,
         stop_on_violation=True,
     )
     rows = episodic.label_episode(log, sc.design_nom, cfg.sim.control_period,

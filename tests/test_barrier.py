@@ -174,19 +174,19 @@ class TestHalfspaceFilter:
 def _symbolic_polynomial_pair(r, rng):
     """Nonlinear strict-feedback true/nominal pair; residuals stay analytic."""
     xs = sp.symbols(f"x1:{r + 1}")
-    f_true, f_nom = [], []
+    drift_true, drift_nom = [], []
     for i in range(r - 1):
         pert = rng.uniform(-0.5, 0.5) * xs[0] ** 2 + rng.uniform(-0.5, 0.5) * xs[i]
-        f_true.append(xs[i + 1] + pert)
-        f_nom.append(xs[i + 1])
-    f_true.append(rng.uniform(-0.5, 0.5) * xs[0] + rng.uniform(-0.3, 0.3) * xs[0] ** 2)
-    f_nom.append(sp.Integer(0))
-    g_true = [sp.Integer(0)] * (r - 1) + [sp.Integer(1) + sp.Rational(1, 4)]
-    g_nom = [sp.Integer(0)] * (r - 1) + [sp.Integer(1)]
+        drift_true.append(xs[i + 1] + pert)
+        drift_nom.append(xs[i + 1])
+    drift_true.append(rng.uniform(-0.5, 0.5) * xs[0] + rng.uniform(-0.3, 0.3) * xs[0] ** 2)
+    drift_nom.append(sp.Integer(0))
+    gain_true = [sp.Integer(0)] * (r - 1) + [sp.Integer(1) + sp.Rational(1, 4)]
+    gain_nom = [sp.Integer(0)] * (r - 1) + [sp.Integer(1)]
     h = xs[0]
     return (
-        SymbolicSystem(xs, f_true, g_true, h),
-        SymbolicSystem(xs, f_nom, g_nom, h),
+        SymbolicSystem(xs, drift_true, gain_true, h),
+        SymbolicSystem(xs, drift_nom, gain_nom, h),
     )
 
 

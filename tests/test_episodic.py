@@ -3,21 +3,23 @@ import csv
 import numpy as np
 import pytest
 
-from gpcbf.barrier import gamma_vector
+from gpcbf.barrier import certificate_terms, gamma_vector, halfspace_qp_filter
 from gpcbf.episodic import (
+    TERM_ABORTED,
     TERM_COMPLETED,
+    TERM_INFEASIBLE,
     TERM_VIOLATION,
     EpisodeLog,
-    FdConfig,
     episodic_train,
     estimate_noise_variance,
     fd_derivative,
     label_episode,
     label_window,
+    make_gp_socp_controller,
     make_nominal_qp_controller,
     run_episode,
 )
-from gpcbf.gp import BaseKernelParams
+from gpcbf.gp import BaseKernelParams, ResidualDataset, fit, posterior_coefficients
 from gpcbf.plants import (
     ACC_NOMINAL,
     ACC_TRUE,
@@ -139,7 +141,7 @@ class TestLabeling:
     def test_window_size_validated(self):
         design = double_integrator_design([1.0, 2.0])
         with pytest.raises(ValueError):
-            label_window(np.zeros(4), np.zeros(2), np.zeros(1), design, FdConfig(0.01, 2))
+            label_window(np.zeros(4), np.zeros(2), np.zeros(1), design, 0.01)
 
 
 class TestRunEpisode:
@@ -190,6 +192,54 @@ class TestRunEpisode:
         assert np.array_equal(log1.u, log2.u)
         assert np.array_equal(log1.h, log2.h)
         assert log1.termination == log2.termination
+
+    def test_consecutive_infeasible_steps_abort(self):
+        plant = make_synthetic_plant(0.0)
+        design = double_integrator_design([1.0, 1.0], D=5.0)
+
+        def controller(t, x):
+            return np.zeros(1), {"status": "infeasible"}
+
+        log = run_episode(plant, design, controller, np.zeros(2), 1.0)
+        assert log.termination == TERM_INFEASIBLE
+        assert len(log) == 5
+        assert log.status == ["infeasible"] * 5
+
+    def test_overflowing_integration_aborts(self):
+        plant = make_synthetic_plant(0.0)
+        design = double_integrator_design([1.0, 1.0], D=5.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            log = run_episode(plant, design, _constant_u_controller(1e308), np.zeros(2), 1.0)
+        assert log.termination == TERM_ABORTED
+        assert len(log) == 1
+        assert log.u[0, 0] == 1e308
+
+
+class TestGpSocpController:
+    def test_infeasible_step_falls_back_to_mean_halfspace(self):
+        design = double_integrator_design([1.5, 2.5], D=1.0)
+        kp = [BaseKernelParams(1.0, np.array([1.0, 1.0]))] * 3
+        prior = fit(
+            ResidualDataset(
+                X=np.zeros((0, 2)), Y=np.zeros((0, 3)), z=np.zeros(0), noise_variance=1e-6
+            ),
+            kp,
+        )
+        x = np.array([0.5, 0.8])
+        u_nom = np.array([5.0])
+        controller = make_gp_socp_controller(design, prior, 1e3, lambda t, x: u_nom)
+        u, info = controller(0.0, x)
+        assert info["status"] == "infeasible"
+        assert info["necessary_value"] > 0.0
+
+        cert = certificate_terms(design, x)
+        mu, _ = posterior_coefficients(prior, x)
+        r = design.r
+        expected = halfspace_qp_filter(
+            u_nom, cert.zg + mu[r:], float((cert.zf + mu[:r]) @ design.gamma) + cert.const
+        )
+        assert np.array_equal(u, expected)
+        assert not np.array_equal(u, u_nom)  # the half-space constraint was active
 
 
 class TestEpisodicTrain:

@@ -210,28 +210,54 @@ class TestRoadProfile:
 
 
 class TestPlantModels:
+    """Each field equals f(x) + g(x) u (+ k2 / m2 d), the control-affine form written out."""
+
     def test_acc_field_consistency(self):
+        p = AccParams(**ACC_TRUE)
         plant = make_acc_plant()
-        x = np.array([18.0, 70.0])
-        u = np.array([500.0])
-        np.testing.assert_allclose(
-            plant.field_true(x, u), acc_dynamics(x, u, AccParams(**ACC_TRUE)), atol=1e-14
-        )
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            x = np.array([rng.uniform(0.0, 40.0), rng.uniform(0.0, 150.0)])
+            u = rng.normal(scale=2000.0, size=1)
+            f = np.array([(-p.rolling_resistance(x[0]) + 0.0) / p.m, p.v0 - x[0]])
+            g = np.array([[1.0 / p.m], [0.0]])
+            expected = f + g @ u
+            t = rng.uniform(0.0, 20.0)
+            assert np.all(plant.field(x, u, t) == expected)
+            assert np.all(plant.field(x, float(u[0]), t) == expected)
 
     def test_suspension_disturbance_enters_wheel_only(self):
-        plant = make_suspension_plant()
-        x = np.zeros(4)
-        xdot = plant.field_true(x, np.zeros(1), d=0.02)
-        assert xdot[3] == pytest.approx(427.5e3 * 0.02 / 135.0)
-        np.testing.assert_allclose(xdot[:3], 0.0)
+        p = SuspensionParams(**SUSPENSION_TRUE)
+        flat = make_suspension_plant()
+        bump = make_suspension_plant(road=lambda t: 0.02 * t)
+        rng = np.random.default_rng(6)
+        for scale in [0.05] * 50 + [1e-4] * 50:  # small states let the input term's rounding show
+            x = rng.normal(scale=scale, size=4)
+            x1, x2, x3, x4 = x
+            u = rng.normal(scale=500.0, size=1)
+            t = rng.uniform(0.5, 3.0)
+            f = np.array(
+                [
+                    x3,
+                    x4,
+                    (p.k1 * (x2 - x1) + p.b * (x4 - x3) + 0.0) / p.m1,
+                    (p.k1 * (x1 - x2) - p.k2 * x2 + p.b * (x3 - x4) - 0.0 + p.k2 * 0.0) / p.m2,
+                ]
+            )
+            g = np.array([[0.0], [0.0], [1.0 / p.m1], [-1.0 / p.m2]])
+            road_gain = np.array([0.0, 0.0, 0.0, p.k2 / p.m2])
+            assert np.all(flat.field(x, u, t) == f + g @ u)
+            assert np.all(bump.field(x, u, t) == f + g @ u + road_gain * (0.02 * t))
+            assert np.all(bump.field(x, float(u[0]), t) == bump.field(x, u, t))
+            assert np.all(bump.field(x, u, t)[:3] == flat.field(x, u, t)[:3])
+            assert bump.field(x, u, t)[3] != flat.field(x, u, t)[3]
+        # a road at zero height is the flat road
+        assert np.all(bump.field(x, u, 0.0) == flat.field(x, u, 0.0))
 
     def test_synthetic_zero_mismatch(self):
-        plant = make_synthetic_plant()
+        plant = make_synthetic_plant(0.0)
         rng = np.random.default_rng(3)
         for _ in range(10):
             x = rng.normal(size=2)
             u = rng.normal(size=1)
-            np.testing.assert_allclose(
-                plant.f_true(x) + plant.g_true(x) @ u,
-                plant.f_nom(x) + plant.g_nom(x) @ u,
-            )
+            assert np.all(plant.field(x, u, 0.0) == np.array([x[1], u[0]]))
