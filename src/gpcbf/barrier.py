@@ -76,8 +76,9 @@ class HocbfDesign:
     """Barrier design: evaluators for the nominal Lie chain plus derived gains.
 
     lie_f_chain[i-1] evaluates Lf^i h for i = 1..r on the nominal model;
-    lie_g evaluates LgLf^{r-1} h as a length-m row.  gamma and e_r are
-    derived from the gains at construction.
+    lie_g evaluates LgLf^{r-1} h as a length-m row.  gamma, e_r and the
+    zeta-chain weights are derived from the gains at construction;
+    zeta_weights[i-1] weighs [h, Lf h, ..., Lf^i h] in zeta_i.
     """
 
     r: int
@@ -88,6 +89,7 @@ class HocbfDesign:
     m: int = 1
     gamma: np.ndarray = field(init=False)
     e_r: float = field(init=False)
+    zeta_weights: tuple = field(init=False)
 
     def __post_init__(self):
         gains = np.asarray(self.gains, dtype=float)
@@ -101,6 +103,11 @@ class HocbfDesign:
         object.__setattr__(self, "gains", gains)
         object.__setattr__(self, "gamma", gamma_vector(gains))
         object.__setattr__(self, "e_r", float(e[-1]))
+        weights = tuple(
+            np.concatenate((elementary_symmetric(gains[:i])[::-1], [1.0]))
+            for i in range(1, self.r)
+        )
+        object.__setattr__(self, "zeta_weights", weights)
 
 
 @dataclass(frozen=True)
@@ -146,9 +153,7 @@ def zeta_chain(design: HocbfDesign, x: np.ndarray) -> np.ndarray:
     out = np.empty(design.r)
     out[0] = lf[0]
     for i in range(1, design.r):
-        e_prefix = elementary_symmetric(design.gains[:i])
-        coeffs = np.concatenate((e_prefix[::-1], [1.0]))  # weight of Lf^j h
-        out[i] = float(coeffs @ lf[: i + 1])
+        out[i] = float(design.zeta_weights[i - 1] @ lf[: i + 1])
     return out
 
 

@@ -36,13 +36,11 @@ class GpConfig:
     signal_variances: list = field(default_factory=lambda: [4.0, 0.25, 1e-7])
     lengthscales: list = field(default_factory=lambda: [8.0, 40.0])
     noise_variance: Optional[float] = 1e-4  # null -> roughness estimate
-    jitter_schedule: list = field(default_factory=lambda: [0.0, 1e-10, 1e-8, 1e-6])
 
 
 @dataclass
 class FilterConfig:
     beta: float = 2.0
-    solver_tol: float = 1e-8
     trace: bool = False
 
 

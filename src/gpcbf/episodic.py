@@ -21,16 +21,9 @@ import numpy as np
 
 from .barrier import HocbfDesign, certificate_terms, halfspace_qp_filter, zeta_chain
 from .errors import InfeasibleConstraintError, IntegrationError
-from .gp import (
-    DEFAULT_JITTER_SCHEDULE,
-    BaseKernelParams,
-    CompositeGpModel,
-    ResidualDataset,
-    fit,
-    posterior_coefficients,
-)
+from .gp import BaseKernelParams, CompositeGpModel, ResidualDataset, fit, posterior_coefficients
 from .plants import PlantModel, rk4_step
-from .socp import STATUS_OPTIMAL, safety_filter_step
+from .socp import safety_filter_step
 
 TERM_COMPLETED = "completed"
 TERM_VIOLATION = "safety_violation"
@@ -299,39 +292,25 @@ def make_gp_socp_controller(
     model: CompositeGpModel,
     beta: float,
     u_nom_fn: Callable,
-    tol: float = 1e-8,
 ) -> Callable:
     """Uncertainty-aware cone filter around a nominal control law.
 
-    On an infeasible step the affine part of the constraint is enforced as a
-    best effort and the step is flagged for the episode runner.
+    Each call is one :func:`safety_filter_step`: it returns the input the
+    step applies (the mean-only half-space fallback on an infeasible step,
+    which stays flagged for the episode runner) and the step's diagnostics
+    with its status and iterations as the logged info.
     """
 
     def controller(t, x):
-        u_nom = np.atleast_1d(np.asarray(u_nom_fn(t, x), dtype=float))
+        u_nom = u_nom_fn(t, x)
         cert = certificate_terms(design, x)
         mu, sigma = posterior_coefficients(model, x)
-        outcome = safety_filter_step(u_nom, cert, mu, sigma, beta, design.gamma, tol=tol)
-        if outcome.status == STATUS_OPTIMAL:
-            u = outcome.u
-        else:
-            cone_c = cert.zg + mu[design.r :]
-            cone_d = float((cert.zf + mu[: design.r]) @ design.gamma) + cert.const
-            try:
-                u = halfspace_qp_filter(u_nom, cone_c, cone_d)
-            except InfeasibleConstraintError:
-                u = u_nom
-        y = np.concatenate((design.gamma, u))
-        sigma_val = float(np.sqrt(max(y @ sigma @ y, 0.0)))
-        info = {
+        outcome = safety_filter_step(u_nom, cert, mu, sigma, beta, design.gamma)
+        return outcome.u, {
+            **outcome.diagnostics,
             "status": outcome.status,
-            "sigma": sigma_val,
-            "necessary_value": outcome.diagnostics.get("necessary_condition_value", np.nan),
-            "sufficient_eig": outcome.diagnostics.get("sufficient_condition_eigenvalue", np.nan),
             "iterations": outcome.iterations,
-            "cone_margin": outcome.diagnostics.get("cone_margin", np.nan),
         }
-        return u, info
 
     return controller
 
@@ -357,14 +336,14 @@ def episodic_train(
     max_episodes: int = 6,
     label_stride: int = 5,
     noise_variance: Optional[float] = None,
-    jitter_schedule: Sequence[float] = DEFAULT_JITTER_SCHEDULE,
-    solver_tol: float = 1e-8,
 ) -> TrainResult:
     """Run-collect-retrain until an episode completes without violation.
 
     Episode 1 runs the nominal QP filter; later episodes run the cone filter
     with the model refit on all data so far.  Violating (or aborted) episodes
-    contribute labels; the first clean episode ends the loop.
+    contribute labels; the first clean episode ends the loop.  Every fit walks
+    the default jitter schedule, and every cone projection uses the default
+    tolerance 1e-8.
     """
     q = design.m + design.r
     if len(kernel_params) != q:
@@ -376,14 +355,13 @@ def episodic_train(
             X=np.zeros((0, plant.n)), Y=np.zeros((0, q)), z=np.zeros(0), noise_variance=1e-6
         ),
         kernel_params,
-        jitter_schedule,
     )
     succeeded = False
     for ep in range(max_episodes):
         if ep == 0:
             controller = make_nominal_qp_controller(design, u_nom_fn)
         else:
-            controller = make_gp_socp_controller(design, model, beta, u_nom_fn, tol=solver_tol)
+            controller = make_gp_socp_controller(design, model, beta, u_nom_fn)
         log = run_episode(
             plant,
             design,
@@ -410,5 +388,5 @@ def episodic_train(
             z=zarr,
             noise_variance=sn2,
         )
-        model = fit(dataset, kernel_params, jitter_schedule)
+        model = fit(dataset, kernel_params)
     return TrainResult(model=model, episodes=episodes, dataset=model.dataset, succeeded=succeeded)

@@ -95,7 +95,6 @@ def build_scenario(cfg: ExperimentConfig) -> Scenario:
 class ArmResult:
     name: str
     log: episodic.EpisodeLog
-    csv_path: str
 
 
 @dataclass
@@ -148,9 +147,8 @@ def run_benchmark(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> Bench
     arms = {}
 
     def finish_arm(name, log):
-        path = os.path.join(out_dir, f"{name}.csv")
-        log.to_csv(path, trace=cfg.filter.trace)
-        arms[name] = ArmResult(name=name, log=log, csv_path=path)
+        log.to_csv(os.path.join(out_dir, f"{name}.csv"), trace=cfg.filter.trace)
+        arms[name] = ArmResult(name=name, log=log)
         return log
 
     log_nom = finish_arm(
@@ -182,8 +180,6 @@ def run_benchmark(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> Bench
         max_episodes=cfg.episodic.max_episodes,
         label_stride=cfg.episodic.label_stride,
         noise_variance=cfg.gp.noise_variance,
-        jitter_schedule=tuple(cfg.gp.jitter_schedule),
-        solver_tol=cfg.filter.solver_tol,
         **common,
     )
     log_gp = finish_arm("gp", train.episodes[-1])

@@ -249,11 +249,6 @@ def fit(
     )
 
 
-def _forward_sub(L: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Solve L V = B for lower-triangular L."""
-    return solve_triangular(L, B, lower=True)
-
-
 def _chol_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve (L L^T) x = b."""
     y = solve_triangular(L, b, lower=True)
@@ -274,7 +269,7 @@ def posterior_coefficients(model: CompositeGpModel, xstar) -> tuple[np.ndarray, 
         return np.zeros(q), lam_star + SIGMA_JITTER * np.eye(q)
     kbar = _cross_kbar(model.X, model.Y, xstar, model.sf2, model.inv_ell2)
     mu = kbar @ model.weights
-    V = _forward_sub(model.factor, kbar.T)  # solves L V = Kbar^T
+    V = solve_triangular(model.factor, kbar.T, lower=True)  # solves L V = Kbar^T
     sigma = lam_star - V.T @ V
     sigma = 0.5 * (sigma + sigma.T) + SIGMA_JITTER * np.eye(q)
     return mu, sigma

@@ -445,7 +445,16 @@ def safety_filter_step(
     gamma: np.ndarray,
     tol: float = 1e-8,
 ) -> FilterOutcome:
-    """Assemble the cone, project u_nom onto it, and attach feasibility diagnostics."""
+    """One filter step: the input the plant applies and the row the log keeps.
+
+    Assembles the cone and projects u_nom onto it.  On an infeasible step
+    the mean-only half-space c u + d >= 0 is enforced as a best effort, and
+    u_nom is kept when that half-space is empty too; the status stays
+    ``infeasible``.  The diagnostics carry ``cone_margin`` and ``analytic``
+    from :func:`solve`, the feasibility values ``necessary_value``,
+    ``sufficient_eig`` and ``sufficient_certified``, and ``sigma``, the
+    posterior std sqrt(y^T Sigma y) at y = [gamma; u] for the returned u.
+    """
     gamma = np.asarray(gamma, dtype=float)
     cone = assemble_safety_cone(cert, mu, sigma, beta, gamma)
     phi = effective_phi(cert, mu)
@@ -454,16 +463,21 @@ def safety_filter_step(
     else:
         necessary = -math.inf
     r = gamma.size
-    S = build_S(phi, sigma, beta)
-    certified, max_eig = feasibility_sufficient(S[r:, r:])
+    certified, max_eig = feasibility_sufficient(build_S(phi[r:], sigma[r:, r:], beta))
 
     outcome = solve(u_nom, cone, tol=tol)
+    if outcome.status != STATUS_OPTIMAL:
+        try:
+            outcome.u = halfspace_qp_filter(u_nom, cone.c, cone.d)
+        except InfeasibleConstraintError:
+            pass  # solve left u = u_nom
+    y = np.concatenate((gamma, outcome.u))
     outcome.diagnostics.update(
         {
-            "necessary_condition_value": necessary,
-            "sufficient_condition_eigenvalue": max_eig,
+            "necessary_value": necessary,
+            "sufficient_eig": max_eig,
             "sufficient_certified": bool(certified),
-            "degenerate_zg": not np.any(cert.zg),
+            "sigma": float(np.sqrt(max(y @ sigma @ y, 0.0))),
         }
     )
     return outcome

@@ -82,6 +82,8 @@ class TestCli:
             "filter:\n  soft_weight: 10",
             "filter:\n  solver_max_iter: 100",
             "sim:\n  seed: 0",
+            "filter:\n  solver_tol: 1.0e-8",
+            "gp:\n  jitter_schedule: [0.0]",
         ],
         ids=[
             "gp-bogus_key",
@@ -89,6 +91,8 @@ class TestCli:
             "filter-soft_weight",
             "filter-solver_max_iter",
             "sim-seed",
+            "filter-solver_tol",
+            "gp-jitter_schedule",
         ],
     )
     def test_run_invalid_config_exits_2(self, section, tmp_path, capsys):

@@ -304,7 +304,7 @@ class TestGeneralProjection:
             cert, mu, sigma, beta, gamma = _random_filter_inputs(rng, r, m, beta_range=(0.2, 4.0))
             out = safety_filter_step(np.zeros(m), cert, mu, sigma, beta, gamma)
             dense = feasibility_necessary(effective_phi(cert, mu), sigma, beta)
-            value = out.diagnostics["necessary_condition_value"]
+            value = out.diagnostics["necessary_value"]
             assert value == pytest.approx(dense, rel=1e-12, abs=1e-12)
 
     @settings(max_examples=300, deadline=None)
@@ -373,6 +373,18 @@ class TestBuildS:
     def test_identity_case(self):
         S = build_S(np.zeros(3), np.eye(3), 1.0)
         np.testing.assert_allclose(S, np.eye(3), atol=1e-12)
+
+    def test_trailing_block_from_trailing_inputs(self):
+        # build_S is elementwise, so S3 from the m-entry tail of phi and the
+        # m x m block of Sigma has the bits of the full matrix's block
+        rng = np.random.default_rng(9)
+        for r in (2, 3, 4):
+            for m in (1, 2, 3):
+                cert, mu, sigma, beta, gamma = self._random_inputs(rng, r=r, m=m)
+                phi = effective_phi(cert, mu)
+                assert np.array_equal(
+                    build_S(phi[r:], sigma[r:, r:], beta), build_S(phi, sigma, beta)[r:, r:]
+                )
 
     def test_symmetry(self):
         rng = np.random.default_rng(8)
@@ -505,10 +517,27 @@ class TestFilterInvariants:
             np.zeros(1), cert, np.zeros(3), np.eye(3), 1.0, np.array([2.0, 1.0])
         )
         d = out.diagnostics
-        assert "necessary_condition_value" in d
-        assert "sufficient_condition_eigenvalue" in d
+        assert "necessary_value" in d
+        assert "sufficient_eig" in d
         assert "cone_margin" in d
-        assert d["degenerate_zg"] is False
+        assert "sigma" in d
+
+    def test_infeasible_step_applies_mean_halfspace(self):
+        # beta large enough to empty the cone while the mean half-space
+        # c u + d >= 0 stays non-empty and excludes u_nom
+        cert = _cert([0.2, -0.1], [1.0], 0.5)
+        mu = np.array([0.1, 0.0, 0.2])
+        sigma = np.eye(3)
+        gamma = np.array([2.0, 1.0])
+        u_nom = np.array([-5.0])
+        out = safety_filter_step(u_nom, cert, mu, sigma, 1e3, gamma)
+        assert out.status == STATUS_INFEASIBLE
+        cone = assemble_safety_cone(cert, mu, sigma, 1e3, gamma)
+        expected = halfspace_qp_filter(u_nom, cone.c, cone.d)
+        assert np.array_equal(out.u, expected)
+        assert not np.array_equal(out.u, u_nom)
+        y = np.concatenate((gamma, out.u))
+        assert out.diagnostics["sigma"] == float(np.sqrt(max(y @ sigma @ y, 0.0)))
 
     def test_necessary_condition_certificate_upgrades_status(self):
         # tiny beta-scaled uncertainty dominated by phi: value > 0 certifies
@@ -518,4 +547,4 @@ class TestFilterInvariants:
         sigma = np.eye(3)
         out = safety_filter_step(np.zeros(1), cert, mu, sigma, 2.0, np.array([1.0, 1.0]))
         assert out.status == STATUS_INFEASIBLE
-        assert out.diagnostics["necessary_condition_value"] > 0.0
+        assert out.diagnostics["necessary_value"] > 0.0
