@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .barrier import HocbfDesign, certificate_terms, halfspace_qp_filter, zeta_chain
-from .errors import InfeasibleConstraintError, IntegrationError
+from .errors import InfeasibleConstraintError
 from .gp import BaseKernelParams, CompositeGpModel, ResidualDataset, fit, posterior_coefficients
 from .plants import PlantModel, rk4_step
 from .socp import safety_filter_step
@@ -156,13 +156,15 @@ def run_episode(
     control_period: float = 1e-2,
     stop_on_violation: bool = True,
 ) -> EpisodeLog:
-    """Integrate plant.field under a filtered controller, one RK4 step per dt.
+    """Integrate plant.field under a filtered controller, one RK4 call per hold.
 
     controller(t, x) returns (u, info); u is held for a control period and
-    info carries the filter diagnostics logged for the step.  Stops at the
-    horizon, at the first barrier violation when flagged (logging the
-    crossing state as a trailing "violation" row), on a non-finite state, or
-    after MAX_CONSECUTIVE_INFEASIBLE infeasible filter steps in a row.
+    info carries the filter diagnostics logged for the step.  Each hold is
+    one :func:`rk4_step` call of control_period / dt substeps, whose states
+    are scanned in order for h < 0.  Stops at the horizon, at the first
+    barrier violation when flagged (logging the crossing state as a trailing
+    "violation" row), on a non-finite state that no such violation precedes,
+    or after MAX_CONSECUTIVE_INFEASIBLE infeasible filter steps in a row.
     """
     x = np.asarray(x0, dtype=float).copy()
     substeps = max(1, int(round(control_period / dt)))
@@ -188,25 +190,25 @@ def run_episode(
         else:
             consec_infeasible = 0
 
+        states = rk4_step(plant.field, x, u, t, dt, substeps)
         stop = False
-        try:
-            for i in range(substeps):
-                x = rk4_step(plant.field, x, u, t, dt)
-                t = t + dt
-                hval = float(design.h(x))
-                min_h = min(min_h, hval)
-                if hval < 0.0 and violation_time is None:
-                    violation_time = t
-                    if stop_on_violation:
-                        stop = True
-                        break
-        except IntegrationError:
-            termination = TERM_ABORTED
-            break
+        for state in states:
+            t = t + dt
+            hval = float(design.h(state))
+            min_h = min(min_h, hval)
+            if hval < 0.0 and violation_time is None:
+                violation_time = t
+                if stop_on_violation:
+                    stop = True
+                    break
         if stop:
             termination = TERM_VIOLATION
-            rows.append(_log_row(design, t, x, u, {"status": "violation"}))
+            rows.append(_log_row(design, t, np.array(state), u, {"status": "violation"}))
             break
+        if len(states) < substeps:
+            termination = TERM_ABORTED
+            break
+        x = np.array(states[-1])
 
     t_, x_, u_, h, zeta, sigma, status, nec, suf, iters, margin = zip(*rows) if rows else [()] * 11
     if termination == TERM_COMPLETED and violation_time is not None and h and h[-1] < 0.0:

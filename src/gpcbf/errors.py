@@ -21,10 +21,6 @@ class FactorizationError(GpcbfError, ValueError):
     """Matrix square-root factorization of a non-PD input."""
 
 
-class IntegrationError(GpcbfError, RuntimeError):
-    """State blew up to non-finite values during integration."""
-
-
 class RiccatiError(GpcbfError, RuntimeError):
     """The algebraic Riccati solve did not reach the residual target."""
 

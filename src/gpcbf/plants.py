@@ -10,13 +10,14 @@ throughout).  A synthetic double integrator with an optional drift mismatch
 rounds out the set for end-to-end sanity checks.
 """
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .barrier import HocbfDesign, halfspace_qp_filter
-from .errors import IntegrationError, RiccatiError
+from .errors import RiccatiError
 
 # Parameter sets as reported for the two case studies.
 ACC_NOMINAL = dict(m=825.0, f0=0.1, f1=5.0, f2=0.25, v0=16.0)
@@ -59,42 +60,43 @@ class SuspensionParams:
                 raise ValueError(f"{name} must be positive")
 
 
-# The fields below add the input term as (1/m) u after the drift, never
-# (drift + u) / m: closed-loop outputs depend on that rounding.
+# The fields below work on Python floats and add the input term as (1/m) u
+# after the drift, never (drift + u) / m: closed-loop outputs depend on that
+# rounding.
 
 
-def acc_dynamics(x, u, p: AccParams) -> np.ndarray:
+def acc_dynamics(x, u: float, p: AccParams) -> tuple:
     """x = [v, z]: ego speed and headway; vdot = -F_r(v) / m + u / m, zdot = v0 - v."""
     v = x[0]
-    u = float(np.asarray(u).reshape(-1)[0])
-    return np.array([-p.rolling_resistance(v) / p.m + (1.0 / p.m) * u, p.v0 - v])
+    return (-p.rolling_resistance(v) / p.m + (1.0 / p.m) * u, p.v0 - v)
 
 
-def suspension_dynamics(x, u, d, p: SuspensionParams) -> np.ndarray:
+def suspension_dynamics(x, u: float, d: float, p: SuspensionParams) -> tuple:
     """x = [x1, x2, x3, x4]: body/wheel displacements then velocities; d is the road height."""
     x1, x2, x3, x4 = x
-    u = float(np.asarray(u).reshape(-1)[0])
     wheel = (p.k1 * (x1 - x2) - p.k2 * x2 + p.b * (x3 - x4)) / p.m2 - (1.0 / p.m2) * u
     if d != 0.0:
         wheel = wheel + (p.k2 / p.m2) * d
-    return np.array(
-        [x3, x4, (p.k1 * (x2 - x1) + p.b * (x4 - x3)) / p.m1 + (1.0 / p.m1) * u, wheel]
-    )
+    return (x3, x4, (p.k1 * (x2 - x1) + p.b * (x4 - x3)) / p.m1 + (1.0 / p.m1) * u, wheel)
 
 
 @dataclass(frozen=True)
 class PlantModel:
-    """True dynamics xdot = field(x, u, t), disturbances included."""
+    """True dynamics xdot = field(x, u, t), disturbances included.
+
+    field takes the state and the input as float sequences (n and m entries)
+    and the time as a float, and returns xdot as a tuple of n floats.
+    """
 
     name: str
     n: int
     m: int
-    field: Callable[[np.ndarray, np.ndarray, float], np.ndarray]
+    field: Callable[[Sequence[float], Sequence[float], float], tuple]
 
 
 def make_acc_plant(params: dict = ACC_TRUE) -> PlantModel:
     p = AccParams(**params)
-    return PlantModel(name="acc", n=2, m=1, field=lambda x, u, t: acc_dynamics(x, u, p))
+    return PlantModel(name="acc", n=2, m=1, field=lambda x, u, t: acc_dynamics(x, u[0], p))
 
 
 def make_suspension_plant(
@@ -104,7 +106,7 @@ def make_suspension_plant(
     p = SuspensionParams(**params)
 
     def field(x, u, t):
-        return suspension_dynamics(x, u, road(t) if road is not None else 0.0, p)
+        return suspension_dynamics(x, u[0], road(t) if road is not None else 0.0, p)
 
     return PlantModel(name="suspension", n=4, m=1, field=field)
 
@@ -113,8 +115,8 @@ def make_synthetic_plant(mismatch: float = 0.0) -> PlantModel:
     """Double integrator; mismatch scales an extra drift on the acceleration."""
 
     def field(x, u, t):
-        u = float(np.asarray(u).reshape(-1)[0])
-        return np.array([x[1], mismatch * (1.0 + 0.5 * x[0] ** 2) + u])
+        x0 = x[0]  # x0 * x0, not x0 ** 2: float ** raises OverflowError where * gives inf
+        return (x[1], mismatch * (1.0 + 0.5 * (x0 * x0)) + u[0])
 
     return PlantModel(name="synthetic", n=2, m=1, field=field)
 
@@ -181,16 +183,39 @@ def double_integrator_design(gains, D: float = 1.0) -> HocbfDesign:
 # ---------------------------------------------------------------------------
 
 
-def rk4_step(field, x, u, t: float, dt: float) -> np.ndarray:
-    """Classical fourth-order Runge-Kutta step with zero-order-held input."""
-    k1 = field(x, u, t)
-    k2 = field(x + 0.5 * dt * k1, u, t + 0.5 * dt)
-    k3 = field(x + 0.5 * dt * k2, u, t + 0.5 * dt)
-    k4 = field(x + dt * k3, u, t + dt)
-    x_next = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.all(np.isfinite(x_next)):
-        raise IntegrationError(f"state diverged at t={t}: {x_next}")
-    return x_next
+def rk4_step(field, x, u, t: float, dt: float, substeps: int = 1) -> list:
+    """Classical fourth-order Runge-Kutta over one zero-order hold of u.
+
+    Takes substeps steps of dt from (x, t) on Python floats and returns the
+    state after each one as a tuple of floats.  The list stops before the
+    first non-finite state, so a short list means the state diverged.  Each
+    operation keeps the order of the vectorised formula
+    x + (dt/6) (k1 + 2 k2 + 2 k3 + k4), and t advances by t = t + dt per
+    step, so the states match it bit for bit.
+    """
+    x = tuple(np.asarray(x, dtype=float).ravel().tolist())
+    u = tuple(np.asarray(u, dtype=float).ravel().tolist())
+    half = 0.5 * dt
+    sixth = dt / 6.0
+    isfinite = math.isfinite
+    states = []
+    for _ in range(substeps):
+        t_mid = t + half
+        k1 = field(x, u, t)
+        k2 = field([a + half * k for a, k in zip(x, k1)], u, t_mid)
+        k3 = field([a + half * k for a, k in zip(x, k2)], u, t_mid)
+        k4 = field([a + dt * k for a, k in zip(x, k3)], u, t + dt)
+        x = tuple(
+            [
+                a + sixth * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
+                for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)
+            ]
+        )
+        if not all(map(isfinite, x)):
+            break
+        states.append(x)
+        t = t + dt
+    return states
 
 
 def lqr_gain(A, B, Q, R, residual_tol: float = 1e-9, max_iter: int = 100):
@@ -246,14 +271,13 @@ def suspension_linear_matrices(params: dict):
     return A, B
 
 
-def clf_nominal_acc(x, v_d: float, lambda_rate: float, params: dict) -> np.ndarray:
+def clf_nominal_acc(x, v_d: float, lambda_rate: float, p: AccParams) -> np.ndarray:
     """Min-norm speed-tracking control for V = (v - v_d)^2 on the nominal model.
 
     The decay condition Vdot <= -lambda V is the half-space a u + b >= 0 with
     a = -2 (v - v_d) / m and b = 2 (v - v_d) F_r(v) / m - lambda V; the
     projection of u = 0 onto it is closed form.
     """
-    p = AccParams(**params)
     v = x[0]
     err = v - v_d
     a = np.array([-2.0 * err / p.m])

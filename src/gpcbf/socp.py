@@ -183,7 +183,10 @@ def _necessary_from_factor(phi: np.ndarray, L: np.ndarray, beta: float) -> float
 def feasibility_sufficient(S3: np.ndarray) -> tuple[bool, float]:
     """Negative definiteness certificate for pointwise feasibility."""
     S3 = np.asarray(S3, dtype=float)
-    max_eig = float(np.linalg.eigvalsh(0.5 * (S3 + S3.T))[-1])
+    if S3.shape == (1, 1):  # one input: the eigenvalue is the entry itself
+        max_eig = float(S3[0, 0])
+    else:
+        max_eig = float(np.linalg.eigvalsh(0.5 * (S3 + S3.T))[-1])
     return max_eig < -1e-10, max_eig
 
 

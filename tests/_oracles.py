@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the package's own code paths: symbolic
 Lie chains via sympy, a from-scratch stacked-input GP, a brute-force Riccati
-ODE integrator, and dense grid searches.
+ODE integrator, dense grid searches, and the vectorised numpy RK4 step with
+numpy plant fields that the float-based integrator must match bit for bit.
 """
 
 import numpy as np
@@ -102,3 +103,59 @@ def grid_min_norm_halfspace(u_nom, a, b, u_max=50.0, step=1e-4):
     feas = a * us + b >= 0.0
     cand = us[feas]
     return float(cand[np.argmin(np.abs(cand - u_nom))])
+
+
+def rk4_numpy(field, x, u, t, dt):
+    """One classical RK4 step on numpy arrays, in the vectorised operation order."""
+    k1 = field(x, u, t)
+    k2 = field(x + 0.5 * dt * k1, u, t + 0.5 * dt)
+    k3 = field(x + 0.5 * dt * k2, u, t + 0.5 * dt)
+    k4 = field(x + dt * k3, u, t + dt)
+    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def rk4_numpy_hold(field, x, u, t, dt, substeps):
+    """States after each of substeps numpy RK4 steps, with t advanced by t = t + dt."""
+    states = []
+    for _ in range(substeps):
+        x = rk4_numpy(field, x, u, t, dt)
+        states.append(x)
+        t = t + dt
+    return states
+
+
+def acc_field_numpy(p):
+    """ACC xdot on numpy arrays from a parameter dict, input added as (1/m) u after drag/m."""
+
+    def field(x, u, t):
+        v = x[0]
+        drag = p["f0"] + p["f1"] * v + p["f2"] * v * v
+        return np.array([-drag / p["m"] + (1.0 / p["m"]) * u[0], p["v0"] - v])
+
+    return field
+
+
+def suspension_field_numpy(p, road):
+    """Quarter-car xdot on numpy arrays; the road term enters the wheel row when nonzero."""
+
+    def field(x, u, t):
+        x1, x2, x3, x4 = x
+        d = road(t)
+        wheel = (p["k1"] * (x1 - x2) - p["k2"] * x2 + p["b"] * (x3 - x4)) / p["m2"] - (
+            1.0 / p["m2"]
+        ) * u[0]
+        if d != 0.0:
+            wheel = wheel + (p["k2"] / p["m2"]) * d
+        body = (p["k1"] * (x2 - x1) + p["b"] * (x4 - x3)) / p["m1"] + (1.0 / p["m1"]) * u[0]
+        return np.array([x3, x4, body, wheel])
+
+    return field
+
+
+def synthetic_field_numpy(mismatch):
+    """Double integrator with drift mismatch * (1 + x1^2 / 2), written with numpy's x**2."""
+
+    def field(x, u, t):
+        return np.array([x[1], mismatch * (1.0 + 0.5 * x[0] ** 2) + u[0]])
+
+    return field

@@ -1,4 +1,5 @@
 import csv
+import math
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from gpcbf.plants import (
     ACC_NOMINAL,
     ACC_TRUE,
     AccParams,
+    PlantModel,
     acc_design,
     double_integrator_design,
     make_acc_plant,
@@ -213,6 +215,34 @@ class TestRunEpisode:
         assert log.termination == TERM_ABORTED
         assert len(log) == 1
         assert log.u[0, 0] == 1e308
+
+    @staticmethod
+    def _cross_then_diverge_plant():
+        # x1 grows by 1e-3 per substep from 0.9985, so h = 1 - x1 turns negative
+        # after the second substep; the field returns inf from t = 0.0047 on,
+        # so the fifth substep of the same hold is non-finite.
+        field = lambda x, u, t: (1.0, math.inf if t > 0.0047 else 0.0)
+        return PlantModel(name="diverging", n=2, m=1, field=field)
+
+    def test_violation_before_divergence_in_one_hold_is_a_violation(self):
+        plant = self._cross_then_diverge_plant()
+        design = double_integrator_design([1.0, 1.0], D=1.0)
+        log = run_episode(plant, design, _constant_u_controller(0.0), [0.9985, 0.0], 1.0)
+        assert log.termination == TERM_VIOLATION
+        assert log.violation_time == pytest.approx(0.002)
+        assert log.status == ["nominal", "violation"]
+        assert log.h[-1] < 0.0 and np.all(np.isfinite(log.x))
+
+    def test_divergence_after_unstopped_violation_aborts(self):
+        plant = self._cross_then_diverge_plant()
+        design = double_integrator_design([1.0, 1.0], D=1.0)
+        log = run_episode(
+            plant, design, _constant_u_controller(0.0), [0.9985, 0.0], 1.0,
+            stop_on_violation=False,
+        )
+        assert log.termination == TERM_ABORTED
+        assert log.violation_time == pytest.approx(0.002)
+        assert len(log) == 1
 
 
 class TestGpSocpController:

@@ -1,8 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
 
-from gpcbf.errors import IntegrationError
 from gpcbf.plants import (
     ACC_NOMINAL,
     ACC_TRUE,
@@ -22,7 +23,13 @@ from gpcbf.plants import (
     suspension_linear_matrices,
 )
 
-from _oracles import riccati_ode_gain
+from _oracles import (
+    acc_field_numpy,
+    riccati_ode_gain,
+    rk4_numpy_hold,
+    suspension_field_numpy,
+    synthetic_field_numpy,
+)
 
 
 class TestParameterFidelity:
@@ -43,34 +50,34 @@ class TestParameterFidelity:
 
 class TestAccDynamics:
     def test_true_params_hand_value(self):
-        xdot = acc_dynamics(np.array([20.0, 100.0]), 0.0, AccParams(**ACC_TRUE))
+        xdot = acc_dynamics((20.0, 100.0), 0.0, AccParams(**ACC_TRUE))
         np.testing.assert_allclose(xdot, [-400.2 / 3300.0, -6.0])
 
     def test_force_balance(self):
         p = AccParams(**ACC_NOMINAL)
         v = 17.3
         u = p.rolling_resistance(v)
-        xdot = acc_dynamics(np.array([v, 50.0]), u, p)
+        xdot = acc_dynamics((v, 50.0), u, p)
         assert xdot[0] == pytest.approx(0.0, abs=1e-14)
 
     def test_nominal_params_hand_value(self):
-        xdot = acc_dynamics(np.array([16.0, 50.0]), 0.0, AccParams(**ACC_NOMINAL))
+        xdot = acc_dynamics((16.0, 50.0), 0.0, AccParams(**ACC_NOMINAL))
         np.testing.assert_allclose(xdot, [-144.1 / 825.0, 0.0])
 
 
 class TestSuspensionDynamics:
     def test_equilibrium(self):
         p = SuspensionParams(**SUSPENSION_NOMINAL)
-        np.testing.assert_allclose(suspension_dynamics(np.zeros(4), 0.0, 0.0, p), np.zeros(4))
+        np.testing.assert_allclose(suspension_dynamics((0.0,) * 4, 0.0, 0.0, p), np.zeros(4))
 
     def test_displaced_body_hand_value(self):
         p = SuspensionParams(**SUSPENSION_NOMINAL)
-        xdot = suspension_dynamics(np.array([0.01, 0.0, 0.0, 0.0]), 0.0, 0.0, p)
+        xdot = suspension_dynamics((0.01, 0.0, 0.0, 0.0), 0.0, 0.0, p)
         np.testing.assert_allclose(xdot, [0.0, 0.0, -160.0 / 300.0, 160.0 / 60.0])
 
     def test_road_input_gain(self):
         p = SuspensionParams(**SUSPENSION_NOMINAL)
-        xdot = suspension_dynamics(np.zeros(4), 0.0, 0.01, p)
+        xdot = suspension_dynamics((0.0,) * 4, 0.0, 0.01, p)
         np.testing.assert_allclose(xdot, [0.0, 0.0, 0.0, 190e3 * 0.01 / 60.0])
 
     def test_superposition(self):
@@ -81,8 +88,10 @@ class TestSuspensionDynamics:
             u1, u2 = rng.normal(), rng.normal()
             d1, d2 = rng.normal(), rng.normal()
             a, b = rng.normal(), rng.normal()
-            lhs = suspension_dynamics(a * x1 + b * x2, a * u1 + b * u2, a * d1 + b * d2, p)
-            rhs = a * suspension_dynamics(x1, u1, d1, p) + b * suspension_dynamics(x2, u2, d2, p)
+            lhs = suspension_dynamics((a * x1 + b * x2).tolist(), a * u1 + b * u2, a * d1 + b * d2, p)
+            rhs = a * np.asarray(suspension_dynamics(x1.tolist(), u1, d1, p)) + b * np.asarray(
+                suspension_dynamics(x2.tolist(), u2, d2, p)
+            )
             np.testing.assert_allclose(lhs, rhs, atol=1e-12 * max(1, np.abs(rhs).max()))
 
     def test_linear_matrices_match_dynamics(self):
@@ -93,29 +102,29 @@ class TestSuspensionDynamics:
             x = rng.normal(size=4)
             u = rng.normal()
             np.testing.assert_allclose(
-                A @ x + B[:, 0] * u, suspension_dynamics(x, u, 0.0, p), atol=1e-12
+                A @ x + B[:, 0] * u, suspension_dynamics(x.tolist(), u, 0.0, p), atol=1e-12
             )
 
 
 class TestRk4:
     def test_zero_field(self):
-        x = np.array([1.0, -2.0])
-        np.testing.assert_allclose(rk4_step(lambda x, u, t: np.zeros(2), x, 0.0, 0.0, 0.1), x)
+        x = (1.0, -2.0)
+        np.testing.assert_allclose(rk4_step(lambda x, u, t: (0.0, 0.0), x, (0.0,), 0.0, 0.1)[-1], x)
 
     def test_constant_field(self):
-        x = rk4_step(lambda x, u, t: np.ones(1), np.zeros(1), 0.0, 0.0, 0.25)
+        x = rk4_step(lambda x, u, t: (1.0,), (0.0,), (0.0,), 0.0, 0.25)[-1]
         np.testing.assert_allclose(x, [0.25])
 
     def test_exponential_decay_accuracy(self):
-        x = rk4_step(lambda x, u, t: -x, np.ones(1), 0.0, 0.0, 0.01)
+        x = rk4_step(lambda x, u, t: (-x[0],), (1.0,), (0.0,), 0.0, 0.01)[-1]
         assert abs(x[0] - np.exp(-0.01)) <= 1e-10
 
     def test_fourth_order_convergence(self):
         def integrate(dt):
-            x = np.ones(1)
+            x = (1.0,)
             t = 0.0
             while t < 1.0 - 1e-12:
-                x = rk4_step(lambda x, u, t: -x, x, 0.0, t, dt)
+                x = rk4_step(lambda x, u, t: (-x[0],), x, (0.0,), t, dt)[-1]
                 t += dt
             return abs(x[0] - np.exp(-1.0))
 
@@ -123,9 +132,65 @@ class TestRk4:
         err_fine = integrate(0.005)
         assert 12.0 <= err_coarse / err_fine <= 20.0
 
-    def test_divergence_raises(self):
-        with pytest.raises(IntegrationError):
-            rk4_step(lambda x, u, t: np.array([np.inf]), np.ones(1), 0.0, 0.0, 0.1)
+    def test_divergence_ends_state_list(self):
+        assert rk4_step(lambda x, u, t: (math.inf,), (1.0,), (0.0,), 0.0, 0.1) == []
+        # finite until t passes 0.35: the list holds the three states before it
+        field = lambda x, u, t: (math.inf if t > 0.35 else 1.0,)
+        states = rk4_step(field, (0.0,), (0.0,), 0.0, 0.1, substeps=10)
+        assert len(states) == 3
+        assert all(math.isfinite(s[0]) for s in states)
+
+    def test_hold_returns_float_tuples(self):
+        states = rk4_step(make_acc_plant().field, np.array([20.0, 100.0]), np.array([5.0]), 0.0, 1e-3, 10)
+        assert len(states) == 10
+        assert all(type(s) is tuple and len(s) == 2 for s in states)
+        assert all(type(v) is float for s in states for v in s)
+
+    @staticmethod
+    def _assert_holds_match_numpy(plant_field, oracle_field, draw, t_range, rng):
+        for _ in range(300):
+            x, u = draw(rng)
+            t = rng.uniform(*t_range)
+            substeps = int(rng.integers(1, 21))
+            dt = float(rng.choice([1e-3, 2.5e-4, 1.0 / 300.0]))
+            states = rk4_step(plant_field, x.tolist(), u.tolist(), t, dt, substeps)
+            expected = rk4_numpy_hold(oracle_field, x, u, t, dt, substeps)
+            assert len(states) == substeps
+            for got, want in zip(states, expected):
+                assert got == tuple(want.tolist())
+
+    def test_acc_hold_bitwise_equal_to_numpy_rk4(self):
+        def draw(rng):
+            # speeds down to about 1e-7 let the field's rounding reach the state's last bits
+            x = np.array([40.0 * 10.0 ** rng.uniform(-8.0, 0.0), rng.uniform(0.0, 150.0)])
+            return x, rng.normal(scale=3000.0, size=1)
+
+        self._assert_holds_match_numpy(
+            make_acc_plant().field, acc_field_numpy(ACC_TRUE), draw, (0.0, 20.0),
+            np.random.default_rng(11),
+        )
+
+    def test_suspension_hold_bitwise_equal_to_numpy_rk4(self):
+        road = lambda t: road_profile(t, 0.1, 1.0, 1.0)
+
+        def draw(rng):
+            scale = rng.choice([1e-4, 0.05])  # small states let the input term's rounding show
+            return rng.normal(scale=scale, size=4), rng.normal(scale=500.0, size=1)
+
+        # start times cover the bump window [1, 2] and both flat stretches around it
+        self._assert_holds_match_numpy(
+            make_suspension_plant(road=road).field, suspension_field_numpy(SUSPENSION_TRUE, road),
+            draw, (0.5, 2.5), np.random.default_rng(12),
+        )
+
+    def test_synthetic_mismatch_hold_bitwise_equal_to_numpy_rk4(self):
+        def draw(rng):
+            return rng.normal(scale=3.0, size=2), rng.normal(size=1)
+
+        self._assert_holds_match_numpy(
+            make_synthetic_plant(0.3).field, synthetic_field_numpy(0.3), draw, (0.0, 5.0),
+            np.random.default_rng(13),
+        )
 
 
 class TestLqr:
@@ -163,18 +228,18 @@ class TestLqr:
 
 class TestClfNominalAcc:
     def test_at_target_speed(self):
-        u = clf_nominal_acc(np.array([24.0, 50.0]), 24.0, 1.0, ACC_NOMINAL)
+        u = clf_nominal_acc(np.array([24.0, 50.0]), 24.0, 1.0, AccParams(**ACC_NOMINAL))
         np.testing.assert_allclose(u, [0.0])
 
     def test_drift_decaying_fast_enough(self):
         # above target the drag decelerates; small lambda keeps u at zero
-        u = clf_nominal_acc(np.array([25.0, 50.0]), 24.0, 1e-4, ACC_NOMINAL)
+        u = clf_nominal_acc(np.array([25.0, 50.0]), 24.0, 1e-4, AccParams(**ACC_NOMINAL))
         np.testing.assert_allclose(u, [0.0])
 
     def test_hand_projection_value(self):
         p = AccParams(**ACC_NOMINAL)
         v, v_d, lam = 20.0, 24.0, 1.0
-        u = clf_nominal_acc(np.array([v, 100.0]), v_d, lam, ACC_NOMINAL)
+        u = clf_nominal_acc(np.array([v, 100.0]), v_d, lam, p)
         expected = p.rolling_resistance(v) + lam * p.m * (v_d - v) / 2.0
         assert u[0] == pytest.approx(expected, rel=1e-12)
 
@@ -185,7 +250,7 @@ class TestClfNominalAcc:
             v = rng.uniform(10, 30)
             v_d = rng.uniform(15, 28)
             lam = rng.uniform(0.2, 3.0)
-            u = clf_nominal_acc(np.array([v, 80.0]), v_d, lam, ACC_NOMINAL)[0]
+            u = clf_nominal_acc(np.array([v, 80.0]), v_d, lam, p)[0]
             us = np.arange(-20000.0, 20000.0, 0.01)
             err = v - v_d
             vdot = (-p.rolling_resistance(v) + us) / p.m
@@ -223,8 +288,7 @@ class TestPlantModels:
             g = np.array([[1.0 / p.m], [0.0]])
             expected = f + g @ u
             t = rng.uniform(0.0, 20.0)
-            assert np.all(plant.field(x, u, t) == expected)
-            assert np.all(plant.field(x, float(u[0]), t) == expected)
+            assert np.all(plant.field(x.tolist(), u.tolist(), t) == expected)
 
     def test_suspension_disturbance_enters_wheel_only(self):
         p = SuspensionParams(**SUSPENSION_TRUE)
@@ -246,13 +310,13 @@ class TestPlantModels:
             )
             g = np.array([[0.0], [0.0], [1.0 / p.m1], [-1.0 / p.m2]])
             road_gain = np.array([0.0, 0.0, 0.0, p.k2 / p.m2])
-            assert np.all(flat.field(x, u, t) == f + g @ u)
-            assert np.all(bump.field(x, u, t) == f + g @ u + road_gain * (0.02 * t))
-            assert np.all(bump.field(x, float(u[0]), t) == bump.field(x, u, t))
-            assert np.all(bump.field(x, u, t)[:3] == flat.field(x, u, t)[:3])
-            assert bump.field(x, u, t)[3] != flat.field(x, u, t)[3]
+            xs, us = x.tolist(), u.tolist()
+            assert np.all(flat.field(xs, us, t) == f + g @ u)
+            assert np.all(bump.field(xs, us, t) == f + g @ u + road_gain * (0.02 * t))
+            assert bump.field(xs, us, t)[:3] == flat.field(xs, us, t)[:3]
+            assert bump.field(xs, us, t)[3] != flat.field(xs, us, t)[3]
         # a road at zero height is the flat road
-        assert np.all(bump.field(x, u, 0.0) == flat.field(x, u, 0.0))
+        assert bump.field(xs, us, 0.0) == flat.field(xs, us, 0.0)
 
     def test_synthetic_zero_mismatch(self):
         plant = make_synthetic_plant(0.0)
@@ -260,4 +324,16 @@ class TestPlantModels:
         for _ in range(10):
             x = rng.normal(size=2)
             u = rng.normal(size=1)
-            assert np.all(plant.field(x, u, 0.0) == np.array([x[1], u[0]]))
+            assert np.all(plant.field(x.tolist(), u.tolist(), 0.0) == np.array([x[1], u[0]]))
+
+    def test_synthetic_mismatch_matches_numpy_square(self):
+        rng = np.random.default_rng(4)
+        for mismatch in (0.3, -1.7):
+            plant = make_synthetic_plant(mismatch)
+            oracle = synthetic_field_numpy(mismatch)
+            for _ in range(200):
+                x = rng.normal(scale=10.0 ** rng.uniform(-3, 3), size=2)
+                u = rng.normal(size=1)
+                assert plant.field(x.tolist(), u.tolist(), 0.0) == tuple(oracle(x, u, 0.0).tolist())
+        # past sqrt(max float) x1 * x1 overflows to inf, as numpy's square does, instead of raising
+        assert make_synthetic_plant(1.0).field([1e200, 0.0], [0.0], 0.0)[1] == math.inf

@@ -398,6 +398,15 @@ class TestFeasibilitySufficient:
         certified, eig = feasibility_sufficient(np.array([[0.25 - 1.0]]))
         assert certified and eig == pytest.approx(-0.75)
 
+    def test_scalar_equals_eigvalsh_bitwise(self):
+        rng = np.random.default_rng(10)
+        values = rng.choice([-1.0, 1.0], size=2000) * 10.0 ** rng.uniform(-300, 300, size=2000)
+        for s in np.concatenate((values, [0.0, -0.0, -1e-10, 1e-10])):
+            S3 = np.array([[s]])
+            certified, eig = feasibility_sufficient(S3)
+            assert repr(eig) == repr(float(np.linalg.eigvalsh(0.5 * (S3 + S3.T))[-1]))  # sign of zero too
+            assert certified == (eig < -1e-10)
+
     def test_zero_actuation_not_certified(self):
         A = np.array([[0.5], [0.2]])
         S3 = A.T @ A  # c = 0
