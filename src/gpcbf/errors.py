@@ -21,9 +21,5 @@ class FactorizationError(GpcbfError, ValueError):
     """Matrix square-root factorization of a non-PD input."""
 
 
-class RiccatiError(GpcbfError, RuntimeError):
-    """The algebraic Riccati solve did not reach the residual target."""
-
-
 class ConfigError(GpcbfError, ValueError):
     """Experiment configuration failed validation."""

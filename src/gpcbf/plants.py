@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from scipy.linalg import solve_continuous_are
 
 from .barrier import HocbfDesign, halfspace_qp_filter
-from .errors import RiccatiError
 
 # Parameter sets as reported for the two case studies.
 ACC_NOMINAL = dict(m=825.0, f0=0.1, f1=5.0, f2=0.25, v0=16.0)
@@ -218,41 +218,18 @@ def rk4_step(field, x, u, t: float, dt: float, substeps: int = 1) -> list:
     return states
 
 
-def lqr_gain(A, B, Q, R, residual_tol: float = 1e-9, max_iter: int = 100):
+def lqr_gain(A, B, Q, R):
     """Continuous-time LQR gain K = R^{-1} B^T P.
 
-    P solves A^T P + P A - P B R^{-1} B^T P + Q = 0, computed from the stable
-    invariant subspace of the Hamiltonian via the (doubling-type) matrix sign
-    iteration with determinant scaling.
+    P solves the algebraic Riccati equation
+    A^T P + P A - P B R^{-1} B^T P + Q = 0 (scipy's Schur-method solver).
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.asarray(B, dtype=float).reshape(A.shape[0], -1)
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
     R = np.atleast_2d(np.asarray(R, dtype=float))
-    n = A.shape[0]
-    Rinv = np.linalg.inv(R)
-    Gm = B @ Rinv @ B.T
-    H = np.block([[A, -Gm], [-Q, -A.T]])
-
-    S = H.copy()
-    for _ in range(max_iter):
-        det = abs(float(np.linalg.det(S)))
-        c = det ** (1.0 / (2 * n)) if det > 0.0 else 1.0
-        S_next = 0.5 * (S / c + c * np.linalg.inv(S))
-        if np.linalg.norm(S_next - S) <= 1e-14 * max(1.0, np.linalg.norm(S)):
-            S = S_next
-            break
-        S = S_next
-    W = S + np.eye(2 * n)
-    # Stable subspace is the graph of P: [W12; W22] P = -[W11; W21].
-    lhs = np.vstack((W[:n, n:], W[n:, n:]))
-    rhs = -np.vstack((W[:n, :n], W[n:, :n]))
-    P, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
-    P = 0.5 * (P + P.T)
-    residual = A.T @ P + P @ A - P @ Gm @ P + Q
-    if np.linalg.norm(residual) > residual_tol * max(1.0, np.linalg.norm(Q)):
-        raise RiccatiError(f"Riccati residual {np.linalg.norm(residual):.2e} above tolerance")
-    K = Rinv @ B.T @ P
+    P = solve_continuous_are(A, B, Q, R)
+    K = np.linalg.solve(R, B.T @ P)
     return K, P
 
 
