@@ -188,13 +188,14 @@ def rk4_step(field, x, u, t: float, dt: float, substeps: int = 1) -> list:
 
     Takes substeps steps of dt from (x, t) on Python floats and returns the
     state after each one as a tuple of floats.  The list stops before the
-    first non-finite state, so a short list means the state diverged.  Each
-    operation keeps the order of the vectorised formula
-    x + (dt/6) (k1 + 2 k2 + 2 k3 + k4), and t advances by t = t + dt per
-    step, so the states match it bit for bit.
+    first non-finite state, so a short list means the state diverged.  Every
+    operation follows the left-to-right order of
+    x + (dt/6) (k1 + 2 k2 + 2 k3 + k4), with t advanced by t = t + dt per
+    step, so the states equal that formula evaluated elementwise in numpy,
+    bit for bit.
     """
-    x = tuple(np.asarray(x, dtype=float).ravel().tolist())
-    u = tuple(np.asarray(u, dtype=float).ravel().tolist())
+    x = np.asarray(x, dtype=float).ravel().tolist()
+    u = np.asarray(u, dtype=float).ravel().tolist()
     half = 0.5 * dt
     sixth = dt / 6.0
     isfinite = math.isfinite

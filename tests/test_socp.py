@@ -404,7 +404,8 @@ class TestFeasibilitySufficient:
         for s in np.concatenate((values, [0.0, -0.0, -1e-10, 1e-10])):
             S3 = np.array([[s]])
             certified, eig = feasibility_sufficient(S3)
-            assert repr(eig) == repr(float(np.linalg.eigvalsh(0.5 * (S3 + S3.T))[-1]))  # sign of zero too
+            expected = float(np.linalg.eigvalsh(0.5 * (S3 + S3.T))[-1])
+            assert repr(eig) == repr(expected)  # the sign of zero too
             assert certified == (eig < -1e-10)
 
     def test_zero_actuation_not_certified(self):
