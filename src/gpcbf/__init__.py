@@ -21,8 +21,6 @@ from .gp import (
     BaseKernelParams,
     CompositeGpModel,
     ResidualDataset,
-    base_kernel,
-    composite_kernel,
     fit,
     load_dataset_csv,
     posterior_coefficients,

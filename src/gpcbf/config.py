@@ -35,7 +35,7 @@ class HocbfConfig:
 class GpConfig:
     signal_variances: list = field(default_factory=lambda: [4.0, 0.25, 1e-7])
     lengthscales: list = field(default_factory=lambda: [8.0, 40.0])
-    noise_variance: Optional[float] = 1e-4  # null -> roughness estimate
+    noise_variance: float = 1e-4  # label noise variance of every fit; a number >= 0
 
 
 @dataclass
@@ -92,23 +92,41 @@ class ExperimentConfig:
     output: OutputConfig = field(default_factory=OutputConfig)
 
     def validate(self) -> "ExperimentConfig":
-        if self.plant not in ("acc", "suspension", "synthetic"):
+        from .plants import STATE_DIMENSION
+
+        if self.plant not in STATE_DIMENSION:
             raise ConfigError(f"unknown plant {self.plant!r}")
+        n = STATE_DIMENSION[self.plant]
         gains = self.hocbf.resolve_gains()
         if any(g <= 0 for g in gains):
             raise ConfigError("barrier gains must be positive")
-        if len(self.gp.signal_variances) != len(gains) + 1:
-            raise ConfigError(
-                f"gp.signal_variances must have {len(gains) + 1} entries (m + r)"
-            )
+        q = len(gains) + 1
+        if len(self.gp.signal_variances) != q:
+            raise ConfigError(f"gp.signal_variances must have {q} entries (m + r)")
         if any(v <= 0 for v in self.gp.signal_variances):
             raise ConfigError("signal variances must be positive")
-        if self.gp.noise_variance is not None and self.gp.noise_variance < 0:
-            raise ConfigError("noise variance must be non-negative")
+        ells = self.gp.lengthscales
+        per_coord = bool(ells) and isinstance(ells[0], (list, tuple))
+        rows = ells if per_coord else [ells]
+        if (per_coord and len(ells) != q) or any(len(row) != n for row in rows):
+            raise ConfigError(
+                f"gp.lengthscales must be {n} numbers, or {q} lists of {n} numbers"
+            )
+        if any(ell <= 0 for row in rows for ell in row):
+            raise ConfigError("lengthscales must be positive")
+        if self.gp.noise_variance is None or self.gp.noise_variance < 0:
+            raise ConfigError("gp.noise_variance must be a non-negative number")
         if self.filter.beta < 0:
             raise ConfigError("filter.beta must be non-negative")
         if self.sim.dt <= 0 or self.sim.control_period < self.sim.dt:
             raise ConfigError("need 0 < sim.dt <= sim.control_period")
+        substeps = self.sim.control_period / self.sim.dt
+        if abs(substeps - round(substeps)) > 1e-9 * substeps:
+            raise ConfigError("sim.control_period must be a whole multiple of sim.dt")
+        if len(self.sim.x0) != n:
+            raise ConfigError(f"sim.x0 must have {n} entries for plant {self.plant}")
+        if self.plant == "synthetic" and len(self.controller.target) != n:
+            raise ConfigError(f"controller.target must have {n} entries")
         if self.sim.horizon < 0:
             raise ConfigError("sim.horizon must be non-negative")
         if self.episodic.max_episodes < 1:

@@ -255,21 +255,6 @@ def label_episode(
     return rows
 
 
-def estimate_noise_variance(z: np.ndarray, floor: float = 1e-6) -> float:
-    """Noise floor from the local roughness of the label sequence.
-
-    Central-difference truncation and control switching both make labels
-    deviate from a smooth trend; half the median squared second difference
-    estimates that spread.  Falls back to the floor for short label sets.
-    """
-    z = np.asarray(z, dtype=float)
-    if z.size < 5:
-        return floor
-    second = z[2:] - 2.0 * z[1:-1] + z[:-2]
-    est = 0.5 * float(np.median(second * second))
-    return max(floor, est)
-
-
 def make_nominal_qp_controller(design: HocbfDesign, u_nom_fn: Callable) -> Callable:
     """Min-norm QP filter on the design's own certificate (closed form)."""
 
@@ -337,15 +322,15 @@ def episodic_train(
     control_period: float = 1e-2,
     max_episodes: int = 6,
     label_stride: int = 5,
-    noise_variance: Optional[float] = None,
+    noise_variance: float = 1e-4,
 ) -> TrainResult:
     """Run-collect-retrain until an episode completes without violation.
 
     Episode 1 runs the nominal QP filter; later episodes run the cone filter
     with the model refit on all data so far.  Violating (or aborted) episodes
-    contribute labels; the first clean episode ends the loop.  Every fit walks
-    the default jitter schedule, and every cone projection uses the default
-    tolerance 1e-8.
+    contribute labels; the first clean episode ends the loop.  Every fit uses
+    the label noise variance ``noise_variance`` and walks the default jitter
+    schedule, and every cone projection uses the default tolerance 1e-8.
     """
     q = design.m + design.r
     if len(kernel_params) != q:
@@ -382,13 +367,11 @@ def episodic_train(
             xs.append(x)
             ys.append(y)
             zs.append(z)
-        zarr = np.asarray(zs)
-        sn2 = noise_variance if noise_variance is not None else estimate_noise_variance(zarr)
         dataset = ResidualDataset(
             X=np.asarray(xs).reshape(-1, plant.n),
             Y=np.asarray(ys).reshape(-1, q),
-            z=zarr,
-            noise_variance=sn2,
+            z=np.asarray(zs),
+            noise_variance=noise_variance,
         )
         model = fit(dataset, kernel_params)
     return TrainResult(model=model, episodes=episodes, dataset=model.dataset, succeeded=succeeded)

@@ -80,15 +80,12 @@ def build_scenario(cfg: ExperimentConfig) -> Scenario:
     else:
         raise ValueError(f"unknown plant {cfg.plant!r}")
 
-    n = plant.n
     ells = cfg.gp.lengthscales
     per_coord = isinstance(ells[0], (list, tuple))
-    kernel_params = []
-    for i, sf2 in enumerate(cfg.gp.signal_variances):
-        ell = np.asarray(ells[i] if per_coord else ells, dtype=float)
-        if ell.size != n:
-            raise ValueError(f"lengthscales must have {n} entries per coordinate")
-        kernel_params.append(BaseKernelParams(float(sf2), ell))
+    kernel_params = [
+        BaseKernelParams(float(sf2), np.asarray(ells[i] if per_coord else ells, dtype=float))
+        for i, sf2 in enumerate(cfg.gp.signal_variances)
+    ]
     return Scenario(plant, design_nom, design_true, u_nom, kernel_params)
 
 

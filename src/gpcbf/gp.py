@@ -21,7 +21,6 @@ the base-kernel vector at (x*, x_j) scaled elementwise by y_j.
 """
 
 import csv
-import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -50,26 +49,6 @@ class BaseKernelParams:
             raise ValueError("signal variance and lengthscales must be positive")
         object.__setattr__(self, "lengthscales", ell)
         object.__setattr__(self, "signal_variance", float(self.signal_variance))
-
-
-def base_kernel(x, x2, params: BaseKernelParams) -> float:
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    x2 = np.atleast_1d(np.asarray(x2, dtype=float))
-    ell = params.lengthscales
-    if x.shape != x2.shape or x.size != ell.size:
-        raise ValueError(f"dimension mismatch: {x.shape}, {x2.shape}, {ell.size} lengthscales")
-    d = (x - x2) / ell
-    return params.signal_variance * math.exp(-0.5 * float(d @ d))
-
-
-def composite_kernel(x, y, x2, y2, params: Sequence[BaseKernelParams]) -> float:
-    """y^T diag(k_1(x,x'), ..., k_q(x,x')) y' for q = m + r base kernels."""
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    y2 = np.atleast_1d(np.asarray(y2, dtype=float))
-    if y.size != len(params) or y2.size != len(params):
-        raise ValueError(f"regressor length {y.size} != {len(params)} base kernels")
-    lam = np.array([base_kernel(x, x2, p) for p in params])
-    return float(y @ (lam * y2))
 
 
 @dataclass(frozen=True)
@@ -190,15 +169,10 @@ class CompositeGpModel:
 
 def _stacked_params(params: Sequence[BaseKernelParams], n: int):
     sf2 = np.array([p.signal_variance for p in params])
-    ells = []
     for p in params:
-        ell = p.lengthscales
-        if ell.size == 1:
-            ell = np.full(n, ell[0])
-        elif ell.size != n:
-            raise ValueError(f"lengthscale length {ell.size} != state dimension {n}")
-        ells.append(ell)
-    inv_ell2 = 1.0 / np.asarray(ells) ** 2
+        if p.lengthscales.size != n:
+            raise ValueError(f"lengthscale length {p.lengthscales.size} != state dimension {n}")
+    inv_ell2 = 1.0 / np.asarray([p.lengthscales for p in params]) ** 2
     return sf2, np.ascontiguousarray(inv_ell2)
 
 

@@ -25,6 +25,9 @@ ACC_TRUE = dict(m=3300.0, f0=0.2, f1=10.0, f2=0.5, v0=14.0)
 SUSPENSION_NOMINAL = dict(m1=300.0, m2=60.0, k1=16e3, k2=190e3, b=1e3)
 SUSPENSION_TRUE = dict(m1=675.0, m2=135.0, k1=36e3, k2=427.5e3, b=2.25e3)
 
+# State dimension n of each plant, by config name.
+STATE_DIMENSION = {"acc": 2, "suspension": 4, "synthetic": 2}
+
 
 @dataclass(frozen=True)
 class AccParams:
@@ -96,7 +99,9 @@ class PlantModel:
 
 def make_acc_plant(params: dict = ACC_TRUE) -> PlantModel:
     p = AccParams(**params)
-    return PlantModel(name="acc", n=2, m=1, field=lambda x, u, t: acc_dynamics(x, u[0], p))
+    return PlantModel(
+        name="acc", n=STATE_DIMENSION["acc"], m=1, field=lambda x, u, t: acc_dynamics(x, u[0], p)
+    )
 
 
 def make_suspension_plant(
@@ -108,7 +113,7 @@ def make_suspension_plant(
     def field(x, u, t):
         return suspension_dynamics(x, u[0], road(t) if road is not None else 0.0, p)
 
-    return PlantModel(name="suspension", n=4, m=1, field=field)
+    return PlantModel(name="suspension", n=STATE_DIMENSION["suspension"], m=1, field=field)
 
 
 def make_synthetic_plant(mismatch: float = 0.0) -> PlantModel:
@@ -118,7 +123,7 @@ def make_synthetic_plant(mismatch: float = 0.0) -> PlantModel:
         x0 = x[0]  # x0 * x0, not x0 ** 2: float ** raises OverflowError where * gives inf
         return (x[1], mismatch * (1.0 + 0.5 * (x0 * x0)) + u[0])
 
-    return PlantModel(name="synthetic", n=2, m=1, field=field)
+    return PlantModel(name="synthetic", n=STATE_DIMENSION["synthetic"], m=1, field=field)
 
 
 # ---------------------------------------------------------------------------

@@ -97,8 +97,10 @@ class SafetyConeData:
     """Per-step cone constraint |A u + b| <= c u + d; rebuilt every step.
 
     ``factor`` is the upper Cholesky factor of Sigma that cone assembly took,
-    kept for the feasibility diagnostics; None when beta = 0 or when the
-    cone was written by hand.
+    kept for the necessary condition; None when beta = 0 or when the cone
+    was written by hand.  ``S3`` = A^T A - c c^T is formed once, by
+    :func:`build_S`, for every cone: it is the quadric's matrix H in
+    :func:`solve` and the matrix of the sufficient condition.
     """
 
     A: np.ndarray  # (m + r, m)
@@ -106,6 +108,10 @@ class SafetyConeData:
     c: np.ndarray  # (m,)
     d: float
     factor: Optional[np.ndarray] = None
+    S3: np.ndarray = field(init=False, repr=False)  # (m, m)
+
+    def __post_init__(self):
+        object.__setattr__(self, "S3", build_S(self.c, self.A.T @ self.A, 1.0))
 
     @property
     def degenerate(self) -> bool:
@@ -154,8 +160,9 @@ def assemble_safety_cone(
 def build_S(phi: np.ndarray, sigma: np.ndarray, beta: float) -> np.ndarray:
     """Feasibility test matrix S = beta^2 Sigma - phi^T phi, symmetrized.
 
-    phi is the effective certificate row from :func:`effective_phi`; the
-    trailing m x m block S3 is the cone's A^T A - c^T c.
+    phi is the effective certificate row from :func:`effective_phi`.  Every
+    cone forms its block S3 = A^T A - c c^T with this function, as
+    build_S(c, A^T A, 1): A^T A = beta^2 Sigma_mm and c = phi[r:].
     """
     phi = np.asarray(phi, dtype=float).reshape(-1)
     S = beta**2 * np.asarray(sigma, dtype=float) - np.outer(phi, phi)
@@ -252,13 +259,17 @@ def _project(cone: SafetyConeData, u_nom: np.ndarray, tol: float, margin: float)
             candidates = [halfspace_qp_filter(u_nom, cone.c, cone.d)]
         except InfeasibleConstraintError:
             candidates = []
-    elif u_nom.size == 1:
-        candidates = _scalar_candidates(cone, u_nom)
     else:
-        candidates, iterations = _secular_candidates(cone, u_nom)
+        # Q(u) = u^T S3 u + 2 g^T u + k = |A u + b|^2 - (c u + d)^2
+        A, b, c, d = cone.A, cone.b, cone.c, cone.d
+        g, k = A.T @ b - d * c, float(b @ b) - d * d
+        if u_nom.size == 1:
+            candidates = _scalar_candidates(cone, g, k, u_nom)
+        else:
+            candidates, iterations = _secular_candidates(cone, g, k, u_nom)
     found, steps = _nearest_feasible(cone, u_nom, candidates, tol)
     if found is None and not cone.degenerate:
-        found, more = _nearest_feasible(cone, u_nom, [_nearest_critical(cone, u_nom)], tol)
+        found, more = _nearest_feasible(cone, u_nom, [_nearest_critical(cone, g, u_nom)], tol)
         steps += more
     if found is None:
         return u_nom.copy(), STATUS_INFEASIBLE, iterations + steps, margin
@@ -266,22 +277,15 @@ def _project(cone: SafetyConeData, u_nom: np.ndarray, tol: float, margin: float)
     return u, STATUS_OPTIMAL, iterations + steps, margin
 
 
-def _quadric(cone: SafetyConeData):
-    """(H, g, k) with |A u + b|^2 - (c u + d)^2 = u^T H u + 2 g^T u + k."""
-    A, b, c, d = cone.A, cone.b, cone.c, cone.d
-    return A.T @ A - np.outer(c, c), A.T @ b - d * c, float(b @ b) - d * d
-
-
-def _nearest_critical(cone: SafetyConeData, u_nom: np.ndarray) -> np.ndarray:
-    """Nearest point with H u + g = 0 and c u + d >= 0.
+def _nearest_critical(cone: SafetyConeData, g: np.ndarray, u_nom: np.ndarray) -> np.ndarray:
+    """Nearest point with H u + g = 0 and c u + d >= 0, H = S3.
 
     With no root on the nappe, the projection lies where Q has no gradient:
     at an apex (A u + b = 0 = c u + d), or, when K has no interior, on the
     affine set H u + g = 0 where Q vanishes.  Points where c u + d < 0 are
     exchanged for the nearest one that also has c u + d = 0.
     """
-    c, d = cone.c, cone.d
-    H, g, _ = _quadric(cone)
+    H, c, d = cone.S3, cone.c, cone.d
     u = u_nom - np.linalg.lstsq(H, H @ u_nom + g, rcond=None)[0]
     if float(c @ u) + d < 0.0:
         M = np.vstack((H, c))
@@ -293,21 +297,18 @@ def _nearest_feasible(cone: SafetyConeData, u_nom: np.ndarray, candidates, tol: 
     """Polish each candidate; ((u, margin) of the nearest feasible one or None, steps)."""
     found, best, steps = None, math.inf, 0
     for cand in candidates:
-        cand, taken = _polish(cone, cand)
+        cand, taken, cand_margin, norm = _polish(cone, cand)
         steps += taken
-        cand_margin = cone_margin(cone, cand)
-        scale = max(1.0, float(np.linalg.norm(cone.A @ cand + cone.b)))
         dist = float(np.linalg.norm(cand - u_nom))
-        if cand_margin >= -tol * scale and dist < best:
+        if cand_margin >= -tol * max(1.0, norm) and dist < best:
             found, best = (cand, cand_margin), dist
     return found, steps
 
 
-def _scalar_candidates(cone: SafetyConeData, u_nom: np.ndarray) -> list:
+def _scalar_candidates(cone: SafetyConeData, g: np.ndarray, k: float, u_nom: np.ndarray) -> list:
     """m = 1: the root of Q on the branch c u + d >= 0 nearest u_nom, if any."""
     c, d = float(cone.c[0]), cone.d
-    H, g, k = _quadric(cone)
-    H, g = float(H[0, 0]), float(g[0])
+    H, g = float(cone.S3[0, 0]), float(g[0])
     # Roots of H u^2 + 2 g u + k without cancellation: q / H and k / q.
     disc = g * g - H * k
     if disc < 0.0:
@@ -322,7 +323,7 @@ def _scalar_candidates(cone: SafetyConeData, u_nom: np.ndarray) -> list:
     return [] if best is None else [np.array([best])]
 
 
-def _secular_candidates(cone: SafetyConeData, u_nom: np.ndarray):
+def _secular_candidates(cone: SafetyConeData, g: np.ndarray, k: float, u_nom: np.ndarray):
     """m >= 2: candidate projections from the secular equation; (list, iterations).
 
     Any u(lam) with lam >= 0, Q(u(lam)) = 0 and c u(lam) + d > 0 meets the
@@ -333,8 +334,7 @@ def _secular_candidates(cone: SafetyConeData, u_nom: np.ndarray):
     c u + d > 0.
     """
     A, b, c, d = cone.A, cone.b, cone.c, cone.d
-    H, g, k = _quadric(cone)
-    h, V = np.linalg.eigh(H)  # only h[0] can be negative, so only it makes a pole
+    h, V = np.linalg.eigh(cone.S3)  # only h[0] can be negative, so only it makes a pole
     h[np.abs(h) <= 8.0 * _EPS * float(np.sum(A * A) + c @ c)] = 0.0  # rounding noise
     w = V.T @ u_nom
     gam = V.T @ g
@@ -417,7 +417,10 @@ def _numerator(h, a2, q0, sign) -> np.ndarray:
 
 
 def _polish(cone: SafetyConeData, u: np.ndarray):
-    """Newton steps on the cone margin along its gradient; (u, steps taken)."""
+    """Newton steps on the cone margin along its gradient.
+
+    Returns (u, steps taken, cone margin at u, |A u + b|).
+    """
     A, b, c, d = cone.A, cone.b, cone.c, cone.d
     res = A @ u + b
     s = float(np.linalg.norm(res))
@@ -436,7 +439,7 @@ def _polish(cone: SafetyConeData, u: np.ndarray):
             break
         u, res, s, t = u_new, res_new, s_new, t_new
         steps += 1
-    return u, steps
+    return u, steps, t - s, s
 
 
 def safety_filter_step(
@@ -457,16 +460,16 @@ def safety_filter_step(
     from :func:`solve`, the feasibility values ``necessary_value``,
     ``sufficient_eig`` and ``sufficient_certified``, and ``sigma``, the
     posterior std sqrt(y^T Sigma y) at y = [gamma; u] for the returned u.
+    The sufficient condition reads the cone's S3, the matrix of the quadric
+    that the projection solves.
     """
     gamma = np.asarray(gamma, dtype=float)
     cone = assemble_safety_cone(cert, mu, sigma, beta, gamma)
-    phi = effective_phi(cert, mu)
     if beta > 0.0:
-        necessary = _necessary_from_factor(phi, cone.factor, beta)
+        necessary = _necessary_from_factor(effective_phi(cert, mu), cone.factor, beta)
     else:
         necessary = -math.inf
-    r = gamma.size
-    certified, max_eig = feasibility_sufficient(build_S(phi[r:], sigma[r:, r:], beta))
+    certified, max_eig = feasibility_sufficient(cone.S3)
 
     outcome = solve(u_nom, cone, tol=tol)
     if outcome.status != STATUS_OPTIMAL:

@@ -235,7 +235,7 @@ def _benchmark_filter_states(plant_name: str, rng: np.random.Generator, n_states
     X = np.array([r[0] for r in rows])
     Y = np.array([r[1] for r in rows])
     Z = np.array([r[2] for r in rows])
-    dataset = ResidualDataset(X=X, Y=Y, z=Z, noise_variance=cfg.gp.noise_variance or 1e-4)
+    dataset = ResidualDataset(X=X, Y=Y, z=Z, noise_variance=cfg.gp.noise_variance)
     model = fit(dataset, sc.kernel_params)
     prior = fit(
         ResidualDataset(

@@ -75,15 +75,20 @@ class TestCli:
         assert cli.main(["run", "/nonexistent/config.yaml"]) == 2
 
     @pytest.mark.parametrize(
-        "section",
+        "plant, section",
         [
-            "gp:\n  bogus_key: 1",
-            "filter:\n  delta: 0.05",
-            "filter:\n  soft_weight: 10",
-            "filter:\n  solver_max_iter: 100",
-            "sim:\n  seed: 0",
-            "filter:\n  solver_tol: 1.0e-8",
-            "gp:\n  jitter_schedule: [0.0]",
+            ("acc", "gp:\n  bogus_key: 1"),
+            ("acc", "filter:\n  delta: 0.05"),
+            ("acc", "filter:\n  soft_weight: 10"),
+            ("acc", "filter:\n  solver_max_iter: 100"),
+            ("acc", "sim:\n  seed: 0"),
+            ("acc", "filter:\n  solver_tol: 1.0e-8"),
+            ("acc", "gp:\n  jitter_schedule: [0.0]"),
+            ("acc", "gp:\n  noise_variance: null"),
+            ("acc", "sim:\n  x0: [20.0, 100.0, 0.0]"),
+            ("acc", "gp:\n  lengthscales: [8.0, 40.0, 1.0]"),
+            ("synthetic", "controller:\n  target: [1.5, 0.0, 0.0]"),
+            ("acc", "sim:\n  dt: 0.003\n  control_period: 0.01"),
         ],
         ids=[
             "gp-bogus_key",
@@ -93,11 +98,16 @@ class TestCli:
             "sim-seed",
             "filter-solver_tol",
             "gp-jitter_schedule",
+            "gp-noise_variance_null",
+            "sim-x0_length",
+            "gp-lengthscales_length",
+            "controller-target_length",
+            "sim-control_period_not_multiple_of_dt",
         ],
     )
-    def test_run_invalid_config_exits_2(self, section, tmp_path, capsys):
+    def test_run_invalid_config_exits_2(self, plant, section, tmp_path, capsys):
         path = tmp_path / "bad.yaml"
-        path.write_text(f"plant: acc\n{section}\n")
+        path.write_text(f"plant: {plant}\n{section}\n")
         assert cli.main(["run", str(path)]) == 2
 
     def test_validate_reports_json(self, capsys):

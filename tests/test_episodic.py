@@ -12,7 +12,6 @@ from gpcbf.episodic import (
     TERM_VIOLATION,
     EpisodeLog,
     episodic_train,
-    estimate_noise_variance,
     fd_derivative,
     label_episode,
     label_window,
@@ -323,9 +322,3 @@ class TestEpisodeCsv:
         header = path.read_text().splitlines()[0].split(",")
         assert header[-2:] == ["solve_iterations", "cone_margin"]
 
-
-def test_noise_estimate_has_floor():
-    assert estimate_noise_variance(np.zeros(3)) == 1e-6
-    assert estimate_noise_variance(np.linspace(0, 1, 50)) == 1e-6
-    noisy = np.linspace(0, 1, 200) + 0.05 * np.sin(np.arange(200) * 2.1)
-    assert estimate_noise_variance(noisy) > 1e-4

@@ -14,8 +14,6 @@ from gpcbf.gp import (
     _cross_kbar,
     _gram_composite,
     _stacked_params,
-    base_kernel,
-    composite_kernel,
     fit,
     load_dataset_csv,
     posterior_coefficients,
@@ -39,23 +37,46 @@ def _random_params(rng, q, n):
     ]
 
 
+def _cross_value(x, y, x2, y2, params):
+    """k_c((x, y), (x2, y2)) as the y-weighted column of the cross-kernel assembly."""
+    x = np.asarray(x, dtype=float)
+    sf2, inv_ell2 = _stacked_params(params, x.size)
+    kbar = _cross_kbar(np.array([x2], dtype=float), np.array([y2], dtype=float), x, sf2, inv_ell2)
+    return float(np.asarray(y, dtype=float) @ kbar[:, 0])
+
+
+def _gram(X, Y, params):
+    X = np.asarray(X, dtype=float)
+    sf2, inv_ell2 = _stacked_params(params, X.shape[1])
+    return _gram_composite(X, np.asarray(Y, dtype=float), sf2, inv_ell2)
+
+
 class TestBaseKernel:
+    """One base kernel (q = 1, y = 1) through the vectorized assembly."""
+
     def test_zero_distance_gives_signal_variance(self):
         p = BaseKernelParams(2.5, np.array([1.0, 3.0]))
-        assert base_kernel([0.4, -1.0], [0.4, -1.0], p) == pytest.approx(2.5)
+        K = _gram([[0.4, -1.0], [0.4, -1.0]], [[1.0], [1.0]], [p])
+        np.testing.assert_array_equal(K, np.full((2, 2), 2.5))
 
     def test_unit_distance(self):
         p = BaseKernelParams(1.0, np.array([1.0]))
-        assert base_kernel([0.0], [1.0], p) == pytest.approx(math.exp(-0.5))
+        assert _cross_value([0.0], [1.0], [1.0], [1.0], [p]) == pytest.approx(math.exp(-0.5))
 
     def test_two_lengthscales_distance(self):
         p = BaseKernelParams(1.0, np.array([1.0]))
-        assert base_kernel([0.0], [2.0], p) == pytest.approx(math.exp(-2.0))
+        assert _cross_value([0.0], [1.0], [2.0], [1.0], [p]) == pytest.approx(math.exp(-2.0))
 
     def test_dimension_mismatch(self):
         p = BaseKernelParams(1.0, np.array([1.0, 1.0]))
         with pytest.raises(ValueError):
-            base_kernel([0.0], [1.0], p)
+            _stacked_params([p], 1)
+
+    def test_one_lengthscale_not_broadcast(self):
+        # A kernel on a two-dimensional state needs two lengthscales.
+        p = BaseKernelParams(1.0, np.array([1.0]))
+        with pytest.raises(ValueError):
+            _stacked_params([p], 2)
 
     def test_rejects_nonpositive_params(self):
         with pytest.raises(ValueError):
@@ -65,23 +86,31 @@ class TestBaseKernel:
 
 
 class TestCompositeKernel:
+    """Properties of y^T Lambda(x, x') y' in the Gram and cross-kernel assembly."""
+
     def setup_method(self):
         rng = np.random.default_rng(0)
         self.params = _random_params(rng, 3, 2)
 
     def test_zero_regressor(self):
-        assert composite_kernel([0, 0], [0, 0, 0], [1, 1], [1, 2, 3], self.params) == 0.0
+        K = _gram([[0, 0], [1, 1]], [[0, 0, 0], [1, 2, 3]], self.params)
+        assert K[0, 0] == 0.0 and K[0, 1] == 0.0 and K[1, 0] == 0.0
+        assert _cross_value([0, 0], [0, 0, 0], [1, 1], [1, 2, 3], self.params) == 0.0
 
     def test_distinct_basis_vectors_orthogonal(self):
         e1 = [1.0, 0.0, 0.0]
         e2 = [0.0, 1.0, 0.0]
-        assert composite_kernel([0, 0], e1, [0, 0], e2, self.params) == 0.0
+        assert _gram([[0, 0], [0, 0]], [e1, e2], self.params)[0, 1] == 0.0
+        assert _cross_value([0, 0], e1, [0, 0], e2, self.params) == 0.0
 
-    def test_reduces_to_base_kernel(self):
+    def test_reduces_to_one_kernel(self):
         e1 = [1.0, 0.0, 0.0]
-        x = [0.3, -0.7]
-        val = composite_kernel(x, e1, x, e1, self.params)
-        assert val == pytest.approx(self.params[0].signal_variance)
+        x, x2 = [0.3, -0.7], [1.1, 0.4]
+        p = self.params[0]
+        K = _gram([x, x2], [e1, e1], self.params)
+        assert K[0, 0] == pytest.approx(p.signal_variance)
+        dist2 = float(np.sum(((np.array(x) - x2) / p.lengthscales) ** 2))
+        assert K[0, 1] == pytest.approx(p.signal_variance * math.exp(-0.5 * dist2), rel=1e-12)
 
     def test_matches_reference_implementation(self):
         rng = np.random.default_rng(1)
@@ -90,7 +119,7 @@ class TestCompositeKernel:
         for _ in range(20):
             x, x2 = rng.normal(size=2), rng.normal(size=2)
             y, y2 = rng.normal(size=3), rng.normal(size=3)
-            assert composite_kernel(x, y, x2, y2, self.params) == pytest.approx(
+            assert _cross_value(x, y, x2, y2, self.params) == pytest.approx(
                 composite_kernel_ref(x, y, x2, y2, sf2s, ells), rel=1e-12
             )
 
@@ -186,6 +215,9 @@ class TestPosterior:
         Lc = np.ascontiguousarray(model.factor)
         weights = solve_triangular(Lc.T, solve_triangular(Lc, ds.z, lower=True), lower=False)
         sf2, inv_ell2 = _stacked_params(params, 2)
+        sf2s = [p.signal_variance for p in params]
+        ells = [p.lengthscales for p in params]
+        eye = np.eye(3)
         for _ in range(20):
             xstar = rng.normal(size=2) * 2.0
             mu, sigma = posterior_coefficients(model, xstar)
@@ -193,7 +225,10 @@ class TestPosterior:
                 np.ascontiguousarray(ds.X), np.ascontiguousarray(ds.Y), xstar, sf2, inv_ell2
             )
             V = solve_triangular(Lc, kbar.T, lower=True)
-            ref = np.diag([base_kernel(xstar, xstar, p) for p in params]) - V.T @ V
+            lam = np.array(
+                [[composite_kernel_ref(xstar, e_s, xstar, e_t, sf2s, ells) for e_t in eye] for e_s in eye]
+            )
+            ref = lam - V.T @ V
             ref = 0.5 * (ref + ref.T) + SIGMA_JITTER * np.eye(3)
             mu_ref = kbar @ weights
             np.testing.assert_allclose(mu, mu_ref, rtol=0, atol=1e-12 * np.abs(mu_ref).max())

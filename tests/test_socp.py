@@ -91,6 +91,13 @@ class TestAssembleSafetyCone:
             lhs = np.linalg.norm(cone.A @ [u] + cone.b)
             assert lhs == pytest.approx(beta * np.sqrt(y @ sigma @ y), rel=1e-10)
 
+    def test_hand_written_cone_forms_S3(self):
+        # S3 = A^T A - c c^T: [[1, 0], [0, 4]] - [[1, 1], [1, 1]]
+        cone = SafetyConeData(
+            A=np.array([[1.0, 0.0], [0.0, 2.0]]), b=np.zeros(2), c=np.array([1.0, 1.0]), d=0.5
+        )
+        np.testing.assert_array_equal(cone.S3, [[0.0, -1.0], [-1.0, 3.0]])
+
 
 class TestEffectivePhi:
     def test_constant_folded_into_last_drift_entry(self):
@@ -296,6 +303,18 @@ class TestGeneralProjection:
                 assert out.status == STATUS_OPTIMAL
                 certified_feasible += 1
         assert certified_infeasible >= 20 and certified_feasible >= 20
+
+    def test_sufficient_eig_is_top_eigenvalue_of_cone_S3(self):
+        # The certificate reads the S3 of the quadric the projection solves.
+        rng = np.random.default_rng(17)
+        for i in range(180):
+            r, m = 2 + i % 3, 1 + (i // 3) % 3
+            cert, mu, sigma, beta, gamma = _random_filter_inputs(rng, r, m, beta_range=(0.2, 4.0))
+            cone = assemble_safety_cone(cert, mu, sigma, beta, gamma)
+            out = safety_filter_step(3.0 * rng.normal(size=m), cert, mu, sigma, beta, gamma)
+            top = float(np.linalg.eigvalsh(cone.S3)[-1])
+            assert repr(out.diagnostics["sufficient_eig"]) == repr(top)
+            assert out.diagnostics["sufficient_certified"] == (top < -1e-10)
 
     def test_necessary_value_from_factor_matches_dense_solve(self):
         rng = np.random.default_rng(16)
