@@ -7,6 +7,7 @@ level.  ``defaults(plant)`` returns the tuned benchmark configuration;
 """
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -94,6 +95,7 @@ class ExperimentConfig:
     def validate(self) -> "ExperimentConfig":
         from .plants import STATE_DIMENSION
 
+        _check_types(self, "")
         if self.plant not in STATE_DIMENSION:
             raise ConfigError(f"unknown plant {self.plant!r}")
         n = STATE_DIMENSION[self.plant]
@@ -106,22 +108,23 @@ class ExperimentConfig:
         if any(v <= 0 for v in self.gp.signal_variances):
             raise ConfigError("signal variances must be positive")
         ells = self.gp.lengthscales
-        per_coord = bool(ells) and isinstance(ells[0], (list, tuple))
+        per_coord = any(isinstance(ell, (list, tuple)) for ell in ells)
         rows = ells if per_coord else [ells]
-        if (per_coord and len(ells) != q) or any(len(row) != n for row in rows):
+        if (per_coord and len(ells) != q) or any(
+            not isinstance(row, (list, tuple)) or len(row) != n for row in rows
+        ):
             raise ConfigError(
                 f"gp.lengthscales must be {n} numbers, or {q} lists of {n} numbers"
             )
         if any(ell <= 0 for row in rows for ell in row):
             raise ConfigError("lengthscales must be positive")
-        if self.gp.noise_variance is None or self.gp.noise_variance < 0:
+        if self.gp.noise_variance < 0:
             raise ConfigError("gp.noise_variance must be a non-negative number")
         if self.filter.beta < 0:
             raise ConfigError("filter.beta must be non-negative")
         if self.sim.dt <= 0 or self.sim.control_period < self.sim.dt:
             raise ConfigError("need 0 < sim.dt <= sim.control_period")
-        substeps = self.sim.control_period / self.sim.dt
-        if abs(substeps - round(substeps)) > 1e-9 * substeps:
+        if not _whole_multiple(self.sim.control_period, self.sim.dt):
             raise ConfigError("sim.control_period must be a whole multiple of sim.dt")
         if len(self.sim.x0) != n:
             raise ConfigError(f"sim.x0 must have {n} entries for plant {self.plant}")
@@ -129,11 +132,62 @@ class ExperimentConfig:
             raise ConfigError(f"controller.target must have {n} entries")
         if self.sim.horizon < 0:
             raise ConfigError("sim.horizon must be non-negative")
+        if not _whole_multiple(self.sim.horizon, self.sim.control_period):
+            raise ConfigError("sim.horizon must be a whole multiple of sim.control_period")
         if self.episodic.max_episodes < 1:
             raise ConfigError("episodic.max_episodes must be at least 1")
         if self.episodic.label_stride < 1:
             raise ConfigError("episodic.label_stride must be at least 1")
         return self
+
+
+def _whole_multiple(a: float, b: float) -> bool:
+    """a / b is a whole number to 1e-9 relative."""
+    ratio = a / b
+    return abs(ratio - round(ratio)) <= 1e-9 * ratio
+
+
+def _finite_real(value) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
+def _check_numbers(key: str, values, nested: bool) -> None:
+    """Every entry is a finite real; nested allows one level of sub-lists."""
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError(f"{key} must be a list of numbers, got {values!r}")
+    for i, value in enumerate(values):
+        if nested and isinstance(value, (list, tuple)):
+            _check_numbers(f"{key}[{i}]", value, nested=False)
+        elif not _finite_real(value):
+            raise ConfigError(f"{key}[{i}] must be a finite number, got {value!r}")
+
+
+def _check_types(section, path: str) -> None:
+    """Check each field of a config section against its annotated type."""
+    for f in dataclasses.fields(section):
+        key = f"{path}{f.name}"
+        value = getattr(section, f.name)
+        if dataclasses.is_dataclass(f.type):
+            _check_types(value, f"{key}.")
+        elif f.type is bool:
+            if not isinstance(value, bool):
+                raise ConfigError(f"{key} must be true or false, got {value!r}")
+        elif f.type is int:
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{key} must be an integer, got {value!r}")
+        elif f.type is float:
+            if not _finite_real(value):
+                raise ConfigError(f"{key} must be a finite number, got {value!r}")
+        elif f.type is str:
+            if not isinstance(value, str):
+                raise ConfigError(f"{key} must be a string, got {value!r}")
+        elif value is not None or f.type is list:  # list or Optional[list]
+            _check_numbers(key, value, nested=key == "gp.lengthscales")
 
 
 def _build(cls, data, path):

@@ -26,6 +26,7 @@ from typing import Sequence
 
 import numpy as np
 from scipy.linalg import solve_triangular
+from scipy.linalg.blas import dtrsv
 
 from .errors import IllConditionedDataError
 
@@ -132,8 +133,11 @@ class CompositeGpModel:
     """Fitted residual model; immutable and safe for concurrent queries.
 
     The query invariants (stacked kernel parameters, contiguous X and Y, a
-    Fortran-ordered factor for LAPACK) are fixed when the model is built,
-    so a posterior query does no per-call preparation.
+    Fortran-ordered factor) are fixed when the model is built, so a
+    posterior query does no per-call preparation.  The factor is kept in
+    Fortran order because BLAS ``dtrsv`` reads it in place: f2py passes a
+    Fortran-ordered array without a copy, and the query's triangular solves
+    run on one thread.
     """
 
     dataset: ResidualDataset
@@ -235,6 +239,12 @@ def posterior_coefficients(model: CompositeGpModel, xstar) -> tuple[np.ndarray, 
     mean(x*, y*) = mu @ y* and var(x*, y*) = y* @ Sigma @ y*.  Sigma is
     symmetrized and floored by SIGMA_JITTER on the diagonal so downstream
     factorization succeeds.
+
+    L V = Kbar^T is solved one column at a time by forward substitution
+    (BLAS level-2 ``dtrsv`` on the stored factor), which OpenBLAS runs on
+    the calling thread.  The level-3 solve (``trsm``) hands even these
+    q-column solves to a second BLAS thread and wakes it on every query,
+    which made about 1.5% of queries take milliseconds.
     """
     xstar = np.atleast_1d(np.asarray(xstar, dtype=float))
     lam_star = model.prior_lambda(xstar)
@@ -243,7 +253,8 @@ def posterior_coefficients(model: CompositeGpModel, xstar) -> tuple[np.ndarray, 
         return np.zeros(q), lam_star + SIGMA_JITTER * np.eye(q)
     kbar = _cross_kbar(model.X, model.Y, xstar, model.sf2, model.inv_ell2)
     mu = kbar @ model.weights
-    V = solve_triangular(model.factor, kbar.T, lower=True)  # solves L V = Kbar^T
-    sigma = lam_star - V.T @ V
+    # Row t of Vt solves L v = Kbar[t], so Vt = V^T for L V = Kbar^T.
+    Vt = np.array([dtrsv(model.factor, row, lower=1) for row in kbar])
+    sigma = lam_star - Vt @ Vt.T
     sigma = 0.5 * (sigma + sigma.T) + SIGMA_JITTER * np.eye(q)
     return mu, sigma

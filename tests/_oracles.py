@@ -1,10 +1,13 @@
 """Independent oracles used by the tests.
 
 Everything here deliberately avoids the package's own code paths: symbolic
-Lie chains via sympy, a from-scratch stacked-input GP, a brute-force Riccati
+Lie chains via sympy, a from-scratch stacked-input GP, an exactly summed
+forward substitution for the posterior covariance, a brute-force Riccati
 ODE integrator, dense grid searches, and the vectorised numpy RK4 step with
 numpy plant fields that the float-based integrator must match bit for bit.
 """
+
+import math
 
 import numpy as np
 import sympy as sp
@@ -67,6 +70,24 @@ def stacked_gp_posterior(X, Y, z, noise_var, kernel_fn, xstar, ystar):
     mean = float(kbar @ sol_z)
     var = float(kernel_fn(xstar, ystar, xstar, ystar) - kbar @ sol_k)
     return mean, var
+
+
+def forward_substitution_fsum(L, b):
+    """Solve L v = b for lower-triangular L, summing each row with math.fsum."""
+    v = []
+    for i in range(len(b)):
+        row = math.fsum([b[i]] + [-L[i, j] * v[j] for j in range(i)])
+        v.append(row / L[i, i])
+    return v
+
+
+def posterior_sigma_fsum(L, kbar, lam):
+    """Sigma = Lambda - V^T V with L V = Kbar^T, every sum taken with math.fsum."""
+    V = [forward_substitution_fsum(L, row) for row in kbar]
+    q = len(V)
+    return np.array(
+        [[lam[s, t] - math.fsum(a * b for a, b in zip(V[s], V[t])) for t in range(q)] for s in range(q)]
+    )
 
 
 def ard_sq_exp(x, x2, sf2, ell):

@@ -75,20 +75,33 @@ class TestCli:
         assert cli.main(["run", "/nonexistent/config.yaml"]) == 2
 
     @pytest.mark.parametrize(
-        "plant, section",
+        "plant, section, key",
         [
-            ("acc", "gp:\n  bogus_key: 1"),
-            ("acc", "filter:\n  delta: 0.05"),
-            ("acc", "filter:\n  soft_weight: 10"),
-            ("acc", "filter:\n  solver_max_iter: 100"),
-            ("acc", "sim:\n  seed: 0"),
-            ("acc", "filter:\n  solver_tol: 1.0e-8"),
-            ("acc", "gp:\n  jitter_schedule: [0.0]"),
-            ("acc", "gp:\n  noise_variance: null"),
-            ("acc", "sim:\n  x0: [20.0, 100.0, 0.0]"),
-            ("acc", "gp:\n  lengthscales: [8.0, 40.0, 1.0]"),
-            ("synthetic", "controller:\n  target: [1.5, 0.0, 0.0]"),
-            ("acc", "sim:\n  dt: 0.003\n  control_period: 0.01"),
+            ("acc", "gp:\n  bogus_key: 1", "bogus_key"),
+            ("acc", "filter:\n  delta: 0.05", "delta"),
+            ("acc", "filter:\n  soft_weight: 10", "soft_weight"),
+            ("acc", "filter:\n  solver_max_iter: 100", "solver_max_iter"),
+            ("acc", "sim:\n  seed: 0", "seed"),
+            ("acc", "filter:\n  solver_tol: 1.0e-8", "solver_tol"),
+            ("acc", "gp:\n  jitter_schedule: [0.0]", "jitter_schedule"),
+            ("acc", "gp:\n  noise_variance: null", "gp.noise_variance"),
+            ("acc", "sim:\n  x0: [20.0, 100.0, 0.0]", "sim.x0"),
+            ("acc", "gp:\n  lengthscales: [8.0, 40.0, 1.0]", "gp.lengthscales"),
+            ("synthetic", "controller:\n  target: [1.5, 0.0, 0.0]", "controller.target"),
+            ("acc", "sim:\n  dt: 0.003\n  control_period: 0.01", "sim.control_period"),
+            # round(1.5) and round(2.5) both give 2 holds.
+            ("synthetic", "sim:\n  horizon: 0.015", "sim.horizon"),
+            ("synthetic", "sim:\n  horizon: 0.025", "sim.horizon"),
+            ("synthetic", "sim:\n  horizon: .inf", "sim.horizon"),
+            ("synthetic", "filter:\n  beta: .nan", "filter.beta"),
+            ("synthetic", "gp:\n  noise_variance: .nan", "gp.noise_variance"),
+            ("synthetic", "gp:\n  lengthscales: [.nan, 2.0]", "gp.lengthscales"),
+            ("synthetic", "gp:\n  signal_variances: [1.0, .nan, 1.0e-4]", "gp.signal_variances"),
+            ("synthetic", "sim:\n  x0: [.nan, 0.0]", "sim.x0"),
+            ("synthetic", "sim:\n  x0: [a, 0.0]", "sim.x0"),
+            ("synthetic", "episodic:\n  label_stride: 1.5", "episodic.label_stride"),
+            ("synthetic", "episodic:\n  max_episodes: 2.5", "episodic.max_episodes"),
+            ("synthetic", "filter:\n  trace: \"yes\"", "filter.trace"),
         ],
         ids=[
             "gp-bogus_key",
@@ -103,12 +116,25 @@ class TestCli:
             "gp-lengthscales_length",
             "controller-target_length",
             "sim-control_period_not_multiple_of_dt",
+            "sim-horizon_1.5_holds",
+            "sim-horizon_2.5_holds",
+            "sim-horizon_inf",
+            "filter-beta_nan",
+            "gp-noise_variance_nan",
+            "gp-lengthscales_nan",
+            "gp-signal_variances_nan",
+            "sim-x0_nan",
+            "sim-x0_string",
+            "episodic-label_stride_float",
+            "episodic-max_episodes_float",
+            "filter-trace_string",
         ],
     )
-    def test_run_invalid_config_exits_2(self, plant, section, tmp_path, capsys):
+    def test_run_invalid_config_exits_2(self, plant, section, key, tmp_path, capsys):
         path = tmp_path / "bad.yaml"
         path.write_text(f"plant: {plant}\n{section}\n")
         assert cli.main(["run", str(path)]) == 2
+        assert key in capsys.readouterr().err
 
     def test_validate_reports_json(self, capsys):
         rc = cli.main(["validate", "kernel", "--seed", "1"])

@@ -20,7 +20,7 @@ from gpcbf.gp import (
     save_dataset_csv,
 )
 
-from _oracles import composite_kernel_ref, stacked_gp_posterior
+from _oracles import composite_kernel_ref, posterior_sigma_fsum, stacked_gp_posterior
 
 
 def _random_dataset(rng, N, n=2, q=3, sn2=1e-3):
@@ -233,6 +233,41 @@ class TestPosterior:
             mu_ref = kbar @ weights
             np.testing.assert_allclose(mu, mu_ref, rtol=0, atol=1e-12 * np.abs(mu_ref).max())
             np.testing.assert_allclose(sigma, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+
+    def test_sigma_accurate_on_ill_conditioned_factor(self):
+        # Near-duplicate states along one trajectory, as in an ACC dataset
+        # (N = 87, a shared gamma block, noise 1e-4), give cond(L) of several
+        # thousand.  Forming L^{-1} explicitly loses about cond(L) eps here;
+        # forward substitution must stay within 1e-12 of the exact sums.
+        rng = np.random.default_rng(15)
+        N = 87
+        X = np.column_stack([np.linspace(20.0, 24.0, N), np.linspace(100.0, 60.0, N)])
+        X = X + 0.1 * rng.normal(size=(N, 2))
+        Y = np.column_stack([np.full(N, 4.0), np.ones(N), rng.uniform(-1.0, 1.0, size=N)])
+        ds = ResidualDataset(X=X, Y=Y, z=rng.normal(size=N), noise_variance=1e-4)
+        sf2s = [4.0, 0.25, 1e-7]
+        ells = [[8.0, 40.0]] * 3
+        model = fit(ds, [BaseKernelParams(sf2, np.array(ell)) for sf2, ell in zip(sf2s, ells)])
+        assert model.jitter == 0.0
+        assert np.linalg.cond(model.factor) >= 1e3
+        eye = np.eye(3)
+        for _ in range(5):
+            xstar = rng.uniform([20.0, 60.0], [24.0, 100.0])
+            _, sigma = posterior_coefficients(model, xstar)
+            kbar = np.array(
+                [[composite_kernel_ref(xstar, e_t, X[j], Y[j], sf2s, ells) for j in range(N)] for e_t in eye]
+            )
+            ref = posterior_sigma_fsum(model.factor, kbar, np.diag(sf2s)) + SIGMA_JITTER * eye
+            np.testing.assert_allclose(sigma, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+
+    def test_shapes_prior_only_and_four_kernels(self):
+        rng = np.random.default_rng(16)
+        empty = ResidualDataset(X=np.zeros((0, 2)), Y=np.zeros((0, 4)), z=np.zeros(0), noise_variance=1e-4)
+        prior = fit(empty, _random_params(rng, 4, 2))
+        four = fit(_random_dataset(rng, 12, q=4), _random_params(rng, 4, 2))  # r = 3, m = 1
+        for model in (prior, four):
+            mu, sigma = posterior_coefficients(model, rng.normal(size=2))
+            assert (mu.shape, sigma.shape) == ((4,), (4, 4))
 
     def test_scalar_sanity_vs_textbook_gp(self):
         # m + r = 1: composite GP with y = 1 is a plain GP on x
