@@ -1,8 +1,9 @@
 """Experiment configuration: a strict, nested YAML schema.
 
-Every run is driven by one config file.  Unknown keys are rejected so typos
-fail loudly, and parse -> serialize -> parse is the identity on the value
-level.  ``defaults(plant)`` returns the tuned benchmark configuration;
+Every run is driven by one config file, whose keys are laid over the
+defaults of the plant it names.  Unknown keys are rejected so typos fail
+loudly, and parse -> serialize -> parse is the identity on the value level.
+``defaults(plant)`` returns the tuned benchmark configuration;
 ``gpcbf print-defaults`` emits it as editable YAML.
 """
 
@@ -190,25 +191,35 @@ def _check_types(section, path: str) -> None:
             _check_numbers(key, value, nested=key == "gp.lengthscales")
 
 
-def _build(cls, data, path):
+def _build(base, data, path):
+    """A copy of the config section ``base`` with the keys of ``data`` laid over it."""
     if not isinstance(data, dict):
         raise ConfigError(f"{path or 'config'}: expected mapping, got {type(data).__name__}")
-    fields = {f.name: f for f in dataclasses.fields(cls)}
+    fields = {f.name: f for f in dataclasses.fields(base)}
     unknown = set(data) - set(fields)
     if unknown:
         raise ConfigError(f"{path or 'config'}: unknown keys {sorted(unknown)}")
     kwargs = {}
     for name, value in data.items():
-        ftype = fields[name].type
-        if dataclasses.is_dataclass(ftype):
-            kwargs[name] = _build(ftype, value, f"{path}.{name}" if path else name)
+        if dataclasses.is_dataclass(fields[name].type):
+            kwargs[name] = _build(getattr(base, name), value, f"{path}.{name}" if path else name)
         else:
             kwargs[name] = value
-    return cls(**kwargs)
+    return dataclasses.replace(base, **kwargs)
 
 
 def from_dict(data: dict) -> ExperimentConfig:
-    return _build(ExperimentConfig, data, "").validate()
+    """The file's keys laid over ``defaults(plant)`` for the plant it names (acc if none).
+
+    Barrier gains are given one way, so a file that sets one of
+    ``hocbf.gains`` and ``hocbf.char_coeffs`` clears the other.
+    """
+    if not isinstance(data, dict):
+        raise ConfigError(f"config: expected mapping, got {type(data).__name__}")
+    hocbf = data.get("hocbf")
+    if isinstance(hocbf, dict) and len({"gains", "char_coeffs"} & set(hocbf)) == 1:
+        data = {**data, "hocbf": {"gains": None, "char_coeffs": None, **hocbf}}
+    return _build(defaults(data.get("plant", "acc")), data, "").validate()
 
 
 def to_dict(cfg: ExperimentConfig) -> dict:
@@ -217,7 +228,10 @@ def to_dict(cfg: ExperimentConfig) -> dict:
 
 def load(path) -> ExperimentConfig:
     with open(path) as fh:
-        data = yaml.safe_load(fh)
+        try:
+            data = yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"{path}: not valid YAML: {exc}") from exc
     if data is None:
         data = {}
     return from_dict(data)

@@ -13,7 +13,6 @@ r control steps and labeling runs post-episode.  The training loop repeats
 run / label / refit until an episode finishes without a safety violation.
 """
 
-import csv
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -99,6 +98,14 @@ class EpisodeLog:
         return self.t.size
 
     def to_csv(self, path, trace: bool = False) -> None:
+        """Write the log as CSV, one row per logged step; ``trace`` adds the solver columns.
+
+        The bytes are those of ``csv.writer`` on f"{v:.17g}" strings: each row
+        is one ``%`` format, and '%.17g' % v formats a float by the same
+        shortest-repr routine at precision 17 as f"{v:.17g}".  No field needs
+        quoting, since the status words hold no comma, quote or line break.
+        An empty log keeps its header, without x and u columns.
+        """
         n = self.x.shape[1] if self.x.size else 0
         m = self.u.shape[1] if self.u.size else 0
         header = (
@@ -109,24 +116,26 @@ class EpisodeLog:
             + [f"zeta_{i}" for i in range(self.design_r)]
             + ["sigma", "status", "necessary_value", "sufficient_eig"]
         )
+        fields = ["%.17g"] * (n + m + self.design_r + 3) + ["%s", "%.17g", "%.17g"]
+        columns = [
+            self.t.tolist(),
+            *self.x.T.tolist(),
+            *self.u.T.tolist(),
+            self.h.tolist(),
+            *self.zeta.T.tolist(),
+            self.sigma.tolist(),
+            self.status,
+            self.necessary.tolist(),
+            self.sufficient.tolist(),
+        ]
         if trace:
             header += ["solve_iterations", "cone_margin"]
+            fields += ["%d", "%.17g"]
+            columns += [self.iterations.tolist(), self.cone_margin.tolist()]
+        row = ",".join(fields) + "\r\n"
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for k in range(len(self)):
-                row = (
-                    [f"{self.t[k]:.17g}"]
-                    + [f"{v:.17g}" for v in self.x[k]]
-                    + [f"{v:.17g}" for v in self.u[k]]
-                    + [f"{self.h[k]:.17g}"]
-                    + [f"{v:.17g}" for v in self.zeta[k]]
-                    + [f"{self.sigma[k]:.17g}", self.status[k]]
-                    + [f"{self.necessary[k]:.17g}", f"{self.sufficient[k]:.17g}"]
-                )
-                if trace:
-                    row += [str(int(self.iterations[k])), f"{self.cone_margin[k]:.17g}"]
-                writer.writerow(row)
+            fh.write(",".join(header) + "\r\n")
+            fh.writelines(row % values for values in zip(*columns))
 
 
 def _log_row(design: HocbfDesign, t: float, x: np.ndarray, u: np.ndarray, info: dict) -> tuple:

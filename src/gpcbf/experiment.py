@@ -14,6 +14,7 @@ files.
 
 import csv
 import os
+import shutil
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -181,8 +182,13 @@ def run_benchmark(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> Bench
         **common,
     )
     log_gp = finish_arm("gp", train.episodes[-1])
-    for i, ep in enumerate(train.episodes, start=1):
+    for i, ep in enumerate(train.episodes[:-1], start=1):
         ep.to_csv(os.path.join(out_dir, f"gp_episode_{i}.csv"), trace=cfg.filter.trace)
+    # The gp arm is the last training episode, so its CSV is that episode's.
+    shutil.copyfile(
+        os.path.join(out_dir, "gp.csv"),
+        os.path.join(out_dir, f"gp_episode_{len(train.episodes)}.csv"),
+    )
     save_dataset_csv(train.dataset, os.path.join(out_dir, "dataset.csv"))
 
     summary = []

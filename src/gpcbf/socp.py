@@ -55,7 +55,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.blas import dtrsv
+from scipy.linalg.lapack import dpotrf
 
 from .barrier import CertificateTerms, halfspace_qp_filter
 from .errors import FactorizationError, InfeasibleConstraintError
@@ -83,13 +84,19 @@ _MAX_POLISH = 3  # Newton steps per candidate; each roughly squares the error
 
 
 def matrix_sqrt_factor(sigma: np.ndarray) -> np.ndarray:
-    """Upper-triangular L with L^T L = sigma (Cholesky of an SPD matrix)."""
-    sigma = np.asarray(sigma, dtype=float)
-    try:
-        lower = np.linalg.cholesky(sigma)
-    except np.linalg.LinAlgError as exc:
-        raise FactorizationError(f"matrix is not positive definite: {exc}") from exc
-    return lower.T.copy()
+    """Upper-triangular L with L^T L = sigma (Cholesky of an SPD matrix).
+
+    One LAPACK ``dpotrf`` call on sigma's upper triangle; ``clean=1`` zeroes
+    the strict lower triangle, and L comes back in Fortran order, the layout
+    in which BLAS ``dtrsv`` reads it in :func:`_necessary_from_factor`.
+    ``info`` flags a non-positive pivot, but OpenBLAS lets a NaN pivot pass.
+    A NaN anywhere in the upper triangle makes every later pivot NaN, so a
+    NaN last pivot is rejected too.
+    """
+    L, info = dpotrf(np.asarray(sigma, dtype=float), lower=0, clean=1)
+    if info != 0 or math.isnan(L[-1, -1]):
+        raise FactorizationError(f"matrix is not positive definite (dpotrf info {info})")
+    return L
 
 
 @dataclass(frozen=True)
@@ -116,7 +123,7 @@ class SafetyConeData:
     @property
     def degenerate(self) -> bool:
         """True when beta = 0 collapsed the cone to the affine c u + d >= 0."""
-        return not (np.any(self.A) or np.any(self.b))
+        return not (self.A.any() or self.b.any())
 
 
 def effective_phi(cert: CertificateTerms, mu: np.ndarray) -> np.ndarray:
@@ -181,9 +188,12 @@ def feasibility_necessary(phi: np.ndarray, sigma: np.ndarray, beta: float) -> fl
 def _necessary_from_factor(phi: np.ndarray, L: np.ndarray, beta: float) -> float:
     """:func:`feasibility_necessary` from the upper factor L^T L = Sigma.
 
-    phi Sigma^{-1} phi^T = |z|^2 with L^T z = phi: one triangular solve.
+    phi Sigma^{-1} phi^T = |z|^2 with L^T z = phi: one triangular solve, the
+    single-threaded BLAS level-2 ``dtrsv`` on the factor in place.  The
+    value matches the dense solve of :func:`feasibility_necessary` to
+    rounding, not bit for bit.
     """
-    z = solve_triangular(L, phi, trans="T", check_finite=False)
+    z = dtrsv(L, phi, trans=1, lower=0)
     return 1.0 - float(z @ z) / beta**2
 
 
@@ -219,9 +229,14 @@ class FilterOutcome:
     diagnostics: dict = field(default_factory=dict)
 
 
+def _norm(v: np.ndarray) -> float:
+    """|v|_2 as sqrt(v . v): numpy's norm of a real vector, bit for bit, without its call cost."""
+    return math.sqrt(v @ v)
+
+
 def cone_margin(cone: SafetyConeData, u: np.ndarray) -> float:
     """c u + d - |A u + b|; u satisfies the cone when it is >= 0."""
-    return float(cone.c @ u + cone.d - np.linalg.norm(cone.A @ u + cone.b))
+    return float(cone.c @ u + cone.d - _norm(cone.A @ u + cone.b))
 
 
 def solve(u_nom, cone: SafetyConeData, tol: float = 1e-8) -> FilterOutcome:
@@ -299,7 +314,7 @@ def _nearest_feasible(cone: SafetyConeData, u_nom: np.ndarray, candidates, tol: 
     for cand in candidates:
         cand, taken, cand_margin, norm = _polish(cone, cand)
         steps += taken
-        dist = float(np.linalg.norm(cand - u_nom))
+        dist = _norm(cand - u_nom)
         if cand_margin >= -tol * max(1.0, norm) and dist < best:
             found, best = (cand, cand_margin), dist
     return found, steps
@@ -339,7 +354,7 @@ def _secular_candidates(cone: SafetyConeData, g: np.ndarray, k: float, u_nom: np
     w = V.T @ u_nom
     gam = V.T @ g
     a = h * w + gam  # gradient of Q / 2 at u_nom, eigenbasis
-    noise = 8.0 * _EPS * (np.abs(h).max() * np.linalg.norm(w) + np.linalg.norm(g))
+    noise = 8.0 * _EPS * (np.abs(h).max() * _norm(w) + _norm(g))
     a[np.abs(a) <= noise] = 0.0  # else a flat direction adds a spurious distant root
     q0 = float(w @ (h * w + 2.0 * gam)) + k
     q0_size = float(np.abs(h) @ w**2 + 2.0 * np.abs(gam) @ np.abs(w) + b @ b) + d * d
@@ -354,7 +369,7 @@ def _secular_candidates(cone: SafetyConeData, g: np.ndarray, k: float, u_nom: np
         u = point(lam)
         for _ in range(_MAX_POLISH):
             res = A @ u + b
-            s = float(np.linalg.norm(res))
+            s = _norm(res)
             t = float(c @ u) + d
             if t <= 0.0 or s == 0.0:
                 break
@@ -423,7 +438,7 @@ def _polish(cone: SafetyConeData, u: np.ndarray):
     """
     A, b, c, d = cone.A, cone.b, cone.c, cone.d
     res = A @ u + b
-    s = float(np.linalg.norm(res))
+    s = _norm(res)
     t = float(c @ u) + d
     steps = 0
     while steps < _MAX_POLISH and s > 0.0 and abs(t - s) > 4.0 * _EPS * (abs(t) + s):
@@ -433,7 +448,7 @@ def _polish(cone: SafetyConeData, u: np.ndarray):
             break
         u_new = u - ((t - s) / norm2) * grad
         res_new = A @ u_new + b
-        s_new = float(np.linalg.norm(res_new))
+        s_new = _norm(res_new)
         t_new = float(c @ u_new) + d
         if abs(t_new - s_new) >= abs(t - s):
             break
@@ -483,7 +498,7 @@ def safety_filter_step(
             "necessary_value": necessary,
             "sufficient_eig": max_eig,
             "sufficient_certified": bool(certified),
-            "sigma": float(np.sqrt(max(y @ sigma @ y, 0.0))),
+            "sigma": math.sqrt(max(float(y @ sigma @ y), 0.0)),
         }
     )
     return outcome

@@ -3,10 +3,13 @@
 Everything here deliberately avoids the package's own code paths: symbolic
 Lie chains via sympy, a from-scratch stacked-input GP, an exactly summed
 forward substitution for the posterior covariance, a brute-force Riccati
-ODE integrator, dense grid searches, and the vectorised numpy RK4 step with
-numpy plant fields that the float-based integrator must match bit for bit.
+ODE integrator, dense grid searches, the vectorised numpy RK4 step with
+numpy plant fields that the float-based integrator must match bit for bit,
+and a ``csv.writer`` episode writer that the row-format writer must match
+byte for byte.
 """
 
+import csv
 import math
 
 import numpy as np
@@ -180,3 +183,35 @@ def synthetic_field_numpy(mismatch):
         return np.array([x[1], mismatch * (1.0 + 0.5 * x[0] ** 2) + u[0]])
 
     return field
+
+
+def episode_csv_reference(log, path, trace=False):
+    """EpisodeLog CSV through csv.writer, one f"{v:.17g}" string per float."""
+    n = log.x.shape[1] if log.x.size else 0
+    m = log.u.shape[1] if log.u.size else 0
+    header = (
+        ["t"]
+        + [f"x_{i}" for i in range(1, n + 1)]
+        + [f"u_{i}" for i in range(1, m + 1)]
+        + ["h"]
+        + [f"zeta_{i}" for i in range(log.design_r)]
+        + ["sigma", "status", "necessary_value", "sufficient_eig"]
+    )
+    if trace:
+        header += ["solve_iterations", "cone_margin"]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for k in range(len(log)):
+            row = (
+                [f"{log.t[k]:.17g}"]
+                + [f"{v:.17g}" for v in log.x[k]]
+                + [f"{v:.17g}" for v in log.u[k]]
+                + [f"{log.h[k]:.17g}"]
+                + [f"{v:.17g}" for v in log.zeta[k]]
+                + [f"{log.sigma[k]:.17g}", log.status[k]]
+                + [f"{log.necessary[k]:.17g}", f"{log.sufficient[k]:.17g}"]
+            )
+            if trace:
+                row += [str(int(log.iterations[k])), f"{log.cone_margin[k]:.17g}"]
+            writer.writerow(row)

@@ -55,6 +55,28 @@ class TestConfigSchema:
         with pytest.raises(ConfigError):
             config_mod.from_dict(data)
 
+    @pytest.mark.parametrize("plant", ["acc", "suspension", "synthetic"])
+    def test_plant_alone_gives_its_defaults(self, plant):
+        assert config_mod.from_dict({"plant": plant}) == config_mod.defaults(plant)
+
+    def test_one_key_keeps_the_plant_defaults(self):
+        cfg = config_mod.from_dict({"plant": "suspension", "sim": {"horizon": 5.0}})
+        expected = config_mod.defaults("suspension")
+        expected.sim.horizon = 5.0
+        assert cfg == expected
+
+    @pytest.mark.parametrize(
+        "plant, hocbf, gains",
+        [
+            ("suspension", {"gains": [20.0, 19.75]}, [20.0, 19.75]),
+            ("acc", {"char_coeffs": [4.0, 3.75]}, [1.5, 2.5]),
+        ],
+    )
+    def test_setting_one_gain_form_clears_the_other(self, plant, hocbf, gains):
+        cfg = config_mod.from_dict({"plant": plant, "hocbf": hocbf})
+        assert cfg.hocbf.resolve_gains() == pytest.approx(gains)
+        assert cfg.hocbf.threshold == config_mod.defaults(plant).hocbf.threshold
+
     def test_comments_allowed_in_yaml(self, tmp_path):
         path = tmp_path / "cfg.yaml"
         path.write_text("# benchmark setup\nplant: synthetic\n")
@@ -102,6 +124,7 @@ class TestCli:
             ("synthetic", "episodic:\n  label_stride: 1.5", "episodic.label_stride"),
             ("synthetic", "episodic:\n  max_episodes: 2.5", "episodic.max_episodes"),
             ("synthetic", "filter:\n  trace: \"yes\"", "filter.trace"),
+            ("synthetic", "sim: [unclosed", "bad.yaml"),
         ],
         ids=[
             "gp-bogus_key",
@@ -128,6 +151,7 @@ class TestCli:
             "episodic-label_stride_float",
             "episodic-max_episodes_float",
             "filter-trace_string",
+            "yaml-syntax_error",
         ],
     )
     def test_run_invalid_config_exits_2(self, plant, section, key, tmp_path, capsys):
@@ -160,6 +184,8 @@ class TestCli:
                 us[arm] = np.array([float(r["u_1"]) for r in csv.DictReader(fh)])
         np.testing.assert_allclose(us["nominal"], us["oracle"], atol=1e-8)
         np.testing.assert_allclose(us["gp"], us["oracle"], atol=1e-8)
+        episodes = sorted(out_dir.glob("gp_episode_*.csv"))
+        assert episodes and (out_dir / "gp.csv").read_bytes() == episodes[-1].read_bytes()
 
     def test_summary_recomputable_from_csvs(self, tmp_path, monkeypatch, capsys):
         cfg = config_mod.defaults("synthetic")

@@ -31,6 +31,8 @@ from gpcbf.plants import (
     make_synthetic_plant,
 )
 
+from _oracles import episode_csv_reference
+
 
 class TestFdDerivative:
     def test_linear_first_derivative(self):
@@ -322,3 +324,38 @@ class TestEpisodeCsv:
         header = path.read_text().splitlines()[0].split(",")
         assert header[-2:] == ["solve_iterations", "cone_margin"]
 
+
+
+def _special_values_log(steps: int) -> EpisodeLog:
+    """A log with n = 2, m = 2, r = 3 whose floats include the formatting edge cases."""
+    special = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 0.1, -1.2345678901234567e300, 7.0]
+    values = np.resize(np.array(special), 12 * steps).reshape(steps, 12)
+    status = (["optimal", "infeasible", "nominal"] * steps)[: max(steps - 1, 0)]
+    status += ["violation"] if steps else []
+    return EpisodeLog(
+        design_r=3,
+        t=values[:, 0],
+        x=values[:, 1:3],
+        u=values[:, 3:5],
+        h=values[:, 5],
+        zeta=values[:, 6:9],
+        sigma=values[:, 9],
+        status=status,
+        necessary=values[:, 10],
+        sufficient=values[:, 11],
+        iterations=np.arange(steps) * 7,
+        cone_margin=values[::-1, 4].copy(),
+        termination=TERM_VIOLATION,
+        violation_time=None,
+        min_h=0.0,
+    )
+
+
+class TestEpisodeCsvBytes:
+    @pytest.mark.parametrize("trace", [False, True])
+    @pytest.mark.parametrize("steps", [0, 9])
+    def test_matches_csv_writer_reference(self, steps, trace, tmp_path):
+        log = _special_values_log(steps)
+        log.to_csv(tmp_path / "rows.csv", trace=trace)
+        episode_csv_reference(log, tmp_path / "reference.csv", trace=trace)
+        assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()

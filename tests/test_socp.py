@@ -9,6 +9,7 @@ from gpcbf.socp import (
     STATUS_INFEASIBLE,
     STATUS_OPTIMAL,
     SafetyConeData,
+    _necessary_from_factor,
     assemble_safety_cone,
     build_S,
     cone_margin,
@@ -41,13 +42,32 @@ class TestMatrixSqrtFactor:
         rng = np.random.default_rng(0)
         S = _random_spd(rng, 5)
         L = matrix_sqrt_factor(S)
-        assert np.allclose(np.triu(L), L)  # upper triangular
+        assert not np.tril(L, -1).any()  # upper triangular, the lower part exactly zero
         err = np.max(np.abs(L.T @ L - S))
         assert err <= 1e-10 * np.max(np.abs(S))
 
     def test_non_pd_rejected(self):
         with pytest.raises(FactorizationError):
             matrix_sqrt_factor(np.diag([1.0, -1.0]))
+
+    @pytest.mark.parametrize("i, j", [(0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)])
+    def test_nan_entry_rejected(self, i, j):
+        S = _random_spd(np.random.default_rng(3), 3)
+        S[i, j] = S[j, i] = np.nan
+        with pytest.raises(FactorizationError):
+            matrix_sqrt_factor(S)
+
+    def test_necessary_value_matches_dense_solve(self):
+        rng = np.random.default_rng(5)
+        for i in range(200):
+            n = 2 + i % 5
+            S = _random_spd(rng, n, scale=10.0 ** rng.uniform(-4, 4))
+            phi = rng.normal(size=n)
+            beta = rng.uniform(0.2, 4.0)
+            dense = feasibility_necessary(phi, S, beta)
+            assert _necessary_from_factor(phi, matrix_sqrt_factor(S), beta) == pytest.approx(
+                dense, rel=1e-12
+            )
 
 
 def _cert(zf, zg, const):
