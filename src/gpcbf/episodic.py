@@ -32,6 +32,10 @@ TERM_ABORTED = "aborted"
 # Consecutive infeasible filter steps after which an episode is abandoned.
 MAX_CONSECUTIVE_INFEASIBLE = 5
 
+# Rows that EpisodeLog.to_csv turns into Python objects at a time, so that
+# writing a log holds a few hundred rows of them, not the whole episode.
+_CSV_BLOCK_ROWS = 256
+
 
 def fd_derivative(samples, order: int, dt: float) -> float:
     """Order-j derivative at the window center by j rounds of central differences.
@@ -117,25 +121,32 @@ class EpisodeLog:
             + ["sigma", "status", "necessary_value", "sufficient_eig"]
         )
         fields = ["%.17g"] * (n + m + self.design_r + 3) + ["%s", "%.17g", "%.17g"]
-        columns = [
-            self.t.tolist(),
-            *self.x.T.tolist(),
-            *self.u.T.tolist(),
-            self.h.tolist(),
-            *self.zeta.T.tolist(),
-            self.sigma.tolist(),
-            self.status,
-            self.necessary.tolist(),
-            self.sufficient.tolist(),
-        ]
         if trace:
             header += ["solve_iterations", "cone_margin"]
             fields += ["%d", "%.17g"]
-            columns += [self.iterations.tolist(), self.cone_margin.tolist()]
         row = ",".join(fields) + "\r\n"
+
+        def columns(rows: slice) -> list:
+            cols = [
+                self.t[rows].tolist(),
+                *self.x[rows].T.tolist(),
+                *self.u[rows].T.tolist(),
+                self.h[rows].tolist(),
+                *self.zeta[rows].T.tolist(),
+                self.sigma[rows].tolist(),
+                self.status[rows],
+                self.necessary[rows].tolist(),
+                self.sufficient[rows].tolist(),
+            ]
+            if trace:
+                cols += [self.iterations[rows].tolist(), self.cone_margin[rows].tolist()]
+            return cols
+
         with open(path, "w", newline="") as fh:
             fh.write(",".join(header) + "\r\n")
-            fh.writelines(row % values for values in zip(*columns))
+            for start in range(0, len(self), _CSV_BLOCK_ROWS):
+                block = columns(slice(start, start + _CSV_BLOCK_ROWS))
+                fh.writelines(row % values for values in zip(*block))
 
 
 def _log_row(design: HocbfDesign, t: float, x: np.ndarray, u: np.ndarray, info: dict) -> tuple:

@@ -10,6 +10,7 @@ from gpcbf.episodic import (
     TERM_COMPLETED,
     TERM_INFEASIBLE,
     TERM_VIOLATION,
+    _CSV_BLOCK_ROWS,
     EpisodeLog,
     episodic_train,
     fd_derivative,
@@ -353,7 +354,7 @@ def _special_values_log(steps: int) -> EpisodeLog:
 
 class TestEpisodeCsvBytes:
     @pytest.mark.parametrize("trace", [False, True])
-    @pytest.mark.parametrize("steps", [0, 9])
+    @pytest.mark.parametrize("steps", [0, 9, 2 * _CSV_BLOCK_ROWS + 3])
     def test_matches_csv_writer_reference(self, steps, trace, tmp_path):
         log = _special_values_log(steps)
         log.to_csv(tmp_path / "rows.csv", trace=trace)
