@@ -86,17 +86,20 @@ _MAX_POLISH = 3  # Newton steps per candidate; each roughly squares the error
 def matrix_sqrt_factor(sigma: np.ndarray) -> np.ndarray:
     """Upper-triangular L with L^T L = sigma (Cholesky of an SPD matrix).
 
-    One LAPACK ``dpotrf`` call on sigma's upper triangle; ``clean=1`` zeroes
-    the strict lower triangle, and L comes back in Fortran order, the layout
-    in which BLAS ``dtrsv`` reads it in :func:`_necessary_from_factor`.
-    ``info`` flags a non-positive pivot, but OpenBLAS lets a NaN pivot pass.
-    A NaN anywhere in the upper triangle makes every later pivot NaN, so a
-    NaN last pivot is rejected too.
+    One LAPACK ``dpotrf`` call on sigma's lower triangle, the call and
+    triangle ``np.linalg.cholesky`` uses, so L has the bits of its
+    transposed factor and the cone, and the input projected onto it, keep
+    theirs.  ``clean=1`` zeroes the other triangle.  L is the transposed
+    view of the Fortran-ordered lower factor, which BLAS ``dtrsv`` reads
+    in place in :func:`_necessary_from_factor`.  ``info`` flags a
+    non-positive pivot, but OpenBLAS lets a NaN pivot pass; a NaN anywhere
+    in the lower triangle makes every later pivot NaN, so a NaN last pivot
+    is rejected too.
     """
-    L, info = dpotrf(np.asarray(sigma, dtype=float), lower=0, clean=1)
-    if info != 0 or math.isnan(L[-1, -1]):
+    lower, info = dpotrf(np.asarray(sigma, dtype=float), lower=1, clean=1)
+    if info != 0 or math.isnan(lower[-1, -1]):
         raise FactorizationError(f"matrix is not positive definite (dpotrf info {info})")
-    return L
+    return lower.T
 
 
 @dataclass(frozen=True)
@@ -189,11 +192,11 @@ def _necessary_from_factor(phi: np.ndarray, L: np.ndarray, beta: float) -> float
     """:func:`feasibility_necessary` from the upper factor L^T L = Sigma.
 
     phi Sigma^{-1} phi^T = |z|^2 with L^T z = phi: one triangular solve, the
-    single-threaded BLAS level-2 ``dtrsv`` on the factor in place.  The
-    value matches the dense solve of :func:`feasibility_necessary` to
-    rounding, not bit for bit.
+    single-threaded BLAS level-2 ``dtrsv`` on the Fortran-ordered lower
+    factor L^T in place.  The value matches the dense solve of
+    :func:`feasibility_necessary` to rounding, not bit for bit.
     """
-    z = dtrsv(L, phi, trans=1, lower=0)
+    z = dtrsv(L.T, phi, lower=1)
     return 1.0 - float(z @ z) / beta**2
 
 

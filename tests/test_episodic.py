@@ -326,7 +326,6 @@ class TestEpisodeCsv:
         assert header[-2:] == ["solve_iterations", "cone_margin"]
 
 
-
 def _special_values_log(steps: int) -> EpisodeLog:
     """A log with n = 2, m = 2, r = 3 whose floats include the formatting edge cases."""
     special = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 0.1, -1.2345678901234567e300, 7.0]
