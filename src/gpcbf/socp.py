@@ -86,15 +86,15 @@ _MAX_POLISH = 3  # Newton steps per candidate; each roughly squares the error
 def matrix_sqrt_factor(sigma: np.ndarray) -> np.ndarray:
     """Upper-triangular L with L^T L = sigma (Cholesky of an SPD matrix).
 
-    One LAPACK ``dpotrf`` call on sigma's lower triangle, the call and
-    triangle ``np.linalg.cholesky`` uses, so L has the bits of its
-    transposed factor and the cone, and the input projected onto it, keep
-    theirs.  ``clean=1`` zeroes the other triangle.  L is the transposed
-    view of the Fortran-ordered lower factor, which BLAS ``dtrsv`` reads
-    in place in :func:`_necessary_from_factor`.  ``info`` flags a
-    non-positive pivot, but OpenBLAS lets a NaN pivot pass; a NaN anywhere
-    in the lower triangle makes every later pivot NaN, so a NaN last pivot
-    is rejected too.
+    One LAPACK ``dpotrf`` call on sigma's lower triangle.  It is the call
+    ``np.linalg.cholesky`` makes, so L keeps the bits of that factor's
+    transpose, and the cone and its projection keep theirs.  ``clean=1``
+    zeroes the lower factor's strict upper triangle.  L is the transposed
+    view of that Fortran-ordered factor, which BLAS ``dtrsv`` reads in
+    place in :func:`_necessary_from_factor`.  ``info`` flags a
+    non-positive pivot, but OpenBLAS lets a NaN pivot pass.  A NaN
+    anywhere in the lower triangle makes every later pivot NaN, so a NaN
+    last pivot is rejected too.
     """
     lower, info = dpotrf(np.asarray(sigma, dtype=float), lower=1, clean=1)
     if info != 0 or math.isnan(lower[-1, -1]):
