@@ -94,13 +94,20 @@ class ExperimentConfig:
     output: OutputConfig = field(default_factory=OutputConfig)
 
     def validate(self) -> "ExperimentConfig":
-        from .plants import STATE_DIMENSION
+        from .plants import RELATIVE_DEGREE, STATE_DIMENSION
 
         _check_types(self, "")
         if self.plant not in STATE_DIMENSION:
             raise ConfigError(f"unknown plant {self.plant!r}")
         n = STATE_DIMENSION[self.plant]
         gains = self.hocbf.resolve_gains()
+        r = RELATIVE_DEGREE[self.plant]
+        if len(gains) != r:
+            key = "gains" if self.hocbf.gains is not None else "char_coeffs"
+            raise ConfigError(
+                f"hocbf.{key} must have {r} entries, the relative degree of the "
+                f"{self.plant} barrier"
+            )
         if any(g <= 0 for g in gains):
             raise ConfigError("barrier gains must be positive")
         q = len(gains) + 1
@@ -131,8 +138,8 @@ class ExperimentConfig:
             raise ConfigError(f"sim.x0 must have {n} entries for plant {self.plant}")
         if self.plant == "synthetic" and len(self.controller.target) != n:
             raise ConfigError(f"controller.target must have {n} entries")
-        if self.sim.horizon < 0:
-            raise ConfigError("sim.horizon must be non-negative")
+        if self.sim.horizon <= 0:
+            raise ConfigError("sim.horizon must be positive")
         if not _whole_multiple(self.sim.horizon, self.sim.control_period):
             raise ConfigError("sim.horizon must be a whole multiple of sim.control_period")
         if self.episodic.max_episodes < 1:

@@ -27,6 +27,8 @@ SUSPENSION_TRUE = dict(m1=675.0, m2=135.0, k1=36e3, k2=427.5e3, b=2.25e3)
 
 # State dimension n of each plant, by config name.
 STATE_DIMENSION = {"acc": 2, "suspension": 4, "synthetic": 2}
+# Relative degree r of each plant's barrier, by config name; it fixes the gain count.
+RELATIVE_DEGREE = {"acc": 2, "suspension": 2, "synthetic": 2}
 
 
 @dataclass(frozen=True)
@@ -139,7 +141,7 @@ def acc_design(params: dict, gains, D: float = 30.0) -> HocbfDesign:
     p = AccParams(**params)
 
     return HocbfDesign(
-        r=2,
+        r=RELATIVE_DEGREE["acc"],
         gains=np.asarray(gains, dtype=float),
         h=lambda x: x[1] - D,
         lie_f_chain=(
@@ -159,7 +161,7 @@ def suspension_design(params: dict, gains, D: float = 0.06) -> HocbfDesign:
     p = SuspensionParams(**params)
 
     return HocbfDesign(
-        r=2,
+        r=RELATIVE_DEGREE["suspension"],
         gains=np.asarray(gains, dtype=float),
         h=lambda x: D - x[0],
         lie_f_chain=(
@@ -174,7 +176,7 @@ def suspension_design(params: dict, gains, D: float = 0.06) -> HocbfDesign:
 def double_integrator_design(gains, D: float = 1.0) -> HocbfDesign:
     """Position barrier h = D - x1 for the synthetic double integrator."""
     return HocbfDesign(
-        r=2,
+        r=RELATIVE_DEGREE["synthetic"],
         gains=np.asarray(gains, dtype=float),
         h=lambda x: D - x[0],
         lie_f_chain=(lambda x: -x[1], lambda x: 0.0),

@@ -68,7 +68,6 @@ __all__ = [
     "build_S",
     "cone_margin",
     "effective_phi",
-    "feasibility_necessary",
     "feasibility_sufficient",
     "matrix_sqrt_factor",
     "pointwise_conditions",
@@ -179,22 +178,12 @@ def build_S(phi: np.ndarray, sigma: np.ndarray, beta: float) -> np.ndarray:
     return 0.5 * (S + S.T)
 
 
-def feasibility_necessary(phi: np.ndarray, sigma: np.ndarray, beta: float) -> float:
-    """Value 1 - phi Sigma^{-1} phi^T / beta^2; feasibility requires <= 0."""
-    if beta <= 0.0:
-        raise ValueError("necessary condition needs beta > 0")
-    phi = np.asarray(phi, dtype=float).reshape(-1)
-    sol = np.linalg.solve(np.asarray(sigma, dtype=float), phi)
-    return 1.0 - float(phi @ sol) / beta**2
-
-
 def _necessary_from_factor(phi: np.ndarray, L: np.ndarray, beta: float) -> float:
-    """:func:`feasibility_necessary` from the upper factor L^T L = Sigma.
+    """Necessary-condition value 1 - phi Sigma^{-1} phi^T / beta^2; feasibility requires <= 0.
 
-    phi Sigma^{-1} phi^T = |z|^2 with L^T z = phi: one triangular solve, the
-    single-threaded BLAS level-2 ``dtrsv`` on the Fortran-ordered lower
-    factor L^T in place.  The value matches the dense solve of
-    :func:`feasibility_necessary` to rounding, not bit for bit.
+    L is the upper factor L^T L = Sigma, and phi Sigma^{-1} phi^T = |z|^2
+    with L^T z = phi: one triangular solve, the single-threaded BLAS
+    level-2 ``dtrsv`` on the Fortran-ordered lower factor L^T in place.
     """
     z = dtrsv(L.T, phi, lower=1)
     return 1.0 - float(z @ z) / beta**2

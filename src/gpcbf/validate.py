@@ -25,16 +25,12 @@ from .gp import (
 from .socp import (
     STATUS_OPTIMAL,
     SafetyConeData,
-    assemble_safety_cone,
     build_S,
     effective_phi,
-    feasibility_necessary,
-    feasibility_sufficient,
     pointwise_conditions,
+    safety_filter_step,
     solve,
 )
-
-SUITES = ("kernel", "solver", "decomposition", "feasibility")
 
 
 # ---------------------------------------------------------------------------
@@ -217,26 +213,27 @@ def solver_suite(seed: int = 0, cases: int = 500, tol: float = 2e-4) -> dict:
 
 
 def _benchmark_filter_states(plant_name: str, rng: np.random.Generator, n_states: int):
-    """Fitted model plus states spread around the episode-1 trajectory."""
+    """Scenario, (model, prior) and states spread around the first training episode.
+
+    The model is the one ``episodic_train`` fits to the labels of its first
+    episode, with the plant's default config; the prior has no data.
+    """
     cfg = config_mod.defaults(plant_name)
     sc = build_scenario(cfg)
-    log = episodic.run_episode(
+    train = episodic.episodic_train(
         sc.plant,
         sc.design_nom,
-        episodic.make_nominal_qp_controller(sc.design_nom, sc.u_nom),
-        np.asarray(cfg.sim.x0, dtype=float),
-        cfg.sim.horizon,
+        sc.u_nom,
+        sc.kernel_params,
+        beta=cfg.filter.beta,
+        x0=np.asarray(cfg.sim.x0, dtype=float),
+        horizon=cfg.sim.horizon,
         dt=cfg.sim.dt,
         control_period=cfg.sim.control_period,
-        stop_on_violation=True,
+        max_episodes=1,
+        label_stride=cfg.episodic.label_stride,
+        noise_variance=cfg.gp.noise_variance,
     )
-    rows = episodic.label_episode(log, sc.design_nom, cfg.sim.control_period,
-                                  stride=cfg.episodic.label_stride)
-    X = np.array([r[0] for r in rows])
-    Y = np.array([r[1] for r in rows])
-    Z = np.array([r[2] for r in rows])
-    dataset = ResidualDataset(X=X, Y=Y, z=Z, noise_variance=cfg.gp.noise_variance)
-    model = fit(dataset, sc.kernel_params)
     prior = fit(
         ResidualDataset(
             X=np.zeros((0, sc.plant.n)), Y=np.zeros((0, len(sc.kernel_params))),
@@ -244,20 +241,21 @@ def _benchmark_filter_states(plant_name: str, rng: np.random.Generator, n_states
         ),
         sc.kernel_params,
     )
-    lo = log.x.min(axis=0)
-    hi = log.x.max(axis=0)
+    x = train.episodes[0].x
+    lo = x.min(axis=0)
+    hi = x.max(axis=0)
     span = np.maximum(hi - lo, 1e-3)
     states = lo - 0.3 * span + rng.uniform(size=(n_states, sc.plant.n)) * 1.6 * span
-    return sc, (model, prior), states
+    return sc, (train.model, prior), states
 
 
 def feasibility_suite(seed: int = 0, n_states: int = 1000) -> dict:
-    """Feasibility-condition consistency over instances from both benchmarks.
+    """Feasibility-condition consistency of the filter step over both benchmarks.
 
-    Checks, at every sampled state: solver optimal implies the necessary-
-    condition value is non-positive; a sufficient-condition certificate
-    implies the solver reports optimal; and at optima both pointwise
-    feasibility conditions hold.
+    Runs :func:`safety_filter_step` at every sampled state and checks its
+    outcome: optimal implies the logged necessary-condition value is
+    non-positive; a logged sufficient-condition certificate implies optimal;
+    and at optima both pointwise feasibility conditions hold.
     """
     rng = np.random.default_rng(seed)
     counterexamples_necessary = 0
@@ -268,34 +266,31 @@ def feasibility_suite(seed: int = 0, n_states: int = 1000) -> dict:
     for plant_name in ("acc", "suspension"):
         sc, models, states = _benchmark_filter_states(plant_name, rng, n_states // 2)
         beta_options = (1.0, 2.0, 4.0)
+        gamma = sc.design_nom.gamma
         for i, x in enumerate(states):
             model = models[i % 2]
             beta = float(beta_options[i % len(beta_options)])
             cert = certificate_terms(sc.design_nom, x)
             mu, sigma = posterior_coefficients(model, x)
-            gamma = sc.design_nom.gamma
+            u_nom = np.atleast_1d(sc.u_nom(0.0, x))
             try:
-                cone_data = assemble_safety_cone(cert, mu, sigma, beta, gamma)
+                out = safety_filter_step(u_nom, cert, mu, sigma, beta, gamma, tol=1e-9)
             except FactorizationError:
                 continue
-            u_nom = np.atleast_1d(sc.u_nom(0.0, x))
-            out = solve(u_nom, cone_data, tol=1e-9)
-            phi = effective_phi(cert, mu)
-            nec = feasibility_necessary(phi, sigma, beta)
-            S = build_S(phi, sigma, beta)
-            certified, _ = feasibility_sufficient(S[gamma.size :, gamma.size :])
             statuses[out.status] += 1
             checked += 1
             if out.status == STATUS_OPTIMAL:
-                if nec > 1e-8:
+                if out.diagnostics["necessary_value"] > 1e-8:
                     counterexamples_necessary += 1
+                phi = effective_phi(cert, mu)
+                S = build_S(phi, sigma, beta)
                 affine, quad = pointwise_conditions(gamma, out.u, S, phi)
                 y2 = float(np.sum(gamma**2) + np.sum(out.u**2))
                 aff_scale = max(1.0, float(np.linalg.norm(phi)) * np.sqrt(y2))
                 quad_scale = max(1.0, float(np.linalg.norm(S)) * y2)
                 if affine < -1e-8 * aff_scale or quad > 1e-8 * quad_scale:
                     condition_violations += 1
-            if certified and out.status != STATUS_OPTIMAL:
+            elif out.diagnostics["sufficient_certified"]:
                 counterexamples_sufficient += 1
     passed = (
         counterexamples_necessary == 0
@@ -313,20 +308,18 @@ def feasibility_suite(seed: int = 0, n_states: int = 1000) -> dict:
     }
 
 
+SUITES = {
+    "kernel": kernel_suite,
+    "solver": solver_suite,
+    "decomposition": decomposition_suite,
+    "feasibility": feasibility_suite,
+}
+
+
 def run_suite(name: str, seed: int = 0) -> list:
+    """Reports of the named suite, or of every suite in ``SUITES`` order for "all"."""
     if name == "all":
-        return [
-            kernel_suite(seed),
-            solver_suite(seed),
-            decomposition_suite(seed),
-            feasibility_suite(seed),
-        ]
-    if name == "kernel":
-        return [kernel_suite(seed)]
-    if name == "solver":
-        return [solver_suite(seed)]
-    if name == "decomposition":
-        return [decomposition_suite(seed)]
-    if name == "feasibility":
-        return [feasibility_suite(seed)]
-    raise ValueError(f"unknown suite {name!r}; choose from {SUITES + ('all',)}")
+        return [suite(seed) for suite in SUITES.values()]
+    if name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}; choose from {[*SUITES, 'all']}")
+    return [SUITES[name](seed)]

@@ -2,11 +2,12 @@
 
 Everything here deliberately avoids the package's own code paths: symbolic
 Lie chains via sympy, a from-scratch stacked-input GP, an exactly summed
-forward substitution for the posterior covariance, a brute-force Riccati
-ODE integrator, dense grid searches, the vectorised numpy RK4 step with
-numpy plant fields that the float-based integrator must match bit for bit,
-and a ``csv.writer`` episode writer that the row-format writer must match
-byte for byte.
+forward substitution for the posterior covariance, a dense linear solve for
+the necessary feasibility condition, a brute-force Riccati ODE integrator,
+dense grid searches, the vectorised numpy RK4 step with numpy plant fields
+that the float-based integrator must match bit for bit, and a
+``csv.writer`` episode writer that the row-format writer must match byte
+for byte.
 """
 
 import csv
@@ -91,6 +92,13 @@ def posterior_sigma_fsum(L, kbar, lam):
     return np.array(
         [[lam[s, t] - math.fsum(a * b for a, b in zip(V[s], V[t])) for t in range(q)] for s in range(q)]
     )
+
+
+def necessary_value_dense(phi, sigma, beta):
+    """Necessary-condition value 1 - phi Sigma^{-1} phi^T / beta^2 by a dense linear solve."""
+    phi = np.asarray(phi, dtype=float).reshape(-1)
+    sol = np.linalg.solve(np.asarray(sigma, dtype=float), phi)
+    return 1.0 - float(phi @ sol) / beta**2
 
 
 def ard_sq_exp(x, x2, sf2, ell):

@@ -7,6 +7,7 @@ import yaml
 
 from gpcbf import cli
 from gpcbf import config as config_mod
+from gpcbf import validate as validate_mod
 from gpcbf.errors import ConfigError
 
 
@@ -125,6 +126,19 @@ class TestCli:
             ("synthetic", "episodic:\n  max_episodes: 2.5", "episodic.max_episodes"),
             ("synthetic", "filter:\n  trace: \"yes\"", "filter.trace"),
             ("synthetic", "sim: [unclosed", "bad.yaml"),
+            ("synthetic", "sim:\n  horizon: 0.0", "sim.horizon"),
+            # Three gains with four signal variances is consistent with m + r,
+            # but every plant's barrier has relative degree 2.
+            (
+                "synthetic",
+                "hocbf:\n  gains: [1.0, 2.0, 3.0]\ngp:\n  signal_variances: [1.0, 1.0, 1.0, 1.0e-4]",
+                "hocbf.gains",
+            ),
+            (
+                "acc",
+                "hocbf:\n  char_coeffs: [6.0, 11.0, 6.0]\ngp:\n  signal_variances: [4.0, 1.0, 0.25, 1.0e-7]",
+                "hocbf.char_coeffs",
+            ),
         ],
         ids=[
             "gp-bogus_key",
@@ -152,6 +166,9 @@ class TestCli:
             "episodic-max_episodes_float",
             "filter-trace_string",
             "yaml-syntax_error",
+            "sim-horizon_zero",
+            "hocbf-three_gains",
+            "hocbf-three_char_coeffs",
         ],
     )
     def test_run_invalid_config_exits_2(self, plant, section, key, tmp_path, capsys):
@@ -167,6 +184,35 @@ class TestCli:
         assert rc == 0
         assert reports[0]["suite"] == "kernel"
         assert reports[0]["passed"]
+
+    def test_validate_dispatches_through_suite_table(self, monkeypatch, capsys):
+        names = ["kernel", "solver", "decomposition", "feasibility"]
+        assert list(validate_mod.SUITES) == names
+        calls = []
+
+        def stub(name):
+            def suite(seed):
+                calls.append((name, seed))
+                return {"suite": name, "passed": True}
+
+            return suite
+
+        for name in names:
+            monkeypatch.setitem(validate_mod.SUITES, name, stub(name))
+        for name in names:
+            calls.clear()
+            assert validate_mod.run_suite(name, seed=3) == [{"suite": name, "passed": True}]
+            assert calls == [(name, 3)]
+        calls.clear()
+        assert [r["suite"] for r in validate_mod.run_suite("all", seed=4)] == names
+        assert calls == [(name, 4) for name in names]
+        assert cli.main(["validate", "solver", "--seed", "5"]) == 0
+        assert json.loads(capsys.readouterr().out) == [{"suite": "solver", "passed": True}]
+        with pytest.raises(ValueError, match="bogus"):
+            validate_mod.run_suite("bogus")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["validate", "bogus"])
+        assert exc.value.code == 2
 
     def test_synthetic_run_end_to_end(self, tmp_path, monkeypatch, capsys):
         cfg = config_mod.defaults("synthetic")

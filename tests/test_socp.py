@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpcbf.barrier import CertificateTerms, halfspace_qp_filter
+from gpcbf.barrier import CertificateTerms, certificate_terms, halfspace_qp_filter
 from gpcbf.errors import FactorizationError
 from gpcbf.socp import (
     STATUS_INFEASIBLE,
@@ -14,14 +14,16 @@ from gpcbf.socp import (
     build_S,
     cone_margin,
     effective_phi,
-    feasibility_necessary,
     feasibility_sufficient,
     matrix_sqrt_factor,
     pointwise_conditions,
     safety_filter_step,
     solve,
 )
-from gpcbf.validate import grid_oracle_u, random_feasible_instance
+from gpcbf.gp import posterior_coefficients
+from gpcbf.validate import _benchmark_filter_states, grid_oracle_u, random_feasible_instance
+
+from _oracles import necessary_value_dense
 
 
 def _random_spd(rng, n, scale=1.0):
@@ -64,7 +66,7 @@ class TestMatrixSqrtFactor:
             S = _random_spd(rng, n, scale=10.0 ** rng.uniform(-4, 4))
             phi = rng.normal(size=n)
             beta = rng.uniform(0.2, 4.0)
-            dense = feasibility_necessary(phi, S, beta)
+            dense = necessary_value_dense(phi, S, beta)
             assert _necessary_from_factor(phi, matrix_sqrt_factor(S), beta) == pytest.approx(
                 dense, rel=1e-12
             )
@@ -316,7 +318,7 @@ class TestGeneralProjection:
             u_nom = 3.0 * rng.normal(size=m)
             out = safety_filter_step(u_nom, cert, mu, sigma, beta, gamma, tol=1e-9)
             phi = effective_phi(cert, mu)
-            if feasibility_necessary(phi, sigma, beta) > 1e-9:
+            if necessary_value_dense(phi, sigma, beta) > 1e-9:
                 assert out.status == STATUS_INFEASIBLE
                 certified_infeasible += 1
             if out.diagnostics["sufficient_certified"]:
@@ -342,9 +344,28 @@ class TestGeneralProjection:
             r, m = 2 + i % 3, 1 + i % 2
             cert, mu, sigma, beta, gamma = _random_filter_inputs(rng, r, m, beta_range=(0.2, 4.0))
             out = safety_filter_step(np.zeros(m), cert, mu, sigma, beta, gamma)
-            dense = feasibility_necessary(effective_phi(cert, mu), sigma, beta)
+            dense = necessary_value_dense(effective_phi(cert, mu), sigma, beta)
             value = out.diagnostics["necessary_value"]
             assert value == pytest.approx(dense, rel=1e-12, abs=1e-12)
+        # The feasibility suite's 1000 states at seed 0: both plants, the
+        # first episode's model and the prior, beta in {1, 2, 4}.  The
+        # certificate is checked against the trailing block of the full S,
+        # not the cone's own S3.
+        rng = np.random.default_rng(0)
+        for plant in ("acc", "suspension"):
+            sc, models, states = _benchmark_filter_states(plant, rng, 500)
+            gamma = sc.design_nom.gamma
+            for i, x in enumerate(states):
+                beta = (1.0, 2.0, 4.0)[i % 3]
+                cert = certificate_terms(sc.design_nom, x)
+                mu, sigma = posterior_coefficients(models[i % 2], x)
+                out = safety_filter_step(sc.u_nom(0.0, x), cert, mu, sigma, beta, gamma, tol=1e-9)
+                phi = effective_phi(cert, mu)
+                dense = necessary_value_dense(phi, sigma, beta)
+                assert out.diagnostics["necessary_value"] == pytest.approx(dense, rel=1e-10)
+                S = build_S(phi, sigma, beta)
+                certified, _ = feasibility_sufficient(S[gamma.size :, gamma.size :])
+                assert out.diagnostics["sufficient_certified"] == certified
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -367,19 +388,24 @@ class TestGeneralProjection:
             assert cone_margin(cone, out.u) >= -1e-8 * scale
 
 
+def _necessary(phi, sigma, beta):
+    """The filter step's necessary-condition value: from the factor of Sigma."""
+    return _necessary_from_factor(np.asarray(phi), matrix_sqrt_factor(sigma), beta)
+
+
 class TestFeasibilityNecessary:
     def test_boundary(self):
-        assert feasibility_necessary(np.array([1.0, 0, 0]), np.eye(3), 1.0) == pytest.approx(0.0)
+        assert _necessary([1.0, 0, 0], np.eye(3), 1.0) == pytest.approx(0.0)
 
     def test_certified_infeasible(self):
-        assert feasibility_necessary(np.array([1.0, 0, 0]), np.eye(3), 2.0) == pytest.approx(0.75)
+        assert _necessary([1.0, 0, 0], np.eye(3), 2.0) == pytest.approx(0.75)
 
     def test_scaled(self):
-        assert feasibility_necessary(np.array([2.0, 0.0]), 4.0 * np.eye(2), 1.0) == pytest.approx(0.0)
+        assert _necessary([2.0, 0.0], 4.0 * np.eye(2), 1.0) == pytest.approx(0.0)
 
     def test_singular_sigma_raises(self):
-        with pytest.raises(np.linalg.LinAlgError):
-            feasibility_necessary(np.array([1.0, 0.0]), np.zeros((2, 2)), 1.0)
+        with pytest.raises(FactorizationError):
+            _necessary([1.0, 0.0], np.zeros((2, 2)), 1.0)
 
 
 class TestBuildS:
