@@ -76,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.set_defaults(func=_cmd_validate)
 
     p_def = sub.add_parser("print-defaults", help="print a default config as YAML")
-    p_def.add_argument("--plant", default="acc", choices=["acc", "suspension", "synthetic"])
+    p_def.add_argument("--plant", default="acc", choices=list(config_mod.PLANT_SECTIONS))
     p_def.set_defaults(func=_cmd_print_defaults)
     return parser
 

@@ -3,6 +3,9 @@
 Every run is driven by one config file, whose keys are laid over the
 defaults of the plant it names.  Unknown keys are rejected so typos fail
 loudly, and parse -> serialize -> parse is the identity on the value level.
+The ``controller`` and ``disturbance`` sections hold only the keys of the
+plant's own nominal law and disturbance (``PLANT_SECTIONS``), so another
+plant's key is unknown too; a section with no keys is left out of a dump.
 ``defaults(plant)`` returns the tuned benchmark configuration;
 ``gpcbf print-defaults`` emits it as editable YAML.
 """
@@ -10,7 +13,7 @@ loudly, and parse -> serialize -> parse is the identity on the value level.
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Union
 
 import yaml
 
@@ -61,19 +64,49 @@ class EpisodicConfig:
 
 
 @dataclass
-class ControllerConfig:
+class AccControllerConfig:
+    """CLF speed law toward the desired speed."""
+
     v_d: float = 24.0
     lambda_rate: float = 2.0
+
+
+@dataclass
+class SuspensionControllerConfig:
+    """LQR law with state weight lqr_q * I and input weight lqr_r."""
+
     lqr_q: float = 10.0
     lqr_r: float = 1.0
+
+
+@dataclass
+class SyntheticControllerConfig:
+    """LQR law toward a set-point."""
+
     target: list = field(default_factory=lambda: [1.5, 0.0])
 
 
 @dataclass
-class DisturbanceConfig:
+class NoDisturbanceConfig:
+    """A plant with no disturbance: the section holds no keys."""
+
+
+@dataclass
+class RoadBumpConfig:
+    """Road bump under the wheel: height amplitude (m) from start (s) for width (s)."""
+
     amplitude: float = 0.10
     start: float = 1.0
     width: float = 1.0
+
+
+# Each plant's controller and disturbance section classes: a file's key that
+# its plant's sections lack is an unknown key.
+PLANT_SECTIONS = {
+    "acc": (AccControllerConfig, NoDisturbanceConfig),
+    "suspension": (SuspensionControllerConfig, RoadBumpConfig),
+    "synthetic": (SyntheticControllerConfig, NoDisturbanceConfig),
+}
 
 
 @dataclass
@@ -89,16 +122,25 @@ class ExperimentConfig:
     filter: FilterConfig = field(default_factory=FilterConfig)
     sim: SimConfig = field(default_factory=SimConfig)
     episodic: EpisodicConfig = field(default_factory=EpisodicConfig)
-    controller: ControllerConfig = field(default_factory=ControllerConfig)
-    disturbance: DisturbanceConfig = field(default_factory=DisturbanceConfig)
+    controller: Union[
+        AccControllerConfig, SuspensionControllerConfig, SyntheticControllerConfig
+    ] = field(default_factory=AccControllerConfig)
+    disturbance: Union[NoDisturbanceConfig, RoadBumpConfig] = field(
+        default_factory=NoDisturbanceConfig
+    )
     output: OutputConfig = field(default_factory=OutputConfig)
 
     def validate(self) -> "ExperimentConfig":
         from .plants import RELATIVE_DEGREE, STATE_DIMENSION
 
+        for name, cls in zip(("controller", "disturbance"), _sections(self.plant)):
+            section = getattr(self, name)
+            if type(section) is not cls:
+                raise ConfigError(
+                    f"{name}: plant {self.plant} takes a {cls.__name__}, "
+                    f"got {type(section).__name__}"
+                )
         _check_types(self, "")
-        if self.plant not in STATE_DIMENSION:
-            raise ConfigError(f"unknown plant {self.plant!r}")
         n = STATE_DIMENSION[self.plant]
         gains = self.hocbf.resolve_gains()
         r = RELATIVE_DEGREE[self.plant]
@@ -146,7 +188,16 @@ class ExperimentConfig:
             raise ConfigError("episodic.max_episodes must be at least 1")
         if self.episodic.label_stride < 1:
             raise ConfigError("episodic.label_stride must be at least 1")
+        if not self.output.dir:
+            raise ConfigError("output.dir must be a non-empty path")
         return self
+
+
+def _sections(plant) -> tuple:
+    """The controller and disturbance section classes of a plant."""
+    if not isinstance(plant, str) or plant not in PLANT_SECTIONS:
+        raise ConfigError(f"unknown plant {plant!r}")
+    return PLANT_SECTIONS[plant]
 
 
 def _whole_multiple(a: float, b: float) -> bool:
@@ -180,7 +231,7 @@ def _check_types(section, path: str) -> None:
     for f in dataclasses.fields(section):
         key = f"{path}{f.name}"
         value = getattr(section, f.name)
-        if dataclasses.is_dataclass(f.type):
+        if dataclasses.is_dataclass(value):
             _check_types(value, f"{key}.")
         elif f.type is bool:
             if not isinstance(value, bool):
@@ -208,7 +259,7 @@ def _build(base, data, path):
         raise ConfigError(f"{path or 'config'}: unknown keys {sorted(unknown)}")
     kwargs = {}
     for name, value in data.items():
-        if dataclasses.is_dataclass(fields[name].type):
+        if dataclasses.is_dataclass(getattr(base, name)):
             kwargs[name] = _build(getattr(base, name), value, f"{path}.{name}" if path else name)
         else:
             kwargs[name] = value
@@ -230,7 +281,8 @@ def from_dict(data: dict) -> ExperimentConfig:
 
 
 def to_dict(cfg: ExperimentConfig) -> dict:
-    return dataclasses.asdict(cfg)
+    """The config as plain data, without the sections that hold no keys."""
+    return {k: v for k, v in dataclasses.asdict(cfg).items() if v != {}}
 
 
 def load(path) -> ExperimentConfig:
@@ -250,30 +302,24 @@ def dump(cfg: ExperimentConfig) -> str:
 
 def defaults(plant: str = "acc") -> ExperimentConfig:
     """Tuned benchmark configurations."""
-    if plant == "acc":
-        return ExperimentConfig().validate()
+    controller, disturbance = _sections(plant)
+    cfg = ExperimentConfig(plant=plant, controller=controller(), disturbance=disturbance())
     if plant == "suspension":
-        return ExperimentConfig(
-            plant="suspension",
-            hocbf=HocbfConfig(gains=None, char_coeffs=[41.0, 395.0], threshold=0.06),
-            gp=GpConfig(
-                signal_variances=[1e-4, 1e-2, 1e-6],
-                lengthscales=[0.3, 0.5, 3.0, 10.0],
-                noise_variance=1e-4,
-            ),
-            sim=SimConfig(horizon=10.0, x0=[0.0, 0.0, 0.0, 0.0]),
-            episodic=EpisodicConfig(max_episodes=8, label_stride=1),
-        ).validate()
-    if plant == "synthetic":
-        return ExperimentConfig(
-            plant="synthetic",
-            hocbf=HocbfConfig(gains=[1.5, 2.5], threshold=1.0),
-            gp=GpConfig(
-                signal_variances=[1.0, 1.0, 1e-4],
-                lengthscales=[2.0, 2.0],
-                noise_variance=1e-4,
-            ),
-            sim=SimConfig(horizon=8.0, x0=[0.0, 0.0]),
-            episodic=EpisodicConfig(max_episodes=4, label_stride=5),
-        ).validate()
-    raise ConfigError(f"unknown plant {plant!r}")
+        cfg.hocbf = HocbfConfig(gains=None, char_coeffs=[41.0, 395.0], threshold=0.06)
+        cfg.gp = GpConfig(
+            signal_variances=[1e-4, 1e-2, 1e-6],
+            lengthscales=[0.3, 0.5, 3.0, 10.0],
+            noise_variance=1e-4,
+        )
+        cfg.sim = SimConfig(horizon=10.0, x0=[0.0, 0.0, 0.0, 0.0])
+        cfg.episodic = EpisodicConfig(max_episodes=8, label_stride=1)
+    elif plant == "synthetic":
+        cfg.hocbf = HocbfConfig(gains=[1.5, 2.5], threshold=1.0)
+        cfg.gp = GpConfig(
+            signal_variances=[1.0, 1.0, 1e-4],
+            lengthscales=[2.0, 2.0],
+            noise_variance=1e-4,
+        )
+        cfg.sim = SimConfig(horizon=8.0, x0=[0.0, 0.0])
+        cfg.episodic = EpisodicConfig(max_episodes=4, label_stride=5)
+    return cfg.validate()

@@ -180,15 +180,11 @@ def _stacked_params(params: Sequence[BaseKernelParams], n: int):
     return sf2, np.ascontiguousarray(inv_ell2)
 
 
-def fit(
-    dataset: ResidualDataset,
-    params: Sequence[BaseKernelParams],
-    jitter_schedule: Sequence[float] = DEFAULT_JITTER_SCHEDULE,
-) -> CompositeGpModel:
+def fit(dataset: ResidualDataset, params: Sequence[BaseKernelParams]) -> CompositeGpModel:
     """Assemble and factorize the composite Gram matrix.
 
-    N = 0 is allowed and yields the prior-only model.  The jitter schedule is
-    walked until Cholesky succeeds; exhaustion raises IllConditionedDataError.
+    N = 0 is allowed and yields the prior-only model.  DEFAULT_JITTER_SCHEDULE
+    is walked until Cholesky succeeds; exhaustion raises IllConditionedDataError.
     """
     if dataset.Y.shape[1] != len(params) and len(dataset) > 0:
         raise ValueError(
@@ -207,7 +203,7 @@ def fit(
     K = _gram_composite(
         np.ascontiguousarray(dataset.X), np.ascontiguousarray(dataset.Y), sf2, inv_ell2
     )
-    for jitter in jitter_schedule:
+    for jitter in DEFAULT_JITTER_SCHEDULE:
         try:
             factor = np.linalg.cholesky(
                 K + (dataset.noise_variance + jitter) * np.eye(N)
@@ -223,7 +219,7 @@ def fit(
             jitter=float(jitter),
         )
     raise IllConditionedDataError(
-        f"Gram factorization failed for N={N} after jitter schedule {tuple(jitter_schedule)}"
+        f"Gram factorization failed for N={N} after jitter schedule {DEFAULT_JITTER_SCHEDULE}"
     )
 
 

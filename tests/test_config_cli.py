@@ -9,6 +9,35 @@ from gpcbf import cli
 from gpcbf import config as config_mod
 from gpcbf import validate as validate_mod
 from gpcbf.errors import ConfigError
+from gpcbf.experiment import run_benchmark
+
+# The controller and disturbance keys each plant's scenario reads.
+PLANT_KEYS = {
+    "acc": {"controller": ["v_d", "lambda_rate"]},
+    "suspension": {
+        "controller": ["lqr_q", "lqr_r"],
+        "disturbance": ["amplitude", "start", "width"],
+    },
+    "synthetic": {"controller": ["target"]},
+}
+# Another plant's keys, by test id: each must fail as unknown in its section.
+OTHER_PLANT_KEYS = {
+    f"{plant}-{section}.{key}_of_{other}": (
+        plant,
+        f"{section}:\n  {key}: 1.0",
+        f"{section}: unknown keys ['{key}']",
+    )
+    for plant in PLANT_KEYS
+    for other, sections in PLANT_KEYS.items()
+    if other != plant
+    for section, keys in sections.items()
+    for key in keys
+}
+
+
+def _section_keys(data: dict) -> dict:
+    """The controller and disturbance keys of a config's plain data."""
+    return {name: list(data[name]) for name in ("controller", "disturbance") if name in data}
 
 
 class TestConfigSchema:
@@ -17,6 +46,7 @@ class TestConfigSchema:
         cfg = config_mod.defaults(plant)
         text = config_mod.dump(cfg)
         reparsed = config_mod.from_dict(yaml.safe_load(text))
+        assert reparsed == cfg
         assert config_mod.to_dict(reparsed) == config_mod.to_dict(cfg)
 
     def test_unknown_top_level_key_rejected(self):
@@ -78,6 +108,18 @@ class TestConfigSchema:
         assert cfg.hocbf.resolve_gains() == pytest.approx(gains)
         assert cfg.hocbf.threshold == config_mod.defaults(plant).hocbf.threshold
 
+    def test_other_plants_sections_fail_validate(self):
+        with pytest.raises(ConfigError, match="^controller: plant suspension takes"):
+            config_mod.ExperimentConfig(plant="suspension").validate()
+        cfg = config_mod.defaults("suspension")
+        cfg.disturbance = config_mod.NoDisturbanceConfig()
+        with pytest.raises(ConfigError, match="^disturbance: plant suspension takes"):
+            cfg.validate()
+        acc = config_mod.defaults("acc")
+        acc.controller = config_mod.SyntheticControllerConfig()
+        with pytest.raises(ConfigError, match="^controller: plant acc takes"):
+            acc.validate()
+
     def test_comments_allowed_in_yaml(self, tmp_path):
         path = tmp_path / "cfg.yaml"
         path.write_text("# benchmark setup\nplant: synthetic\n")
@@ -92,7 +134,17 @@ class TestCli:
         assert rc == 0
         out = capsys.readouterr().out
         cfg = config_mod.from_dict(yaml.safe_load(out))
-        assert cfg.plant == plant
+        assert cfg == config_mod.defaults(plant)
+
+    @pytest.mark.parametrize("plant", ["acc", "suspension", "synthetic"])
+    def test_run_config_yaml_holds_only_its_plants_keys(self, plant, tmp_path, capsys):
+        cfg = config_mod.defaults(plant)
+        cfg.sim.horizon = 0.1
+        cfg.episodic.max_episodes = 1
+        run_benchmark(cfg, str(tmp_path))
+        path = tmp_path / "config.yaml"
+        assert _section_keys(yaml.safe_load(path.read_text())) == PLANT_KEYS[plant]
+        assert config_mod.load(path) == cfg
 
     def test_run_missing_config_exits_2(self, capsys):
         assert cli.main(["run", "/nonexistent/config.yaml"]) == 2
@@ -127,6 +179,7 @@ class TestCli:
             ("synthetic", "filter:\n  trace: \"yes\"", "filter.trace"),
             ("synthetic", "sim: [unclosed", "bad.yaml"),
             ("synthetic", "sim:\n  horizon: 0.0", "sim.horizon"),
+            ("synthetic", "output:\n  dir: ''", "output.dir"),
             # Three gains with four signal variances is consistent with m + r,
             # but every plant's barrier has relative degree 2.
             (
@@ -139,7 +192,8 @@ class TestCli:
                 "hocbf:\n  char_coeffs: [6.0, 11.0, 6.0]\ngp:\n  signal_variances: [4.0, 1.0, 0.25, 1.0e-7]",
                 "hocbf.char_coeffs",
             ),
-        ],
+        ]
+        + list(OTHER_PLANT_KEYS.values()),
         ids=[
             "gp-bogus_key",
             "filter-delta",
@@ -167,9 +221,11 @@ class TestCli:
             "filter-trace_string",
             "yaml-syntax_error",
             "sim-horizon_zero",
+            "output-dir_empty",
             "hocbf-three_gains",
             "hocbf-three_char_coeffs",
-        ],
+        ]
+        + list(OTHER_PLANT_KEYS),
     )
     def test_run_invalid_config_exits_2(self, plant, section, key, tmp_path, capsys):
         path = tmp_path / "bad.yaml"

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
 
+from gpcbf import gp as gp_mod
 from gpcbf.errors import IllConditionedDataError
 from gpcbf.gp import (
     SIGMA_JITTER,
@@ -185,13 +186,14 @@ class TestFit:
         assert model.factor[0, 0] ** 2 == pytest.approx(gram + sn2)
         assert model.weights[0] == pytest.approx(z / (gram + sn2))
 
-    def test_singular_gram_without_jitter_raises(self):
+    def test_singular_gram_without_jitter_raises(self, monkeypatch):
+        monkeypatch.setattr(gp_mod, "DEFAULT_JITTER_SCHEDULE", (0.0,))
         params = _random_params(np.random.default_rng(5), 3, 2)
         row_x = np.array([[0.5, 0.5], [0.5, 0.5]])
         row_y = np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]])
         ds = ResidualDataset(X=row_x, Y=row_y, z=[1.0, 1.0], noise_variance=0.0)
-        with pytest.raises(IllConditionedDataError):
-            fit(ds, params, jitter_schedule=(0.0,))
+        with pytest.raises(IllConditionedDataError, match=r"jitter schedule \(0\.0,\)"):
+            fit(ds, params)
 
     def test_jitter_schedule_recovers(self):
         params = _random_params(np.random.default_rng(5), 3, 2)
