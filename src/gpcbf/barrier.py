@@ -17,8 +17,9 @@ coefficient vector, and :func:`certificate_terms` returns the affine pieces
 consumed by the nominal QP filter and the cone filter.
 """
 
+import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -115,11 +116,15 @@ class CertificateTerms:
     """Affine decomposition of the nominal certificate at one state.
 
     zeta_r(x, u) = zf . gamma + const + zg . u, with const = e_r * h(x).
+    h is h(x) as :func:`certificate_terms` evaluated it, so the log row of
+    the step reads it and :func:`zeta_chain` builds on it; terms written by
+    hand for a cone alone may leave it NaN.
     """
 
     zf: np.ndarray
     zg: np.ndarray
     const: float
+    h: float = math.nan
 
     def value(self, gamma: np.ndarray, u: np.ndarray) -> float:
         return float(self.zf @ gamma + self.const + self.zg @ np.atleast_1d(u))
@@ -128,28 +133,43 @@ class CertificateTerms:
 def certificate_terms(design: HocbfDesign, x: np.ndarray) -> CertificateTerms:
     """Evaluate the certificate's affine pieces at state x.
 
-    zg may be zero at states where the relative degree degrades; feasibility
-    of the resulting constraint is the filter's concern, not this function's.
+    One evaluation of the chain [h, Lf h, ..., Lf^r h, LgLf^{r-1} h] per
+    call: the terms carry h(x) and zf = [Lf h, ..., Lf^r h], from which
+    :func:`zeta_chain` builds the step's auxiliary chain without evaluating
+    any of them again.  zg may be zero at states where the relative degree
+    degrades; feasibility of the resulting constraint is the filter's
+    concern, not this function's.
     """
     x = np.asarray(x, dtype=float)
     zf = np.array([lf(x) for lf in design.lie_f_chain], dtype=float)
     zg = np.atleast_1d(np.asarray(design.lie_g(x), dtype=float))
-    if not np.all(np.isfinite(zg)):
+    if not np.isfinite(zg).all():
         raise InvalidDesignError(f"non-finite actuation row {zg} at x={x}")
-    return CertificateTerms(zf=zf, zg=zg, const=design.e_r * float(design.h(x)))
+    h = float(design.h(x))
+    return CertificateTerms(zf=zf, zg=zg, const=design.e_r * h, h=h)
 
 
-def zeta_chain(design: HocbfDesign, x: np.ndarray) -> np.ndarray:
+def zeta_chain(
+    design: HocbfDesign, x: np.ndarray, cert: Optional[CertificateTerms] = None
+) -> np.ndarray:
     """Values [zeta_0(x), ..., zeta_{r-1}(x)] of the nominal auxiliary chain.
 
     zeta_i depends only on the first i gains:
     zeta_i = sum_{j=0}^{i} e_{i-j}(k_1..k_i) * Lf^j h(x).
+    When cert holds the :func:`certificate_terms` of this x, the chain is
+    built from its h and zf[:r-1], with the same operations as from fresh
+    evaluations at x, so the values are the same bits; else h and
+    Lf h .. Lf^{r-1} h are evaluated at x.
     """
-    x = np.asarray(x, dtype=float)
     lf = np.empty(design.r + 1)
-    lf[0] = float(design.h(x))
-    for j in range(1, design.r):
-        lf[j] = float(design.lie_f_chain[j - 1](x))
+    if cert is None:
+        x = np.asarray(x, dtype=float)
+        lf[0] = float(design.h(x))
+        for j in range(1, design.r):
+            lf[j] = float(design.lie_f_chain[j - 1](x))
+    else:
+        lf[0] = cert.h
+        lf[1 : design.r] = cert.zf[: design.r - 1]
     out = np.empty(design.r)
     out[0] = lf[0]
     for i in range(1, design.r):
@@ -162,11 +182,24 @@ def halfspace_qp_filter(u_nom, a, b: float) -> np.ndarray:
 
     Returns u_nom when already feasible, otherwise the Euclidean projection
     u_nom - ((a.u_nom + b) / |a|^2) a onto the constraint boundary, which is
-    the global minimizer of |u - u_nom| over the half-space.
+    the global minimizer of |u - u_nom| over the half-space.  With one
+    input the projection runs on Python floats in the same operation order,
+    so it returns the vector formula's bits as a 1-array.
     """
-    u_nom = np.atleast_1d(np.asarray(u_nom, dtype=float))
-    a = np.atleast_1d(np.asarray(a, dtype=float))
+    u_nom = np.asarray(u_nom, dtype=float)
+    a = np.asarray(a, dtype=float)
     b = float(b)
+    if u_nom.size == 1 and a.size == 1:
+        u0, a0 = u_nom.item(), a.item()
+        margin = a0 * u0 + b
+        if margin >= 0.0:
+            return np.array([u0])
+        norm2 = a0 * a0
+        if norm2 == 0.0:
+            raise InfeasibleConstraintError(f"constraint 0.u + {b} >= 0 is infeasible")
+        return np.array([u0 - (margin / norm2) * a0])
+    u_nom = np.atleast_1d(u_nom)
+    a = np.atleast_1d(a)
     margin = float(a @ u_nom) + b
     if margin >= 0.0:
         return u_nom.copy()

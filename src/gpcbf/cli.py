@@ -10,6 +10,7 @@ GPCBF_OUTPUT_DIR environment variable.
 
 import argparse
 import json
+import logging
 import os
 import sys
 
@@ -31,11 +32,21 @@ def _cmd_run(args) -> int:
     out_dir = os.environ.get("GPCBF_OUTPUT_DIR") or cfg.output.dir
     from .experiment import run_benchmark
 
+    # The run's progress lines go to stdout as bare messages.
+    logger = logging.getLogger("gpcbf")
+    handler = logging.StreamHandler(sys.stdout)
+    handler.setFormatter(logging.Formatter("%(message)s"))
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.INFO)
     try:
         run_benchmark(cfg, out_dir)
     except GpcbfError as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
     return EXIT_OK
 
 

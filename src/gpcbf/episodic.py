@@ -13,24 +13,29 @@ r control steps and labeling runs post-episode.  The training loop repeats
 run / label / refit until an episode finishes without a safety violation.
 """
 
+import logging
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .barrier import HocbfDesign, certificate_terms, halfspace_qp_filter, zeta_chain
-from .errors import InfeasibleConstraintError
+from .errors import IllConditionedDataError, InfeasibleConstraintError
 from .gp import BaseKernelParams, CompositeGpModel, ResidualDataset, fit, posterior_coefficients
 from .plants import PlantModel, rk4_step
-from .socp import safety_filter_step
+from .socp import STATUS_FACTORIZATION_FAILED, STATUS_INFEASIBLE, safety_filter_step
+
+logger = logging.getLogger(__name__)
 
 TERM_COMPLETED = "completed"
 TERM_VIOLATION = "safety_violation"
 TERM_INFEASIBLE = "infeasible_abort"
 TERM_ABORTED = "aborted"
 
-# Consecutive infeasible filter steps after which an episode is abandoned.
+# Consecutive flagged filter steps after which an episode is abandoned: a
+# step is flagged when its cone is empty or its Sigma does not factor.
 MAX_CONSECUTIVE_INFEASIBLE = 5
+_FLAGGED_STEPS = (STATUS_INFEASIBLE, STATUS_FACTORIZATION_FAILED)
 
 # Rows that EpisodeLog.to_csv turns into Python objects at a time, so that
 # writing a log holds a few hundred rows of them, not the whole episode.
@@ -150,13 +155,19 @@ class EpisodeLog:
 
 
 def _log_row(design: HocbfDesign, t: float, x: np.ndarray, u: np.ndarray, info: dict) -> tuple:
-    """One logged step in EpisodeLog's field order; diagnostics missing from info read NaN."""
+    """One logged step in EpisodeLog's field order; diagnostics missing from info read NaN.
+
+    h and zeta come from the step's certificate terms when info carries them
+    as ``cert`` (the chain then is evaluated once per step), else from fresh
+    evaluations at x.
+    """
+    cert = info.get("cert")
     return (
         t,
         x.copy(),
         u.copy(),
-        float(design.h(x)),
-        zeta_chain(design, x),
+        cert.h if cert is not None else float(design.h(x)),
+        zeta_chain(design, x, cert),
         float(info.get("sigma", np.nan)),
         str(info.get("status", "nominal")),
         float(info.get("necessary_value", np.nan)),
@@ -179,12 +190,16 @@ def run_episode(
     """Integrate plant.field under a filtered controller, one RK4 call per hold.
 
     controller(t, x) returns (u, info); u is held for a control period and
-    info carries the filter diagnostics logged for the step.  Each hold is
-    one :func:`rk4_step` call of control_period / dt substeps, whose states
-    are scanned in order for h < 0.  Stops at the horizon, at the first
-    barrier violation when flagged (logging the crossing state as a trailing
-    "violation" row), on a non-finite state that no such violation precedes,
-    or after MAX_CONSECUTIVE_INFEASIBLE infeasible filter steps in a row.
+    info carries the filter diagnostics logged for the step, with the step's
+    certificate terms as ``cert`` when the controller evaluated them.  Each
+    hold is one :func:`rk4_step` call of control_period / dt substeps; h is
+    evaluated over its states in one pass, and only a hold with a state at
+    h < 0 (or at a NaN h) is scanned state by state for the first crossing.
+    Stops at the horizon, at the first barrier violation when flagged
+    (logging the crossing state as a trailing "violation" row), on a
+    non-finite state that no such violation precedes, or after
+    MAX_CONSECUTIVE_INFEASIBLE steps in a row that are infeasible or whose
+    Sigma would not factor.
     """
     x = np.asarray(x0, dtype=float).copy()
     substeps = max(1, int(round(control_period / dt)))
@@ -202,7 +217,7 @@ def run_episode(
         u = np.atleast_1d(np.asarray(u, dtype=float))
         rows.append(_log_row(design, t, x, u, info))
 
-        if info.get("status") == "infeasible":
+        if info.get("status") in _FLAGGED_STEPS:
             consec_infeasible += 1
             if consec_infeasible >= MAX_CONSECUTIVE_INFEASIBLE:
                 termination = TERM_INFEASIBLE
@@ -211,20 +226,25 @@ def run_episode(
             consec_infeasible = 0
 
         states = rk4_step(plant.field, x, u, t, dt, substeps)
-        stop = False
-        for state in states:
-            t = t + dt
-            hval = float(design.h(state))
-            min_h = min(min_h, hval)
-            if hval < 0.0 and violation_time is None:
-                violation_time = t
-                if stop_on_violation:
-                    stop = True
-                    break
-        if stop:
-            termination = TERM_VIOLATION
-            rows.append(_log_row(design, t, np.array(state), u, {"status": "violation"}))
-            break
+        h_states = [float(design.h(state)) for state in states]
+        if violation_time is None and not all(v >= 0.0 for v in h_states):
+            stop = False
+            for state, hval in zip(states, h_states):
+                t = t + dt
+                min_h = min(min_h, hval)
+                if hval < 0.0 and violation_time is None:
+                    violation_time = t
+                    if stop_on_violation:
+                        stop = True
+                        break
+            if stop:
+                termination = TERM_VIOLATION
+                rows.append(_log_row(design, t, np.array(state), u, {"status": "violation"}))
+                break
+        else:
+            min_h = min([min_h, *h_states])
+            for _ in states:
+                t = t + dt
         if len(states) < substeps:
             termination = TERM_ABORTED
             break
@@ -289,7 +309,7 @@ def make_nominal_qp_controller(design: HocbfDesign, u_nom_fn: Callable) -> Calla
         except InfeasibleConstraintError:
             u = np.atleast_1d(np.asarray(u_nom, dtype=float))
             status = "infeasible"
-        return u, {"status": status}
+        return u, {"status": status, "cert": cert}
 
     return controller
 
@@ -303,9 +323,10 @@ def make_gp_socp_controller(
     """Uncertainty-aware cone filter around a nominal control law.
 
     Each call is one :func:`safety_filter_step`: it returns the input the
-    step applies (the mean-only half-space fallback on an infeasible step,
-    which stays flagged for the episode runner) and the step's diagnostics
-    with its status and iterations as the logged info.
+    step applies (the mean-only half-space fallback on an infeasible step
+    or on a Sigma that does not factor, which stays flagged for the episode
+    runner) and the step's diagnostics with its status, iterations and
+    certificate terms as the logged info.
     """
 
     def controller(t, x):
@@ -317,6 +338,7 @@ def make_gp_socp_controller(
             **outcome.diagnostics,
             "status": outcome.status,
             "iterations": outcome.iterations,
+            "cert": cert,
         }
 
     return controller
@@ -348,7 +370,9 @@ def episodic_train(
 
     Episode 1 runs the nominal QP filter; later episodes run the cone filter
     with the model refit on all data so far.  Violating (or aborted) episodes
-    contribute labels; the first clean episode ends the loop.  Every fit uses
+    contribute labels; the first clean episode ends the loop.  A refit whose
+    Gram does not factor ends it too, with the last good model and
+    ``succeeded`` False.  Every fit uses
     the label noise variance ``noise_variance`` and walks the default jitter
     schedule, and every cone projection uses the default tolerance 1e-8.
     """
@@ -393,5 +417,11 @@ def episodic_train(
             z=np.asarray(zs),
             noise_variance=noise_variance,
         )
-        model = fit(dataset, kernel_params)
+        try:
+            model = fit(dataset, kernel_params)
+        except IllConditionedDataError as exc:
+            logger.warning(
+                "training ends after episode %d with the last good model: %s", ep + 1, exc
+            )
+            break
     return TrainResult(model=model, episodes=episodes, dataset=model.dataset, succeeded=succeeded)

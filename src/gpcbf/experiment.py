@@ -13,6 +13,7 @@ files.
 """
 
 import csv
+import logging
 import os
 import shutil
 import time
@@ -26,6 +27,8 @@ from . import episodic, plants
 from .barrier import HocbfDesign
 from .config import ExperimentConfig
 from .gp import BaseKernelParams, save_dataset_csv
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -214,11 +217,11 @@ def run_benchmark(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> Bench
             writer.writerow(row)
 
     elapsed = time.monotonic() - t_start
-    print(f"benchmark {cfg.plant}: {elapsed:.1f}s wall")
+    logger.info("benchmark %s: %.1fs wall", cfg.plant, elapsed)
     for row in summary:
-        print(
+        logger.info(
             "  {arm}: {termination}, min_h={min_h:.4g}, viol={violation_time}, "
             "rms_vs_oracle={rms_dev_from_oracle:.4g}".format(**row)
         )
-    print(f"  dataset: {len(train.dataset)} rows over {len(train.episodes)} episodes")
+    logger.info("  dataset: %d rows over %d episodes", len(train.dataset), len(train.episodes))
     return BenchmarkResult(arms=arms, train=train, summary=summary, out_dir=out_dir)

@@ -10,6 +10,7 @@ throughout).  A synthetic double integrator with an optional drift mismatch
 rounds out the set for end-to-end sanity checks.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -65,26 +66,6 @@ class SuspensionParams:
                 raise ValueError(f"{name} must be positive")
 
 
-# The fields below work on Python floats and add the input term as (1/m) u
-# after the drift, never (drift + u) / m: closed-loop outputs depend on that
-# rounding.
-
-
-def acc_dynamics(x, u: float, p: AccParams) -> tuple:
-    """x = [v, z]: ego speed and headway; vdot = -F_r(v) / m + u / m, zdot = v0 - v."""
-    v = x[0]
-    return (-p.rolling_resistance(v) / p.m + (1.0 / p.m) * u, p.v0 - v)
-
-
-def suspension_dynamics(x, u: float, d: float, p: SuspensionParams) -> tuple:
-    """x = [x1, x2, x3, x4]: body/wheel displacements then velocities; d is the road height."""
-    x1, x2, x3, x4 = x
-    wheel = (p.k1 * (x1 - x2) - p.k2 * x2 + p.b * (x3 - x4)) / p.m2 - (1.0 / p.m2) * u
-    if d != 0.0:
-        wheel = wheel + (p.k2 / p.m2) * d
-    return (x3, x4, (p.k1 * (x2 - x1) + p.b * (x4 - x3)) / p.m1 + (1.0 / p.m1) * u, wheel)
-
-
 @dataclass(frozen=True)
 class PlantModel:
     """True dynamics xdot = field(x, u, t), disturbances included.
@@ -99,21 +80,45 @@ class PlantModel:
     field: Callable[[Sequence[float], Sequence[float], float], tuple]
 
 
+# Each field is one closure over its parameters, on Python floats.  It adds
+# the input term as (1/m) u after the drift, never (drift + u) / m: closed-loop
+# outputs depend on that rounding.
+
+
 def make_acc_plant(params: dict = ACC_TRUE) -> PlantModel:
+    """x = [v, z]: ego speed and headway; vdot = -F_r(v) / m + u / m, zdot = v0 - v."""
     p = AccParams(**params)
-    return PlantModel(
-        name="acc", n=STATE_DIMENSION["acc"], m=1, field=lambda x, u, t: acc_dynamics(x, u[0], p)
-    )
+    m, f0, f1, f2, v0 = p.m, p.f0, p.f1, p.f2, p.v0
+    inv_m = 1.0 / m
+
+    def field(x, u, t):
+        v = x[0]
+        return (-(f0 + f1 * v + f2 * v * v) / m + inv_m * u[0], v0 - v)
+
+    return PlantModel(name="acc", n=STATE_DIMENSION["acc"], m=1, field=field)
 
 
 def make_suspension_plant(
     params: dict = SUSPENSION_TRUE, road: Optional[Callable[[float], float]] = None
 ) -> PlantModel:
-    """Quarter car driven over the road height profile road(t) (flat when None)."""
+    """Quarter car driven over the road height profile road(t) (flat when None).
+
+    x = [x1, x2, x3, x4]: body/wheel displacements then velocities; a nonzero
+    road height d adds (k2 / m2) d to the wheel acceleration.
+    """
     p = SuspensionParams(**params)
+    m1, m2, k1, k2, b = p.m1, p.m2, p.k1, p.k2, p.b
+    inv_m1, inv_m2, road_gain = 1.0 / m1, 1.0 / m2, k2 / m2
 
     def field(x, u, t):
-        return suspension_dynamics(x, u[0], road(t) if road is not None else 0.0, p)
+        x1, x2, x3, x4 = x
+        u0 = u[0]
+        wheel = (k1 * (x1 - x2) - k2 * x2 + b * (x3 - x4)) / m2 - inv_m2 * u0
+        if road is not None:
+            d = road(t)
+            if d != 0.0:
+                wheel = wheel + road_gain * d
+        return (x3, x4, (k1 * (x2 - x1) + b * (x4 - x3)) / m1 + inv_m1 * u0, wheel)
 
     return PlantModel(name="suspension", n=STATE_DIMENSION["suspension"], m=1, field=field)
 
@@ -190,6 +195,66 @@ def double_integrator_design(gains, D: float = 1.0) -> HocbfDesign:
 # ---------------------------------------------------------------------------
 
 
+# One RK4 hold per state dimension n, built from this source with the state
+# and the stages as named float locals, the way dataclasses and namedtuple
+# build their methods.  Each stage passes the field a tuple of n floats, and
+# every operation keeps the left-to-right order of
+# x + (dt/6) (k1 + 2 k2 + 2 k3 + k4).
+_RK4_HOLD_SOURCE = """\
+def hold(field, x, u, t, dt, substeps):
+    half = 0.5 * dt
+    sixth = dt / 6.0
+    {x} = x
+    states = []
+    for _ in range(substeps):
+        t_mid = t + half
+        {k1} = field({x}, u, t)
+        {k2} = field({x_half_k1}, u, t_mid)
+        {k3} = field({x_half_k2}, u, t_mid)
+        {k4} = field({x_dt_k3}, u, t + dt)
+{update}
+        if not ({finite}):
+            break
+        states.append({x})
+        t = t + dt
+    return states
+"""
+
+
+def _rk4_hold_source(n: int) -> str:
+    """_RK4_HOLD_SOURCE written out for states of n entries."""
+
+    def tup(items) -> str:
+        return "(" + "".join(f"{item}, " for item in items) + ")"
+
+    xs = [f"x{i}" for i in range(n)]
+    k1, k2, k3, k4 = ([f"{s}{i}" for i in range(n)] for s in "abcd")
+    update = [
+        f"        {x} = {x} + sixth * ((({a} + 2.0 * {b}) + 2.0 * {c}) + {d})"
+        for x, a, b, c, d in zip(xs, k1, k2, k3, k4)
+    ]
+    return _RK4_HOLD_SOURCE.format(
+        x=tup(xs),
+        k1=tup(k1),
+        k2=tup(k2),
+        k3=tup(k3),
+        k4=tup(k4),
+        x_half_k1=tup(f"{x} + half * {k}" for x, k in zip(xs, k1)),
+        x_half_k2=tup(f"{x} + half * {k}" for x, k in zip(xs, k2)),
+        x_dt_k3=tup(f"{x} + dt * {k}" for x, k in zip(xs, k3)),
+        update="\n".join(update),
+        finite=" and ".join(f"isfinite({x})" for x in xs),
+    )
+
+
+@functools.cache
+def _rk4_hold(n: int) -> Callable:
+    """The RK4 hold for states of n entries, built on the first call for each n."""
+    namespace = {"isfinite": math.isfinite}
+    exec(compile(_rk4_hold_source(n), f"<rk4 hold, n={n}>", "exec"), namespace)
+    return namespace["hold"]
+
+
 def rk4_step(field, x, u, t: float, dt: float, substeps: int = 1) -> list:
     """Classical fourth-order Runge-Kutta over one zero-order hold of u.
 
@@ -199,31 +264,13 @@ def rk4_step(field, x, u, t: float, dt: float, substeps: int = 1) -> list:
     operation follows the left-to-right order of
     x + (dt/6) (k1 + 2 k2 + 2 k3 + k4), with t advanced by t = t + dt per
     step, so the states equal that formula evaluated elementwise in numpy,
-    bit for bit.
+    bit for bit.  The stages run on named float locals in a hold built once
+    per state dimension; field gets the stage state as a tuple and u as a
+    list of floats.
     """
     x = np.asarray(x, dtype=float).ravel().tolist()
     u = np.asarray(u, dtype=float).ravel().tolist()
-    half = 0.5 * dt
-    sixth = dt / 6.0
-    isfinite = math.isfinite
-    states = []
-    for _ in range(substeps):
-        t_mid = t + half
-        k1 = field(x, u, t)
-        k2 = field([a + half * k for a, k in zip(x, k1)], u, t_mid)
-        k3 = field([a + half * k for a, k in zip(x, k2)], u, t_mid)
-        k4 = field([a + dt * k for a, k in zip(x, k3)], u, t + dt)
-        x = tuple(
-            [
-                a + sixth * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
-                for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)
-            ]
-        )
-        if not all(map(isfinite, x)):
-            break
-        states.append(x)
-        t = t + dt
-    return states
+    return _rk4_hold(len(x))(field, x, u, t, dt, substeps)
 
 
 def lqr_gain(A, B, Q, R):
@@ -263,13 +310,13 @@ def clf_nominal_acc(x, v_d: float, lambda_rate: float, p: AccParams) -> np.ndarr
     a = -2 (v - v_d) / m and b = 2 (v - v_d) F_r(v) / m - lambda V; the
     projection of u = 0 onto it is closed form.
     """
-    v = x[0]
+    v = float(x[0])
     err = v - v_d
-    a = np.array([-2.0 * err / p.m])
+    a = -2.0 * err / p.m
     b = 2.0 * err * p.rolling_resistance(v) / p.m - lambda_rate * err * err
-    if a[0] == 0.0:
+    if a == 0.0:
         return np.zeros(1)
-    return halfspace_qp_filter(np.zeros(1), a, b)
+    return halfspace_qp_filter(0.0, a, b)
 
 
 def road_profile(t: float, amplitude: float = 0.08, start: float = 1.0, width: float = 1.0) -> float:

@@ -77,6 +77,7 @@ __all__ = [
 
 STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE = "infeasible"
+STATUS_FACTORIZATION_FAILED = "factorization_failed"
 
 _EPS = np.finfo(float).eps
 _MAX_POLISH = 3  # Newton steps per candidate; each roughly squares the error
@@ -161,9 +162,14 @@ def assemble_safety_cone(
         L = matrix_sqrt_factor(sigma)
         A = beta * L[:, r:]
         b = beta * (L[:, :r] @ gamma)
-    c = cert.zg + mu[r:]
-    d = float((cert.zf + mu[:r]) @ gamma) + cert.const
+    c, d = _mean_row(cert, mu, gamma)
     return SafetyConeData(A=A, b=b, c=c, d=d, factor=L)
+
+
+def _mean_row(cert: CertificateTerms, mu: np.ndarray, gamma: np.ndarray) -> tuple:
+    """(c, d) of the mean-only constraint c u + d >= 0, mu a flat vector."""
+    r = gamma.size
+    return cert.zg + mu[r:], float((cert.zf + mu[:r]) @ gamma) + cert.const
 
 
 def build_S(phi: np.ndarray, sigma: np.ndarray, beta: float) -> np.ndarray:
@@ -463,15 +469,35 @@ def safety_filter_step(
     Assembles the cone and projects u_nom onto it.  On an infeasible step
     the mean-only half-space c u + d >= 0 is enforced as a best effort, and
     u_nom is kept when that half-space is empty too; the status stays
-    ``infeasible``.  The diagnostics carry ``cone_margin`` and ``analytic``
-    from :func:`solve`, the feasibility values ``necessary_value``,
-    ``sufficient_eig`` and ``sufficient_certified``, and ``sigma``, the
-    posterior std sqrt(y^T Sigma y) at y = [gamma; u] for the returned u.
-    The sufficient condition reads the cone's S3, the matrix of the quadric
-    that the projection solves.
+    ``infeasible``.  When Sigma does not factor, the step applies the same
+    mean-only fallback with status ``factorization_failed``, iterations 0,
+    and NaN cone margin and feasibility values.  The diagnostics carry
+    ``cone_margin`` and ``analytic`` from :func:`solve`, the feasibility
+    values ``necessary_value``, ``sufficient_eig`` and
+    ``sufficient_certified``, and ``sigma``, the posterior std
+    sqrt(y^T Sigma y) at y = [gamma; u] for the returned u.  The sufficient
+    condition reads the cone's S3, the matrix of the quadric that the
+    projection solves.
     """
     gamma = np.asarray(gamma, dtype=float)
-    cone = assemble_safety_cone(cert, mu, sigma, beta, gamma)
+    try:
+        cone = assemble_safety_cone(cert, mu, sigma, beta, gamma)
+    except FactorizationError:
+        c, d = _mean_row(cert, np.asarray(mu, dtype=float).reshape(-1), gamma)
+        u = _mean_halfspace(u_nom, c, d)
+        return FilterOutcome(
+            u=u,
+            status=STATUS_FACTORIZATION_FAILED,
+            iterations=0,
+            diagnostics={
+                "analytic": False,
+                "cone_margin": math.nan,
+                "necessary_value": math.nan,
+                "sufficient_eig": math.nan,
+                "sufficient_certified": False,
+                "sigma": _posterior_std(sigma, gamma, u),
+            },
+        )
     if beta > 0.0:
         necessary = _necessary_from_factor(effective_phi(cert, mu), cone.factor, beta)
     else:
@@ -480,17 +506,27 @@ def safety_filter_step(
 
     outcome = solve(u_nom, cone, tol=tol)
     if outcome.status != STATUS_OPTIMAL:
-        try:
-            outcome.u = halfspace_qp_filter(u_nom, cone.c, cone.d)
-        except InfeasibleConstraintError:
-            pass  # solve left u = u_nom
-    y = np.concatenate((gamma, outcome.u))
+        outcome.u = _mean_halfspace(u_nom, cone.c, cone.d)
     outcome.diagnostics.update(
         {
             "necessary_value": necessary,
             "sufficient_eig": max_eig,
             "sufficient_certified": bool(certified),
-            "sigma": math.sqrt(max(float(y @ sigma @ y), 0.0)),
+            "sigma": _posterior_std(sigma, gamma, outcome.u),
         }
     )
     return outcome
+
+
+def _mean_halfspace(u_nom, c: np.ndarray, d: float) -> np.ndarray:
+    """u_nom projected onto the mean-only half-space c u + d >= 0; u_nom when it is empty."""
+    try:
+        return halfspace_qp_filter(u_nom, c, d)
+    except InfeasibleConstraintError:
+        return np.atleast_1d(np.array(u_nom, dtype=float))
+
+
+def _posterior_std(sigma: np.ndarray, gamma: np.ndarray, u: np.ndarray) -> float:
+    """sqrt(y^T Sigma y) at y = [gamma; u], floored at 0 under the root."""
+    y = np.concatenate((gamma, u))
+    return math.sqrt(max(float(y @ sigma @ y), 0.0))

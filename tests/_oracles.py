@@ -5,7 +5,9 @@ Lie chains via sympy, a from-scratch stacked-input GP, an exactly summed
 forward substitution for the posterior covariance, a dense linear solve for
 the necessary feasibility condition, a brute-force Riccati ODE integrator,
 dense grid searches, the vectorised numpy RK4 step with numpy plant fields
-that the float-based integrator must match bit for bit, and a
+and random polynomial fields that the float-based integrator must match
+bit for bit, the vector half-space projection that the one-input path must
+match bit for bit, and a
 ``csv.writer`` episode writer that the row-format writer must match byte
 for byte.
 """
@@ -137,6 +139,23 @@ def grid_min_norm_halfspace(u_nom, a, b, u_max=50.0, step=1e-4):
     return float(cand[np.argmin(np.abs(cand - u_nom))])
 
 
+def halfspace_projection_vector(u_nom, a, b):
+    """u_nom - ((a.u_nom + b) / |a|^2) a on numpy 1-arrays; u_nom when feasible, None when a = 0.
+
+    The vector formula of the min-norm half-space filter, with a.u_nom and
+    |a|^2 taken as numpy dot products.
+    """
+    u_nom = np.atleast_1d(np.asarray(u_nom, dtype=float))
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    margin = float(a @ u_nom) + float(b)
+    if margin >= 0.0:
+        return u_nom.copy()
+    norm2 = float(a @ a)
+    if norm2 == 0.0:
+        return None
+    return u_nom - (margin / norm2) * a
+
+
 def rk4_numpy(field, x, u, t, dt):
     """One classical RK4 step on numpy arrays, in the vectorised operation order."""
     k1 = field(x, u, t)
@@ -154,6 +173,35 @@ def rk4_numpy_hold(field, x, u, t, dt, substeps):
         states.append(x)
         t = t + dt
     return states
+
+
+def polynomial_field(n, rng, coupled=True):
+    """A random field with quadratic state terms, input and time, on float sequences.
+
+    Returns xdot as a tuple; each entry is one fixed-order float expression,
+    so it takes the same bits whether x holds Python floats or numpy
+    scalars.  With coupled False, entry i reads x_i alone, so a non-finite
+    x_i leaves the other entries finite.
+    """
+    mask = np.ones((n, n)) if coupled else np.eye(n)
+    c0 = rng.normal(size=n).tolist()
+    c1 = (mask * rng.normal(size=(n, n))).tolist()
+    c2 = (mask * 0.1 * rng.normal(size=(n, n))).tolist()
+    cu = rng.normal(size=n).tolist()
+    ct = rng.normal(size=n).tolist()
+    pair = [(j + 1) % n if coupled else j for j in range(n)]
+
+    def field(x, u, t):
+        out = []
+        for i in range(n):
+            v = c0[i] + cu[i] * u[0] + ct[i] * t
+            for j in range(n):
+                if c1[i][j] or c2[i][j]:
+                    v = v + c1[i][j] * x[j] + c2[i][j] * (x[j] * x[pair[j]])
+            out.append(v)
+        return tuple(out)
+
+    return field
 
 
 def acc_field_numpy(p):

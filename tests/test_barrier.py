@@ -15,7 +15,7 @@ from gpcbf.barrier import (
 from gpcbf.errors import InfeasibleConstraintError, InvalidDesignError
 from gpcbf.plants import ACC_NOMINAL, SUSPENSION_NOMINAL, acc_design, suspension_design
 
-from _oracles import SymbolicSystem, grid_min_norm_halfspace
+from _oracles import SymbolicSystem, grid_min_norm_halfspace, halfspace_projection_vector
 
 
 def double_integrator_negx_design(gains):
@@ -169,6 +169,49 @@ class TestHalfspaceFilter:
             u = halfspace_qp_filter(u_nom, [a], b)[0]
             u_grid = grid_min_norm_halfspace(u_nom, a, b)
             assert abs(u - u_grid) <= 1e-4
+
+    def test_one_input_bitwise_equal_to_vector_formula(self):
+        rng = np.random.default_rng(19)
+        zeros = [0.0, -0.0]
+        sides = {"feasible": 0, "projected": 0, "raised": 0}
+        for _ in range(3000):
+            scale = 10.0 ** rng.uniform(-8.0, 8.0, size=3)
+            u_nom, a, b = (rng.normal(size=3) * scale).tolist()
+            # signed zeros in any slot; a zero a makes the constraint empty or trivial
+            if rng.uniform() < 0.2:
+                u_nom = zeros[int(rng.integers(2))]
+            if rng.uniform() < 0.1:
+                a = zeros[int(rng.integers(2))]
+            if rng.uniform() < 0.1:
+                b = zeros[int(rng.integers(2))]
+            want = halfspace_projection_vector([u_nom], [a], b)
+            if want is None:
+                with pytest.raises(InfeasibleConstraintError):
+                    halfspace_qp_filter(np.array([u_nom]), np.array([a]), b)
+                sides["raised"] += 1
+                continue
+            for args in ((np.array([u_nom]), np.array([a]), b), (u_nom, a, np.float64(b))):
+                got = halfspace_qp_filter(*args)
+                assert got.shape == (1,)
+                assert got.tobytes() == want.tobytes()
+            sides["feasible" if want.tobytes() == np.array([u_nom]).tobytes() else "projected"] += 1
+        assert min(sides.values()) >= 50, sides
+
+    @pytest.mark.parametrize("u_nom", [0.0, -0.0])
+    def test_one_input_keeps_signed_zero(self, u_nom):
+        # feasible with zero margin: u_nom comes back with its sign bit
+        for a, b in ((1.0, 0.0), (-1.0, -0.0), (0.0, 0.0), (-0.0, 1.0)):
+            got = halfspace_qp_filter(u_nom, a, b)
+            assert got.tobytes() == np.array([u_nom]).tobytes()
+        # projected onto the boundary from the wrong side
+        got = halfspace_qp_filter(u_nom, -2.0, -1.0)
+        assert got.tobytes() == halfspace_projection_vector([u_nom], [-2.0], -1.0).tobytes()
+
+    @pytest.mark.parametrize("a", [0.0, -0.0])
+    def test_one_input_zero_row_raises_only_when_violated(self, a):
+        with pytest.raises(InfeasibleConstraintError):
+            halfspace_qp_filter(3.0, a, -1e-300)
+        assert halfspace_qp_filter(3.0, a, 0.0).tobytes() == np.array([3.0]).tobytes()
 
 
 def _symbolic_polynomial_pair(r, rng):

@@ -1,5 +1,7 @@
 import csv
 import json
+import logging
+import re
 
 import numpy as np
 import pytest
@@ -145,6 +147,30 @@ class TestCli:
         path = tmp_path / "config.yaml"
         assert _section_keys(yaml.safe_load(path.read_text())) == PLANT_KEYS[plant]
         assert config_mod.load(path) == cfg
+
+    def test_run_prints_progress_lines_on_stdout(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "synthetic.yaml"
+        path.write_text("plant: synthetic\nsim:\n  horizon: 0.5\n")
+        monkeypatch.setenv("GPCBF_OUTPUT_DIR", str(tmp_path / "out"))
+        assert cli.main(["run", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 5
+        assert re.fullmatch(r"benchmark synthetic: \d+\.\ds wall", lines[0])
+        for line, arm in zip(lines[1:4], ("nominal", "gp", "oracle")):
+            assert re.fullmatch(
+                rf"  {arm}: completed, min_h=\S+, viol=None, rms_vs_oracle=\S+", line
+            )
+        assert lines[4] == "  dataset: 0 rows over 1 episodes"
+        assert logging.getLogger("gpcbf").handlers == []
+
+    def test_run_benchmark_logs_instead_of_printing(self, tmp_path, capsys, caplog):
+        cfg = config_mod.defaults("synthetic")
+        cfg.sim.horizon = 0.5
+        with caplog.at_level(logging.INFO, logger="gpcbf"):
+            run_benchmark(cfg, str(tmp_path))
+        assert capsys.readouterr().out == ""
+        messages = [r.getMessage() for r in caplog.records if r.name == "gpcbf.experiment"]
+        assert messages[0].startswith("benchmark synthetic: ") and len(messages) == 5
 
     def test_run_missing_config_exits_2(self, capsys):
         assert cli.main(["run", "/nonexistent/config.yaml"]) == 2

@@ -4,7 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from gpcbf.barrier import certificate_terms, gamma_vector, halfspace_qp_filter
+from gpcbf import config as config_mod
+from gpcbf import episodic as episodic_mod
+from gpcbf import gp as gp_mod
+from gpcbf.barrier import certificate_terms, gamma_vector, halfspace_qp_filter, zeta_chain
 from gpcbf.episodic import (
     TERM_ABORTED,
     TERM_COMPLETED,
@@ -31,6 +34,8 @@ from gpcbf.plants import (
     make_acc_plant,
     make_synthetic_plant,
 )
+from gpcbf.experiment import build_scenario, run_benchmark
+from gpcbf.socp import STATUS_FACTORIZATION_FAILED
 
 from _oracles import episode_csv_reference
 
@@ -273,6 +278,81 @@ class TestGpSocpController:
         assert np.array_equal(u, expected)
         assert not np.array_equal(u, u_nom)  # the half-space constraint was active
 
+    def test_sigma_holding_nan_flags_steps_until_the_episode_aborts(self, monkeypatch):
+        design = double_integrator_design([1.5, 2.5], D=1.0)
+        kp = [BaseKernelParams(1.0, np.array([1.0, 1.0]))] * 3
+        prior = fit(
+            ResidualDataset(
+                X=np.zeros((0, 2)), Y=np.zeros((0, 3)), z=np.zeros(0), noise_variance=1e-6
+            ),
+            kp,
+        )
+
+        def nan_posterior(model, x):
+            mu, sigma = posterior_coefficients(model, x)
+            sigma = sigma.copy()
+            sigma[1, 1] = np.nan
+            return mu, sigma
+
+        monkeypatch.setattr(episodic_mod, "posterior_coefficients", nan_posterior)
+        u_nom = lambda t, x: np.array([5.0])
+        controller = make_gp_socp_controller(design, prior, 2.0, u_nom)
+        log = run_episode(make_synthetic_plant(0.0), design, controller, [0.5, 0.8], 1.0)
+        assert log.termination == TERM_INFEASIBLE
+        assert log.status == [STATUS_FACTORIZATION_FAILED] * 5
+        # each flagged step applied the mean-only half-space, not u_nom
+        cert = certificate_terms(design, log.x[0])
+        mu, _ = posterior_coefficients(prior, log.x[0])
+        d = float((cert.zf + mu[:2]) @ design.gamma) + cert.const
+        expected = halfspace_qp_filter(u_nom(0.0, None), cert.zg + mu[2:], d)
+        assert np.array_equal(log.u[0], expected) and log.u[0, 0] != 5.0
+
+
+class TestLoggedChain:
+    """Each row's h and zeta equal the chain evaluated afresh at the row's x."""
+
+    @staticmethod
+    def _assert_rows_match_fresh_chain(log, design):
+        assert len(log) > 0
+        for k in range(len(log)):
+            fresh = zeta_chain(design, log.x[k])
+            assert log.zeta[k].tobytes() == fresh.tobytes()
+            assert log.h[k : k + 1].tobytes() == fresh[:1].tobytes()
+
+    @pytest.mark.parametrize("plant", ["acc", "suspension", "synthetic"])
+    def test_every_arm(self, plant, tmp_path):
+        cfg = config_mod.defaults(plant)
+        result = run_benchmark(cfg, str(tmp_path))
+        sc = build_scenario(cfg)
+        designs = {"nominal": sc.design_nom, "gp": sc.design_nom, "oracle": sc.design_true}
+        for name, design in designs.items():
+            self._assert_rows_match_fresh_chain(result.arms[name].log, design)
+        if plant != "synthetic":  # a trailing violation row, and a gp arm on the cone filter
+            assert result.arms["nominal"].log.status[-1] == "violation"
+            assert len(result.train.episodes) > 1
+
+    def test_controllers_pass_their_certificate_terms(self):
+        design = acc_design(ACC_NOMINAL, gains=(1.5, 2.5), D=30.0)
+        x = np.array([20.0, 100.0])
+        kp = [BaseKernelParams(1.0, np.array([1.0, 1.0]))] * 3
+        prior = fit(
+            ResidualDataset(
+                X=np.zeros((0, 2)), Y=np.zeros((0, 3)), z=np.zeros(0), noise_variance=1e-6
+            ),
+            kp,
+        )
+        u_nom = lambda t, x: np.array([300.0])
+        for controller in (
+            make_nominal_qp_controller(design, u_nom),
+            make_gp_socp_controller(design, prior, 2.0, u_nom),
+        ):
+            _, info = controller(0.0, x)
+            cert = info["cert"]
+            fresh = certificate_terms(design, x)
+            assert cert.h == float(design.h(x)) == 70.0
+            assert cert.zf.tobytes() == fresh.zf.tobytes()
+            assert cert.const == fresh.const
+
 
 class TestEpisodicTrain:
     def test_zero_mismatch_ends_after_first_episode(self):
@@ -286,6 +366,36 @@ class TestEpisodicTrain:
         assert result.succeeded
         assert len(result.episodes) == 1
         assert len(result.dataset) == 0
+
+    def test_gram_that_will_not_factor_ends_training_with_last_good_model(self, monkeypatch):
+        # The plant stands still until t = 0.1 s and then drives x1 through
+        # the barrier at 10 m/s, so the nominal episode violates and its first
+        # two labels share x = 0 and y = [gamma; 0].  With gains (1, 1),
+        # gamma = [2, 1], and these signal variances the Gram entries of the
+        # two rows are all 0.75 * 4 + 1 = 4: the second Cholesky pivot is
+        # 4 - 2 * 2 = 0 exactly, and no noise or jitter lifts it.
+        monkeypatch.setattr(gp_mod, "DEFAULT_JITTER_SCHEDULE", (0.0,))
+        plant = PlantModel(
+            name="stand-then-go", n=2, m=1, field=lambda x, u, t: (10.0 if t > 0.1 else 0.0, 0.0)
+        )
+        design = double_integrator_design([1.0, 1.0], D=1.0)
+        kp = [
+            BaseKernelParams(0.75, np.array([1.0, 1.0])),
+            BaseKernelParams(1.0, np.array([1.0, 1.0])),
+            BaseKernelParams(1.0, np.array([1.0, 1.0])),
+        ]
+        result = episodic_train(
+            plant, design, lambda t, x: np.zeros(1), kp, beta=2.0, x0=np.zeros(2),
+            horizon=1.0, max_episodes=3, noise_variance=0.0,
+        )
+        assert not result.succeeded
+        assert len(result.episodes) == 1
+        assert result.episodes[0].termination == TERM_VIOLATION
+        assert len(result.dataset) == 0 and len(result.model.dataset) == 0  # the prior
+        rows = label_episode(result.episodes[0], design, 0.01, stride=5)
+        assert len(rows) >= 2
+        for x, y, _ in rows[:2]:
+            assert np.array_equal(x, np.zeros(2)) and np.array_equal(y, [2.0, 1.0, 0.0])
 
     def test_kernel_count_validated(self):
         plant = make_synthetic_plant(0.0)

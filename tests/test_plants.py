@@ -11,7 +11,6 @@ from gpcbf.plants import (
     SUSPENSION_TRUE,
     AccParams,
     SuspensionParams,
-    acc_dynamics,
     clf_nominal_acc,
     lqr_gain,
     make_acc_plant,
@@ -19,12 +18,12 @@ from gpcbf.plants import (
     make_synthetic_plant,
     rk4_step,
     road_profile,
-    suspension_dynamics,
     suspension_linear_matrices,
 )
 
 from _oracles import (
     acc_field_numpy,
+    polynomial_field,
     riccati_ode_gain,
     rk4_numpy_hold,
     suspension_field_numpy,
@@ -48,40 +47,48 @@ class TestParameterFidelity:
             SuspensionParams(m1=300.0, m2=-60.0, k1=16e3, k2=190e3, b=1e3)
 
 
+def acc_dynamics(x, u: float, params: dict) -> tuple:
+    return make_acc_plant(params).field(x, [u], 0.0)
+
+
+def suspension_dynamics(x, u: float, d: float, params: dict) -> tuple:
+    """The plant field at road height d, held for all t."""
+    return make_suspension_plant(params, road=lambda t: d).field(x, [u], 0.0)
+
+
 class TestAccDynamics:
     def test_true_params_hand_value(self):
-        xdot = acc_dynamics((20.0, 100.0), 0.0, AccParams(**ACC_TRUE))
+        xdot = acc_dynamics((20.0, 100.0), 0.0, ACC_TRUE)
         np.testing.assert_allclose(xdot, [-400.2 / 3300.0, -6.0])
 
     def test_force_balance(self):
         p = AccParams(**ACC_NOMINAL)
         v = 17.3
         u = p.rolling_resistance(v)
-        xdot = acc_dynamics((v, 50.0), u, p)
+        xdot = acc_dynamics((v, 50.0), u, ACC_NOMINAL)
         assert xdot[0] == pytest.approx(0.0, abs=1e-14)
 
     def test_nominal_params_hand_value(self):
-        xdot = acc_dynamics((16.0, 50.0), 0.0, AccParams(**ACC_NOMINAL))
+        xdot = acc_dynamics((16.0, 50.0), 0.0, ACC_NOMINAL)
         np.testing.assert_allclose(xdot, [-144.1 / 825.0, 0.0])
 
 
 class TestSuspensionDynamics:
     def test_equilibrium(self):
-        p = SuspensionParams(**SUSPENSION_NOMINAL)
-        np.testing.assert_allclose(suspension_dynamics((0.0,) * 4, 0.0, 0.0, p), np.zeros(4))
+        np.testing.assert_allclose(
+            suspension_dynamics((0.0,) * 4, 0.0, 0.0, SUSPENSION_NOMINAL), np.zeros(4)
+        )
 
     def test_displaced_body_hand_value(self):
-        p = SuspensionParams(**SUSPENSION_NOMINAL)
-        xdot = suspension_dynamics((0.01, 0.0, 0.0, 0.0), 0.0, 0.0, p)
+        xdot = suspension_dynamics((0.01, 0.0, 0.0, 0.0), 0.0, 0.0, SUSPENSION_NOMINAL)
         np.testing.assert_allclose(xdot, [0.0, 0.0, -160.0 / 300.0, 160.0 / 60.0])
 
     def test_road_input_gain(self):
-        p = SuspensionParams(**SUSPENSION_NOMINAL)
-        xdot = suspension_dynamics((0.0,) * 4, 0.0, 0.01, p)
+        xdot = suspension_dynamics((0.0,) * 4, 0.0, 0.01, SUSPENSION_NOMINAL)
         np.testing.assert_allclose(xdot, [0.0, 0.0, 0.0, 190e3 * 0.01 / 60.0])
 
     def test_superposition(self):
-        p = SuspensionParams(**SUSPENSION_TRUE)
+        p = SUSPENSION_TRUE
         rng = np.random.default_rng(0)
         for _ in range(30):
             x1, x2 = rng.normal(size=4), rng.normal(size=4)
@@ -98,13 +105,14 @@ class TestSuspensionDynamics:
 
     def test_linear_matrices_match_dynamics(self):
         A, B = suspension_linear_matrices(SUSPENSION_NOMINAL)
-        p = SuspensionParams(**SUSPENSION_NOMINAL)
         rng = np.random.default_rng(1)
         for _ in range(10):
             x = rng.normal(size=4)
             u = rng.normal()
             np.testing.assert_allclose(
-                A @ x + B[:, 0] * u, suspension_dynamics(x.tolist(), u, 0.0, p), atol=1e-12
+                A @ x + B[:, 0] * u,
+                suspension_dynamics(x.tolist(), u, 0.0, SUSPENSION_NOMINAL),
+                atol=1e-12,
             )
 
 
@@ -185,6 +193,51 @@ class TestRk4:
             make_suspension_plant(road=road).field, suspension_field_numpy(SUSPENSION_TRUE, road),
             draw, (0.5, 2.5), np.random.default_rng(12),
         )
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_hold_bitwise_equal_to_numpy_rk4_at_each_dimension(self, n):
+        rng = np.random.default_rng(100 + n)
+        for _ in range(40):
+            field = polynomial_field(n, rng)
+            x = rng.normal(size=n)
+            u = rng.normal(size=1)
+            t = rng.uniform(0.0, 5.0)
+            dt = float(rng.choice([1e-3, 2.5e-4, 1.0 / 300.0]))
+            substeps = int(rng.integers(1, 21))
+            states = rk4_step(field, x, u, t, dt, substeps)
+            numpy_field = lambda x, u, t: np.array(field(x, u, t))
+            expected = rk4_numpy_hold(numpy_field, x, u, t, dt, substeps)
+            assert states == [tuple(s.tolist()) for s in expected]
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_divergence_mid_hold_at_each_dimension(self, n):
+        # one coordinate's rate turns inf or NaN part way through the hold,
+        # and no other coordinate reads it; the list ends before the first
+        # state that holds a non-finite entry, in whichever coordinate
+        rng = np.random.default_rng(200 + n)
+        dt, substeps = 1e-3, 10
+        for bad in range(n):
+            for blowup in (math.inf, -math.inf, math.nan):
+                smooth = polynomial_field(n, rng, coupled=False)
+                t_bad = rng.uniform(2.0, 8.0) * dt
+
+                def field(x, u, t):
+                    xdot = list(smooth(x, u, t))
+                    if t > t_bad:
+                        xdot[bad] = blowup
+                    return tuple(xdot)
+
+                x, u = rng.normal(size=n), rng.normal(size=1)
+                states = rk4_step(field, x, u, 0.0, dt, substeps)
+                with np.errstate(invalid="ignore"):
+                    expected = rk4_numpy_hold(
+                        lambda x, u, t: np.array(field(x, u, t)), x, u, 0.0, dt, substeps
+                    )
+                finite = [tuple(s.tolist()) for s in expected if np.all(np.isfinite(s))]
+                assert 1 <= len(finite) < substeps
+                assert states == finite[: len(states)] and len(states) == len(finite)
+                assert np.isfinite(np.delete(expected[len(states)], bad)).all()
+                assert not np.isfinite(expected[len(states)][bad])
 
 
 class TestLqr:

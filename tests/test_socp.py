@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from gpcbf.barrier import CertificateTerms, certificate_terms, halfspace_qp_filter
 from gpcbf.errors import FactorizationError
 from gpcbf.socp import (
+    STATUS_FACTORIZATION_FAILED,
     STATUS_INFEASIBLE,
     STATUS_OPTIMAL,
     SafetyConeData,
@@ -623,3 +624,24 @@ class TestFilterInvariants:
         out = safety_filter_step(np.zeros(1), cert, mu, sigma, 2.0, np.array([1.0, 1.0]))
         assert out.status == STATUS_INFEASIBLE
         assert out.diagnostics["necessary_value"] > 0.0
+
+    @pytest.mark.parametrize("where", [(0, 0), (2, 2), (2, 0)])
+    def test_sigma_holding_nan_is_a_flagged_mean_halfspace_step(self, where):
+        # a NaN on the diagonal or in the lower triangle that dpotrf reads
+        cert = _cert([0.2, -0.1], [1.0], 0.5)
+        mu = np.array([0.1, 0.0, 0.2])
+        gamma = np.array([2.0, 1.0])
+        sigma = np.eye(3)
+        sigma[where] = np.nan
+        u_nom = np.array([-5.0])
+        with pytest.raises(FactorizationError):
+            assemble_safety_cone(cert, mu, sigma, 2.0, gamma)
+        out = safety_filter_step(u_nom, cert, mu, sigma, 2.0, gamma)
+        assert out.status == STATUS_FACTORIZATION_FAILED
+        assert out.iterations == 0
+        c, d = cert.zg + mu[2:], float((cert.zf + mu[:2]) @ gamma) + cert.const
+        assert np.array_equal(out.u, halfspace_qp_filter(u_nom, c, d))
+        assert not np.array_equal(out.u, u_nom)
+        for key in ("cone_margin", "necessary_value", "sufficient_eig"):
+            assert np.isnan(out.diagnostics[key])
+        assert out.diagnostics["sufficient_certified"] is False
