@@ -157,17 +157,17 @@ class EpisodeLog:
 def _log_row(design: HocbfDesign, t: float, x: np.ndarray, u: np.ndarray, info: dict) -> tuple:
     """One logged step in EpisodeLog's field order; diagnostics missing from info read NaN.
 
-    h and zeta come from the step's certificate terms when info carries them
-    as ``cert`` (the chain then is evaluated once per step), else from fresh
-    evaluations at x.
+    zeta comes from the step's certificate terms when info carries them as
+    ``cert`` (the chain then is evaluated once per step), else from fresh
+    evaluations at x; h is its first entry.
     """
-    cert = info.get("cert")
+    zeta = zeta_chain(design, x, info.get("cert"))
     return (
         t,
         x.copy(),
         u.copy(),
-        cert.h if cert is not None else float(design.h(x)),
-        zeta_chain(design, x, cert),
+        float(zeta[0]),
+        zeta,
         float(info.get("sigma", np.nan)),
         str(info.get("status", "nominal")),
         float(info.get("necessary_value", np.nan)),
@@ -192,9 +192,8 @@ def run_episode(
     controller(t, x) returns (u, info); u is held for a control period and
     info carries the filter diagnostics logged for the step, with the step's
     certificate terms as ``cert`` when the controller evaluated them.  Each
-    hold is one :func:`rk4_step` call of control_period / dt substeps; h is
-    evaluated over its states in one pass, and only a hold with a state at
-    h < 0 (or at a NaN h) is scanned state by state for the first crossing.
+    hold is one :func:`rk4_step` call of control_period / dt substeps, whose
+    states are then scanned in order for h and the first crossing.
     Stops at the horizon, at the first barrier violation when flagged
     (logging the crossing state as a trailing "violation" row), on a
     non-finite state that no such violation precedes, or after
@@ -226,25 +225,20 @@ def run_episode(
             consec_infeasible = 0
 
         states = rk4_step(plant.field, x, u, t, dt, substeps)
-        h_states = [float(design.h(state)) for state in states]
-        if violation_time is None and not all(v >= 0.0 for v in h_states):
-            stop = False
-            for state, hval in zip(states, h_states):
-                t = t + dt
-                min_h = min(min_h, hval)
-                if hval < 0.0 and violation_time is None:
-                    violation_time = t
-                    if stop_on_violation:
-                        stop = True
-                        break
-            if stop:
-                termination = TERM_VIOLATION
-                rows.append(_log_row(design, t, np.array(state), u, {"status": "violation"}))
-                break
-        else:
-            min_h = min([min_h, *h_states])
-            for _ in states:
-                t = t + dt
+        stop = False
+        for state in states:
+            t = t + dt
+            hval = float(design.h(state))
+            min_h = min(min_h, hval)
+            if hval < 0.0 and violation_time is None:
+                violation_time = t
+                if stop_on_violation:
+                    stop = True
+                    break
+        if stop:
+            termination = TERM_VIOLATION
+            rows.append(_log_row(design, t, np.array(state), u, {"status": "violation"}))
+            break
         if len(states) < substeps:
             termination = TERM_ABORTED
             break

@@ -12,7 +12,6 @@ import numpy as np
 from . import config as config_mod
 from . import episodic
 from .barrier import certificate_terms, gamma_vector
-from .errors import FactorizationError
 from .experiment import build_scenario
 from .gp import (
     BaseKernelParams,
@@ -23,6 +22,7 @@ from .gp import (
     posterior_coefficients,
 )
 from .socp import (
+    STATUS_FACTORIZATION_FAILED,
     STATUS_OPTIMAL,
     SafetyConeData,
     build_S,
@@ -273,9 +273,8 @@ def feasibility_suite(seed: int = 0, n_states: int = 1000) -> dict:
             cert = certificate_terms(sc.design_nom, x)
             mu, sigma = posterior_coefficients(model, x)
             u_nom = np.atleast_1d(sc.u_nom(0.0, x))
-            try:
-                out = safety_filter_step(u_nom, cert, mu, sigma, beta, gamma, tol=1e-9)
-            except FactorizationError:
+            out = safety_filter_step(u_nom, cert, mu, sigma, beta, gamma, tol=1e-9)
+            if out.status == STATUS_FACTORIZATION_FAILED:
                 continue
             statuses[out.status] += 1
             checked += 1

@@ -21,6 +21,7 @@ from gpcbf.socp import (
     safety_filter_step,
     solve,
 )
+from gpcbf import validate as validate_mod
 from gpcbf.gp import posterior_coefficients
 from gpcbf.validate import _benchmark_filter_states, grid_oracle_u, random_feasible_instance
 
@@ -645,3 +646,21 @@ class TestFilterInvariants:
         for key in ("cone_margin", "necessary_value", "sufficient_eig"):
             assert np.isnan(out.diagnostics[key])
         assert out.diagnostics["sufficient_certified"] is False
+
+    def test_feasibility_suite_skips_states_whose_sigma_does_not_factor(self, monkeypatch):
+        calls = []
+
+        def every_other_nan(model, x):
+            mu, sigma = posterior_coefficients(model, x)
+            calls.append(None)
+            if len(calls) % 2:
+                sigma = sigma.copy()
+                sigma[0, 0] = np.nan
+            return mu, sigma
+
+        monkeypatch.setattr(validate_mod, "posterior_coefficients", every_other_nan)
+        report = validate_mod.feasibility_suite(seed=3, n_states=8)
+        assert len(calls) == 8
+        assert report["states_checked"] == 4
+        assert sum(report["statuses"].values()) == 4
+        assert report["passed"]
