@@ -79,7 +79,9 @@ class HocbfDesign:
     lie_f_chain[i-1] evaluates Lf^i h for i = 1..r on the nominal model;
     lie_g evaluates LgLf^{r-1} h as a length-m row.  gamma, e_r and the
     zeta-chain weights are derived from the gains at construction;
-    zeta_weights[i-1] weighs [h, Lf h, ..., Lf^i h] in zeta_i.
+    zeta_weights[i-1] weighs [h, Lf h, ..., Lf^i h] in zeta_i.  Every
+    evaluator reads the state by index: :func:`certificate_terms` passes it
+    as a list of floats, other callers as a numpy array.
     """
 
     r: int
@@ -126,9 +128,6 @@ class CertificateTerms:
     const: float
     h: float = math.nan
 
-    def value(self, gamma: np.ndarray, u: np.ndarray) -> float:
-        return float(self.zf @ gamma + self.const + self.zg @ np.atleast_1d(u))
-
 
 def certificate_terms(design: HocbfDesign, x: np.ndarray) -> CertificateTerms:
     """Evaluate the certificate's affine pieces at state x.
@@ -139,13 +138,20 @@ def certificate_terms(design: HocbfDesign, x: np.ndarray) -> CertificateTerms:
     any of them again.  zg may be zero at states where the relative degree
     degrades; feasibility of the resulting constraint is the filter's
     concern, not this function's.
+
+    The evaluators read the state as a list of Python floats, so plain
+    float arithmetic runs without numpy's scalar overhead and gives the bits
+    it gives on numpy scalars.
     """
     x = np.asarray(x, dtype=float)
-    zf = np.array([lf(x) for lf in design.lie_f_chain], dtype=float)
-    zg = np.atleast_1d(np.asarray(design.lie_g(x), dtype=float))
-    if not np.isfinite(zg).all():
+    xs = x.tolist()
+    zf = np.array([lf(xs) for lf in design.lie_f_chain], dtype=float)
+    zg = design.lie_g(xs)
+    if not (type(zg) is np.ndarray and zg.ndim == 1 and zg.dtype == np.float64):
+        zg = np.atleast_1d(np.asarray(zg, dtype=float))
+    if not all(map(math.isfinite, zg.tolist())):
         raise InvalidDesignError(f"non-finite actuation row {zg} at x={x}")
-    h = float(design.h(x))
+    h = float(design.h(xs))
     return CertificateTerms(zf=zf, zg=zg, const=design.e_r * h, h=h)
 
 

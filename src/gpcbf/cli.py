@@ -15,12 +15,15 @@ import os
 import sys
 
 from . import config as config_mod
-from . import validate as validate_mod
 from .errors import ConfigError, GpcbfError
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_CONFIG = 2
+
+# The names of ``gpcbf.validate.SUITES``, kept here so that building the
+# parser does not import the suites, which load scipy.
+VALIDATE_SUITES = ("kernel", "solver", "decomposition", "feasibility")
 
 
 def _cmd_run(args) -> int:
@@ -51,6 +54,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    from . import validate as validate_mod
+
     try:
         reports = validate_mod.run_suite(args.suite, seed=args.seed)
     except ValueError as exc:
@@ -82,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=_cmd_run)
 
     p_val = sub.add_parser("validate", help="run a property suite")
-    p_val.add_argument("suite", choices=list(validate_mod.SUITES) + ["all"])
+    p_val.add_argument("suite", choices=list(VALIDATE_SUITES) + ["all"])
     p_val.add_argument("--seed", type=int, default=0)
     p_val.set_defaults(func=_cmd_validate)
 

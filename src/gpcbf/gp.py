@@ -122,10 +122,10 @@ def _gram_composite(X, Y, sf2, inv_ell2):
 
 
 def _cross_kbar(X, Y, xstar, sf2, inv_ell2):
-    """Kbar (q, N): column j is the base-kernel vector at (x*, x_j) times y_j."""
+    """Kbar (q, N), C-ordered: column j is the base-kernel vector at (x*, x_j) times y_j."""
     diff2 = (xstar[None, :] - X) ** 2  # (N, n)
     kt = sf2[:, None] * np.exp(-0.5 * (inv_ell2 @ diff2.T))  # (q, N)
-    return kt * Y.T
+    return np.multiply(kt, Y.T, out=kt)
 
 
 @dataclass(frozen=True)
@@ -164,11 +164,14 @@ class CompositeGpModel:
 
     def prior_lambda(self, x) -> np.ndarray:
         """Lambda(x, x) = diag(sf2): every base kernel is stationary."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        n = self.inv_ell2.shape[1]
-        if x.shape != (n,):
-            raise ValueError(f"query state of shape {x.shape}, model state dimension {n}")
+        _check_query(self, np.atleast_1d(np.asarray(x, dtype=float)))
         return np.diag(self.sf2)
+
+
+def _check_query(model: "CompositeGpModel", x: np.ndarray) -> None:
+    n = model.inv_ell2.shape[1]
+    if x.shape != (n,):
+        raise ValueError(f"query state of shape {x.shape}, model state dimension {n}")
 
 
 def _stacked_params(params: Sequence[BaseKernelParams], n: int):
@@ -233,24 +236,33 @@ def posterior_coefficients(model: CompositeGpModel, xstar) -> tuple[np.ndarray, 
     """Posterior (mu, Sigma) at a query state.
 
     mean(x*, y*) = mu @ y* and var(x*, y*) = y* @ Sigma @ y*.  Sigma is
-    symmetrized and floored by SIGMA_JITTER on the diagonal so downstream
-    factorization succeeds.
+    floored by SIGMA_JITTER on the diagonal so downstream factorization
+    succeeds.
 
     L V = Kbar^T is solved one column at a time by forward substitution
     (BLAS level-2 ``dtrsv`` on the stored factor), which OpenBLAS runs on
     the calling thread.  The level-3 solve (``trsm``) hands even these
     q-column solves to a second BLAS thread and wakes it on every query,
     which made about 1.5% of queries take milliseconds.
+
+    The solves copy nothing: after mu = Kbar alpha, each row of Kbar is
+    overwritten in place by its solve, so Kbar becomes V^T.  numpy forms
+    V^T V as one symmetric rank-k update (``syrk``), so Sigma is exactly
+    symmetric without a symmetrizing pass; it is negated in place, and
+    Lambda = diag(sf2) and the jitter are added to its diagonal in place.
     """
     xstar = np.atleast_1d(np.asarray(xstar, dtype=float))
-    lam_star = model.prior_lambda(xstar)
+    _check_query(model, xstar)
     q = model.q
     if len(model.dataset) == 0:
-        return np.zeros(q), lam_star + SIGMA_JITTER * np.eye(q)
+        return np.zeros(q), np.diag(model.sf2) + SIGMA_JITTER * np.eye(q)
     kbar = _cross_kbar(model.X, model.Y, xstar, model.sf2, model.inv_ell2)
     mu = kbar @ model.weights
-    # Row t of Vt solves L v = Kbar[t], so Vt = V^T for L V = Kbar^T.
-    Vt = np.array([dtrsv(model.factor, row, lower=1) for row in kbar])
-    sigma = lam_star - Vt @ Vt.T
-    sigma = 0.5 * (sigma + sigma.T) + SIGMA_JITTER * np.eye(q)
+    for row in kbar:  # row t of Kbar becomes the solution v of L v = Kbar[t]
+        dtrsv(model.factor, row, lower=1, overwrite_x=1)
+    sigma = kbar @ kbar.T
+    np.subtract(0.0, sigma, out=sigma)  # 0.0 - x, so a zero entry stays +0.0 as in Lambda - V^T V
+    diagonal = sigma.reshape(-1)[:: q + 1]
+    diagonal += model.sf2
+    diagonal += SIGMA_JITTER
     return mu, sigma

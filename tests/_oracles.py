@@ -7,9 +7,11 @@ the necessary feasibility condition, a brute-force Riccati ODE integrator,
 dense grid searches, the vectorised numpy RK4 step with numpy plant fields
 and random polynomial fields that the float-based integrator must match
 bit for bit, the vector half-space projection that the one-input path must
-match bit for bit, and a
-``csv.writer`` episode writer that the row-format writer must match byte
-for byte.
+match bit for bit, a ``csv.writer`` episode writer that the row-format
+writer must match byte for byte, and three references the float paths of
+one control step must match bit for bit: the vector filter step and
+projection for one input, the posterior query with a list of triangular
+solves, and the certificate terms evaluated on numpy scalars.
 """
 
 import csv
@@ -17,6 +19,8 @@ import math
 
 import numpy as np
 import sympy as sp
+from scipy.linalg.blas import dtrsv
+from scipy.linalg.lapack import dpotrf
 
 
 class SymbolicSystem:
@@ -56,6 +60,39 @@ class SymbolicSystem:
             zeta = sp.expand((grad * (self.f + self.g * usym))[0, 0] + k * zeta)
         fn = sp.lambdify(list(self.states) + [usym], zeta, "numpy")
         return float(fn(*x, u))
+
+
+def certificate_value(cert, gamma, u):
+    """zeta_r(x, u) = zf . gamma + const + zg . u from a state's certificate terms."""
+    return float(cert.zf @ gamma + cert.const + cert.zg @ np.atleast_1d(u))
+
+
+def posterior_coefficients_rows(model, xstar):
+    """Posterior (mu, Sigma) with one ``dtrsv`` per row of Kbar into a list.
+
+    Kbar is built with the query's own operations and order, the solves
+    return fresh rows that are stacked into V^T, and Sigma is symmetrized
+    as 0.5 (S + S^T) before the 1e-12 diagonal floor is added.
+    """
+    xstar = np.atleast_1d(np.asarray(xstar, dtype=float))
+    q = model.sf2.size
+    lam = np.diag(model.sf2)
+    if len(model.dataset) == 0:
+        return np.zeros(q), lam + 1e-12 * np.eye(q)
+    diff2 = (xstar[None, :] - model.X) ** 2
+    kbar = model.sf2[:, None] * np.exp(-0.5 * (model.inv_ell2 @ diff2.T)) * model.Y.T
+    mu = kbar @ model.weights
+    Vt = np.array([dtrsv(model.factor, row, lower=1) for row in kbar])
+    sigma = lam - Vt @ Vt.T
+    return mu, 0.5 * (sigma + sigma.T) + 1e-12 * np.eye(q)
+
+
+def certificate_terms_numpy(design, x):
+    """(zf, zg, h) with every evaluator reading x as a numpy array of numpy scalars."""
+    x = np.asarray(x, dtype=float)
+    zf = np.array([lf(x) for lf in design.lie_f_chain], dtype=float)
+    zg = np.atleast_1d(np.asarray(design.lie_g(x), dtype=float))
+    return zf, zg, float(design.h(x))
 
 
 def stacked_gp_posterior(X, Y, z, noise_var, kernel_fn, xstar, ystar):
@@ -271,3 +308,148 @@ def episode_csv_reference(log, path, trace=False):
             if trace:
                 row += [str(int(log.iterations[k])), f"{log.cone_margin[k]:.17g}"]
             writer.writerow(row)
+
+
+def safety_filter_step_vector(u_nom, cert, mu, sigma, beta, gamma, tol=1e-8):
+    """The one-input cone filter step on numpy vectors: (u, status, iterations, diagnostics).
+
+    The general vector formulation of the filter step for one input: the
+    cone from the upper Cholesky factor, its quadric matrix
+    S3 = A^T A - c c^T symmetrized, the margin and the Newton polish on
+    numpy 1-arrays, the nearest root of the scalar quadratic, and the
+    least-squares critical point when no root qualifies.  Every dot product
+    is the numpy ``@`` of the same shapes as the filter's, so the float
+    path of the filter must match it bit for bit.
+    """
+    mu = np.asarray(mu, dtype=float).reshape(-1)
+    gamma = np.asarray(gamma, dtype=float)
+    u_nom = np.atleast_1d(np.asarray(u_nom, dtype=float))
+    r = gamma.size
+    m = mu.size - r
+    c = cert.zg + mu[r:]
+    d = float((cert.zf + mu[:r]) @ gamma) + cert.const
+    L = None
+    if beta == 0.0:
+        A = np.zeros((m + r, m))
+        b = np.zeros(m + r)
+    else:
+        lower, info = dpotrf(np.asarray(sigma, dtype=float), lower=1, clean=1)
+        if info != 0 or math.isnan(lower[-1, -1]):
+            u = _vector_halfspace(u_nom, c, d)
+            diagnostics = {
+                "analytic": False,
+                "cone_margin": math.nan,
+                "necessary_value": math.nan,
+                "sufficient_eig": math.nan,
+                "sufficient_certified": False,
+                "sigma": _vector_std(sigma, gamma, u),
+            }
+            return u, "factorization_failed", 0, diagnostics
+        L = lower.T
+        A = beta * L[:, r:]
+        b = beta * (L[:, :r] @ gamma)
+    S3 = 1.0**2 * (A.T @ A) - np.outer(c, c)
+    S3 = 0.5 * (S3 + S3.T)
+    if beta > 0.0:
+        phi = np.concatenate((cert.zf, cert.zg)) + mu
+        phi[r - 1] += cert.const
+        z = dtrsv(L.T, phi, lower=1)
+        necessary = 1.0 - float(z @ z) / beta**2
+    else:
+        necessary = -math.inf
+    max_eig = float(S3[0, 0])
+    u, status, iterations, margin, analytic = solve_vector(u_nom, A, b, c, d, S3, tol)
+    if status != "optimal":
+        u = _vector_halfspace(u_nom, c, d)
+    diagnostics = {
+        "analytic": analytic,
+        "cone_margin": margin,
+        "necessary_value": necessary,
+        "sufficient_eig": max_eig,
+        "sufficient_certified": max_eig < -1e-10,
+        "sigma": _vector_std(sigma, gamma, u),
+    }
+    return u, status, iterations, diagnostics
+
+
+def solve_vector(u_nom, A, b, c, d, S3, tol=1e-8):
+    """Projection of u_nom onto |A u + b| <= c u + d for one input, on numpy vectors.
+
+    S3 is the quadric's matrix A^T A - c c^T.  Returns (u, status,
+    iterations, cone margin, analytic); u is u_nom when the cone is empty.
+    """
+    u_nom = np.atleast_1d(np.asarray(u_nom, dtype=float))
+    margin = float(c @ u_nom + d - math.sqrt((A @ u_nom + b) @ (A @ u_nom + b)))
+    if margin >= 0.0:
+        return u_nom.copy(), "optimal", 0, margin, True
+    with np.errstate(all="ignore"):
+        found, iterations = _vector_project(A, b, c, d, S3, u_nom, tol)
+    if found is None:
+        return u_nom.copy(), "infeasible", iterations, margin, False
+    return found[0], "optimal", iterations, found[1], False
+
+
+def _vector_halfspace(u_nom, c, d):
+    u = halfspace_projection_vector(u_nom, c, d)
+    return np.atleast_1d(np.array(u_nom, dtype=float)) if u is None else u
+
+
+def _vector_std(sigma, gamma, u):
+    y = np.concatenate((gamma, u))
+    return math.sqrt(max(float(y @ sigma @ y), 0.0))
+
+
+def _vector_project(A, b, c, d, H, u_nom, tol):
+    """((u, margin) of the projection or None, iterations) for one input."""
+    if not (A.any() or b.any()):
+        u = halfspace_projection_vector(u_nom, c, d)
+        candidates = [] if u is None else [u]
+    else:
+        g, k = A.T @ b - d * c, float(b @ b) - d * d
+        hh, g0, c0 = float(H[0, 0]), float(g[0]), float(c[0])
+        disc = g0 * g0 - hh * k
+        candidates = []
+        if disc >= 0.0:
+            q = -(g0 + math.copysign(math.sqrt(disc), g0))
+            roots = ([q / hh] if hh != 0.0 else []) + ([k / q] if q != 0.0 else [])
+            best = None
+            for root in roots:
+                if c0 * root + d >= 0.0 and (best is None or abs(root - u_nom[0]) < abs(best - u_nom[0])):
+                    best = root
+            candidates = [] if best is None else [np.array([best])]
+    found, steps = _vector_nearest(A, b, c, d, u_nom, candidates, tol)
+    if found is None and (A.any() or b.any()):
+        u = u_nom - np.linalg.lstsq(H, H @ u_nom + g, rcond=None)[0]
+        if float(c @ u) + d < 0.0:
+            M = np.vstack((H, c))
+            u = u_nom - np.linalg.lstsq(M, M @ u_nom + np.append(g, d), rcond=None)[0]
+        found, more = _vector_nearest(A, b, c, d, u_nom, [u], tol)
+        steps += more
+    return found, steps
+
+
+def _vector_nearest(A, b, c, d, u_nom, candidates, tol):
+    found, best, steps = None, math.inf, 0
+    for u in candidates:
+        res = A @ u + b
+        s = math.sqrt(res @ res)
+        t = float(c @ u) + d
+        taken = 0
+        while taken < 3 and s > 0.0 and abs(t - s) > 4.0 * np.finfo(float).eps * (abs(t) + s):
+            grad = c - (A.T @ res) / s
+            norm2 = float(grad @ grad)
+            if norm2 == 0.0:
+                break
+            u_new = u - ((t - s) / norm2) * grad
+            res_new = A @ u_new + b
+            s_new = math.sqrt(res_new @ res_new)
+            t_new = float(c @ u_new) + d
+            if abs(t_new - s_new) >= abs(t - s):
+                break
+            u, res, s, t = u_new, res_new, s_new, t_new
+            taken += 1
+        steps += taken
+        dist = math.sqrt((u - u_nom) @ (u - u_nom))
+        if t - s >= -tol * max(1.0, s) and dist < best:
+            found, best = (u, t - s), dist
+    return found, steps

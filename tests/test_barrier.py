@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gpcbf.barrier import (
     CertificateTerms,
@@ -13,9 +15,21 @@ from gpcbf.barrier import (
     zeta_chain,
 )
 from gpcbf.errors import InfeasibleConstraintError, InvalidDesignError
-from gpcbf.plants import ACC_NOMINAL, SUSPENSION_NOMINAL, acc_design, suspension_design
+from gpcbf.plants import (
+    ACC_NOMINAL,
+    SUSPENSION_NOMINAL,
+    acc_design,
+    double_integrator_design,
+    suspension_design,
+)
 
-from _oracles import SymbolicSystem, grid_min_norm_halfspace, halfspace_projection_vector
+from _oracles import (
+    SymbolicSystem,
+    certificate_terms_numpy,
+    certificate_value,
+    grid_min_norm_halfspace,
+    halfspace_projection_vector,
+)
 
 
 def double_integrator_negx_design(gains):
@@ -109,10 +123,56 @@ class TestCertificateTerms:
     def test_value_is_affine_in_u(self):
         design = acc_design(ACC_NOMINAL, gains=(1.5, 2.5), D=30.0)
         cert = certificate_terms(design, np.array([18.0, 60.0]))
-        v0 = cert.value(design.gamma, np.array([0.0]))
-        v1 = cert.value(design.gamma, np.array([1.0]))
-        v5 = cert.value(design.gamma, np.array([5.0]))
+        v0 = certificate_value(cert, design.gamma, np.array([0.0]))
+        v1 = certificate_value(cert, design.gamma, np.array([1.0]))
+        v5 = certificate_value(cert, design.gamma, np.array([5.0]))
         assert v5 == pytest.approx(v0 + 5.0 * (v1 - v0), rel=1e-12)
+
+
+class TestCertificateTermsOnFloats:
+    """certificate_terms reads the state as floats; the bits are those of numpy scalars."""
+
+    DESIGNS = {
+        "acc": (lambda: acc_design(ACC_NOMINAL, gains=(1.5, 2.5), D=30.0), 2),
+        "suspension": (lambda: suspension_design(SUSPENSION_NOMINAL, gains=(15.475, 25.525)), 4),
+        "synthetic": (lambda: double_integrator_design((2.0, 3.0)), 2),
+    }
+
+    @pytest.mark.parametrize("plant", sorted(DESIGNS))
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_matches_evaluation_on_numpy_scalars(self, plant, data):
+        make, n = self.DESIGNS[plant]
+        design = make()
+        entries = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+        x = np.array(data.draw(st.lists(entries, min_size=n, max_size=n)))
+        cert = certificate_terms(design, x)
+        zf, zg, h = certificate_terms_numpy(design, x)
+        assert cert.zf.tobytes() == zf.tobytes()
+        assert cert.zg.tobytes() == zg.tobytes() and cert.zg.ndim == 1
+        assert repr(cert.h) == repr(h)
+        assert repr(cert.const) == repr(design.e_r * h)
+
+    @pytest.mark.parametrize("row", [2.0, [2.0], (2.0, -1.0), np.array([2]), np.float64(2.0)])
+    def test_actuation_row_that_is_no_float_array_is_converted(self, row):
+        design = double_integrator_negx_design([1.0, 1.0])
+        design = HocbfDesign(
+            r=2, gains=design.gains, h=design.h, lie_f_chain=design.lie_f_chain, lie_g=lambda x: row
+        )
+        zg = certificate_terms(design, np.array([1.0, 2.0])).zg
+        assert zg.dtype == np.float64 and zg.ndim == 1
+        assert zg.tolist() == np.atleast_1d(np.asarray(row, dtype=float)).tolist()
+
+    @pytest.mark.parametrize(
+        "row", [np.array([np.nan]), np.array([np.inf]), np.array([1.0, -np.inf]), [np.nan], -np.inf]
+    )
+    def test_non_finite_actuation_row_raises(self, row):
+        design = double_integrator_negx_design([1.0, 1.0])
+        design = HocbfDesign(
+            r=2, gains=design.gains, h=design.h, lie_f_chain=design.lie_f_chain, lie_g=lambda x: row
+        )
+        with pytest.raises(InvalidDesignError, match="non-finite actuation row"):
+            certificate_terms(design, np.array([1.0, 2.0]))
 
 
 class TestZetaChain:
@@ -297,6 +357,6 @@ class TestCertificateConsistency:
             x = sample()
             u = rng.normal() * 100
             cert = certificate_terms(design, x)
-            affine_val = cert.value(design.gamma, np.array([u]))
+            affine_val = certificate_value(cert, design.gamma, np.array([u]))
             recursive_val = sys.zeta_r(design.gains, x, u)
             assert abs(affine_val - recursive_val) <= 1e-10 * max(1.0, abs(recursive_val))

@@ -1,7 +1,11 @@
 import csv
 import json
 import logging
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -295,6 +299,32 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             cli.main(["validate", "bogus"])
         assert exc.value.code == 2
+
+    def test_validate_choices_are_the_suite_table(self):
+        assert cli.VALIDATE_SUITES == tuple(validate_mod.SUITES)
+
+    def test_print_defaults_and_config_error_load_no_scipy(self, tmp_path):
+        # Both commands exit before any numerics, so they must not pay for
+        # importing scipy through the suites or the experiment runner.
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("plant: synthetic\nsim:\n  horizon: 0.0\n")
+        code = (
+            "import sys\n"
+            "from gpcbf import cli\n"
+            "assert cli.main(['print-defaults', '--plant', 'suspension']) == 0\n"
+            f"assert cli.main(['run', {str(bad)!r}]) == 2\n"
+            "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+            "assert not loaded, loaded\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        paths = [src, os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("plant: suspension\n")
+        assert "config error:" in proc.stderr
 
     def test_synthetic_run_end_to_end(self, tmp_path, monkeypatch, capsys):
         cfg = config_mod.defaults("synthetic")

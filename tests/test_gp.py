@@ -21,7 +21,12 @@ from gpcbf.gp import (
     save_dataset_csv,
 )
 
-from _oracles import composite_kernel_ref, posterior_sigma_fsum, stacked_gp_posterior
+from _oracles import (
+    composite_kernel_ref,
+    posterior_coefficients_rows,
+    posterior_sigma_fsum,
+    stacked_gp_posterior,
+)
 
 
 def _random_dataset(rng, N, n=2, q=3, sn2=1e-3):
@@ -235,6 +240,24 @@ class TestPosterior:
             mu_ref = kbar @ weights
             np.testing.assert_allclose(mu, mu_ref, rtol=0, atol=1e-12 * np.abs(mu_ref).max())
             np.testing.assert_allclose(sigma, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 40), st.integers(1, 4), st.integers(2, 5), st.integers(0, 2**32 - 1))
+    def test_in_place_query_matches_list_of_solves_bit_for_bit(self, N, n, q, seed):
+        # The query overwrites Kbar by its solves and skips the symmetrizing
+        # pass; mu and Sigma keep every bit of the query that stacks fresh
+        # solves and symmetrizes, N = 0 included.
+        rng = np.random.default_rng(seed)
+        model = fit(_random_dataset(rng, N, n=n, q=q), _random_params(rng, q, n))
+        for scale in (0.1, 1.0, 3.0):
+            xstar = rng.normal(size=n) * scale
+            mu, sigma = posterior_coefficients(model, xstar)
+            mu_ref, sigma_ref = posterior_coefficients_rows(model, xstar)
+            assert mu.tobytes() == mu_ref.tobytes()
+            assert sigma.tobytes() == sigma_ref.tobytes()
+        for bad in (np.zeros(n + 1), np.zeros((1, n))):
+            with pytest.raises(ValueError, match="query state of shape"):
+                posterior_coefficients(model, bad)
 
     def test_sigma_accurate_on_ill_conditioned_factor(self):
         # Near-duplicate states along one trajectory, as in an ACC dataset

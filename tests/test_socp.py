@@ -21,11 +21,12 @@ from gpcbf.socp import (
     safety_filter_step,
     solve,
 )
+from gpcbf import socp as socp_mod
 from gpcbf import validate as validate_mod
 from gpcbf.gp import posterior_coefficients
 from gpcbf.validate import _benchmark_filter_states, grid_oracle_u, random_feasible_instance
 
-from _oracles import necessary_value_dense
+from _oracles import necessary_value_dense, safety_filter_step_vector, solve_vector
 
 
 def _random_spd(rng, n, scale=1.0):
@@ -664,3 +665,125 @@ class TestFilterInvariants:
         assert report["states_checked"] == 4
         assert sum(report["statuses"].values()) == 4
         assert report["passed"]
+
+
+def _same_step(out, oracle):
+    """Every field of a filter outcome equals the vector oracle's, bit for bit."""
+    u, status, iterations, diagnostics = oracle
+    assert out.u.tobytes() == np.atleast_1d(u).tobytes()
+    assert (out.status, out.iterations) == (status, iterations)
+    for key, value in diagnostics.items():
+        assert repr(out.diagnostics[key]) == repr(value), key
+
+
+def _one_input_draw(rng, i):
+    """Filter inputs for one input over scales, ties, zeros and a NaN Sigma."""
+    r = 1 + i % 4
+    q = r + 1
+    M = rng.normal(size=(q, q))
+    sigma = 10.0 ** rng.uniform(-6, 8) * (M @ M.T) + 10.0 ** rng.uniform(-12, 0) * np.eye(q)
+    if i % 7 == 0:
+        sigma = np.round(sigma, 1)
+    if i % 53 == 0:
+        sigma[rng.integers(q), rng.integers(q)] = np.nan
+    zg = np.zeros(1) if i % 11 == 0 else rng.normal(size=1) * 10.0 ** rng.uniform(-3, 1)
+    cert = CertificateTerms(
+        zf=rng.normal(size=r) * 10.0 ** rng.uniform(-3, 3),
+        zg=zg,
+        const=float(rng.normal() * 10.0 ** rng.uniform(-3, 3)),
+    )
+    mu = rng.normal(size=q) * 10.0 ** rng.uniform(-4, 2)
+    beta = float(rng.choice([0.0, 1.0, 2.0, rng.uniform(0.01, 10.0)]))
+    gamma = np.concatenate((rng.uniform(0.1, 50.0, size=r - 1), [1.0]))
+    u_nom = np.zeros(1) if i % 13 == 0 else rng.normal(size=1) * 10.0 ** rng.uniform(-3, 8)
+    return u_nom, cert, mu, sigma, beta, gamma
+
+
+class TestOneInputFloatPath:
+    """The m = 1 filter step on floats against the general vector path, bit for bit."""
+
+    def test_matches_vector_oracle_on_every_kind_of_step(self, monkeypatch):
+        fallbacks = []
+        projected = socp_mod._projected
+
+        def counted(cone, u_nom, tol, margin):
+            out = projected(cone, u_nom, tol, margin)
+            fallbacks.append(out.status == STATUS_OPTIMAL and not cone.degenerate)
+            return out
+
+        monkeypatch.setattr(socp_mod, "_projected", counted)
+        rng = np.random.default_rng(21)
+        steps = []
+        for i in range(3000):
+            args = _one_input_draw(rng, i)
+            out = safety_filter_step(*args)
+            _same_step(out, safety_filter_step_vector(*args))
+            steps.append((out.status, out.diagnostics["analytic"], out.iterations > 0, args[4] > 0.0))
+
+        def count(status, analytic=None, polished=None, beta_positive=True):
+            want = (status, analytic, polished, beta_positive)
+            return sum(all(w is None or w == v for w, v in zip(want, step)) for step in steps)
+
+        assert count(STATUS_OPTIMAL, analytic=True, beta_positive=None) >= 300
+        assert count(STATUS_OPTIMAL, analytic=False, polished=False) >= 200
+        assert count(STATUS_OPTIMAL, analytic=False, polished=True) >= 100
+        assert count(STATUS_INFEASIBLE) >= 300
+        assert count(STATUS_OPTIMAL, analytic=False, beta_positive=False) >= 100
+        assert count(STATUS_FACTORIZATION_FAILED) >= 100
+        # An assembled cone with beta > 0 has no apex and an interior, so the
+        # float path answers every feasible projecting step itself; the
+        # general path sees only empty cones and beta = 0.
+        empty = count(STATUS_INFEASIBLE, beta_positive=None)
+        assert len(fallbacks) == empty + count(STATUS_OPTIMAL, analytic=False, beta_positive=False)
+        assert not any(fallbacks)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 4), st.data())
+    def test_matches_vector_oracle_on_drawn_inputs(self, r, data):
+        q = r + 1
+        entries = st.floats(-100.0, 100.0, allow_nan=False, allow_infinity=False)
+        M = np.array(data.draw(st.lists(entries, min_size=q * q, max_size=q * q))).reshape(q, q)
+        sigma = M @ M.T + data.draw(st.sampled_from([0.0, 1e-12, 1e-3, 1.0])) * np.eye(q)
+        if data.draw(st.booleans()) and data.draw(st.booleans()):
+            i, j = data.draw(st.integers(0, q - 1)), data.draw(st.integers(0, q - 1))
+            sigma[i, j] = sigma[j, i] = np.nan
+        cert = CertificateTerms(
+            zf=np.array(data.draw(st.lists(entries, min_size=r, max_size=r))),
+            zg=np.array([data.draw(entries)]),
+            const=data.draw(entries),
+        )
+        mu = np.array(data.draw(st.lists(entries, min_size=q, max_size=q)))
+        beta = data.draw(st.sampled_from([0.0, 0.5, 2.0, 7.5]))
+        gamma = np.array(data.draw(st.lists(st.floats(0.1, 50.0), min_size=r - 1, max_size=r - 1)) + [1.0])
+        u_nom = np.array([data.draw(entries)])
+        args = (u_nom, cert, mu, sigma, beta, gamma)
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = safety_filter_step_vector(*args)
+        _same_step(safety_filter_step(*args), expected)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 4), st.booleans(), st.data())
+    def test_solve_matches_vector_oracle_on_hand_written_cones(self, rows, strided, data):
+        # any row count, and A as a strided view, as a hand-written cone may be
+        entries = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+        A = np.array(data.draw(st.lists(entries, min_size=2 * rows, max_size=2 * rows)))
+        A = A.reshape(rows, 2)[:, :1] if strided else A[:rows].reshape(rows, 1)
+        b = np.array(data.draw(st.lists(entries, min_size=rows, max_size=rows)))
+        c = np.array([data.draw(entries)])
+        d = data.draw(entries)
+        u_nom = np.array([data.draw(entries)])
+        cone = SafetyConeData(A=A, b=b, c=c, d=d)
+        out = solve(u_nom, cone, tol=1e-8)
+        u, status, iterations, margin, analytic = solve_vector(u_nom, A, b, c, d, cone.S3, tol=1e-8)
+        assert out.u.tobytes() == u.tobytes()
+        assert (out.status, out.iterations) == (status, iterations)
+        assert repr(out.diagnostics["cone_margin"]) == repr(margin)
+        assert out.diagnostics["analytic"] is analytic
+
+    def test_one_element_build_S_matches_the_matrix_formula(self):
+        rng = np.random.default_rng(22)
+        values = rng.choice([-1.0, 1.0], size=(500, 3)) * 10.0 ** rng.uniform(-100, 100, size=(500, 3))
+        for phi, sigma, beta in values.tolist() + [[0.0, 0.0, 1.0], [-0.0, 0.0, 1.0], [0.0, -0.0, 2.0]]:
+            S = beta**2 * np.array([[sigma]]) - np.outer([phi], [phi])
+            expected = 0.5 * (S + S.T)
+            assert build_S(np.array([phi]), np.array([[sigma]]), beta).tobytes() == expected.tobytes()
