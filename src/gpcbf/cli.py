@@ -21,10 +21,6 @@ EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_CONFIG = 2
 
-# The names of ``gpcbf.validate.SUITES``, kept here so that building the
-# parser does not import the suites, which load scipy.
-VALIDATE_SUITES = ("kernel", "solver", "decomposition", "feasibility")
-
 
 def _cmd_run(args) -> int:
     try:
@@ -87,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=_cmd_run)
 
     p_val = sub.add_parser("validate", help="run a property suite")
-    p_val.add_argument("suite", choices=list(VALIDATE_SUITES) + ["all"])
+    p_val.add_argument("suite", choices=list(config_mod.VALIDATE_SUITES) + ["all"])
     p_val.add_argument("--seed", type=int, default=0)
     p_val.set_defaults(func=_cmd_validate)
 

@@ -109,6 +109,12 @@ PLANT_SECTIONS = {
 }
 
 
+# The property suites behind ``gpcbf validate``, in the order "all" runs
+# them; ``gpcbf.validate.SUITES`` maps each name to its ``<name>_suite``.
+# Kept here so that the CLI parser does not import the suites (and scipy).
+VALIDATE_SUITES = ("kernel", "solver", "decomposition", "feasibility")
+
+
 @dataclass
 class OutputConfig:
     dir: str = "results"

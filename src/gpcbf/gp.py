@@ -122,7 +122,13 @@ def _gram_composite(X, Y, sf2, inv_ell2):
 
 
 def _cross_kbar(X, Y, xstar, sf2, inv_ell2):
-    """Kbar (q, N), C-ordered: column j is the base-kernel vector at (x*, x_j) times y_j."""
+    """Kbar (q, N), C-ordered: column j is the base-kernel vector at (x*, x_j) times y_j.
+
+    :func:`posterior_coefficients` solves on Kbar's rows in place, which
+    ``dtrsv(..., overwrite_x=1)`` does only for a contiguous float64 row; on
+    any other row it would solve a copy and leave Kbar as it was.  Writing
+    the product into ``kt``, a fresh C-ordered array, keeps every row so.
+    """
     diff2 = (xstar[None, :] - X) ** 2  # (N, n)
     kt = sf2[:, None] * np.exp(-0.5 * (inv_ell2 @ diff2.T))  # (q, N)
     return np.multiply(kt, Y.T, out=kt)
@@ -258,7 +264,9 @@ def posterior_coefficients(model: CompositeGpModel, xstar) -> tuple[np.ndarray, 
         return np.zeros(q), np.diag(model.sf2) + SIGMA_JITTER * np.eye(q)
     kbar = _cross_kbar(model.X, model.Y, xstar, model.sf2, model.inv_ell2)
     mu = kbar @ model.weights
-    for row in kbar:  # row t of Kbar becomes the solution v of L v = Kbar[t]
+    # Row t of Kbar becomes the solution v of L v = Kbar[t] in place, which
+    # needs Kbar's C order (see _cross_kbar).
+    for row in kbar:
         dtrsv(model.factor, row, lower=1, overwrite_x=1)
     sigma = kbar @ kbar.T
     np.subtract(0.0, sigma, out=sigma)  # 0.0 - x, so a zero entry stays +0.0 as in Lambda - V^T V

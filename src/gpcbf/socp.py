@@ -49,19 +49,17 @@ projection can only lie where Q has no gradient: at an apex of the cone
 The filter's cones have neither, because Sigma is positive definite and
 gamma_r = 1.  A step is infeasible when K is empty.
 
-Both benchmarks have one input, so each of their steps takes the m = 1
-path on Python floats: cone assembly builds c, d, phi and the 1 x 1 S3
-from floats, and the margin, the root and its polish in ``solve`` and the
-posterior std of the step run on the cone's floats.  The results keep the
-bits of the general vector formulation by one rule: wherever that
-formulation takes a numpy dot product (``L^r @ gamma``, ``A.T @ A``,
-``A.T @ b``, ``A.T @ res``, ``v @ v``, ``y @ Sigma @ y``), the float path
-takes the same numpy product on operands of the same shapes and strides,
-because BLAS may contract its sums to fused multiply-adds that a
-left-to-right sum of floats does not reproduce.  Only products of two
-scalars and sums with one product move to floats; a dot product of
-length one is 0.0 + x * y, since numpy starts the sum at +0.0.  The m >= 2
-secular path stays on numpy arrays.
+With one input (both benchmarks) ``solve`` runs on Python floats from
+start to end: the margin, the root or the half-space point, the critical
+point when no root qualifies, and the Newton polish.  It keeps the bits of
+the same steps on numpy 1-arrays by one rule: every product that sums two
+or more terms (``A.T @ b``, ``A.T @ res``, ``b @ b``, ``res @ res``) stays
+that numpy expression on operands of the same shapes and strides, because
+BLAS may contract its sums to fused multiply-adds that a left-to-right sum
+of floats does not reproduce.  Only products of two scalars and sums with
+one product move to floats; a dot product of length one, such as c @ u, is
+0.0 + c * u, since numpy starts the sum at +0.0.  Cone assembly and the
+m >= 2 secular path stay on numpy arrays.
 """
 
 import math
@@ -116,29 +114,27 @@ def matrix_sqrt_factor(sigma: np.ndarray) -> np.ndarray:
     return lower.T
 
 
-@dataclass
+@dataclass(frozen=True)
 class SafetyConeData:
     """Per-step cone constraint |A u + b| <= c u + d; rebuilt every step.
 
-    ``S3`` = A^T A - c c^T, formed by :func:`build_S` for every cone, is the
-    quadric's matrix H in :func:`solve` and the matrix of the sufficient
-    condition.  :func:`assemble_safety_cone` passes it in, with the
-    necessary-condition value 1 - phi Sigma^{-1} phi^T / beta^2 that it
-    takes from the same Cholesky factor (-inf when beta = 0).  A cone
-    written by hand leaves both out: S3 is formed here and the necessary
-    value stays NaN.
+    ``S3`` = A^T A - c c^T is formed once, by :func:`build_S`, for every
+    cone: it is the quadric's matrix H in :func:`solve` and the matrix of
+    the sufficient condition.  ``necessary_value`` is the necessary-condition
+    value 1 - phi Sigma^{-1} phi^T / beta^2 that :func:`assemble_safety_cone`
+    takes from the Cholesky factor it assembled the cone with (-inf when
+    beta = 0); a cone written by hand leaves it NaN.
     """
 
-    A: np.ndarray  # (k, m)
-    b: np.ndarray  # (k,)
+    A: np.ndarray  # (m + r, m)
+    b: np.ndarray  # (m + r,)
     c: np.ndarray  # (m,)
     d: float
-    S3: Optional[np.ndarray] = field(default=None, repr=False)  # (m, m)
     necessary_value: float = math.nan
+    S3: np.ndarray = field(init=False, repr=False)  # (m, m)
 
     def __post_init__(self):
-        if self.S3 is None:
-            self.S3 = build_S(self.c, self.A.T @ self.A, 1.0)
+        object.__setattr__(self, "S3", build_S(self.c, self.A.T @ self.A, 1.0))
 
     @property
     def degenerate(self) -> bool:
@@ -147,16 +143,24 @@ class SafetyConeData:
 
 
 def effective_phi(cert: CertificateTerms, mu: np.ndarray) -> np.ndarray:
-    """Row [zf + mu_r | zg + mu_m] with e_r h folded into the r-th entry.
+    """Row [zf + mu_r | zg + mu_m] with e_r h folded into the r-th entry (see :func:`_mean_row`)."""
+    return _mean_row(cert, np.asarray(mu, dtype=float).reshape(-1))[0]
 
-    gamma_r = 1 makes the fold exact: phi @ [gamma; u] reproduces the cone's
-    right-hand side c u + d.
+
+def _mean_row(cert: CertificateTerms, mu: np.ndarray, gamma: Optional[np.ndarray] = None) -> tuple:
+    """(phi, c, d): the effective row and the mean-only constraint c u + d >= 0.
+
+    phi = [zf + mu_r | zg + mu_m] with e_r h folded into its r-th entry;
+    gamma_r = 1 makes the fold exact, so phi @ [gamma; u] reproduces c u + d.
+    c is phi's input block and d = (zf + mu_r) . gamma + e_r h, taken before
+    the fold (NaN without gamma).  mu is a flat vector.
     """
-    mu = np.asarray(mu, dtype=float).reshape(-1)
     r = cert.zf.size
     phi = np.concatenate((cert.zf, cert.zg)) + mu
+    c = phi[r:]  # the fold below changes entry r - 1 only
+    d = math.nan if gamma is None else float(phi[:r] @ gamma) + cert.const
     phi[r - 1] += cert.const
-    return phi
+    return phi, c, d
 
 
 def assemble_safety_cone(
@@ -167,29 +171,12 @@ def assemble_safety_cone(
     gamma: np.ndarray,
 ) -> SafetyConeData:
     """Build the cone data, with its necessary-condition value, from
-    certificate terms and the GP posterior.
-
-    With one input the pieces come from Python floats: c, the effective
-    row phi (see :func:`effective_phi`) and S3, whose A^T A is the dot
-    product of A's one column with itself, the product ``A.T @ A`` takes.
-    The products that sum two or more terms (the factor's drift block times
-    gamma, the mean row times gamma, A's column with itself) stay numpy's,
-    on operands of the same shapes, so the cone keeps its bits.
-    """
+    certificate terms and the GP posterior."""
     mu = np.asarray(mu, dtype=float).reshape(-1)
     gamma = np.asarray(gamma, dtype=float)
     r = gamma.size
     m = mu.size - r
-    mean_drift = cert.zf + mu[:r]
-    d = float(mean_drift.dot(gamma)) + cert.const
-    if m == 1:
-        c0 = cert.zg.item() + mu.item(r)
-        c = np.array([c0])
-        phi = mean_drift.tolist() + [c0]
-    else:
-        c = cert.zg + mu[r:]
-        phi = np.concatenate((mean_drift, c))
-    phi[r - 1] += cert.const
+    phi, c, d = _mean_row(cert, mu, gamma)
     if beta == 0.0:
         A = np.zeros((m + r, m))
         b = np.zeros(m + r)
@@ -198,19 +185,8 @@ def assemble_safety_cone(
         L = matrix_sqrt_factor(sigma)
         A = beta * L[:, r:]
         b = beta * (L[:, :r] @ gamma)
-        necessary = _necessary_from_factor(np.asarray(phi), L, beta)
-    if m == 1:
-        a = A[:, 0]
-        S3 = build_S(c, a.dot(a), 1.0)
-    else:
-        S3 = build_S(c, A.T @ A, 1.0)
-    return SafetyConeData(A=A, b=b, c=c, d=d, S3=S3, necessary_value=necessary)
-
-
-def _mean_row(cert: CertificateTerms, mu: np.ndarray, gamma: np.ndarray) -> tuple:
-    """(c, d) of the mean-only constraint c u + d >= 0, mu a flat vector."""
-    r = gamma.size
-    return cert.zg + mu[r:], float((cert.zf + mu[:r]) @ gamma) + cert.const
+        necessary = _necessary_from_factor(phi, L, beta)
+    return SafetyConeData(A=A, b=b, c=c, d=d, necessary_value=necessary)
 
 
 def build_S(phi: np.ndarray, sigma: np.ndarray, beta: float) -> np.ndarray:
@@ -218,14 +194,9 @@ def build_S(phi: np.ndarray, sigma: np.ndarray, beta: float) -> np.ndarray:
 
     phi is the effective certificate row from :func:`effective_phi`.  Every
     cone forms its block S3 = A^T A - c c^T with this function, as
-    build_S(c, A^T A, 1): A^T A = beta^2 Sigma_mm and c = phi[r:].  With
-    one entry the same operations run on floats and return a 1 x 1 array.
+    build_S(c, A^T A, 1): A^T A = beta^2 Sigma_mm and c = phi[r:].
     """
     phi = np.asarray(phi, dtype=float).reshape(-1)
-    if phi.size == 1:
-        p = phi.item()
-        s = beta**2 * np.asarray(sigma, dtype=float).item() - p * p
-        return np.array([[0.5 * (s + s)]])
     S = beta**2 * np.asarray(sigma, dtype=float) - np.outer(phi, phi)
     return 0.5 * (S + S.T)
 
@@ -238,7 +209,7 @@ def _necessary_from_factor(phi: np.ndarray, L: np.ndarray, beta: float) -> float
     level-2 ``dtrsv`` on the Fortran-ordered lower factor L^T in place.
     """
     z = dtrsv(L.T, phi, lower=1)
-    return 1.0 - float(z.dot(z)) / beta**2
+    return 1.0 - float(z @ z) / beta**2
 
 
 def feasibility_sufficient(S3: np.ndarray) -> tuple[bool, float]:
@@ -289,94 +260,112 @@ def solve(u_nom, cone: SafetyConeData, tol: float = 1e-8) -> FilterOutcome:
     ``optimal`` means the returned u has cone margin >= -tol * max(1, |A u + b|);
     ``infeasible`` means no such u exists, and u is u_nom.  ``iterations``
     counts root-finder and polishing iterations; it is 0 when u_nom already
-    satisfies the cone.  One input takes :func:`_solve_one_input`.
+    satisfies the cone.  One input runs on floats in :func:`_solve_scalar`.
     """
     u_nom = np.atleast_1d(np.asarray(u_nom, dtype=float))
     if u_nom.size == 1:
-        return _solve_one_input(cone, u_nom, tol)
-    margin = cone_margin(cone, u_nom)
-    if margin >= 0.0:
-        return FilterOutcome(
-            u=u_nom.copy(),
-            status=STATUS_OPTIMAL,
-            iterations=0,
-            diagnostics={"analytic": True, "cone_margin": margin},
-        )
-    return _projected(cone, u_nom, tol, margin)
-
-
-def _projected(cone: SafetyConeData, u_nom: np.ndarray, tol: float, margin: float) -> FilterOutcome:
-    with np.errstate(all="ignore"):  # overflowing candidates fail the feasibility check
-        u, status, iterations, margin = _project(cone, u_nom, tol, margin)
+        u, status, iterations, margin, analytic = _solve_scalar(cone, u_nom.item(), tol)
+        u = np.array([u])
+    else:
+        margin = cone_margin(cone, u_nom)
+        analytic = margin >= 0.0
+        if analytic:
+            u, status, iterations = u_nom.copy(), STATUS_OPTIMAL, 0
+        else:
+            with np.errstate(all="ignore"):  # overflowing candidates fail the feasibility check
+                u, status, iterations, margin = _project(cone, u_nom, tol, margin)
     return FilterOutcome(
         u=u,
         status=status,
         iterations=iterations,
-        diagnostics={"analytic": False, "cone_margin": margin},
+        diagnostics={"analytic": analytic, "cone_margin": margin},
     )
 
 
-def _solve_one_input(cone: SafetyConeData, u_nom: np.ndarray, tol: float) -> FilterOutcome:
-    """:func:`solve` for m = 1 on the cone's floats, with the bits of the vector path.
+def _solve_scalar(cone: SafetyConeData, u0: float, tol: float) -> tuple:
+    """:func:`solve` for m = 1 on floats; (u, status, iterations, margin, analytic).
 
-    The margin, the nearest root of the scalar quadric and its Newton polish
-    run on Python floats.  Each dot product of length >= 2 stays the numpy
-    dot of the vector path on the same operands (A's column with b or with
-    the residual, the residual with itself), so its bits stay too; a dot of
-    length one, c @ u, is 0.0 + c * u, since numpy's dot starts its sum at
-    +0.0.  A root that fails the feasibility check, an empty cone and
-    beta = 0 go to the general path, which finds the same root again before
-    it tries the critical points.
+    K is an interval whose finite ends are roots of the scalar quadric Q.
+    The candidates of :func:`_scalar_candidates` are polished in turn by
+    :func:`_polish_scalar`, and the first that passes the feasibility check
+    is the answer.
     """
-    a, b = cone.A[:, 0], cone.b
-    c, d, u0 = cone.c.item(), float(cone.d), u_nom.item()
-    a_list, b_list = a.tolist(), b.tolist()
-    res = _residual_one_input(a_list, b_list, u0)
-    margin = (0.0 + c * u0) + d - math.sqrt(res.dot(res))
+    At = cone.A.T
+    a_list, b_list = cone.A[:, 0].tolist(), cone.b.tolist()
+    c, d = cone.c.item(), float(cone.d)
+    res = _residual_scalar(a_list, b_list, u0)
+    margin = (0.0 + c * u0) + d - math.sqrt(res @ res)
     if margin >= 0.0:
-        return FilterOutcome(
-            u=np.array([u0]),
-            status=STATUS_OPTIMAL,
-            iterations=0,
-            diagnostics={"analytic": True, "cone_margin": margin},
-        )
-    if any(a_list) or any(b_list):  # else beta = 0 left the half-space c u + d >= 0
-        H = cone.S3.item()
-        g = float(a.dot(b)) - d * c
-        k = float(b.dot(b)) - d * d
-        root = _scalar_root(H, g, k, c, d, u0)
-        if root is not None:
-            u, steps, root_margin, s = _polish_one_input(a, a_list, b_list, c, d, root)
+        return u0, STATUS_OPTIMAL, 0, margin, True
+    steps = 0
+    degenerate = not (any(a_list) or any(b_list))  # cone.degenerate, on the lists
+    with np.errstate(all="ignore"):  # overflowing candidates fail the feasibility check
+        for candidate in _scalar_candidates(cone, degenerate, c, d, u0):
+            u, taken, cand_margin, s = _polish_scalar(At, a_list, b_list, c, d, candidate)
+            steps += taken
             step = u - u0
-            if root_margin >= -tol * max(1.0, s) and step * step < math.inf:
-                return FilterOutcome(
-                    u=np.array([u]),
-                    status=STATUS_OPTIMAL,
-                    iterations=steps,
-                    diagnostics={"analytic": False, "cone_margin": root_margin},
-                )
-    return _projected(cone, u_nom, tol, margin)
+            if cand_margin >= -tol * max(1.0, s) and step * step < math.inf:
+                return u, STATUS_OPTIMAL, steps, cand_margin, False
+    return u0, STATUS_INFEASIBLE, steps, margin, False
 
 
-def _residual_one_input(a_list: list, b_list: list, u: float) -> np.ndarray:
-    """A u + b for one input: one product and one sum per row, as numpy's ``A @ u + b``."""
-    return np.array([ai * u + bi for ai, bi in zip(a_list, b_list)])
+def _scalar_candidates(cone: SafetyConeData, degenerate: bool, c: float, d: float, u0: float):
+    """m = 1: the candidate projections of u0, in the order they are tried.
+
+    beta = 0 leaves the half-space c u + d >= 0 and its closed-form point.
+    Else the root of Q(u) = H u^2 + 2 g u + k on the branch c u + d >= 0
+    nearest u0 comes first, and the critical point of :func:`_nearest_critical`
+    follows, for a cone with an apex or without interior.
+    """
+    if degenerate:
+        try:
+            yield halfspace_qp_filter(u0, cone.c, d).item()
+        except InfeasibleConstraintError:
+            pass
+        return
+    b = cone.b
+    g = (cone.A.T @ b).item() - d * c
+    k = float(b @ b) - d * d
+    root = _scalar_root(cone.S3.item(), g, k, c, d, u0)
+    if root is not None:
+        yield root
+    yield _nearest_critical(cone, np.array([g]), np.array([u0])).item()
 
 
-def _polish_one_input(a: np.ndarray, a_list: list, b_list: list, c: float, d: float, u: float):
+def _scalar_root(H: float, g: float, k: float, c: float, d: float, u0: float) -> Optional[float]:
+    """Root of H u^2 + 2 g u + k on the branch c u + d >= 0 nearest u0, or None."""
+    # Roots without cancellation: q / H and k / q.
+    disc = g * g - H * k
+    if disc < 0.0:
+        return None
+    q = -(g + math.copysign(math.sqrt(disc), g))
+    roots = ([q / H] if H != 0.0 else []) + ([k / q] if q != 0.0 else [])
+    best = None
+    for root in roots:
+        if c * root + d >= 0.0 and (best is None or abs(root - u0) < abs(best - u0)):
+            best = root
+    return best
+
+
+def _residual_scalar(a_list: list, b_list: list, u: float) -> np.ndarray:
+    """A u + b for one input as numpy's ``A @ u + b``, whose rows are dots of length one."""
+    return np.array([0.0 + ai * u + bi for ai, bi in zip(a_list, b_list)])
+
+
+def _polish_scalar(At: np.ndarray, a_list: list, b_list: list, c: float, d: float, u: float):
     """:func:`_polish` for m = 1 on floats; (u, steps taken, cone margin at u, |A u + b|)."""
-    res = _residual_one_input(a_list, b_list, u)
-    s = math.sqrt(res.dot(res))
+    res = _residual_scalar(a_list, b_list, u)
+    s = math.sqrt(res @ res)
     t = (0.0 + c * u) + d
     steps = 0
     while steps < _MAX_POLISH and s > 0.0 and abs(t - s) > 4.0 * _EPS * (abs(t) + s):
-        grad = c - float(a.dot(res)) / s
+        grad = c - (At @ res).item() / s
         norm2 = grad * grad  # grad @ grad: a square is never -0.0, so no 0.0 + is needed
         if norm2 == 0.0:
             break
         u_new = u - ((t - s) / norm2) * grad
-        res_new = _residual_one_input(a_list, b_list, u_new)
-        s_new = math.sqrt(res_new.dot(res_new))
+        res_new = _residual_scalar(a_list, b_list, u_new)
+        s_new = math.sqrt(res_new @ res_new)
         t_new = (0.0 + c * u_new) + d
         if abs(t_new - s_new) >= abs(t - s):
             break
@@ -386,7 +375,10 @@ def _polish_one_input(a: np.ndarray, a_list: list, b_list: list, c: float, d: fl
 
 
 def _project(cone: SafetyConeData, u_nom: np.ndarray, tol: float, margin: float):
-    """The nearest candidate that passes the feasibility check; (u, status, iterations, margin)."""
+    """m >= 2: the nearest candidate that passes the feasibility check.
+
+    Returns (u, status, iterations, margin).
+    """
     iterations = 0
     if cone.degenerate:
         try:
@@ -397,10 +389,7 @@ def _project(cone: SafetyConeData, u_nom: np.ndarray, tol: float, margin: float)
         # Q(u) = u^T S3 u + 2 g^T u + k = |A u + b|^2 - (c u + d)^2
         A, b, c, d = cone.A, cone.b, cone.c, cone.d
         g, k = A.T @ b - d * c, float(b @ b) - d * d
-        if u_nom.size == 1:
-            candidates = _scalar_candidates(cone, g, k, u_nom)
-        else:
-            candidates, iterations = _secular_candidates(cone, g, k, u_nom)
+        candidates, iterations = _secular_candidates(cone, g, k, u_nom)
     found, steps = _nearest_feasible(cone, u_nom, candidates, tol)
     if found is None and not cone.degenerate:
         found, more = _nearest_feasible(cone, u_nom, [_nearest_critical(cone, g, u_nom)], tol)
@@ -437,29 +426,6 @@ def _nearest_feasible(cone: SafetyConeData, u_nom: np.ndarray, candidates, tol: 
         if cand_margin >= -tol * max(1.0, norm) and dist < best:
             found, best = (cand, cand_margin), dist
     return found, steps
-
-
-def _scalar_candidates(cone: SafetyConeData, g: np.ndarray, k: float, u_nom: np.ndarray) -> list:
-    """m = 1: the root of Q on the branch c u + d >= 0 nearest u_nom, if any."""
-    root = _scalar_root(
-        float(cone.S3[0, 0]), float(g[0]), k, float(cone.c[0]), cone.d, float(u_nom[0])
-    )
-    return [] if root is None else [np.array([root])]
-
-
-def _scalar_root(H: float, g: float, k: float, c: float, d: float, u0: float) -> Optional[float]:
-    """Root of H u^2 + 2 g u + k on the branch c u + d >= 0 nearest u0, or None."""
-    # Roots without cancellation: q / H and k / q.
-    disc = g * g - H * k
-    if disc < 0.0:
-        return None
-    q = -(g + math.copysign(math.sqrt(disc), g))
-    roots = ([q / H] if H != 0.0 else []) + ([k / q] if q != 0.0 else [])
-    best = None
-    for root in roots:
-        if c * root + d >= 0.0 and (best is None or abs(root - u0) < abs(best - u0)):
-            best = root
-    return best
 
 
 def _secular_candidates(cone: SafetyConeData, g: np.ndarray, k: float, u_nom: np.ndarray):
@@ -604,15 +570,15 @@ def safety_filter_step(
     sqrt(y^T Sigma y) at y = [gamma; u] for the returned u.  The sufficient
     condition reads the cone's S3, the matrix of the quadric that the
     projection solves; the necessary value comes with the cone, from the
-    factor that assembled it.  With one input the step runs on floats under
-    the rule of the module docstring, so every field keeps the bits of the
-    general vector formulation.
+    factor that assembled it.  With one input the projection runs on
+    floats under the rule of the module docstring, so every field keeps
+    the bits of the same step on numpy 1-arrays.
     """
     gamma = np.asarray(gamma, dtype=float)
     try:
         cone = assemble_safety_cone(cert, mu, sigma, beta, gamma)
     except FactorizationError:
-        c, d = _mean_row(cert, np.asarray(mu, dtype=float).reshape(-1), gamma)
+        _, c, d = _mean_row(cert, np.asarray(mu, dtype=float).reshape(-1), gamma)
         u = _mean_halfspace(u_nom, c, d)
         return FilterOutcome(
             u=u,
@@ -652,9 +618,6 @@ def _mean_halfspace(u_nom, c: np.ndarray, d: float) -> np.ndarray:
 
 
 def _posterior_std(sigma: np.ndarray, gamma: np.ndarray, u: np.ndarray) -> float:
-    """sqrt(y^T Sigma y) at y = [gamma; u], floored at 0 under the root.
-
-    y @ Sigma is numpy's vector-matrix product; its dot with y is numpy's.
-    """
-    y = np.array(gamma.tolist() + u.tolist())
-    return math.sqrt(max(float((y @ sigma).dot(y)), 0.0))
+    """sqrt(y^T Sigma y) at y = [gamma; u], floored at 0 under the root."""
+    y = np.concatenate((gamma, u))
+    return math.sqrt(max(float(y @ sigma @ y), 0.0))

@@ -300,9 +300,6 @@ class TestCli:
             cli.main(["validate", "bogus"])
         assert exc.value.code == 2
 
-    def test_validate_choices_are_the_suite_table(self):
-        assert cli.VALIDATE_SUITES == tuple(validate_mod.SUITES)
-
     def test_print_defaults_and_config_error_load_no_scipy(self, tmp_path):
         # Both commands exit before any numerics, so they must not pay for
         # importing scipy through the suites or the experiment runner.

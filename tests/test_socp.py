@@ -703,15 +703,14 @@ class TestOneInputFloatPath:
     """The m = 1 filter step on floats against the general vector path, bit for bit."""
 
     def test_matches_vector_oracle_on_every_kind_of_step(self, monkeypatch):
-        fallbacks = []
-        projected = socp_mod._projected
+        critical_calls = []
+        nearest_critical = socp_mod._nearest_critical
 
-        def counted(cone, u_nom, tol, margin):
-            out = projected(cone, u_nom, tol, margin)
-            fallbacks.append(out.status == STATUS_OPTIMAL and not cone.degenerate)
-            return out
+        def counted(cone, g, u_nom):
+            critical_calls.append(1)
+            return nearest_critical(cone, g, u_nom)
 
-        monkeypatch.setattr(socp_mod, "_projected", counted)
+        monkeypatch.setattr(socp_mod, "_nearest_critical", counted)
         rng = np.random.default_rng(21)
         steps = []
         for i in range(3000):
@@ -731,11 +730,9 @@ class TestOneInputFloatPath:
         assert count(STATUS_OPTIMAL, analytic=False, beta_positive=False) >= 100
         assert count(STATUS_FACTORIZATION_FAILED) >= 100
         # An assembled cone with beta > 0 has no apex and an interior, so the
-        # float path answers every feasible projecting step itself; the
-        # general path sees only empty cones and beta = 0.
-        empty = count(STATUS_INFEASIBLE, beta_positive=None)
-        assert len(fallbacks) == empty + count(STATUS_OPTIMAL, analytic=False, beta_positive=False)
-        assert not any(fallbacks)
+        # nearest root answers every feasible projecting step, and the
+        # critical point is tried, and fails, on the empty cones only.
+        assert len(critical_calls) == count(STATUS_INFEASIBLE)
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 4), st.data())
@@ -780,10 +777,23 @@ class TestOneInputFloatPath:
         assert repr(out.diagnostics["cone_margin"]) == repr(margin)
         assert out.diagnostics["analytic"] is analytic
 
-    def test_one_element_build_S_matches_the_matrix_formula(self):
-        rng = np.random.default_rng(22)
-        values = rng.choice([-1.0, 1.0], size=(500, 3)) * 10.0 ** rng.uniform(-100, 100, size=(500, 3))
-        for phi, sigma, beta in values.tolist() + [[0.0, 0.0, 1.0], [-0.0, 0.0, 1.0], [0.0, -0.0, 2.0]]:
-            S = beta**2 * np.array([[sigma]]) - np.outer([phi], [phi])
-            expected = 0.5 * (S + S.T)
-            assert build_S(np.array([phi]), np.array([[sigma]]), beta).tobytes() == expected.tobytes()
+    @pytest.mark.parametrize(
+        "A, b, c, d, u_nom",
+        [
+            # one row: numpy's A.T @ b starts its sum at +0.0, so g = +0.0 and the root is -0.0
+            ([[-1.0]], [0.0], [0.0], 0.0, 1.0),
+            ([[-1.0]], [-0.0], [-0.0], 0.0, 1.0),
+            # A = 0 with b != 0 is no half-space c u + d >= 0 but c u + d >= |b|
+            ([[0.0], [0.0]], [1.0, 0.0], [1.0], 0.0, -3.0),
+            ([[0.0], [0.0]], [0.0, -2.0], [-2.0], 1.0, 5.0),
+        ],
+    )
+    def test_solve_matches_vector_oracle_on_edge_cones(self, A, b, c, d, u_nom):
+        A, b, c, u_nom = np.array(A), np.array(b), np.array(c), np.array([u_nom])
+        cone = SafetyConeData(A=A, b=b, c=c, d=d)
+        out = solve(u_nom, cone, tol=1e-8)
+        u, status, iterations, margin, analytic = solve_vector(u_nom, A, b, c, d, cone.S3, tol=1e-8)
+        assert out.u.tobytes() == u.tobytes()
+        assert (out.status, out.iterations) == (status, iterations)
+        assert out.diagnostics["analytic"] is analytic
+        assert repr(out.diagnostics["cone_margin"]) == repr(margin)
