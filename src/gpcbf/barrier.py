@@ -113,7 +113,7 @@ class HocbfDesign:
         object.__setattr__(self, "zeta_weights", weights)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CertificateTerms:
     """Affine decomposition of the nominal certificate at one state.
 

@@ -36,6 +36,10 @@ DEFAULT_JITTER_SCHEDULE = (0.0, 1e-10, 1e-8, 1e-6)
 # succeeds; small enough to stay inside every stated oracle tolerance.
 SIGMA_JITTER = 1e-12
 
+# Rows per block of _cholesky: the largest block whose dpotrf and syrk
+# OpenBLAS runs on the calling thread (see _cholesky).
+_CHOLESKY_BLOCK = 96
+
 
 @dataclass(frozen=True)
 class BaseKernelParams:
@@ -194,6 +198,10 @@ def fit(dataset: ResidualDataset, params: Sequence[BaseKernelParams]) -> Composi
 
     N = 0 is allowed and yields the prior-only model.  DEFAULT_JITTER_SCHEDULE
     is walked until Cholesky succeeds; exhaustion raises IllConditionedDataError.
+
+    The Gram is factored by :func:`_cholesky`, not by one LAPACK ``dpotrf``
+    call: from N = 128 on, OpenBLAS hands ``dpotrf`` to a second thread,
+    which then busy-waits for about 0.135 s of CPU after every fit.
     """
     if dataset.Y.shape[1] != len(params) and len(dataset) > 0:
         raise ValueError(
@@ -214,9 +222,7 @@ def fit(dataset: ResidualDataset, params: Sequence[BaseKernelParams]) -> Composi
     )
     for jitter in DEFAULT_JITTER_SCHEDULE:
         try:
-            factor = np.linalg.cholesky(
-                K + (dataset.noise_variance + jitter) * np.eye(N)
-            )
+            factor = _cholesky(K + (dataset.noise_variance + jitter) * np.eye(N))
         except np.linalg.LinAlgError:
             continue
         weights = _chol_solve(factor, dataset.z)
@@ -232,8 +238,49 @@ def fit(dataset: ResidualDataset, params: Sequence[BaseKernelParams]) -> Composi
     )
 
 
+def _cholesky(A: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of A, whose lower triangle it reads, on the calling thread.
+
+    A left-looking factorization by blocks of at most _CHOLESKY_BLOCK rows.
+    Each row of a block's panel is solved against the leading factor with
+    one BLAS ``dtrsv``, the block's diagonal is A[I, I] - panel panel^T, and
+    ``np.linalg.cholesky`` factors it.  At N <= _CHOLESKY_BLOCK the one
+    block has an empty panel, so the factor is ``np.linalg.cholesky(A)`` bit
+    for bit; larger N moves only last bits.  A pivot that is not positive
+    raises ``LinAlgError`` from the block that holds it.  OpenBLAS's
+    ``dpotrf`` passes NaN through to the factor, so a factor whose diagonal
+    is not finite raises ``LinAlgError`` too.
+
+    Each call stays below the size at which OpenBLAS wakes a second thread,
+    measured on a 2-core Xeon host with the OpenBLAS that numpy 2.4 (0.3.31)
+    and scipy 1.17 (0.3.30) bundle: numpy's ``dpotrf`` from N = 128 on and
+    ``X @ X.T`` (``syrk``) from 97 rows on, but not on 96 rows of up to 5000
+    columns; scipy's ``dtrsv`` never, up to N = 862.  The whole factorization was checked on one
+    thread up to N = 862.
+    """
+    N = A.shape[0]
+    L = np.zeros((N, N))
+    for i0 in range(0, N, _CHOLESKY_BLOCK):
+        i1 = min(i0 + _CHOLESKY_BLOCK, N)
+        panel = L[i0:i1, :i0]
+        if i0:
+            lead = np.asfortranarray(L[:i0, :i0])
+            panel[...] = A[i0:i1, :i0]
+            for row in panel:  # C-ordered rows of L, solved in place
+                dtrsv(lead, row, lower=1, overwrite_x=1)
+        L[i0:i1, i0:i1] = np.linalg.cholesky(A[i0:i1, i0:i1] - panel @ panel.T)
+    if not np.isfinite(L.diagonal()).all():
+        raise np.linalg.LinAlgError("the factor is not finite")
+    return L
+
+
 def _chol_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve (L L^T) x = b."""
+    """Solve (L L^T) x = b.
+
+    ``solve_triangular`` on a vector right-hand side (LAPACK ``trtrs``) runs
+    on the calling thread: no second OpenBLAS thread woke at N = 137 or at
+    N = 862.
+    """
     y = solve_triangular(L, b, lower=True)
     return solve_triangular(L.T, y, lower=False)
 

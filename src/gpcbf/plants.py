@@ -276,17 +276,35 @@ def lqr_gain(A, B, Q, R):
     """Continuous-time LQR gain K = R^{-1} B^T P.
 
     P solves the algebraic Riccati equation
-    A^T P + P A - P B R^{-1} B^T P + Q = 0 (scipy's Schur-method solver).
-    scipy is imported here, so the plant tables that config validation
-    reads come without it.
+    A^T P + P A - P B R^{-1} B^T P + Q = 0 by the ordered real Schur method
+    (Laub, IEEE TAC 1979): the Schur vectors [U11; U21] of the stable
+    invariant subspace of the Hamiltonian H = [[A, -B R^{-1} B^T], [-Q, -A^T]]
+    give P = U21 U11^{-1}, symmetrized.  It raises ``LinAlgError`` when H
+    has fewer than n stable eigenvalues or U11 is singular to working
+    precision, where no stabilizing solution exists.
+
+    scipy's ``solve_continuous_are`` ends with ``solve_triangular`` on an
+    n x n right-hand side, which OpenBLAS hands to a second thread even at
+    4 x 4; that thread then busy-waits for about 0.13 s of CPU.  The real
+    Schur decomposition, numpy's ``solve`` (``gesv``) and the SVD behind
+    ``cond`` were measured to stay on the calling thread at n = 2 and
+    n = 4, the benchmarks' sizes.  scipy is imported here, so the plant
+    tables that config validation reads come without it.
     """
-    from scipy.linalg import solve_continuous_are
+    from scipy.linalg import schur
 
     A = np.atleast_2d(np.asarray(A, dtype=float))
-    B = np.asarray(B, dtype=float).reshape(A.shape[0], -1)
+    n = A.shape[0]
+    B = np.asarray(B, dtype=float).reshape(n, -1)
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
     R = np.atleast_2d(np.asarray(R, dtype=float))
-    P = solve_continuous_are(A, B, Q, R)
+    H = np.block([[A, -B @ np.linalg.solve(R, B.T)], [-Q, -A.T]])
+    _, U, sdim = schur(H, output="real", sort="lhp")
+    U11, U21 = U[:n, :n], U[n:, :n]
+    if sdim != n or np.linalg.cond(U11) * np.finfo(float).eps >= 1.0:
+        raise np.linalg.LinAlgError("the Hamiltonian has no n-dimensional stable subspace")
+    P = np.linalg.solve(U11.T, U21.T).T  # P U11 = U21
+    P = 0.5 * (P + P.T)
     K = np.linalg.solve(R, B.T @ P)
     return K, P
 

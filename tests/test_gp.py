@@ -9,9 +9,12 @@ from scipy.linalg import solve_triangular
 from gpcbf import gp as gp_mod
 from gpcbf.errors import IllConditionedDataError
 from gpcbf.gp import (
+    DEFAULT_JITTER_SCHEDULE,
     SIGMA_JITTER,
     BaseKernelParams,
     ResidualDataset,
+    _CHOLESKY_BLOCK,
+    _cholesky,
     _cross_kbar,
     _gram_composite,
     _stacked_params,
@@ -207,6 +210,67 @@ class TestFit:
         ds = ResidualDataset(X=row_x, Y=row_y, z=[1.0, 1.0], noise_variance=0.0)
         model = fit(ds, params)
         assert model.jitter > 0.0
+
+
+def _spd(rng, N):
+    M = rng.normal(size=(N, N))
+    return M @ M.T / N + np.eye(N)
+
+
+class TestBlockedCholesky:
+    @pytest.mark.parametrize("N", [1, 2, 87, _CHOLESKY_BLOCK])
+    def test_one_block_is_lapack_bit_for_bit(self, N):
+        A = _spd(np.random.default_rng(N), N)
+        L = _cholesky(A)
+        assert L.tobytes() == np.linalg.cholesky(A).tobytes()
+
+    @pytest.mark.parametrize("N", [_CHOLESKY_BLOCK + 1, 137, 300, 862])
+    def test_blocks_agree_with_lapack(self, N):
+        A = _spd(np.random.default_rng(N), N)
+        L, ref = _cholesky(A), np.linalg.cholesky(A)
+        assert np.array_equal(np.triu(L, 1), np.zeros((N, N)))
+        assert np.abs(L - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_reads_the_lower_triangle_only(self):
+        A = _spd(np.random.default_rng(7), 200)
+        upper = np.triu(np.full((200, 200), np.nan), 1)
+        assert np.array_equal(_cholesky(np.tril(A) + upper), _cholesky(A))
+
+    def test_nonpositive_pivot_in_a_later_block_raises(self):
+        N, i = 200, 150
+        A = _spd(np.random.default_rng(8), N)
+        row = np.linalg.cholesky(A)[i, :i]
+        A[i, i] = 0.5 * (row @ row)  # still positive, but the pivot is -0.5 row . row
+        assert A[i, i] > 0.0 and i >= _CHOLESKY_BLOCK
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(A)
+        with pytest.raises(np.linalg.LinAlgError):
+            _cholesky(A)
+
+    @pytest.mark.parametrize("entry", [(40, 2), (150, 150), (150, 3), (120, 110)])
+    def test_nan_entry_raises(self, entry):
+        A = _spd(np.random.default_rng(9), 200)
+        A[entry] = A[entry[::-1]] = np.nan
+        with pytest.raises(np.linalg.LinAlgError):
+            _cholesky(A)
+
+    def test_fit_needing_jitter_picks_the_lapack_jitter(self):
+        rng = np.random.default_rng(0)
+        N = 137
+        X = 3.0 * rng.normal(size=(N, 2))
+        Y = rng.normal(size=(N, 3))
+        X[100:], Y[100:] = X[:37], Y[:37]  # duplicate rows make the Gram singular
+        params = _random_params(rng, 3, 2)
+        ds = ResidualDataset(X=X, Y=Y, z=rng.normal(size=N), noise_variance=0.0)
+        K = _gram(X, Y, params)
+        for expected in DEFAULT_JITTER_SCHEDULE:
+            try:
+                np.linalg.cholesky(K + expected * np.eye(N))
+                break
+            except np.linalg.LinAlgError:
+                continue
+        assert expected > 0.0
+        assert fit(ds, params).jitter == expected
 
 
 class TestPosterior:

@@ -273,6 +273,48 @@ class TestLqr:
         assert np.all(eigs.real < 0.0)
 
 
+_BENCHMARK_LQR = {
+    "suspension": (*suspension_linear_matrices(SUSPENSION_NOMINAL), 10.0 * np.eye(4), np.array([[1.0]])),
+    "synthetic": (
+        np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0], [1.0]]), np.eye(2), np.array([[1.0]])
+    ),
+}  # fmt: skip
+
+
+class TestSchurRiccati:
+    @pytest.mark.parametrize("plant", sorted(_BENCHMARK_LQR))
+    def test_agrees_with_scipy(self, plant):
+        A, B, Q, R = _BENCHMARK_LQR[plant]
+        K, P = lqr_gain(A, B, Q, R)
+        P_ref = scipy.linalg.solve_continuous_are(A, B, Q, R)
+        np.testing.assert_allclose(P, P_ref, rtol=1e-10, atol=0.0)
+        K_ref = np.linalg.solve(R, B.T @ P_ref)
+        assert np.abs(K - K_ref).max() <= 1e-10 * np.abs(K_ref).max()
+        assert np.array_equal(P, P.T)
+
+    @pytest.mark.parametrize("plant", sorted(_BENCHMARK_LQR))
+    def test_riccati_residual(self, plant):
+        A, B, Q, R = _BENCHMARK_LQR[plant]
+        _, P = lqr_gain(A, B, Q, R)
+        terms = [A.T @ P, P @ A, -P @ B @ np.linalg.solve(R, B.T) @ P, Q]
+        scale = sum(np.linalg.norm(t) for t in terms)
+        assert np.linalg.norm(sum(terms)) <= 1e-8 * scale
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_imaginary_axis_hamiltonian_raises(self, n):
+        # A = 0, B = 0: every Hamiltonian eigenvalue is 0, so none is stable.
+        with pytest.raises(np.linalg.LinAlgError):
+            lqr_gain(np.zeros((n, n)), np.zeros((n, 1)), np.eye(n), np.ones((1, 1)))
+
+    @pytest.mark.parametrize("reach", [0.0, 1e-20])
+    def test_unstabilizable_pair_raises(self, reach):
+        # An unstable mode that B does not reach, or reaches only below
+        # working precision, has no stabilizing solution: U11 is singular.
+        B = np.array([[reach], [1.0]])
+        with pytest.raises(np.linalg.LinAlgError):
+            lqr_gain(np.diag([1.0, -1.0]), B, np.eye(2), np.ones((1, 1)))
+
+
 class TestClfNominalAcc:
     def test_at_target_speed(self):
         u = clf_nominal_acc(np.array([24.0, 50.0]), 24.0, 1.0, AccParams(**ACC_NOMINAL))
