@@ -4,7 +4,7 @@ Learns the scalar effect of model mismatch on a high-order safety
 certificate with a structured Gaussian process and enforces the resulting
 chance constraint through a per-step second-order cone program.  Ships two
 closed-loop benchmarks (adaptive cruise control, quarter-car active
-suspension) plus feasibility diagnostics and property suites.  Import names
+suspension) plus feasibility checks and property suites.  Import names
 from the submodules (``gpcbf.socp``, ``gpcbf.gp``, ...); the package root
 holds only the version.
 """

@@ -23,7 +23,13 @@ from .barrier import HocbfDesign, certificate_terms, halfspace_qp_filter, zeta_c
 from .errors import IllConditionedDataError, InfeasibleConstraintError
 from .gp import BaseKernelParams, CompositeGpModel, ResidualDataset, fit, posterior_coefficients
 from .plants import PlantModel, rk4_step
-from .socp import STATUS_FACTORIZATION_FAILED, STATUS_INFEASIBLE, safety_filter_step
+from .socp import (
+    STATUS_FACTORIZATION_FAILED,
+    STATUS_INFEASIBLE,
+    STATUS_OPTIMAL,
+    FilterOutcome,
+    safety_filter_step,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -154,26 +160,26 @@ class EpisodeLog:
                 fh.writelines(row % values for values in zip(*block))
 
 
-def _log_row(design: HocbfDesign, t: float, x: np.ndarray, u: np.ndarray, info: dict) -> tuple:
-    """One logged step in EpisodeLog's field order; diagnostics missing from info read NaN.
+def _log_row(design: HocbfDesign, t: float, x: np.ndarray, step: FilterOutcome) -> tuple:
+    """One logged step in EpisodeLog's field order, read from the step's record.
 
-    zeta comes from the step's certificate terms when info carries them as
-    ``cert`` (the chain then is evaluated once per step), else from fresh
-    evaluations at x; h is its first entry.
+    zeta comes from the step's certificate terms when the record carries
+    them as ``cert`` (the chain then is evaluated once per step), else from
+    fresh evaluations at x; h is its first entry.
     """
-    zeta = zeta_chain(design, x, info.get("cert"))
+    zeta = zeta_chain(design, x, step.cert)
     return (
         t,
         x.copy(),
-        u.copy(),
+        step.u.copy(),
         float(zeta[0]),
         zeta,
-        float(info.get("sigma", np.nan)),
-        str(info.get("status", "nominal")),
-        float(info.get("necessary_value", np.nan)),
-        float(info.get("sufficient_eig", np.nan)),
-        int(info.get("iterations", 0)),
-        float(info.get("cone_margin", np.nan)),
+        step.sigma,
+        step.status,
+        step.necessary_value,
+        step.sufficient_eig,
+        step.iterations,
+        step.cone_margin,
     )
 
 
@@ -189,11 +195,13 @@ def run_episode(
 ) -> EpisodeLog:
     """Integrate plant.field under a filtered controller, one RK4 call per hold.
 
-    controller(t, x) returns (u, info); u is held for a control period and
-    info carries the filter diagnostics logged for the step, with the step's
-    certificate terms as ``cert`` when the controller evaluated them.  Each
-    hold is one :func:`rk4_step` call of control_period / dt substeps, whose
-    states are then scanned in order for h and the first crossing.
+    controller(t, x) returns the step's :class:`FilterOutcome`: its u is held
+    for a control period, and the record is the step's log row, with the
+    step's certificate terms as ``cert`` when the controller evaluated them.
+    The trailing violation row is ``FilterOutcome(u, "violation")`` for the
+    last u, with the record's defaults.  Each hold is one :func:`rk4_step`
+    call of control_period / dt substeps, whose states are then scanned in
+    order for h and the first crossing.
     Stops at the horizon, at the first barrier violation when flagged
     (logging the crossing state as a trailing "violation" row), on a
     non-finite state that no such violation precedes, or after
@@ -212,11 +220,10 @@ def run_episode(
 
     t = 0.0
     for k in range(n_ctrl):
-        u, info = controller(t, x)
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        rows.append(_log_row(design, t, x, u, info))
+        step = controller(t, x)
+        rows.append(_log_row(design, t, x, step))
 
-        if info.get("status") in _FLAGGED_STEPS:
+        if step.status in _FLAGGED_STEPS:
             consec_infeasible += 1
             if consec_infeasible >= MAX_CONSECUTIVE_INFEASIBLE:
                 termination = TERM_INFEASIBLE
@@ -224,7 +231,7 @@ def run_episode(
         else:
             consec_infeasible = 0
 
-        states = rk4_step(plant.field, x, u, t, dt, substeps)
+        states = rk4_step(plant.field, x, step.u, t, dt, substeps)
         stop = False
         for state in states:
             t = t + dt
@@ -237,7 +244,7 @@ def run_episode(
                     break
         if stop:
             termination = TERM_VIOLATION
-            rows.append(_log_row(design, t, np.array(state), u, {"status": "violation"}))
+            rows.append(_log_row(design, t, np.array(state), FilterOutcome(step.u, "violation")))
             break
         if len(states) < substeps:
             termination = TERM_ABORTED
@@ -290,7 +297,11 @@ def label_episode(
 
 
 def make_nominal_qp_controller(design: HocbfDesign, u_nom_fn: Callable) -> Callable:
-    """Min-norm QP filter on the design's own certificate (closed form)."""
+    """Min-norm QP filter on the design's own certificate (closed form).
+
+    Each call returns a :class:`FilterOutcome` with the step's certificate
+    terms; its other logged values keep the record's defaults.
+    """
 
     def controller(t, x):
         u_nom = u_nom_fn(t, x)
@@ -298,12 +309,10 @@ def make_nominal_qp_controller(design: HocbfDesign, u_nom_fn: Callable) -> Calla
         a = cert.zg
         b = float(cert.zf @ design.gamma) + cert.const
         try:
-            u = halfspace_qp_filter(u_nom, a, b)
-            status = "optimal"
+            u, status = halfspace_qp_filter(u_nom, a, b), STATUS_OPTIMAL
         except InfeasibleConstraintError:
-            u = np.atleast_1d(np.asarray(u_nom, dtype=float))
-            status = "infeasible"
-        return u, {"status": status, "cert": cert}
+            u, status = np.atleast_1d(np.asarray(u_nom, dtype=float)), STATUS_INFEASIBLE
+        return FilterOutcome(u, status, cert=cert)
 
     return controller
 
@@ -316,24 +325,19 @@ def make_gp_socp_controller(
 ) -> Callable:
     """Uncertainty-aware cone filter around a nominal control law.
 
-    Each call is one :func:`safety_filter_step`: it returns the input the
-    step applies (the mean-only half-space fallback on an infeasible step
-    or on a Sigma that does not factor, which stays flagged for the episode
-    runner) and the step's diagnostics with its status, iterations and
-    certificate terms as the logged info.
+    Each call returns the :class:`FilterOutcome` of one
+    :func:`safety_filter_step` as it is: its u is the input the step
+    applies (the mean-only half-space fallback on an infeasible step or on
+    a Sigma that does not factor, which stays flagged for the episode
+    runner), and the record, with the step's certificate terms, is the
+    step's log row.
     """
 
     def controller(t, x):
         u_nom = u_nom_fn(t, x)
         cert = certificate_terms(design, x)
         mu, sigma = posterior_coefficients(model, x)
-        outcome = safety_filter_step(u_nom, cert, mu, sigma, beta, design.gamma)
-        return outcome.u, {
-            **outcome.diagnostics,
-            "status": outcome.status,
-            "iterations": outcome.iterations,
-            "cert": cert,
-        }
+        return safety_filter_step(u_nom, cert, mu, sigma, beta, design.gamma)
 
     return controller
 

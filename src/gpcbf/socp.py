@@ -207,9 +207,13 @@ def _necessary_from_factor(phi: np.ndarray, L: np.ndarray, beta: float) -> float
     L is the upper factor L^T L = Sigma, and phi Sigma^{-1} phi^T = |z|^2
     with L^T z = phi: one triangular solve, the single-threaded BLAS
     level-2 ``dtrsv`` on the Fortran-ordered lower factor L^T in place.
+    A nearly singular Sigma may overflow |z|^2; the value is then -inf,
+    without a warning.
     """
     z = dtrsv(L.T, phi, lower=1)
-    return 1.0 - float(z @ z) / beta**2
+    with np.errstate(over="ignore"):
+        zz = float(z @ z)
+    return 1.0 - zz / beta**2
 
 
 def feasibility_sufficient(S3: np.ndarray) -> tuple[bool, float]:
@@ -234,14 +238,40 @@ def pointwise_conditions(
     return float(np.asarray(phi).reshape(-1) @ y), float(y @ S @ y)
 
 
-@dataclass
+@dataclass(slots=True)
 class FilterOutcome:
-    """Filter input, status, root-finder iterations and per-step diagnostics."""
+    """One control step: the input the plant applies and what its log row keeps.
+
+    ``u`` and ``status`` come first, then the logged values in the log's
+    column order: ``sigma``, the posterior std at [gamma; u];
+    ``necessary_value`` and ``sufficient_eig``, the feasibility values;
+    ``iterations`` of the root finder and polish; and ``cone_margin`` at u.
+    ``analytic`` (u_nom was already in the cone), ``sufficient_certified``
+    and ``cert``, the step's certificate terms, follow.  The defaults are
+    the values of a step that assembled no cone, such as a nominal QP step
+    or a trailing violation row.
+    """
 
     u: np.ndarray
     status: str
-    iterations: int
-    diagnostics: dict = field(default_factory=dict)
+    sigma: float = math.nan
+    necessary_value: float = math.nan
+    sufficient_eig: float = math.nan
+    iterations: int = 0
+    cone_margin: float = math.nan
+    analytic: bool = False
+    sufficient_certified: bool = False
+    cert: Optional[CertificateTerms] = None
+
+    @property
+    def diagnostics(self) -> dict:
+        """Read-only view {"analytic", "cone_margin"} for the benchmark's span counter.
+
+        ``perfbench/spans.py::_solve_counts`` is its one reader; the
+        property goes with the benchmark change that counts projections
+        from the record's fields.
+        """
+        return {"analytic": self.analytic, "cone_margin": self.cone_margin}
 
 
 def _norm(v: np.ndarray) -> float:
@@ -255,12 +285,15 @@ def cone_margin(cone: SafetyConeData, u: np.ndarray) -> float:
 
 
 def solve(u_nom, cone: SafetyConeData, tol: float = 1e-8) -> FilterOutcome:
-    """Project u_nom onto the safety cone.
+    """Project u_nom onto the safety cone; a :class:`FilterOutcome` with the solve's fields.
 
     ``optimal`` means the returned u has cone margin >= -tol * max(1, |A u + b|);
-    ``infeasible`` means no such u exists, and u is u_nom.  ``iterations``
-    counts root-finder and polishing iterations; it is 0 when u_nom already
-    satisfies the cone.  One input runs on floats in :func:`_solve_scalar`.
+    ``infeasible`` means no such u exists, and u is u_nom.  The record's
+    ``iterations`` counts root-finder and polishing iterations; it is 0 and
+    ``analytic`` is True when u_nom already satisfies the cone.
+    ``cone_margin`` is the margin at u (at u_nom on an infeasible step).
+    The step's other fields keep their defaults.  One input runs on floats
+    in :func:`_solve_scalar`.
     """
     u_nom = np.atleast_1d(np.asarray(u_nom, dtype=float))
     if u_nom.size == 1:
@@ -274,12 +307,7 @@ def solve(u_nom, cone: SafetyConeData, tol: float = 1e-8) -> FilterOutcome:
         else:
             with np.errstate(all="ignore"):  # overflowing candidates fail the feasibility check
                 u, status, iterations, margin = _project(cone, u_nom, tol, margin)
-    return FilterOutcome(
-        u=u,
-        status=status,
-        iterations=iterations,
-        diagnostics={"analytic": analytic, "cone_margin": margin},
-    )
+    return FilterOutcome(u, status, iterations=iterations, cone_margin=margin, analytic=analytic)
 
 
 def _solve_scalar(cone: SafetyConeData, u0: float, tol: float) -> tuple:
@@ -556,22 +584,23 @@ def safety_filter_step(
     gamma: np.ndarray,
     tol: float = 1e-8,
 ) -> FilterOutcome:
-    """One filter step: the input the plant applies and the row the log keeps.
+    """One filter step: the :class:`FilterOutcome` whose u the plant applies and the log keeps.
 
     Assembles the cone and projects u_nom onto it.  On an infeasible step
     the mean-only half-space c u + d >= 0 is enforced as a best effort, and
     u_nom is kept when that half-space is empty too; the status stays
     ``infeasible``.  When Sigma does not factor, the step applies the same
-    mean-only fallback with status ``factorization_failed``, iterations 0,
-    and NaN cone margin and feasibility values.  The diagnostics carry
-    ``cone_margin`` and ``analytic`` from :func:`solve`, the feasibility
-    values ``necessary_value``, ``sufficient_eig`` and
-    ``sufficient_certified``, and ``sigma``, the posterior std
-    sqrt(y^T Sigma y) at y = [gamma; u] for the returned u.  The sufficient
-    condition reads the cone's S3, the matrix of the quadric that the
-    projection solves; the necessary value comes with the cone, from the
-    factor that assembled it.  With one input the projection runs on
-    floats under the rule of the module docstring, so every field keeps
+    mean-only fallback with status ``factorization_failed`` and the
+    record's defaults: iterations 0, and NaN cone margin and feasibility
+    values.  Otherwise the record carries ``iterations``, ``cone_margin``
+    and ``analytic`` from :func:`solve`, and the feasibility values
+    ``necessary_value``, ``sufficient_eig`` and ``sufficient_certified``.
+    Every step's record carries ``sigma``, the posterior std
+    sqrt(y^T Sigma y) at y = [gamma; u] for the returned u, and ``cert``.
+    The sufficient condition reads the cone's S3, the matrix of the quadric
+    that the projection solves; the necessary value comes with the cone,
+    from the factor that assembled it.  With one input the projection runs
+    on floats under the rule of the module docstring, so every field keeps
     the bits of the same step on numpy 1-arrays.
     """
     gamma = np.asarray(gamma, dtype=float)
@@ -581,31 +610,18 @@ def safety_filter_step(
         _, c, d = _mean_row(cert, np.asarray(mu, dtype=float).reshape(-1), gamma)
         u = _mean_halfspace(u_nom, c, d)
         return FilterOutcome(
-            u=u,
-            status=STATUS_FACTORIZATION_FAILED,
-            iterations=0,
-            diagnostics={
-                "analytic": False,
-                "cone_margin": math.nan,
-                "necessary_value": math.nan,
-                "sufficient_eig": math.nan,
-                "sufficient_certified": False,
-                "sigma": _posterior_std(sigma, gamma, u),
-            },
+            u, STATUS_FACTORIZATION_FAILED, sigma=_posterior_std(sigma, gamma, u), cert=cert
         )
     certified, max_eig = feasibility_sufficient(cone.S3)
 
     outcome = solve(u_nom, cone, tol=tol)
     if outcome.status != STATUS_OPTIMAL:
         outcome.u = _mean_halfspace(u_nom, cone.c, cone.d)
-    outcome.diagnostics.update(
-        {
-            "necessary_value": cone.necessary_value,
-            "sufficient_eig": max_eig,
-            "sufficient_certified": bool(certified),
-            "sigma": _posterior_std(sigma, gamma, outcome.u),
-        }
-    )
+    outcome.sigma = _posterior_std(sigma, gamma, outcome.u)
+    outcome.necessary_value = cone.necessary_value
+    outcome.sufficient_eig = max_eig
+    outcome.sufficient_certified = certified
+    outcome.cert = cert
     return outcome
 
 
@@ -618,6 +634,13 @@ def _mean_halfspace(u_nom, c: np.ndarray, d: float) -> np.ndarray:
 
 
 def _posterior_std(sigma: np.ndarray, gamma: np.ndarray, u: np.ndarray) -> float:
-    """sqrt(y^T Sigma y) at y = [gamma; u], floored at 0 under the root."""
+    """sqrt(y^T Sigma y) at y = [gamma; u], floored at 0 under the root.
+
+    A huge u overflows the product to inf, and an infinite u or a Sigma
+    holding NaN can make it NaN; either is returned without a warning, and
+    a finite value keeps its bits.
+    """
     y = np.concatenate((gamma, u))
-    return math.sqrt(max(float(y @ sigma @ y), 0.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = float(y @ sigma @ y)
+    return math.sqrt(max(value, 0.0))

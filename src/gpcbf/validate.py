@@ -279,7 +279,7 @@ def feasibility_suite(seed: int = 0, n_states: int = 1000) -> dict:
             statuses[out.status] += 1
             checked += 1
             if out.status == STATUS_OPTIMAL:
-                if out.diagnostics["necessary_value"] > 1e-8:
+                if out.necessary_value > 1e-8:
                     counterexamples_necessary += 1
                 phi = effective_phi(cert, mu)
                 S = build_S(phi, sigma, beta)
@@ -289,7 +289,7 @@ def feasibility_suite(seed: int = 0, n_states: int = 1000) -> dict:
                 quad_scale = max(1.0, float(np.linalg.norm(S)) * y2)
                 if affine < -1e-8 * aff_scale or quad > 1e-8 * quad_scale:
                     condition_violations += 1
-            elif out.diagnostics["sufficient_certified"]:
+            elif out.sufficient_certified:
                 counterexamples_sufficient += 1
     passed = (
         counterexamples_necessary == 0

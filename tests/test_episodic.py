@@ -7,7 +7,13 @@ import pytest
 from gpcbf import config as config_mod
 from gpcbf import episodic as episodic_mod
 from gpcbf import gp as gp_mod
-from gpcbf.barrier import certificate_terms, gamma_vector, halfspace_qp_filter, zeta_chain
+from gpcbf.barrier import (
+    CertificateTerms,
+    certificate_terms,
+    gamma_vector,
+    halfspace_qp_filter,
+    zeta_chain,
+)
 from gpcbf.episodic import (
     TERM_ABORTED,
     TERM_COMPLETED,
@@ -35,7 +41,7 @@ from gpcbf.plants import (
     make_synthetic_plant,
 )
 from gpcbf.experiment import build_scenario, run_benchmark
-from gpcbf.socp import STATUS_FACTORIZATION_FAILED
+from gpcbf.socp import STATUS_FACTORIZATION_FAILED, FilterOutcome
 
 from _oracles import episode_csv_reference
 
@@ -66,7 +72,7 @@ class TestFdDerivative:
 
 def _constant_u_controller(value):
     def controller(t, x):
-        return np.array([value]), {"status": "nominal"}
+        return FilterOutcome(np.array([value]), "nominal")
 
     return controller
 
@@ -207,7 +213,7 @@ class TestRunEpisode:
         design = double_integrator_design([1.0, 1.0], D=5.0)
 
         def controller(t, x):
-            return np.zeros(1), {"status": "infeasible"}
+            return FilterOutcome(np.zeros(1), "infeasible")
 
         log = run_episode(plant, design, controller, np.zeros(2), 1.0)
         assert log.termination == TERM_INFEASIBLE
@@ -265,9 +271,9 @@ class TestGpSocpController:
         x = np.array([0.5, 0.8])
         u_nom = np.array([5.0])
         controller = make_gp_socp_controller(design, prior, 1e3, lambda t, x: u_nom)
-        u, info = controller(0.0, x)
-        assert info["status"] == "infeasible"
-        assert info["necessary_value"] > 0.0
+        step = controller(0.0, x)
+        assert step.status == "infeasible"
+        assert step.necessary_value > 0.0
 
         cert = certificate_terms(design, x)
         mu, _ = posterior_coefficients(prior, x)
@@ -275,8 +281,8 @@ class TestGpSocpController:
         expected = halfspace_qp_filter(
             u_nom, cert.zg + mu[r:], float((cert.zf + mu[:r]) @ design.gamma) + cert.const
         )
-        assert np.array_equal(u, expected)
-        assert not np.array_equal(u, u_nom)  # the half-space constraint was active
+        assert np.array_equal(step.u, expected)
+        assert not np.array_equal(step.u, u_nom)  # the half-space constraint was active
 
     def test_sigma_holding_nan_flags_steps_until_the_episode_aborts(self, monkeypatch):
         design = double_integrator_design([1.5, 2.5], D=1.0)
@@ -346,8 +352,7 @@ class TestLoggedChain:
             make_nominal_qp_controller(design, u_nom),
             make_gp_socp_controller(design, prior, 2.0, u_nom),
         ):
-            _, info = controller(0.0, x)
-            cert = info["cert"]
+            cert = controller(0.0, x).cert
             fresh = certificate_terms(design, x)
             assert cert.h == float(design.h(x)) == 70.0
             assert cert.zf.tobytes() == fresh.zf.tobytes()
@@ -406,6 +411,57 @@ class TestEpisodicTrain:
                 plant, design, lambda t, x: np.zeros(1), kp, beta=1.0,
                 x0=np.zeros(2), horizon=1.0,
             )
+
+
+class TestStepRecordToLog:
+    def test_each_field_of_the_record_reaches_its_column(self):
+        # x1 rises by 1e-3 per substep from 0.9765, so h = 1 - x1 turns
+        # negative inside the third hold: three control rows, then the
+        # violation row.
+        plant = PlantModel(name="ramp", n=2, m=1, field=lambda x, u, t: (1.0, 0.0))
+        design = double_integrator_design([1.0, 1.0], D=1.0)
+        calls, records = [], []
+
+        def controller(t, x):
+            k = len(records)
+            cert = CertificateTerms(zf=np.array([11.0 + k, 0.0]), zg=np.zeros(1), const=0.0, h=40.0 + k)
+            step = FilterOutcome(
+                np.array([0.375 + k]),
+                ("optimal", "nominal", "infeasible")[k],
+                sigma=0.5 + k,
+                necessary_value=-2.25 - k,
+                sufficient_eig=-3.125 - k,
+                iterations=7 + k,
+                cone_margin=0.0625 + k,
+                cert=cert,
+            )
+            calls.append((t, x.copy()))
+            records.append(step)
+            return step
+
+        log = run_episode(plant, design, controller, [0.9765, 0.0], 1.0)
+        assert log.termination == TERM_VIOLATION
+        assert log.status == ["optimal", "nominal", "infeasible", "violation"]
+        for k, ((t, x), step) in enumerate(zip(calls, records)):
+            assert log.t[k] == t
+            assert log.x[k].tobytes() == x.tobytes()
+            assert log.u[k].tobytes() == step.u.tobytes()
+            assert log.h[k] == step.cert.h
+            assert log.zeta[k].tobytes() == zeta_chain(design, x, step.cert).tobytes()
+            assert log.sigma[k] == step.sigma
+            assert log.necessary[k] == step.necessary_value
+            assert log.sufficient[k] == step.sufficient_eig
+            assert log.iterations[k] == step.iterations
+            assert log.cone_margin[k] == step.cone_margin
+        # The violation row holds the last input and the record's defaults.
+        last = len(records)
+        fresh = zeta_chain(design, log.x[last])
+        assert log.t[last] == log.violation_time
+        assert log.u[last].tobytes() == records[-1].u.tobytes()
+        assert log.zeta[last].tobytes() == fresh.tobytes() and log.h[last] == fresh[0] < 0.0
+        for column in (log.sigma, log.necessary, log.sufficient, log.cone_margin):
+            assert math.isnan(column[last])
+        assert log.iterations[last] == 0
 
 
 class TestEpisodeCsv:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -150,7 +152,7 @@ class TestSolve:
         out = solve(np.array([5.0]), cone)
         assert out.status == STATUS_OPTIMAL
         assert out.iterations == 0
-        assert out.diagnostics["analytic"] is True
+        assert out.analytic is True
         np.testing.assert_allclose(out.u, [5.0])
 
     def test_matches_grid_oracle(self):
@@ -184,8 +186,8 @@ class TestSolve:
             cone, u_nom = random_feasible_instance(rng)
             out = solve(u_nom, cone, tol=1e-9)
             assert out.status == STATUS_OPTIMAL
-            assert out.diagnostics["cone_margin"] >= -1e-7
-            assert out.diagnostics["cone_margin"] == cone_margin(cone, out.u)
+            assert out.cone_margin >= -1e-7
+            assert out.cone_margin == cone_margin(cone, out.u)
 
     def test_multi_input_projection(self):
         # m = 2 affine constraint: solution is the Euclidean projection
@@ -207,7 +209,23 @@ class TestSolve:
         out = solve(np.array([0.0]), half_line, tol=1e-12)
         assert out.status == STATUS_OPTIMAL
         assert float(out.u[0]) == pytest.approx(1.0, abs=1e-12)
-        assert out.diagnostics["analytic"] is False
+        assert out.analytic is False
+
+    @pytest.mark.parametrize(
+        "A, c, d, u_nom, analytic",
+        [
+            ([[1.0]], [2.0], -1.0, [5.0], True),  # |u| <= 2u - 1 holds at u_nom
+            ([[1.0]], [2.0], -1.0, [0.0], False),  # projected onto u = 1
+            ([[0.0, 0.0]], [1.0, 1.0], -4.0, [1.0, 1.0], False),  # m = 2 half-space
+        ],
+    )
+    def test_diagnostics_view_reads_the_record(self, A, c, d, u_nom, analytic):
+        # the benchmark's span counter reads solve(...).diagnostics
+        A = np.array(A)
+        cone = SafetyConeData(A=A, b=np.zeros(A.shape[0]), c=np.array(c), d=d)
+        out = solve(np.array(u_nom), cone, tol=1e-12)
+        assert out.status == STATUS_OPTIMAL and out.analytic is analytic
+        assert out.diagnostics == {"analytic": out.analytic, "cone_margin": out.cone_margin}
 
 
 def _random_filter_inputs(rng, r, m, sigma_scale=0.3, beta_range=(0.2, 1.5)):
@@ -244,11 +262,11 @@ class TestGeneralProjection:
                 u_nom -= (float(cone.c @ u_nom) + cone.d + 30.0 * (1.0 + abs(cone.d))) / cc * cone.c
             opposite = np.linalg.norm(cone.A @ u_nom + cone.b) <= -(float(cone.c @ u_nom) + cone.d)
             out = solve(u_nom, cone, tol=1e-9)
-            if out.status != STATUS_OPTIMAL or out.diagnostics["analytic"]:
+            if out.status != STATUS_OPTIMAL or out.analytic:
                 continue
             res = cone.A @ out.u + cone.b
             s = float(np.linalg.norm(res))
-            assert out.diagnostics["cone_margin"] >= -1e-9 * max(1.0, s)
+            assert out.cone_margin >= -1e-9 * max(1.0, s)
             grad = cone.c - cone.A.T @ res / s
             step = out.u - u_nom
             nu = float(step @ grad) / float(grad @ grad)
@@ -324,7 +342,7 @@ class TestGeneralProjection:
             if necessary_value_dense(phi, sigma, beta) > 1e-9:
                 assert out.status == STATUS_INFEASIBLE
                 certified_infeasible += 1
-            if out.diagnostics["sufficient_certified"]:
+            if out.sufficient_certified:
                 assert out.status == STATUS_OPTIMAL
                 certified_feasible += 1
         assert certified_infeasible >= 20 and certified_feasible >= 20
@@ -338,8 +356,8 @@ class TestGeneralProjection:
             cone = assemble_safety_cone(cert, mu, sigma, beta, gamma)
             out = safety_filter_step(3.0 * rng.normal(size=m), cert, mu, sigma, beta, gamma)
             top = float(np.linalg.eigvalsh(cone.S3)[-1])
-            assert repr(out.diagnostics["sufficient_eig"]) == repr(top)
-            assert out.diagnostics["sufficient_certified"] == (top < -1e-10)
+            assert repr(out.sufficient_eig) == repr(top)
+            assert out.sufficient_certified == (top < -1e-10)
 
     def test_necessary_value_from_factor_matches_dense_solve(self):
         rng = np.random.default_rng(16)
@@ -348,7 +366,7 @@ class TestGeneralProjection:
             cert, mu, sigma, beta, gamma = _random_filter_inputs(rng, r, m, beta_range=(0.2, 4.0))
             out = safety_filter_step(np.zeros(m), cert, mu, sigma, beta, gamma)
             dense = necessary_value_dense(effective_phi(cert, mu), sigma, beta)
-            value = out.diagnostics["necessary_value"]
+            value = out.necessary_value
             assert value == pytest.approx(dense, rel=1e-12, abs=1e-12)
         # The feasibility suite's 1000 states at seed 0: both plants, the
         # first episode's model and the prior, beta in {1, 2, 4}.  The
@@ -365,10 +383,10 @@ class TestGeneralProjection:
                 out = safety_filter_step(sc.u_nom(0.0, x), cert, mu, sigma, beta, gamma, tol=1e-9)
                 phi = effective_phi(cert, mu)
                 dense = necessary_value_dense(phi, sigma, beta)
-                assert out.diagnostics["necessary_value"] == pytest.approx(dense, rel=1e-10)
+                assert out.necessary_value == pytest.approx(dense, rel=1e-10)
                 S = build_S(phi, sigma, beta)
                 certified, _ = feasibility_sufficient(S[gamma.size :, gamma.size :])
-                assert out.diagnostics["sufficient_certified"] == certified
+                assert out.sufficient_certified == certified
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -594,11 +612,10 @@ class TestFilterInvariants:
         out = safety_filter_step(
             np.zeros(1), cert, np.zeros(3), np.eye(3), 1.0, np.array([2.0, 1.0])
         )
-        d = out.diagnostics
-        assert "necessary_value" in d
-        assert "sufficient_eig" in d
-        assert "cone_margin" in d
-        assert "sigma" in d
+        assert math.isfinite(out.necessary_value)
+        assert math.isfinite(out.sufficient_eig)
+        assert math.isfinite(out.cone_margin)
+        assert math.isfinite(out.sigma)
 
     def test_infeasible_step_applies_mean_halfspace(self):
         # beta large enough to empty the cone while the mean half-space
@@ -615,7 +632,7 @@ class TestFilterInvariants:
         assert np.array_equal(out.u, expected)
         assert not np.array_equal(out.u, u_nom)
         y = np.concatenate((gamma, out.u))
-        assert out.diagnostics["sigma"] == float(np.sqrt(max(y @ sigma @ y, 0.0)))
+        assert out.sigma == float(np.sqrt(max(y @ sigma @ y, 0.0)))
 
     def test_necessary_condition_certificate_upgrades_status(self):
         # tiny beta-scaled uncertainty dominated by phi: value > 0 certifies
@@ -625,7 +642,7 @@ class TestFilterInvariants:
         sigma = np.eye(3)
         out = safety_filter_step(np.zeros(1), cert, mu, sigma, 2.0, np.array([1.0, 1.0]))
         assert out.status == STATUS_INFEASIBLE
-        assert out.diagnostics["necessary_value"] > 0.0
+        assert out.necessary_value > 0.0
 
     @pytest.mark.parametrize("where", [(0, 0), (2, 2), (2, 0)])
     def test_sigma_holding_nan_is_a_flagged_mean_halfspace_step(self, where):
@@ -645,8 +662,8 @@ class TestFilterInvariants:
         assert np.array_equal(out.u, halfspace_qp_filter(u_nom, c, d))
         assert not np.array_equal(out.u, u_nom)
         for key in ("cone_margin", "necessary_value", "sufficient_eig"):
-            assert np.isnan(out.diagnostics[key])
-        assert out.diagnostics["sufficient_certified"] is False
+            assert np.isnan(getattr(out, key))
+        assert out.sufficient_certified is False
 
     def test_feasibility_suite_skips_states_whose_sigma_does_not_factor(self, monkeypatch):
         calls = []
@@ -673,7 +690,14 @@ def _same_step(out, oracle):
     assert out.u.tobytes() == np.atleast_1d(u).tobytes()
     assert (out.status, out.iterations) == (status, iterations)
     for key, value in diagnostics.items():
-        assert repr(out.diagnostics[key]) == repr(value), key
+        assert repr(getattr(out, key)) == repr(value), key
+
+
+def _same_step_as_oracle(*args):
+    """The filter step on args matches the vector oracle, with no warning from the step."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = safety_filter_step_vector(*args)
+    _same_step(safety_filter_step(*args), expected)
 
 
 def _one_input_draw(rng, i):
@@ -717,7 +741,7 @@ class TestOneInputFloatPath:
             args = _one_input_draw(rng, i)
             out = safety_filter_step(*args)
             _same_step(out, safety_filter_step_vector(*args))
-            steps.append((out.status, out.diagnostics["analytic"], out.iterations > 0, args[4] > 0.0))
+            steps.append((out.status, out.analytic, out.iterations > 0, args[4] > 0.0))
 
         def count(status, analytic=None, polished=None, beta_positive=True):
             want = (status, analytic, polished, beta_positive)
@@ -753,10 +777,27 @@ class TestOneInputFloatPath:
         beta = data.draw(st.sampled_from([0.0, 0.5, 2.0, 7.5]))
         gamma = np.array(data.draw(st.lists(st.floats(0.1, 50.0), min_size=r - 1, max_size=r - 1)) + [1.0])
         u_nom = np.array([data.draw(entries)])
-        args = (u_nom, cert, mu, sigma, beta, gamma)
-        with np.errstate(over="ignore", invalid="ignore"):
-            expected = safety_filter_step_vector(*args)
-        _same_step(safety_filter_step(*args), expected)
+        _same_step_as_oracle(u_nom, cert, mu, sigma, beta, gamma)
+
+    @pytest.mark.parametrize(
+        "sigma, zf, zg, mu, beta",
+        [
+            # a half-space step with a tiny c: y^T Sigma y overflows, sigma logs inf
+            (np.diag([0.0, 37.0**2]), [0.0], 5.493957006876899e-153, [-2.0, 0.0], 0.0),
+            # a tinier c with Sigma = 0: u is inf, and 0 * inf makes sigma NaN
+            (np.zeros((2, 2)), [0.0], 0.0, [-1.0, 6.816585878920056e-155], 0.0),
+            # a Sigma holding NaN does not factor, and the mean half-space u is inf
+            (np.array([[np.nan, 0.0], [0.0, 0.0]]), [0.0], 1e-160, [-1.0, 0.0], 2.0),
+            # a last pivot near 1e-155: phi Sigma^-1 phi^T overflows, the necessary value is -inf
+            (np.diag([1.0, 1.0, 1.0, 9.444759738299146e-156**2]), [0.0, 0.0, 0.0], 1.0, [0.0] * 4, 0.5),
+        ],
+    )
+    def test_matches_vector_oracle_on_overflowing_inputs(self, sigma, zf, zg, mu, beta):
+        # Inputs drawn by the test above that once raised RuntimeWarning in the step.
+        r = len(zf)
+        cert = CertificateTerms(zf=np.array(zf), zg=np.array([zg]), const=0.0)
+        gamma = np.ones(r)
+        _same_step_as_oracle(np.zeros(1), cert, np.array(mu), sigma, beta, gamma)
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 4), st.booleans(), st.data())
@@ -774,8 +815,8 @@ class TestOneInputFloatPath:
         u, status, iterations, margin, analytic = solve_vector(u_nom, A, b, c, d, cone.S3, tol=1e-8)
         assert out.u.tobytes() == u.tobytes()
         assert (out.status, out.iterations) == (status, iterations)
-        assert repr(out.diagnostics["cone_margin"]) == repr(margin)
-        assert out.diagnostics["analytic"] is analytic
+        assert repr(out.cone_margin) == repr(margin)
+        assert out.analytic is analytic
 
     @pytest.mark.parametrize(
         "A, b, c, d, u_nom",
@@ -795,5 +836,5 @@ class TestOneInputFloatPath:
         u, status, iterations, margin, analytic = solve_vector(u_nom, A, b, c, d, cone.S3, tol=1e-8)
         assert out.u.tobytes() == u.tobytes()
         assert (out.status, out.iterations) == (status, iterations)
-        assert out.diagnostics["analytic"] is analytic
-        assert repr(out.diagnostics["cone_margin"]) == repr(margin)
+        assert out.analytic is analytic
+        assert repr(out.cone_margin) == repr(margin)
