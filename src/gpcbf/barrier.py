@@ -190,7 +190,11 @@ def halfspace_qp_filter(u_nom, a, b: float) -> np.ndarray:
     u_nom - ((a.u_nom + b) / |a|^2) a onto the constraint boundary, which is
     the global minimizer of |u - u_nom| over the half-space.  With one
     input the projection runs on Python floats in the same operation order,
-    so it returns the vector formula's bits as a 1-array.
+    so it returns the vector formula's bits as a 1-array.  Raises
+    :class:`InfeasibleConstraintError` when a = 0 and u_nom violates the
+    constraint, and when the projected point is not finite, as when a tiny
+    |a| overflows it: such a half-space has no point a plant can apply.
+    Neither branch warns on that overflow.
     """
     u_nom = np.asarray(u_nom, dtype=float)
     a = np.asarray(a, dtype=float)
@@ -203,7 +207,10 @@ def halfspace_qp_filter(u_nom, a, b: float) -> np.ndarray:
         norm2 = a0 * a0
         if norm2 == 0.0:
             raise InfeasibleConstraintError(f"constraint 0.u + {b} >= 0 is infeasible")
-        return np.array([u0 - (margin / norm2) * a0])
+        u = u0 - (margin / norm2) * a0
+        if not math.isfinite(u):
+            raise InfeasibleConstraintError(f"projection onto {a0} u + {b} >= 0 overflows")
+        return np.array([u])
     u_nom = np.atleast_1d(u_nom)
     a = np.atleast_1d(a)
     margin = float(a @ u_nom) + b
@@ -212,4 +219,8 @@ def halfspace_qp_filter(u_nom, a, b: float) -> np.ndarray:
     norm2 = float(a @ a)
     if norm2 == 0.0:
         raise InfeasibleConstraintError(f"constraint 0.u + {b} >= 0 is infeasible")
-    return u_nom - (margin / norm2) * a
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = u_nom - (margin / norm2) * a
+    if not np.isfinite(u).all():
+        raise InfeasibleConstraintError(f"projection onto {a} . u + {b} >= 0 overflows")
+    return u

@@ -25,21 +25,23 @@ g = A^T b - d c and k = b^T b - d^2,
 
 Q <= 0 is the union of two nappes and the sign of c u + d picks one.  H is
 a rank-one downdate of A^T A, so it has at most one negative eigenvalue.
-``solve`` takes one of four exact paths:
+``solve`` returns u_nom itself when it lies in K (the analytic step).
+Otherwise it projects along one route for every input count m, and m
+picks the candidate projections only:
 
-- u_nom in K: u_nom itself (the analytic path);
 - beta = 0 (A = 0, b = 0): the closed-form half-space projection;
 - m = 1: K is an interval whose finite ends are roots of the scalar
-  quadratic Q, so the answer is the root on the branch c u + d >= 0 nearest
-  u_nom, from the cancellation-free quadratic formula;
+  quadratic Q, so the candidate is the root on the branch c u + d >= 0
+  nearest u_nom, from the cancellation-free quadratic formula;
 - m >= 2: stationarity gives u(lam) = (I + lam H)^{-1} (u_nom - lam g) with
   lam >= 0, and the answer is the root of the secular function Q(u(lam))
   with c u(lam) + d > 0 (More, "Generalizations of the trust region
-  problem", 1993).  After one eigendecomposition of H it is a scalar
-  rational function with at most one pole on lam > 0, and the right root
-  lies beyond the pole when u_nom sits deep on the wrong side.  Its roots
-  are those of a polynomial of degree <= 2m, each refined by Newton steps
-  on the cone margin along u(lam) without crossing the pole.
+  problem", 1993, whose m = 1 case is the scalar root above).  After one
+  eigendecomposition of H it is a scalar rational function with at most
+  one pole on lam > 0, and the right root lies beyond the pole when u_nom
+  sits deep on the wrong side.  Its roots are those of a polynomial of
+  degree <= 2m, each refined by Newton steps on the cone margin along
+  u(lam) without crossing the pole.
 
 Every candidate is polished by Newton steps on the cone margin
 c u + d - |A u + b|, and the nearest one whose margin is at least
@@ -48,18 +50,6 @@ projection can only lie where Q has no gradient: at an apex of the cone
 (A u + b = 0 = c u + d), or anywhere on H u + g = 0 when K has no interior.
 The filter's cones have neither, because Sigma is positive definite and
 gamma_r = 1.  A step is infeasible when K is empty.
-
-With one input (both benchmarks) ``solve`` runs on Python floats from
-start to end: the margin, the root or the half-space point, the critical
-point when no root qualifies, and the Newton polish.  It keeps the bits of
-the same steps on numpy 1-arrays by one rule: every product that sums two
-or more terms (``A.T @ b``, ``A.T @ res``, ``b @ b``, ``res @ res``) stays
-that numpy expression on operands of the same shapes and strides, because
-BLAS may contract its sums to fused multiply-adds that a left-to-right sum
-of floats does not reproduce.  Only products of two scalars and sums with
-one product move to floats; a dot product of length one, such as c @ u, is
-0.0 + c * u, since numpy starts the sum at +0.0.  Cone assembly and the
-m >= 2 secular path stay on numpy arrays.
 """
 
 import math
@@ -190,15 +180,17 @@ def assemble_safety_cone(
 
 
 def build_S(phi: np.ndarray, sigma: np.ndarray, beta: float) -> np.ndarray:
-    """Feasibility test matrix S = beta^2 Sigma - phi^T phi, symmetrized.
+    """Feasibility test matrix S = beta^2 Sigma - phi^T phi.
 
     phi is the effective certificate row from :func:`effective_phi`.  Every
     cone forms its block S3 = A^T A - c c^T with this function, as
-    build_S(c, A^T A, 1): A^T A = beta^2 Sigma_mm and c = phi[r:].
+    build_S(c, A^T A, 1): A^T A = beta^2 Sigma_mm and c = phi[r:].  S is
+    exactly symmetric when Sigma is, as every caller's Sigma is: the
+    posterior's and A^T A are each one symmetric product, and the outer
+    product's entries phi_i phi_j and phi_j phi_i are the same floats.
     """
     phi = np.asarray(phi, dtype=float).reshape(-1)
-    S = beta**2 * np.asarray(sigma, dtype=float) - np.outer(phi, phi)
-    return 0.5 * (S + S.T)
+    return beta**2 * np.asarray(sigma, dtype=float) - np.outer(phi, phi)
 
 
 def _necessary_from_factor(phi: np.ndarray, L: np.ndarray, beta: float) -> float:
@@ -207,22 +199,24 @@ def _necessary_from_factor(phi: np.ndarray, L: np.ndarray, beta: float) -> float
     L is the upper factor L^T L = Sigma, and phi Sigma^{-1} phi^T = |z|^2
     with L^T z = phi: one triangular solve, the single-threaded BLAS
     level-2 ``dtrsv`` on the Fortran-ordered lower factor L^T in place.
-    A nearly singular Sigma may overflow |z|^2; the value is then -inf,
-    without a warning.
+    A nearly singular Sigma may overflow |z|^2; the value is then -inf, and
+    :func:`safety_filter_step` silences the overflow warning.
     """
     z = dtrsv(L.T, phi, lower=1)
-    with np.errstate(over="ignore"):
-        zz = float(z @ z)
-    return 1.0 - zz / beta**2
+    return 1.0 - float(z @ z) / beta**2
 
 
 def feasibility_sufficient(S3: np.ndarray) -> tuple[bool, float]:
-    """Negative definiteness certificate for pointwise feasibility."""
+    """Negative definiteness certificate for pointwise feasibility.
+
+    S3 is symmetric, as :func:`build_S` forms it; ``eigvalsh`` reads its
+    lower triangle.
+    """
     S3 = np.asarray(S3, dtype=float)
     if S3.shape == (1, 1):  # one input: the eigenvalue is the entry itself
         max_eig = float(S3[0, 0])
     else:
-        max_eig = float(np.linalg.eigvalsh(0.5 * (S3 + S3.T))[-1])
+        max_eig = float(np.linalg.eigvalsh(S3)[-1])
     return max_eig < -1e-10, max_eig
 
 
@@ -292,76 +286,22 @@ def solve(u_nom, cone: SafetyConeData, tol: float = 1e-8) -> FilterOutcome:
     ``iterations`` counts root-finder and polishing iterations; it is 0 and
     ``analytic`` is True when u_nom already satisfies the cone.
     ``cone_margin`` is the margin at u (at u_nom on an infeasible step).
-    The step's other fields keep their defaults.  One input runs on floats
-    in :func:`_solve_scalar`.
+    The step's other fields keep their defaults.  Every input count takes
+    the same route: the margin at u_nom, then :func:`_project`.
     """
     u_nom = np.atleast_1d(np.asarray(u_nom, dtype=float))
-    if u_nom.size == 1:
-        u, status, iterations, margin, analytic = _solve_scalar(cone, u_nom.item(), tol)
-        u = np.array([u])
+    margin = cone_margin(cone, u_nom)
+    analytic = margin >= 0.0
+    if analytic:
+        u, status, iterations = u_nom.copy(), STATUS_OPTIMAL, 0
     else:
-        margin = cone_margin(cone, u_nom)
-        analytic = margin >= 0.0
-        if analytic:
-            u, status, iterations = u_nom.copy(), STATUS_OPTIMAL, 0
-        else:
-            with np.errstate(all="ignore"):  # overflowing candidates fail the feasibility check
-                u, status, iterations, margin = _project(cone, u_nom, tol, margin)
+        with np.errstate(all="ignore"):  # overflowing candidates fail the feasibility check
+            u, status, iterations, margin = _project(cone, u_nom, tol, margin)
     return FilterOutcome(u, status, iterations=iterations, cone_margin=margin, analytic=analytic)
 
 
-def _solve_scalar(cone: SafetyConeData, u0: float, tol: float) -> tuple:
-    """:func:`solve` for m = 1 on floats; (u, status, iterations, margin, analytic).
-
-    K is an interval whose finite ends are roots of the scalar quadric Q.
-    The candidates of :func:`_scalar_candidates` are polished in turn by
-    :func:`_polish_scalar`, and the first that passes the feasibility check
-    is the answer.
-    """
-    At = cone.A.T
-    a_list, b_list = cone.A[:, 0].tolist(), cone.b.tolist()
-    c, d = cone.c.item(), float(cone.d)
-    res = _residual_scalar(a_list, b_list, u0)
-    margin = (0.0 + c * u0) + d - math.sqrt(res @ res)
-    if margin >= 0.0:
-        return u0, STATUS_OPTIMAL, 0, margin, True
-    steps = 0
-    degenerate = not (any(a_list) or any(b_list))  # cone.degenerate, on the lists
-    with np.errstate(all="ignore"):  # overflowing candidates fail the feasibility check
-        for candidate in _scalar_candidates(cone, degenerate, c, d, u0):
-            u, taken, cand_margin, s = _polish_scalar(At, a_list, b_list, c, d, candidate)
-            steps += taken
-            step = u - u0
-            if cand_margin >= -tol * max(1.0, s) and step * step < math.inf:
-                return u, STATUS_OPTIMAL, steps, cand_margin, False
-    return u0, STATUS_INFEASIBLE, steps, margin, False
-
-
-def _scalar_candidates(cone: SafetyConeData, degenerate: bool, c: float, d: float, u0: float):
-    """m = 1: the candidate projections of u0, in the order they are tried.
-
-    beta = 0 leaves the half-space c u + d >= 0 and its closed-form point.
-    Else the root of Q(u) = H u^2 + 2 g u + k on the branch c u + d >= 0
-    nearest u0 comes first, and the critical point of :func:`_nearest_critical`
-    follows, for a cone with an apex or without interior.
-    """
-    if degenerate:
-        try:
-            yield halfspace_qp_filter(u0, cone.c, d).item()
-        except InfeasibleConstraintError:
-            pass
-        return
-    b = cone.b
-    g = (cone.A.T @ b).item() - d * c
-    k = float(b @ b) - d * d
-    root = _scalar_root(cone.S3.item(), g, k, c, d, u0)
-    if root is not None:
-        yield root
-    yield _nearest_critical(cone, np.array([g]), np.array([u0])).item()
-
-
 def _scalar_root(H: float, g: float, k: float, c: float, d: float, u0: float) -> Optional[float]:
-    """Root of H u^2 + 2 g u + k on the branch c u + d >= 0 nearest u0, or None."""
+    """m = 1: the root of H u^2 + 2 g u + k on the branch c u + d >= 0 nearest u0, or None."""
     # Roots without cancellation: q / H and k / q.
     disc = g * g - H * k
     if disc < 0.0:
@@ -375,37 +315,15 @@ def _scalar_root(H: float, g: float, k: float, c: float, d: float, u0: float) ->
     return best
 
 
-def _residual_scalar(a_list: list, b_list: list, u: float) -> np.ndarray:
-    """A u + b for one input as numpy's ``A @ u + b``, whose rows are dots of length one."""
-    return np.array([0.0 + ai * u + bi for ai, bi in zip(a_list, b_list)])
-
-
-def _polish_scalar(At: np.ndarray, a_list: list, b_list: list, c: float, d: float, u: float):
-    """:func:`_polish` for m = 1 on floats; (u, steps taken, cone margin at u, |A u + b|)."""
-    res = _residual_scalar(a_list, b_list, u)
-    s = math.sqrt(res @ res)
-    t = (0.0 + c * u) + d
-    steps = 0
-    while steps < _MAX_POLISH and s > 0.0 and abs(t - s) > 4.0 * _EPS * (abs(t) + s):
-        grad = c - (At @ res).item() / s
-        norm2 = grad * grad  # grad @ grad: a square is never -0.0, so no 0.0 + is needed
-        if norm2 == 0.0:
-            break
-        u_new = u - ((t - s) / norm2) * grad
-        res_new = _residual_scalar(a_list, b_list, u_new)
-        s_new = math.sqrt(res_new @ res_new)
-        t_new = (0.0 + c * u_new) + d
-        if abs(t_new - s_new) >= abs(t - s):
-            break
-        u, res, s, t = u_new, res_new, s_new, t_new
-        steps += 1
-    return u, steps, t - s, s
-
-
 def _project(cone: SafetyConeData, u_nom: np.ndarray, tol: float, margin: float):
-    """m >= 2: the nearest candidate that passes the feasibility check.
+    """The nearest candidate that passes the feasibility check; (u, status, iterations, margin).
 
-    Returns (u, status, iterations, margin).
+    The input count m picks the candidates only: the nearest root of the
+    scalar quadric from :func:`_scalar_root` for m = 1, the roots of the
+    secular equation from :func:`_secular_candidates` for m >= 2.  The
+    half-space point for beta = 0, the polish and check of
+    :func:`_nearest_feasible` and the fallback to :func:`_nearest_critical`
+    are the same for every m.
     """
     iterations = 0
     if cone.degenerate:
@@ -417,7 +335,11 @@ def _project(cone: SafetyConeData, u_nom: np.ndarray, tol: float, margin: float)
         # Q(u) = u^T S3 u + 2 g^T u + k = |A u + b|^2 - (c u + d)^2
         A, b, c, d = cone.A, cone.b, cone.c, cone.d
         g, k = A.T @ b - d * c, float(b @ b) - d * d
-        candidates, iterations = _secular_candidates(cone, g, k, u_nom)
+        if u_nom.size == 1:
+            root = _scalar_root(cone.S3.item(), g.item(), k, c.item(), d, u_nom.item())
+            candidates = [] if root is None else [np.array([root])]
+        else:
+            candidates, iterations = _secular_candidates(cone, g, k, u_nom)
     found, steps = _nearest_feasible(cone, u_nom, candidates, tol)
     if found is None and not cone.degenerate:
         found, more = _nearest_feasible(cone, u_nom, [_nearest_critical(cone, g, u_nom)], tol)
@@ -599,25 +521,26 @@ def safety_filter_step(
     sqrt(y^T Sigma y) at y = [gamma; u] for the returned u, and ``cert``.
     The sufficient condition reads the cone's S3, the matrix of the quadric
     that the projection solves; the necessary value comes with the cone,
-    from the factor that assembled it.  With one input the projection runs
-    on floats under the rule of the module docstring, so every field keeps
-    the bits of the same step on numpy 1-arrays.
+    from the factor that assembled it.  The whole step runs in one
+    ``np.errstate`` block that silences overflow and invalid operations:
+    an overflowing necessary value or posterior std is logged as inf, -inf
+    or NaN without a warning.
     """
     gamma = np.asarray(gamma, dtype=float)
-    try:
-        cone = assemble_safety_cone(cert, mu, sigma, beta, gamma)
-    except FactorizationError:
-        _, c, d = _mean_row(cert, np.asarray(mu, dtype=float).reshape(-1), gamma)
-        u = _mean_halfspace(u_nom, c, d)
-        return FilterOutcome(
-            u, STATUS_FACTORIZATION_FAILED, sigma=_posterior_std(sigma, gamma, u), cert=cert
-        )
-    certified, max_eig = feasibility_sufficient(cone.S3)
-
-    outcome = solve(u_nom, cone, tol=tol)
-    if outcome.status != STATUS_OPTIMAL:
-        outcome.u = _mean_halfspace(u_nom, cone.c, cone.d)
-    outcome.sigma = _posterior_std(sigma, gamma, outcome.u)
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            cone = assemble_safety_cone(cert, mu, sigma, beta, gamma)
+        except FactorizationError:
+            _, c, d = _mean_row(cert, np.asarray(mu, dtype=float).reshape(-1), gamma)
+            u = _mean_halfspace(u_nom, c, d)
+            return FilterOutcome(
+                u, STATUS_FACTORIZATION_FAILED, sigma=_posterior_std(sigma, gamma, u), cert=cert
+            )
+        certified, max_eig = feasibility_sufficient(cone.S3)
+        outcome = solve(u_nom, cone, tol=tol)
+        if outcome.status != STATUS_OPTIMAL:
+            outcome.u = _mean_halfspace(u_nom, cone.c, cone.d)
+        outcome.sigma = _posterior_std(sigma, gamma, outcome.u)
     outcome.necessary_value = cone.necessary_value
     outcome.sufficient_eig = max_eig
     outcome.sufficient_certified = certified
@@ -637,10 +560,8 @@ def _posterior_std(sigma: np.ndarray, gamma: np.ndarray, u: np.ndarray) -> float
     """sqrt(y^T Sigma y) at y = [gamma; u], floored at 0 under the root.
 
     A huge u overflows the product to inf, and an infinite u or a Sigma
-    holding NaN can make it NaN; either is returned without a warning, and
-    a finite value keeps its bits.
+    holding NaN can make it NaN; :func:`safety_filter_step` silences the
+    warnings, and a finite value keeps its bits.
     """
     y = np.concatenate((gamma, u))
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = float(y @ sigma @ y)
-    return math.sqrt(max(value, 0.0))
+    return math.sqrt(max(float(y @ sigma @ y), 0.0))

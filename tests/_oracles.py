@@ -8,10 +8,11 @@ dense grid searches, the vectorised numpy RK4 step with numpy plant fields
 and random polynomial fields that the float-based integrator must match
 bit for bit, the vector half-space projection that the one-input path must
 match bit for bit, a ``csv.writer`` episode writer that the row-format
-writer must match byte for byte, and three references the float paths of
-one control step must match bit for bit: the vector filter step and
-projection for one input, the posterior query with a list of triangular
-solves, and the certificate terms evaluated on numpy scalars.
+writer must match byte for byte, the vector filter step and projection for
+one input, a reference the filter's m = 1 step must match bit for bit, and
+two references float paths of one control step must match bit for bit: the
+posterior query with a list of triangular solves, and the certificate terms
+evaluated on numpy scalars.
 """
 
 import csv
@@ -177,10 +178,11 @@ def grid_min_norm_halfspace(u_nom, a, b, u_max=50.0, step=1e-4):
 
 
 def halfspace_projection_vector(u_nom, a, b):
-    """u_nom - ((a.u_nom + b) / |a|^2) a on numpy 1-arrays; u_nom when feasible, None when a = 0.
+    """u_nom - ((a.u_nom + b) / |a|^2) a on numpy 1-arrays; u_nom when feasible.
 
     The vector formula of the min-norm half-space filter, with a.u_nom and
-    |a|^2 taken as numpy dot products.
+    |a|^2 taken as numpy dot products.  None when there is no point: a = 0,
+    or a projected point that is not finite.
     """
     u_nom = np.atleast_1d(np.asarray(u_nom, dtype=float))
     a = np.atleast_1d(np.asarray(a, dtype=float))
@@ -190,7 +192,9 @@ def halfspace_projection_vector(u_nom, a, b):
     norm2 = float(a @ a)
     if norm2 == 0.0:
         return None
-    return u_nom - (margin / norm2) * a
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = u_nom - (margin / norm2) * a
+    return u if np.isfinite(u).all() else None
 
 
 def rk4_numpy(field, x, u, t, dt):
@@ -318,8 +322,8 @@ def safety_filter_step_vector(u_nom, cert, mu, sigma, beta, gamma, tol=1e-8):
     S3 = A^T A - c c^T symmetrized, the margin and the Newton polish on
     numpy 1-arrays, the nearest root of the scalar quadratic, and the
     least-squares critical point when no root qualifies.  Every dot product
-    is the numpy ``@`` of the same shapes as the filter's, so the float
-    path of the filter must match it bit for bit.
+    is the numpy ``@`` of the same shapes as the filter's, so the filter's
+    m = 1 step must match it bit for bit.
     """
     mu = np.asarray(mu, dtype=float).reshape(-1)
     gamma = np.asarray(gamma, dtype=float)

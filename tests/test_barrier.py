@@ -207,6 +207,19 @@ class TestHalfspaceFilter:
         with pytest.raises(InfeasibleConstraintError):
             halfspace_qp_filter([1.0], [0.0], -1.0)
 
+    @pytest.mark.parametrize(
+        "u_nom, a, b",
+        [
+            ([0.0], [6.8e-155], -1.0),  # |a|^2 is subnormal and the step overflows to inf
+            ([0.0, 0.0], [6.8e-155, 0.0], -1.0),  # the vector step holds inf * 0, a NaN
+            ([0.0, 0.0], [1e-10, 1e-10], -1e300),  # a huge violation over a small |a|
+        ],
+    )
+    def test_projection_that_is_not_finite_raises(self, u_nom, a, b):
+        # RuntimeWarnings are errors under the suite's filterwarnings
+        with pytest.raises(InfeasibleConstraintError):
+            halfspace_qp_filter(u_nom, a, b)
+
     def test_result_satisfies_constraint(self):
         rng = np.random.default_rng(11)
         for _ in range(200):

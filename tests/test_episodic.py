@@ -7,8 +7,10 @@ import pytest
 from gpcbf import config as config_mod
 from gpcbf import episodic as episodic_mod
 from gpcbf import gp as gp_mod
+from gpcbf import socp as socp_mod
 from gpcbf.barrier import (
     CertificateTerms,
+    HocbfDesign,
     certificate_terms,
     gamma_vector,
     halfspace_qp_filter,
@@ -41,7 +43,7 @@ from gpcbf.plants import (
     make_synthetic_plant,
 )
 from gpcbf.experiment import build_scenario, run_benchmark
-from gpcbf.socp import STATUS_FACTORIZATION_FAILED, FilterOutcome
+from gpcbf.socp import STATUS_FACTORIZATION_FAILED, STATUS_INFEASIBLE, STATUS_OPTIMAL, FilterOutcome
 
 from _oracles import episode_csv_reference
 
@@ -258,6 +260,21 @@ class TestRunEpisode:
         assert len(log) == 1
 
 
+class TestNominalQpController:
+    def test_half_space_point_that_overflows_is_an_infeasible_step(self):
+        # zg is so small that the half-space point overflows: u_nom stays, flagged
+        design = HocbfDesign(
+            r=1,
+            gains=np.array([1.0]),
+            h=lambda x: -1.0,
+            lie_f_chain=(lambda x: 0.0,),
+            lie_g=lambda x: np.array([6.8e-155]),
+        )
+        step = make_nominal_qp_controller(design, lambda t, x: np.zeros(1))(0.0, np.zeros(1))
+        assert step.status == STATUS_INFEASIBLE
+        assert step.u.tolist() == [0.0]
+
+
 class TestGpSocpController:
     def test_infeasible_step_falls_back_to_mean_halfspace(self):
         design = double_integrator_design([1.5, 2.5], D=1.0)
@@ -401,6 +418,52 @@ class TestEpisodicTrain:
         assert len(rows) >= 2
         for x, y, _ in rows[:2]:
             assert np.array_equal(x, np.zeros(2)) and np.array_equal(y, [2.0, 1.0, 0.0])
+
+    def test_two_input_projection_in_closed_loop(self, monkeypatch):
+        # A double integrator p'' = 0.5 + 1.3 u1 + 0.5 u2 whose design knows
+        # neither the drift nor the gain on u1, so the nominal episode drives
+        # through h = 1 - p = 0 and the GP filter projects onto m = 2 cones
+        # through the secular equation.
+        plant = PlantModel(
+            name="two-input", n=2, m=2,
+            field=lambda x, u, t: (x[1], 0.5 + 1.3 * u[0] + 0.5 * u[1]),
+        )
+        design = HocbfDesign(
+            r=2,
+            gains=np.array([1.5, 2.5]),
+            h=lambda x: 1.0 - x[0],
+            lie_f_chain=(lambda x: -x[1], lambda x: 0.0),
+            lie_g=lambda x: np.array([-1.0, -0.5]),
+            m=2,
+        )
+        kp = [BaseKernelParams(sf2, np.array([0.5, 0.5])) for sf2 in (1.0, 0.1, 0.1, 0.1)]
+        projections, secular_calls = [], []
+        project, secular = socp_mod._project, socp_mod._secular_candidates
+
+        def counted_project(*args):
+            result = project(*args)
+            projections.append(result[1])
+            return result
+
+        def counted_secular(*args):
+            secular_calls.append(1)
+            return secular(*args)
+
+        monkeypatch.setattr(socp_mod, "_project", counted_project)
+        monkeypatch.setattr(socp_mod, "_secular_candidates", counted_secular)
+        result = episodic_train(
+            plant, design, lambda t, x: np.array([1.0, 0.5]), kp, beta=2.0, x0=np.zeros(2),
+            horizon=6.0, label_stride=5, noise_variance=1e-6,
+        )
+        nominal, gp_log = result.episodes[0], result.episodes[-1]
+        assert nominal.termination == TERM_VIOLATION
+        assert result.succeeded and gp_log.termination == TERM_COMPLETED
+        assert gp_log.min_h >= 0.0
+        assert projections.count(STATUS_OPTIMAL) >= 100
+        assert len(secular_calls) >= 100
+        optimal = np.array(gp_log.status) == STATUS_OPTIMAL
+        bound = -1e-8 * np.maximum(1.0, 2.0 * gp_log.sigma[optimal])
+        assert np.all(gp_log.cone_margin[optimal] >= bound)
 
     def test_kernel_count_validated(self):
         plant = make_synthetic_plant(0.0)

@@ -476,7 +476,20 @@ class TestBuildS:
         rng = np.random.default_rng(8)
         cert, mu, sigma, beta, gamma = self._random_inputs(rng, r=3, m=2)
         S = build_S(effective_phi(cert, mu), sigma, beta)
-        np.testing.assert_allclose(S, S.T, atol=1e-12)
+        assert np.array_equal(S, S.T)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("strided", [False, True])
+    def test_hand_written_cone_S3_is_exactly_symmetric(self, m, strided):
+        # A^T A is one symmetric product for a contiguous A and a strided view
+        rng = np.random.default_rng(40 + m)
+        for rows in range(1, 6):
+            for _ in range(50):
+                full = rng.normal(size=(rows, 2 * m)) * 10.0 ** rng.uniform(-3, 3, size=(rows, 2 * m))
+                A = full[:, ::2] if strided else np.ascontiguousarray(full[:, :m])
+                assert A.flags.c_contiguous is not strided
+                cone = SafetyConeData(A=A, b=rng.normal(size=rows), c=rng.normal(size=m), d=1.0)
+                assert np.array_equal(cone.S3, cone.S3.T)
 
 
 class TestFeasibilitySufficient:
@@ -665,6 +678,22 @@ class TestFilterInvariants:
             assert np.isnan(getattr(out, key))
         assert out.sufficient_certified is False
 
+    @pytest.mark.parametrize(
+        "sigma, zg, mu, beta, status",
+        [
+            (np.zeros((2, 2)), 0.0, [-1.0, 6.816585878920056e-155], 0.0, STATUS_INFEASIBLE),
+            (np.array([[np.nan, 0.0], [0.0, 0.0]]), 1e-160, [-1.0, 0.0], 2.0, STATUS_FACTORIZATION_FAILED),
+        ],
+    )
+    def test_fallback_keeps_u_nom_when_the_mean_halfspace_point_overflows(
+        self, sigma, zg, mu, beta, status
+    ):
+        # c is so small that the half-space point c u + d = 0 is not a float
+        cert = _cert([0.0], [zg], 0.0)
+        out = safety_filter_step(np.zeros(1), cert, np.array(mu), sigma, beta, np.ones(1))
+        assert out.status == status
+        assert out.u.tolist() == [0.0]
+
     def test_feasibility_suite_skips_states_whose_sigma_does_not_factor(self, monkeypatch):
         calls = []
 
@@ -724,7 +753,7 @@ def _one_input_draw(rng, i):
 
 
 class TestOneInputFloatPath:
-    """The m = 1 filter step on floats against the general vector path, bit for bit."""
+    """The m = 1 filter step against its vector formulation in the oracles, bit for bit."""
 
     def test_matches_vector_oracle_on_every_kind_of_step(self, monkeypatch):
         critical_calls = []
@@ -784,9 +813,9 @@ class TestOneInputFloatPath:
         [
             # a half-space step with a tiny c: y^T Sigma y overflows, sigma logs inf
             (np.diag([0.0, 37.0**2]), [0.0], 5.493957006876899e-153, [-2.0, 0.0], 0.0),
-            # a tinier c with Sigma = 0: u is inf, and 0 * inf makes sigma NaN
+            # a tinier c with Sigma = 0: the half-space point overflows, so u is u_nom
             (np.zeros((2, 2)), [0.0], 0.0, [-1.0, 6.816585878920056e-155], 0.0),
-            # a Sigma holding NaN does not factor, and the mean half-space u is inf
+            # a Sigma holding NaN does not factor; the mean half-space point overflows, so u is u_nom
             (np.array([[np.nan, 0.0], [0.0, 0.0]]), [0.0], 1e-160, [-1.0, 0.0], 2.0),
             # a last pivot near 1e-155: phi Sigma^-1 phi^T overflows, the necessary value is -inf
             (np.diag([1.0, 1.0, 1.0, 9.444759738299146e-156**2]), [0.0, 0.0, 0.0], 1.0, [0.0] * 4, 0.5),
