@@ -76,33 +76,33 @@ def gains_from_char_coeffs(coeffs: Sequence[float]) -> np.ndarray:
 class HocbfDesign:
     """Barrier design: evaluators for the nominal Lie chain plus derived gains.
 
-    lie_f_chain[i-1] evaluates Lf^i h for i = 1..r on the nominal model;
-    lie_g evaluates LgLf^{r-1} h as a length-m row.  gamma, e_r and the
-    zeta-chain weights are derived from the gains at construction;
-    zeta_weights[i-1] weighs [h, Lf h, ..., Lf^i h] in zeta_i.  Every
-    evaluator reads the state by index: :func:`certificate_terms` passes it
-    as a list of floats, other callers as a numpy array.
+    The relative degree r is the number of gains.  lie_f_chain[i-1]
+    evaluates Lf^i h for i = 1..r on the nominal model; lie_g evaluates
+    LgLf^{r-1} h as a length-m row.  r, gamma, e_r and the zeta-chain
+    weights are derived from the gains at construction; zeta_weights[i-1]
+    weighs [h, Lf h, ..., Lf^i h] in zeta_i.  Every evaluator reads the
+    state by index: :func:`certificate_terms` passes it as a list of
+    floats, other callers as a numpy array.
     """
 
-    r: int
     gains: np.ndarray
     h: StateFn
     lie_f_chain: Sequence[StateFn]
     lie_g: RowFn
     m: int = 1
+    r: int = field(init=False)
     gamma: np.ndarray = field(init=False)
     e_r: float = field(init=False)
     zeta_weights: tuple = field(init=False)
 
     def __post_init__(self):
         gains = np.asarray(self.gains, dtype=float)
-        if self.r < 1 or gains.size != self.r:
-            raise InvalidDesignError(f"need r={self.r} gains, got {gains.size}")
-        if len(self.lie_f_chain) != self.r:
-            raise InvalidDesignError(
-                f"need {self.r} drift Lie evaluators, got {len(self.lie_f_chain)}"
-            )
         e = elementary_symmetric(gains)
+        if len(self.lie_f_chain) != gains.size:
+            raise InvalidDesignError(
+                f"need {gains.size} drift Lie evaluators, got {len(self.lie_f_chain)}"
+            )
+        object.__setattr__(self, "r", gains.size)
         object.__setattr__(self, "gains", gains)
         object.__setattr__(self, "gamma", gamma_vector(gains))
         object.__setattr__(self, "e_r", float(e[-1]))

@@ -137,7 +137,7 @@ class ExperimentConfig:
     output: OutputConfig = field(default_factory=OutputConfig)
 
     def validate(self) -> "ExperimentConfig":
-        from .plants import RELATIVE_DEGREE, STATE_DIMENSION
+        from .plants import DIMENSIONS
 
         for name, cls in zip(("controller", "disturbance"), _sections(self.plant)):
             section = getattr(self, name)
@@ -147,9 +147,8 @@ class ExperimentConfig:
                     f"got {type(section).__name__}"
                 )
         _check_types(self, "")
-        n = STATE_DIMENSION[self.plant]
+        n, m, r = DIMENSIONS[self.plant]
         gains = self.hocbf.resolve_gains()
-        r = RELATIVE_DEGREE[self.plant]
         if len(gains) != r:
             key = "gains" if self.hocbf.gains is not None else "char_coeffs"
             raise ConfigError(
@@ -158,7 +157,7 @@ class ExperimentConfig:
             )
         if any(g <= 0 for g in gains):
             raise ConfigError("barrier gains must be positive")
-        q = len(gains) + 1
+        q = r + m
         if len(self.gp.signal_variances) != q:
             raise ConfigError(f"gp.signal_variances must have {q} entries (m + r)")
         if any(v <= 0 for v in self.gp.signal_variances):

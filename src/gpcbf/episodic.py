@@ -91,13 +91,11 @@ def label_window(
 
 @dataclass
 class EpisodeLog:
-    """Per-control-step time series of one closed-loop episode."""
+    """Per-control-step time series of one closed-loop episode; zeta's width is r."""
 
-    design_r: int
     t: np.ndarray
     x: np.ndarray  # (steps, n)
     u: np.ndarray  # (steps, m)
-    h: np.ndarray
     zeta: np.ndarray  # (steps, r)
     sigma: np.ndarray
     status: list
@@ -112,6 +110,11 @@ class EpisodeLog:
     def __len__(self) -> int:
         return self.t.size
 
+    @property
+    def h(self) -> np.ndarray:
+        """h at each step, as zeta_0 = h."""
+        return self.zeta[:, 0]
+
     def to_csv(self, path, trace: bool = False) -> None:
         """Write the log as CSV, one row per logged step; ``trace`` adds the solver columns.
 
@@ -123,15 +126,16 @@ class EpisodeLog:
         """
         n = self.x.shape[1] if self.x.size else 0
         m = self.u.shape[1] if self.u.size else 0
+        r = self.zeta.shape[1]
         header = (
             ["t"]
             + [f"x_{i}" for i in range(1, n + 1)]
             + [f"u_{i}" for i in range(1, m + 1)]
             + ["h"]
-            + [f"zeta_{i}" for i in range(self.design_r)]
+            + [f"zeta_{i}" for i in range(r)]
             + ["sigma", "status", "necessary_value", "sufficient_eig"]
         )
-        fields = ["%.17g"] * (n + m + self.design_r + 3) + ["%s", "%.17g", "%.17g"]
+        fields = ["%.17g"] * (n + m + r + 3) + ["%s", "%.17g", "%.17g"]
         if trace:
             header += ["solve_iterations", "cone_margin"]
             fields += ["%d", "%.17g"]
@@ -165,15 +169,13 @@ def _log_row(design: HocbfDesign, t: float, x: np.ndarray, step: FilterOutcome) 
 
     zeta comes from the step's certificate terms when the record carries
     them as ``cert`` (the chain then is evaluated once per step), else from
-    fresh evaluations at x; h is its first entry.
+    fresh evaluations at x.
     """
-    zeta = zeta_chain(design, x, step.cert)
     return (
         t,
         x.copy(),
         step.u.copy(),
-        float(zeta[0]),
-        zeta,
+        zeta_chain(design, x, step.cert),
         step.sigma,
         step.status,
         step.necessary_value,
@@ -251,16 +253,14 @@ def run_episode(
             break
         x = np.array(states[-1])
 
-    t_, x_, u_, h, zeta, sigma, status, nec, suf, iters, margin = zip(*rows) if rows else [()] * 11
-    if termination == TERM_COMPLETED and violation_time is not None and h and h[-1] < 0.0:
+    t_, x_, u_, zeta, sigma, status, nec, suf, iters, margin = zip(*rows) if rows else [()] * 10
+    if termination == TERM_COMPLETED and violation_time is not None and zeta and zeta[-1][0] < 0.0:
         termination = TERM_VIOLATION
 
     return EpisodeLog(
-        design_r=design.r,
         t=np.asarray(t_, dtype=float),
         x=np.asarray(x_, dtype=float).reshape(-1, plant.n),
         u=np.asarray(u_, dtype=float).reshape(-1, plant.m),
-        h=np.asarray(h, dtype=float),
         zeta=np.asarray(zeta, dtype=float).reshape(-1, design.r),
         sigma=np.asarray(sigma, dtype=float),
         status=list(status),
@@ -346,8 +346,12 @@ def make_gp_socp_controller(
 class TrainResult:
     model: CompositeGpModel
     episodes: list
-    dataset: ResidualDataset
     succeeded: bool
+
+    @property
+    def dataset(self) -> ResidualDataset:
+        """The labels the final model was fit on."""
+        return self.model.dataset
 
 
 def episodic_train(
@@ -422,4 +426,4 @@ def episodic_train(
                 "training ends after episode %d with the last good model: %s", ep + 1, exc
             )
             break
-    return TrainResult(model=model, episodes=episodes, dataset=model.dataset, succeeded=succeeded)
+    return TrainResult(model=model, episodes=episodes, succeeded=succeeded)

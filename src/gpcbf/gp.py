@@ -142,8 +142,8 @@ def _cross_kbar(X, Y, xstar, sf2, inv_ell2):
 class CompositeGpModel:
     """Fitted residual model; immutable and safe for concurrent queries.
 
-    The query invariants (stacked kernel parameters, contiguous X and Y, a
-    Fortran-ordered factor) are fixed when the model is built, so a
+    :func:`fit` builds it with the query invariants fixed (stacked kernel
+    parameters, contiguous X and Y, a Fortran-ordered factor), so a
     posterior query does no per-call preparation.  The factor is kept in
     Fortran order because BLAS ``dtrsv`` reads it in place: f2py passes a
     Fortran-ordered array without a copy, and the query's triangular solves
@@ -151,37 +151,13 @@ class CompositeGpModel:
     """
 
     dataset: ResidualDataset
-    params: Sequence[BaseKernelParams]
+    sf2: np.ndarray  # (q,) signal variances; Lambda(x, x) = diag(sf2)
+    inv_ell2: np.ndarray  # (q, n) inverse squared lengthscales
+    X: np.ndarray = field(repr=False)  # dataset.X, C-ordered
+    Y: np.ndarray = field(repr=False)  # dataset.Y, C-ordered
     factor: np.ndarray  # lower Cholesky of K_c + (sigma_n^2 + jitter) I, (N, N)
     weights: np.ndarray  # (K_c + sigma_n^2 I)^{-1} z
     jitter: float
-    sf2: np.ndarray = field(init=False, repr=False)  # (q,)
-    inv_ell2: np.ndarray = field(init=False, repr=False)  # (q, n)
-    X: np.ndarray = field(init=False, repr=False)
-    Y: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        sf2, inv_ell2 = _stacked_params(self.params, self.dataset.X.shape[1])
-        object.__setattr__(self, "sf2", sf2)
-        object.__setattr__(self, "inv_ell2", inv_ell2)
-        object.__setattr__(self, "X", np.ascontiguousarray(self.dataset.X))
-        object.__setattr__(self, "Y", np.ascontiguousarray(self.dataset.Y))
-        object.__setattr__(self, "factor", np.asfortranarray(self.factor))
-
-    @property
-    def q(self) -> int:
-        return len(self.params)
-
-    def prior_lambda(self, x) -> np.ndarray:
-        """Lambda(x, x) = diag(sf2): every base kernel is stationary."""
-        _check_query(self, np.atleast_1d(np.asarray(x, dtype=float)))
-        return np.diag(self.sf2)
-
-
-def _check_query(model: "CompositeGpModel", x: np.ndarray) -> None:
-    n = model.inv_ell2.shape[1]
-    if x.shape != (n,):
-        raise ValueError(f"query state of shape {x.shape}, model state dimension {n}")
 
 
 def _stacked_params(params: Sequence[BaseKernelParams], n: int):
@@ -196,41 +172,32 @@ def _stacked_params(params: Sequence[BaseKernelParams], n: int):
 def fit(dataset: ResidualDataset, params: Sequence[BaseKernelParams]) -> CompositeGpModel:
     """Assemble and factorize the composite Gram matrix.
 
-    N = 0 is allowed and yields the prior-only model.  DEFAULT_JITTER_SCHEDULE
+    N = 0 goes the same way and yields the prior-only model.  DEFAULT_JITTER_SCHEDULE
     is walked until Cholesky succeeds; exhaustion raises IllConditionedDataError.
 
     The Gram is factored by :func:`_cholesky`, not by one LAPACK ``dpotrf``
     call: from N = 128 on, OpenBLAS hands ``dpotrf`` to a second thread,
     which then busy-waits for about 0.135 s of CPU after every fit.
     """
-    if dataset.Y.shape[1] != len(params) and len(dataset) > 0:
-        raise ValueError(
-            f"regressor width {dataset.Y.shape[1]} != {len(params)} base kernels"
-        )
     N = len(dataset)
-    if N == 0:
-        return CompositeGpModel(
-            dataset=dataset,
-            params=tuple(params),
-            factor=np.zeros((0, 0)),
-            weights=np.zeros(0),
-            jitter=0.0,
-        )
+    if dataset.Y.shape[1] != len(params):
+        raise ValueError(f"regressor width {dataset.Y.shape[1]} != {len(params)} base kernels")
     sf2, inv_ell2 = _stacked_params(params, dataset.X.shape[1])
-    K = _gram_composite(
-        np.ascontiguousarray(dataset.X), np.ascontiguousarray(dataset.Y), sf2, inv_ell2
-    )
+    X, Y = np.ascontiguousarray(dataset.X), np.ascontiguousarray(dataset.Y)
+    K = _gram_composite(X, Y, sf2, inv_ell2)
     for jitter in DEFAULT_JITTER_SCHEDULE:
         try:
             factor = _cholesky(K + (dataset.noise_variance + jitter) * np.eye(N))
         except np.linalg.LinAlgError:
             continue
-        weights = _chol_solve(factor, dataset.z)
         return CompositeGpModel(
             dataset=dataset,
-            params=tuple(params),
-            factor=factor,
-            weights=weights,
+            sf2=sf2,
+            inv_ell2=inv_ell2,
+            X=X,
+            Y=Y,
+            factor=np.asfortranarray(factor),
+            weights=_chol_solve(factor, dataset.z),
             jitter=float(jitter),
         )
     raise IllConditionedDataError(
@@ -305,9 +272,11 @@ def posterior_coefficients(model: CompositeGpModel, xstar) -> tuple[np.ndarray, 
     Lambda = diag(sf2) and the jitter are added to its diagonal in place.
     """
     xstar = np.atleast_1d(np.asarray(xstar, dtype=float))
-    _check_query(model, xstar)
-    q = model.q
-    if len(model.dataset) == 0:
+    n = model.inv_ell2.shape[1]
+    if xstar.shape != (n,):
+        raise ValueError(f"query state of shape {xstar.shape}, model state dimension {n}")
+    q = model.sf2.size
+    if len(model.dataset) == 0:  # dtrsv rejects the length-0 rows of Kbar
         return np.zeros(q), np.diag(model.sf2) + SIGMA_JITTER * np.eye(q)
     kbar = _cross_kbar(model.X, model.Y, xstar, model.sf2, model.inv_ell2)
     mu = kbar @ model.weights

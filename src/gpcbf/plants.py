@@ -25,10 +25,10 @@ ACC_TRUE = dict(m=3300.0, f0=0.2, f1=10.0, f2=0.5, v0=14.0)
 SUSPENSION_NOMINAL = dict(m1=300.0, m2=60.0, k1=16e3, k2=190e3, b=1e3)
 SUSPENSION_TRUE = dict(m1=675.0, m2=135.0, k1=36e3, k2=427.5e3, b=2.25e3)
 
-# State dimension n of each plant, by config name.
-STATE_DIMENSION = {"acc": 2, "suspension": 4, "synthetic": 2}
-# Relative degree r of each plant's barrier, by config name; it fixes the gain count.
-RELATIVE_DEGREE = {"acc": 2, "suspension": 2, "synthetic": 2}
+# (n, m, r) of each plant, by config name: state dimension, input count and
+# the relative degree of its barrier.  r fixes the gain count, and r + m the
+# number of base kernels.
+DIMENSIONS = {"acc": (2, 1, 2), "suspension": (4, 1, 2), "synthetic": (2, 1, 2)}
 
 
 @dataclass(frozen=True)
@@ -94,7 +94,7 @@ def make_acc_plant(params: dict = ACC_TRUE) -> PlantModel:
         v = x[0]
         return (-(f0 + f1 * v + f2 * v * v) / m + inv_m * u[0], v0 - v)
 
-    return PlantModel(name="acc", n=STATE_DIMENSION["acc"], m=1, field=field)
+    return PlantModel("acc", *DIMENSIONS["acc"][:2], field)
 
 
 def make_suspension_plant(
@@ -119,7 +119,7 @@ def make_suspension_plant(
                 wheel = wheel + road_gain * d
         return (x3, x4, (k1 * (x2 - x1) + b * (x4 - x3)) / m1 + inv_m1 * u0, wheel)
 
-    return PlantModel(name="suspension", n=STATE_DIMENSION["suspension"], m=1, field=field)
+    return PlantModel("suspension", *DIMENSIONS["suspension"][:2], field)
 
 
 def make_synthetic_plant(mismatch: float = 0.0) -> PlantModel:
@@ -129,7 +129,7 @@ def make_synthetic_plant(mismatch: float = 0.0) -> PlantModel:
         x0 = x[0]  # x0 * x0, not x0 ** 2: float ** raises OverflowError where * gives inf
         return (x[1], mismatch * (1.0 + 0.5 * (x0 * x0)) + u[0])
 
-    return PlantModel(name="synthetic", n=STATE_DIMENSION["synthetic"], m=1, field=field)
+    return PlantModel("synthetic", *DIMENSIONS["synthetic"][:2], field)
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +145,6 @@ def acc_design(params: dict, gains, D: float = 30.0) -> HocbfDesign:
     p = AccParams(**params)
 
     return HocbfDesign(
-        r=RELATIVE_DEGREE["acc"],
         gains=np.asarray(gains, dtype=float),
         h=lambda x: x[1] - D,
         lie_f_chain=(
@@ -153,7 +152,7 @@ def acc_design(params: dict, gains, D: float = 30.0) -> HocbfDesign:
             lambda x: p.rolling_resistance(x[0]) / p.m,
         ),
         lie_g=lambda x: np.array([-1.0 / p.m]),
-        m=1,
+        m=DIMENSIONS["acc"][1],
     )
 
 
@@ -165,7 +164,6 @@ def suspension_design(params: dict, gains, D: float = 0.06) -> HocbfDesign:
     p = SuspensionParams(**params)
 
     return HocbfDesign(
-        r=RELATIVE_DEGREE["suspension"],
         gains=np.asarray(gains, dtype=float),
         h=lambda x: D - x[0],
         lie_f_chain=(
@@ -173,19 +171,18 @@ def suspension_design(params: dict, gains, D: float = 0.06) -> HocbfDesign:
             lambda x: -(p.k1 * (x[1] - x[0]) + p.b * (x[3] - x[2])) / p.m1,
         ),
         lie_g=lambda x: np.array([-1.0 / p.m1]),
-        m=1,
+        m=DIMENSIONS["suspension"][1],
     )
 
 
 def double_integrator_design(gains, D: float = 1.0) -> HocbfDesign:
     """Position barrier h = D - x1 for the synthetic double integrator."""
     return HocbfDesign(
-        r=RELATIVE_DEGREE["synthetic"],
         gains=np.asarray(gains, dtype=float),
         h=lambda x: D - x[0],
         lie_f_chain=(lambda x: -x[1], lambda x: 0.0),
         lie_g=lambda x: np.array([-1.0]),
-        m=1,
+        m=DIMENSIONS["synthetic"][1],
     )
 
 

@@ -290,12 +290,12 @@ def solve(u_nom, cone: SafetyConeData, tol: float = 1e-8) -> FilterOutcome:
     the same route: the margin at u_nom, then :func:`_project`.
     """
     u_nom = np.atleast_1d(np.asarray(u_nom, dtype=float))
-    margin = cone_margin(cone, u_nom)
-    analytic = margin >= 0.0
-    if analytic:
-        u, status, iterations = u_nom.copy(), STATUS_OPTIMAL, 0
-    else:
-        with np.errstate(all="ignore"):  # overflowing candidates fail the feasibility check
+    with np.errstate(all="ignore"):  # an overflowing margin fails every test below
+        margin = cone_margin(cone, u_nom)
+        analytic = margin >= 0.0
+        if analytic:
+            u, status, iterations = u_nom.copy(), STATUS_OPTIMAL, 0
+        else:
             u, status, iterations, margin = _project(cone, u_nom, tol, margin)
     return FilterOutcome(u, status, iterations=iterations, cone_margin=margin, analytic=analytic)
 
@@ -323,7 +323,8 @@ def _project(cone: SafetyConeData, u_nom: np.ndarray, tol: float, margin: float)
     secular equation from :func:`_secular_candidates` for m >= 2.  The
     half-space point for beta = 0, the polish and check of
     :func:`_nearest_feasible` and the fallback to :func:`_nearest_critical`
-    are the same for every m.
+    are the same for every m, but a cone whose H or g is not finite has no
+    critical point: least squares does not converge on it.
     """
     iterations = 0
     if cone.degenerate:
@@ -342,8 +343,9 @@ def _project(cone: SafetyConeData, u_nom: np.ndarray, tol: float, margin: float)
             candidates, iterations = _secular_candidates(cone, g, k, u_nom)
     found, steps = _nearest_feasible(cone, u_nom, candidates, tol)
     if found is None and not cone.degenerate:
-        found, more = _nearest_feasible(cone, u_nom, [_nearest_critical(cone, g, u_nom)], tol)
-        steps += more
+        if np.isfinite(cone.S3).all() and np.isfinite(g).all():
+            found, more = _nearest_feasible(cone, u_nom, [_nearest_critical(cone, g, u_nom)], tol)
+            steps += more
     if found is None:
         return u_nom.copy(), STATUS_INFEASIBLE, iterations + steps, margin
     u, margin = found
@@ -367,13 +369,16 @@ def _nearest_critical(cone: SafetyConeData, g: np.ndarray, u_nom: np.ndarray) ->
 
 
 def _nearest_feasible(cone: SafetyConeData, u_nom: np.ndarray, candidates, tol: float):
-    """Polish each candidate; ((u, margin) of the nearest feasible one or None, steps)."""
+    """Polish each candidate; ((u, margin) of the nearest feasible one or None, steps).
+
+    A feasible candidate counts even when its distance to u_nom overflows to inf.
+    """
     found, best, steps = None, math.inf, 0
     for cand in candidates:
         cand, taken, cand_margin, norm = _polish(cone, cand)
         steps += taken
         dist = _norm(cand - u_nom)
-        if cand_margin >= -tol * max(1.0, norm) and dist < best:
+        if cand_margin >= -tol * max(1.0, norm) and (found is None or dist < best):
             found, best = (cand, cand_margin), dist
     return found, steps
 

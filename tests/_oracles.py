@@ -291,7 +291,7 @@ def episode_csv_reference(log, path, trace=False):
         + [f"x_{i}" for i in range(1, n + 1)]
         + [f"u_{i}" for i in range(1, m + 1)]
         + ["h"]
-        + [f"zeta_{i}" for i in range(log.design_r)]
+        + [f"zeta_{i}" for i in range(log.zeta.shape[1])]
         + ["sigma", "status", "necessary_value", "sufficient_eig"]
     )
     if trace:

@@ -35,7 +35,6 @@ from _oracles import (
 def double_integrator_negx_design(gains):
     # xdot1 = x2, xdot2 = u, h = -x1
     return HocbfDesign(
-        r=2,
         gains=np.asarray(gains, dtype=float),
         h=lambda x: -x[0],
         lie_f_chain=(lambda x: -x[1], lambda x: 0.0),
@@ -157,7 +156,7 @@ class TestCertificateTermsOnFloats:
     def test_actuation_row_that_is_no_float_array_is_converted(self, row):
         design = double_integrator_negx_design([1.0, 1.0])
         design = HocbfDesign(
-            r=2, gains=design.gains, h=design.h, lie_f_chain=design.lie_f_chain, lie_g=lambda x: row
+            gains=design.gains, h=design.h, lie_f_chain=design.lie_f_chain, lie_g=lambda x: row
         )
         zg = certificate_terms(design, np.array([1.0, 2.0])).zg
         assert zg.dtype == np.float64 and zg.ndim == 1
@@ -169,7 +168,7 @@ class TestCertificateTermsOnFloats:
     def test_non_finite_actuation_row_raises(self, row):
         design = double_integrator_negx_design([1.0, 1.0])
         design = HocbfDesign(
-            r=2, gains=design.gains, h=design.h, lie_f_chain=design.lie_f_chain, lie_g=lambda x: row
+            gains=design.gains, h=design.h, lie_f_chain=design.lie_f_chain, lie_g=lambda x: row
         )
         with pytest.raises(InvalidDesignError, match="non-finite actuation row"):
             certificate_terms(design, np.array([1.0, 2.0]))

@@ -13,6 +13,7 @@ import yaml
 
 from gpcbf import cli
 from gpcbf import config as config_mod
+from gpcbf import plants
 from gpcbf import validate as validate_mod
 from gpcbf.errors import ConfigError
 from gpcbf.experiment import run_benchmark
@@ -84,6 +85,18 @@ class TestConfigSchema:
         data["gp"]["signal_variances"] = [1.0, 1.0]
         with pytest.raises(ConfigError):
             config_mod.from_dict(data)
+
+    def test_signal_variance_count_is_r_plus_m(self, tmp_path, monkeypatch, capsys):
+        # One signal variance per base kernel, q = r + m: a two-input
+        # synthetic plant takes four, and its three defaults exit 2.
+        cfg = config_mod.defaults("synthetic")
+        monkeypatch.setitem(plants.DIMENSIONS, "synthetic", (2, 2, 2))
+        cfg.gp.signal_variances = [1.0, 1.0, 1.0e-4, 1.0e-4]
+        assert cfg.validate() is cfg
+        path = tmp_path / "three.yaml"
+        path.write_text("plant: synthetic\n")
+        assert cli.main(["run", str(path)]) == 2
+        assert "gp.signal_variances must have 4 entries" in capsys.readouterr().err
 
     def test_dt_vs_control_period(self):
         data = config_mod.to_dict(config_mod.defaults("acc"))

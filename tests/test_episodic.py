@@ -264,7 +264,6 @@ class TestNominalQpController:
     def test_half_space_point_that_overflows_is_an_infeasible_step(self):
         # zg is so small that the half-space point overflows: u_nom stays, flagged
         design = HocbfDesign(
-            r=1,
             gains=np.array([1.0]),
             h=lambda x: -1.0,
             lie_f_chain=(lambda x: 0.0,),
@@ -429,7 +428,6 @@ class TestEpisodicTrain:
             field=lambda x, u, t: (x[1], 0.5 + 1.3 * u[0] + 0.5 * u[1]),
         )
         design = HocbfDesign(
-            r=2,
             gains=np.array([1.5, 2.5]),
             h=lambda x: 1.0 - x[0],
             lie_f_chain=(lambda x: -x[1], lambda x: 0.0),
@@ -562,12 +560,10 @@ def _special_values_log(steps: int) -> EpisodeLog:
     status = (["optimal", "infeasible", "nominal"] * steps)[: max(steps - 1, 0)]
     status += ["violation"] if steps else []
     return EpisodeLog(
-        design_r=3,
         t=values[:, 0],
         x=values[:, 1:3],
         u=values[:, 3:5],
-        h=values[:, 5],
-        zeta=values[:, 6:9],
+        zeta=values[:, 5:8],  # h is zeta[:, 0]
         sigma=values[:, 9],
         status=status,
         necessary=values[:, 10],

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
 
 from gpcbf import gp as gp_mod
+from gpcbf.barrier import CertificateTerms
 from gpcbf.errors import IllConditionedDataError
 from gpcbf.gp import (
     DEFAULT_JITTER_SCHEDULE,
@@ -23,6 +24,7 @@ from gpcbf.gp import (
     posterior_coefficients,
     save_dataset_csv,
 )
+from gpcbf.socp import FilterOutcome, safety_filter_step
 
 from _oracles import (
     composite_kernel_ref,
@@ -432,6 +434,40 @@ class TestPosterior:
             np.testing.assert_allclose(sigma, sigma.T, atol=1e-12)
             np.linalg.cholesky(sigma)
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        st.integers(1, 4),
+        st.integers(2, 6),
+        st.floats(1e-12, 1e-6),
+        st.one_of(st.just(0.0), st.floats(1e-14, 1e-8)),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_sigma_psd_on_near_duplicate_states(self, bases, copies, spread, noise, seed):
+        # Copies of a few states, perturbed by 1e-12 to 1e-6, with label
+        # noise near 0: the Gram is nearly singular and the fit leans on its
+        # jitter.  Sigma stays exactly symmetric and PSD to 1e-10 max(sf2),
+        # and the filter step at it returns a record without raising.
+        rng = np.random.default_rng(seed)
+        X = np.repeat(rng.normal(size=(bases, 2)) * 2.0, copies, axis=0)
+        X += spread * rng.uniform(-1.0, 1.0, size=X.shape)
+        N = X.shape[0]
+        gamma = np.array([4.0, 1.0])
+        Y = np.column_stack((np.tile(gamma, (N, 1)), 3.0 * rng.normal(size=N)))
+        ds = ResidualDataset(X=X, Y=Y, z=rng.normal(size=N), noise_variance=noise)
+        params = [
+            BaseKernelParams(rng.uniform(0.1, 4.0), rng.uniform(0.5, 2.0, size=2))
+            for _ in range(3)
+        ]
+        model = fit(ds, params)
+        queries = X[::copies] + spread * rng.uniform(-1.0, 1.0, size=(bases, 2))
+        for xstar in (*X[::copies], *queries, rng.normal(size=2) * 2.0):
+            mu, sigma = posterior_coefficients(model, xstar)
+            assert np.array_equal(sigma, sigma.T)
+            assert np.linalg.eigvalsh(sigma)[0] >= -1e-10 * model.sf2.max()
+            cert = CertificateTerms(zf=rng.normal(size=2), zg=rng.normal(size=1), const=0.5)
+            step = safety_filter_step(3.0 * rng.normal(size=1), cert, mu, sigma, 2.0, gamma)
+            assert isinstance(step, FilterOutcome)
+
     @settings(max_examples=30, deadline=None)
     @given(st.floats(-5, 5), st.floats(-5, 5), st.floats(0.1, 3))
     def test_posterior_variance_never_exceeds_prior(self, x1, x2, scale):
@@ -442,7 +478,7 @@ class TestPosterior:
         xstar = np.array([x1, x2])
         ystar = scale * np.ones(3)
         _, sigma = posterior_coefficients(model, xstar)
-        prior = model.prior_lambda(xstar)
+        prior = np.diag(model.sf2)
         assert float(ystar @ sigma @ ystar) <= float(ystar @ prior @ ystar) + 1e-8
 
 

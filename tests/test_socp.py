@@ -211,6 +211,19 @@ class TestSolve:
         assert float(out.u[0]) == pytest.approx(1.0, abs=1e-12)
         assert out.analytic is False
 
+    @pytest.mark.parametrize("u_nom", [1e10, 1e250])
+    def test_feasible_point_at_an_overflowing_distance_is_the_projection(self, u_nom):
+        # |(1e100 u, u)| <= u + 1 holds at u = 1e-100 with margin 0 in
+        # floats.  From u_nom = 1e250 the margin at u_nom and the distance
+        # to that root overflow: neither may warn, and the root is still
+        # the nearest feasible point.
+        cone = SafetyConeData(
+            A=np.array([[1e100], [1.0]]), b=np.zeros(2), c=np.array([1.0]), d=1.0
+        )
+        out = solve(np.array([u_nom]), cone)
+        assert out.status == STATUS_OPTIMAL
+        assert out.u.tolist() == [1e-100] and out.cone_margin == 0.0
+
     @pytest.mark.parametrize(
         "A, c, d, u_nom, analytic",
         [
@@ -629,6 +642,20 @@ class TestFilterInvariants:
         assert math.isfinite(out.sufficient_eig)
         assert math.isfinite(out.cone_margin)
         assert math.isfinite(out.sigma)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_non_finite_cone_is_an_infeasible_step(self, m, capfd):
+        # A NaN posterior mean on an input makes S3 and g NaN: no root and
+        # no critical point qualifies, so the step is infeasible and keeps
+        # u_nom, without a LinAlgError or a LAPACK message.
+        cert = _cert([1.0, 2.0], [-1.0, 0.5][:m], 0.5)
+        mu = np.zeros(2 + m)
+        mu[2] = np.nan
+        u_nom = np.array([5.0, 1.0][:m])
+        out = safety_filter_step(u_nom, cert, mu, 0.1 * np.eye(2 + m), 2.0, np.array([3.0, 1.0]))
+        assert out.status == STATUS_INFEASIBLE
+        assert out.u.tolist() == u_nom.tolist()
+        assert capfd.readouterr() == ("", "")
 
     def test_infeasible_step_applies_mean_halfspace(self):
         # beta large enough to empty the cone while the mean half-space
