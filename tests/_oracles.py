@@ -454,6 +454,7 @@ def _vector_nearest(A, b, c, d, u_nom, candidates, tol):
             taken += 1
         steps += taken
         dist = math.sqrt((u - u_nom) @ (u - u_nom))
-        if t - s >= -tol * max(1.0, s) and dist < best:
+        # a feasible candidate counts even when its distance to u_nom overflows to inf
+        if t - s >= -tol * max(1.0, s) and (found is None or dist < best):
             found, best = (u, t - s), dist
     return found, steps
