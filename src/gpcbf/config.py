@@ -111,7 +111,8 @@ PLANT_SECTIONS = {
 
 # The property suites behind ``gpcbf validate``, in the order "all" runs
 # them; ``gpcbf.validate.SUITES`` maps each name to its ``<name>_suite``.
-# Kept here so that the CLI parser does not import the suites (and scipy).
+# Kept here so that the CLI parser imports neither the suites nor the
+# numerics behind them.
 VALIDATE_SUITES = ("kernel", "solver", "decomposition", "feasibility")
 
 

@@ -25,9 +25,8 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.linalg.blas import dtrsv
 
+from ._lapack import dtrsv, dtrtrs
 from .errors import IllConditionedDataError
 
 DEFAULT_JITTER_SCHEDULE = (0.0, 1e-10, 1e-8, 1e-6)
@@ -242,14 +241,36 @@ def _cholesky(A: np.ndarray) -> np.ndarray:
 
 
 def _chol_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve (L L^T) x = b.
+    """Solve (L L^T) x = b by two triangular solves, L y = b and L^T x = y.
 
-    ``solve_triangular`` on a vector right-hand side (LAPACK ``trtrs``) runs
-    on the calling thread: no second OpenBLAS thread woke at N = 137 or at
-    N = 862.
+    LAPACK ``dtrtrs`` on a vector right-hand side runs on the calling
+    thread: no second OpenBLAS thread woke at N = 137 or at N = 862.
     """
-    y = solve_triangular(L, b, lower=True)
-    return solve_triangular(L.T, y, lower=False)
+    return _solve_triangular(L.T, _solve_triangular(L, b, lower=True), lower=False)
+
+
+def _solve_triangular(a: np.ndarray, b: np.ndarray, lower: bool) -> np.ndarray:
+    """x with a x = b for a triangular a: ``scipy.linalg.solve_triangular``'s ``dtrtrs`` call.
+
+    It keeps that wrapper's checks: ``ValueError`` on an inf or NaN in a or
+    b, an empty x for an empty b (LAPACK rejects a zero leading dimension),
+    ``LinAlgError`` on a zero pivot and ``ValueError`` on an illegal
+    argument.  A Fortran-ordered a is passed as it is; any other a is passed
+    transposed, with ``trans`` set, so f2py reads a in place either way.
+    """
+    a = np.asarray_chkfinite(a, dtype=float)
+    b = np.asarray_chkfinite(b, dtype=float)
+    if b.size == 0:
+        return np.empty_like(b)
+    if a.flags.f_contiguous:
+        x, info = dtrtrs(a, b, lower=lower)
+    else:
+        x, info = dtrtrs(a.T, b, lower=not lower, trans=1)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal trtrs")
+    return x
 
 
 def posterior_coefficients(model: CompositeGpModel, xstar) -> tuple[np.ndarray, np.ndarray]:

@@ -285,18 +285,33 @@ def lqr_gain(A, B, Q, R):
     4 x 4; that thread then busy-waits for about 0.13 s of CPU.  The real
     Schur decomposition, numpy's ``solve`` (``gesv``) and the SVD behind
     ``cond`` were measured to stay on the calling thread at n = 2 and
-    n = 4, the benchmarks' sizes.  scipy is imported here, so the plant
-    tables that config validation reads come without it.
+    n = 4, the benchmarks' sizes.
+
+    The Schur form is LAPACK ``dgees``, called as
+    ``scipy.linalg.schur(H, output="real", sort="lhp")`` calls it: a
+    workspace query, then the ordered decomposition with the left
+    half-plane selected, and the same checks on H and on ``info``.  It is
+    imported here, so the plant tables that config validation reads come
+    without loading scipy's LAPACK module.
     """
-    from scipy.linalg import schur
+    from ._lapack import dgees
 
     A = np.atleast_2d(np.asarray(A, dtype=float))
     n = A.shape[0]
     B = np.asarray(B, dtype=float).reshape(n, -1)
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
     R = np.atleast_2d(np.asarray(R, dtype=float))
-    H = np.block([[A, -B @ np.linalg.solve(R, B.T)], [-Q, -A.T]])
-    _, U, sdim = schur(H, output="real", sort="lhp")
+    H = np.asarray_chkfinite(np.block([[A, -B @ np.linalg.solve(R, B.T)], [-Q, -A.T]]))
+    lwork = dgees(lambda x: None, H, lwork=-1)[-2][0].real.astype(np.int_)
+    _, sdim, _, _, U, _, info = dgees(lambda x, y=None: x.real < 0.0, H, lwork=lwork, sort_t=1)
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal gees")
+    if info == 2 * n + 1:  # H is 2n x 2n
+        raise np.linalg.LinAlgError("Eigenvalues could not be separated for reordering.")
+    if info == 2 * n + 2:
+        raise np.linalg.LinAlgError("Leading eigenvalues do not satisfy sort condition.")
+    if info > 0:
+        raise np.linalg.LinAlgError("Schur form not found. Possibly ill-conditioned.")
     U11, U21 = U[:n, :n], U[n:, :n]
     if sdim != n or np.linalg.cond(U11) * np.finfo(float).eps >= 1.0:
         raise np.linalg.LinAlgError("the Hamiltonian has no n-dimensional stable subspace")

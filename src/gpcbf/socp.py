@@ -57,9 +57,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.linalg.blas import dtrsv
-from scipy.linalg.lapack import dpotrf
 
+from ._lapack import dpotrf, dtrsv
 from .barrier import CertificateTerms, halfspace_qp_filter
 from .errors import FactorizationError, InfeasibleConstraintError
 
@@ -94,14 +93,26 @@ def matrix_sqrt_factor(sigma: np.ndarray) -> np.ndarray:
     zeroes the lower factor's strict upper triangle.  L is the transposed
     view of that Fortran-ordered factor, which BLAS ``dtrsv`` reads in
     place in :func:`_necessary_from_factor`.  ``info`` flags a
-    non-positive pivot, but OpenBLAS lets a NaN pivot pass.  A NaN
-    anywhere in the lower triangle makes every later pivot NaN, so a NaN
-    last pivot is rejected too.
+    non-positive pivot, but OpenBLAS lets a NaN or an infinite pivot pass.
+    A NaN anywhere in the lower triangle makes every later pivot NaN, an
+    infinite diagonal entry makes its pivot infinite, and an infinite entry
+    below the diagonal makes a later pivot non-positive or NaN.  So a
+    factor passes only when its diagonal is finite, and no sigma with a
+    non-finite entry in its lower triangle passes.
     """
     lower, info = dpotrf(np.asarray(sigma, dtype=float), lower=1, clean=1)
-    if info != 0 or math.isnan(lower[-1, -1]):
+    if info != 0 or not _all_finite(lower.diagonal()):
         raise FactorizationError(f"matrix is not positive definite (dpotrf info {info})")
     return lower.T
+
+
+def _all_finite(v: np.ndarray) -> bool:
+    """True when every entry of the 1-D v is finite.
+
+    On the few entries of a filter step's arrays this costs a fifth of
+    ``np.isfinite(v).all()``.
+    """
+    return all(map(math.isfinite, v.tolist()))
 
 
 @dataclass(frozen=True)
@@ -515,13 +526,17 @@ def safety_filter_step(
 
     Assembles the cone and projects u_nom onto it.  On an infeasible step
     the mean-only half-space c u + d >= 0 is enforced as a best effort, and
-    u_nom is kept when that half-space is empty too; the status stays
-    ``infeasible``.  When Sigma does not factor, the step applies the same
-    mean-only fallback with status ``factorization_failed`` and the
-    record's defaults: iterations 0, and NaN cone margin and feasibility
-    values.  Otherwise the record carries ``iterations``, ``cone_margin``
-    and ``analytic`` from :func:`solve`, and the feasibility values
-    ``necessary_value``, ``sufficient_eig`` and ``sufficient_certified``.
+    u_nom is kept when that half-space is empty or not finite; the status
+    stays ``infeasible``.  mu is checked for finiteness before the cone is
+    assembled: a mean that is not finite certifies no input, so the step is
+    ``infeasible`` without a cone.  When beta > 0 and Sigma does not factor
+    into a finite factor (see :func:`matrix_sqrt_factor`), the step is
+    ``factorization_failed``.  Both apply the same mean-only fallback and
+    keep the record's defaults: iterations 0, and NaN cone margin and
+    feasibility values.  Otherwise the record carries ``iterations``,
+    ``cone_margin`` and ``analytic`` from :func:`solve`, and the
+    feasibility values ``necessary_value``, ``sufficient_eig`` and
+    ``sufficient_certified``.
     Every step's record carries ``sigma``, the posterior std
     sqrt(y^T Sigma y) at y = [gamma; u] for the returned u, and ``cert``.
     The sufficient condition reads the cone's S3, the matrix of the quadric
@@ -532,15 +547,20 @@ def safety_filter_step(
     or NaN without a warning.
     """
     gamma = np.asarray(gamma, dtype=float)
+    mu = np.asarray(mu, dtype=float).reshape(-1)
     with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            cone = assemble_safety_cone(cert, mu, sigma, beta, gamma)
-        except FactorizationError:
-            _, c, d = _mean_row(cert, np.asarray(mu, dtype=float).reshape(-1), gamma)
+        no_cone = None
+        if not _all_finite(mu):
+            no_cone = STATUS_INFEASIBLE
+        else:
+            try:
+                cone = assemble_safety_cone(cert, mu, sigma, beta, gamma)
+            except FactorizationError:
+                no_cone = STATUS_FACTORIZATION_FAILED
+        if no_cone is not None:
+            _, c, d = _mean_row(cert, mu, gamma)
             u = _mean_halfspace(u_nom, c, d)
-            return FilterOutcome(
-                u, STATUS_FACTORIZATION_FAILED, sigma=_posterior_std(sigma, gamma, u), cert=cert
-            )
+            return FilterOutcome(u, no_cone, sigma=_posterior_std(sigma, gamma, u), cert=cert)
         certified, max_eig = feasibility_sufficient(cone.S3)
         outcome = solve(u_nom, cone, tol=tol)
         if outcome.status != STATUS_OPTIMAL:
@@ -554,7 +574,13 @@ def safety_filter_step(
 
 
 def _mean_halfspace(u_nom, c: np.ndarray, d: float) -> np.ndarray:
-    """u_nom projected onto the mean-only half-space c u + d >= 0; u_nom when it is empty."""
+    """u_nom projected onto the mean-only half-space c u + d >= 0.
+
+    u_nom itself when the half-space is empty or not finite: a c or d that
+    is not finite makes the margin at u_nom +inf, which keeps u_nom, or
+    -inf or NaN, which makes the projected point non-finite, and
+    :func:`halfspace_qp_filter` refuses that point.
+    """
     try:
         return halfspace_qp_filter(u_nom, c, d)
     except InfeasibleConstraintError:

@@ -15,6 +15,7 @@ from gpcbf.gp import (
     BaseKernelParams,
     ResidualDataset,
     _CHOLESKY_BLOCK,
+    _chol_solve,
     _cholesky,
     _cross_kbar,
     _gram_composite,
@@ -273,6 +274,39 @@ class TestBlockedCholesky:
                 continue
         assert expected > 0.0
         assert fit(ds, params).jitter == expected
+
+
+class TestCholSolve:
+    """_chol_solve against the two scipy.linalg.solve_triangular calls it replaces."""
+
+    @pytest.mark.parametrize("N", [1, 2, 87, 137])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_equals_two_solve_triangular_calls(self, N, order):
+        rng = np.random.default_rng(N)
+        L = np.asarray(np.linalg.cholesky(_spd(rng, N)), order=order)
+        b = rng.normal(size=N)
+        expected = solve_triangular(L.T, solve_triangular(L, b, lower=True), lower=False)
+        assert np.array_equal(_chol_solve(L, b), expected)
+
+    def test_empty_right_hand_side(self):
+        x = _chol_solve(np.zeros((0, 0)), np.zeros(0))
+        assert x.shape == (0,) and x.dtype == float
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("where", ["L", "b"])
+    def test_non_finite_input_raises_value_error(self, value, where):
+        L = np.linalg.cholesky(_spd(np.random.default_rng(3), 4))
+        b = np.ones(4)
+        (L if where == "L" else b)[2] = value
+        with pytest.raises(ValueError):
+            _chol_solve(L, b)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_zero_pivot_raises_linalg_error(self, order):
+        L = np.linalg.cholesky(_spd(np.random.default_rng(4), 4))
+        L[2, 2] = 0.0
+        with pytest.raises(np.linalg.LinAlgError):
+            _chol_solve(np.asarray(L, order=order), np.ones(4))
 
 
 class TestPosterior:

@@ -315,6 +315,35 @@ class TestSchurRiccati:
             lqr_gain(np.diag([1.0, -1.0]), B, np.eye(2), np.ones((1, 1)))
 
 
+def _lqr_gain_through_schur(A, B, Q, R):
+    """lqr_gain's steps with the Schur form from scipy.linalg.schur."""
+    n = A.shape[0]
+    H = np.block([[A, -B @ np.linalg.solve(R, B.T)], [-Q, -A.T]])
+    _, U, sdim = scipy.linalg.schur(H, output="real", sort="lhp")
+    assert sdim == n
+    P = np.linalg.solve(U[:n, :n].T, U[n:, :n].T).T
+    P = 0.5 * (P + P.T)
+    return np.linalg.solve(R, B.T @ P), P
+
+
+class TestLqrDgees:
+    @pytest.mark.parametrize("plant", sorted(_BENCHMARK_LQR))
+    def test_equals_scipy_schur_route_bit_for_bit(self, plant):
+        A, B, Q, R = _BENCHMARK_LQR[plant]
+        K, P = lqr_gain(A, B, Q, R)
+        K_ref, P_ref = _lqr_gain_through_schur(A, B, Q, R)
+        assert K.tobytes() == K_ref.tobytes()
+        assert P.tobytes() == P_ref.tobytes()
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_non_finite_A_raises_value_error(self, value):
+        A, B, Q, R = _BENCHMARK_LQR["suspension"]
+        A = A.copy()
+        A[2, 1] = value
+        with pytest.raises(ValueError):
+            lqr_gain(A, B, Q, R)
+
+
 class TestClfNominalAcc:
     def test_at_target_speed(self):
         u = clf_nominal_acc(np.array([24.0, 50.0]), 24.0, 1.0, AccParams(**ACC_NOMINAL))

@@ -64,6 +64,14 @@ class TestMatrixSqrtFactor:
         with pytest.raises(FactorizationError):
             matrix_sqrt_factor(S)
 
+    @pytest.mark.parametrize("i, j", [(0, 0), (1, 1), (2, 2), (1, 0), (2, 0), (2, 1)])
+    def test_infinite_entry_rejected(self, i, j):
+        # dpotrf passes an infinite diagonal entry as an infinite pivot
+        S = _random_spd(np.random.default_rng(3), 3)
+        S[i, j] = S[j, i] = np.inf
+        with pytest.raises(FactorizationError):
+            matrix_sqrt_factor(S)
+
     def test_necessary_value_matches_dense_solve(self):
         rng = np.random.default_rng(5)
         for i in range(200):
@@ -656,6 +664,48 @@ class TestFilterInvariants:
         assert out.status == STATUS_INFEASIBLE
         assert out.u.tolist() == u_nom.tolist()
         assert capfd.readouterr() == ("", "")
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("entry", [0, 1, 2], ids=["drift", "gain", "input"])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_infinite_mean_is_a_flagged_step(self, m, entry, value, capfd):
+        # An infinite mean once made the margin +inf and the step optimal
+        # and analytic; a mean that is not finite certifies no input.
+        cert = _cert([1.0, 2.0], [-1.0, 0.5][:m], 0.5)
+        mu = np.zeros(2 + m)
+        mu[entry] = value
+        u_nom = np.array([5.0, 1.0][:m])
+        out = safety_filter_step(u_nom, cert, mu, 0.1 * np.eye(2 + m), 2.0, np.array([3.0, 1.0]))
+        assert out.status == STATUS_INFEASIBLE
+        assert out.u.tolist() == u_nom.tolist()
+        assert (out.analytic, out.iterations) == (False, 0)
+        for key in ("cone_margin", "necessary_value", "sufficient_eig"):
+            assert np.isnan(getattr(out, key))
+        assert capfd.readouterr() == ("", "")
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_sigma_with_infinite_diagonal_is_a_flagged_step(self, m):
+        cert = _cert([1.0, 2.0], [-1.0, 0.5][:m], 0.5)
+        mu = np.array([0.1, 0.0, 0.2, 0.0][: 2 + m])
+        sigma = np.eye(2 + m)
+        sigma[2, 2] = np.inf
+        gamma = np.array([3.0, 1.0])
+        u_nom = np.array([-5.0, 1.0][:m])
+        out = safety_filter_step(u_nom, cert, mu, sigma, 2.0, gamma)
+        assert out.status == STATUS_FACTORIZATION_FAILED
+        c, d = cert.zg + mu[2:], float((cert.zf + mu[:2]) @ gamma) + cert.const
+        assert np.array_equal(out.u, halfspace_qp_filter(u_nom, c, d))
+
+    def test_fallback_keeps_u_nom_when_the_mean_halfspace_is_not_finite(self):
+        # Sigma does not factor and the certificate's input row is infinite:
+        # the mean-only half-space is not finite, so u_nom is kept.
+        cert = _cert([1.0, 2.0], [np.inf, 1.0], 0.5)
+        sigma = np.eye(4)
+        sigma[0, 0] = np.nan
+        u_nom = np.array([0.0, -3.0])
+        out = safety_filter_step(u_nom, cert, np.zeros(4), sigma, 2.0, np.array([3.0, 1.0]))
+        assert out.status == STATUS_FACTORIZATION_FAILED
+        assert out.u.tolist() == u_nom.tolist()
 
     def test_infeasible_step_applies_mean_halfspace(self):
         # beta large enough to empty the cone while the mean half-space
