@@ -207,9 +207,9 @@ def _sections(plant) -> tuple:
 
 
 def _whole_multiple(a: float, b: float) -> bool:
-    """a / b is a whole number to 1e-9 relative."""
+    """a / b is a whole number to 1e-9 relative; a ratio that overflows to inf is not."""
     ratio = a / b
-    return abs(ratio - round(ratio)) <= 1e-9 * ratio
+    return math.isfinite(ratio) and abs(ratio - round(ratio)) <= 1e-9 * ratio
 
 
 def _finite_real(value) -> bool:

@@ -385,7 +385,10 @@ def episodic_train(
     episodes = []
     model = fit(
         ResidualDataset(
-            X=np.zeros((0, plant.n)), Y=np.zeros((0, q)), z=np.zeros(0), noise_variance=1e-6
+            X=np.zeros((0, plant.n)),
+            Y=np.zeros((0, q)),
+            z=np.zeros(0),
+            noise_variance=noise_variance,
         ),
         kernel_params,
     )

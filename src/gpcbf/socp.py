@@ -44,8 +44,8 @@ picks the candidate projections only:
   u(lam) without crossing the pole.
 
 Every candidate is polished by Newton steps on the cone margin
-c u + d - |A u + b|, and the nearest one whose margin is at least
--tol * max(1, |A u + b|) is returned.  When no root qualifies, the
+c u + d - |A u + b|, and the nearest one whose margin is finite and at
+least -tol * max(1, |A u + b|) is returned.  When no root qualifies, the
 projection can only lie where Q has no gradient: at an apex of the cone
 (A u + b = 0 = c u + d), or anywhere on H u + g = 0 when K has no interior.
 The filter's cones have neither, because Sigma is positive definite and
@@ -221,13 +221,16 @@ def feasibility_sufficient(S3: np.ndarray) -> tuple[bool, float]:
     """Negative definiteness certificate for pointwise feasibility.
 
     S3 is symmetric, as :func:`build_S` forms it; ``eigvalsh`` reads its
-    lower triangle.
+    lower triangle.  With two or more inputs, an S3 that is not finite has
+    no eigenvalue to certify: the value is NaN.
     """
     S3 = np.asarray(S3, dtype=float)
     if S3.shape == (1, 1):  # one input: the eigenvalue is the entry itself
         max_eig = float(S3[0, 0])
-    else:
+    elif _all_finite(S3.ravel()):
         max_eig = float(np.linalg.eigvalsh(S3)[-1])
+    else:  # eigvalsh does not converge on a matrix that is not finite
+        max_eig = math.nan
     return max_eig < -1e-10, max_eig
 
 
@@ -292,8 +295,9 @@ def cone_margin(cone: SafetyConeData, u: np.ndarray) -> float:
 def solve(u_nom, cone: SafetyConeData, tol: float = 1e-8) -> FilterOutcome:
     """Project u_nom onto the safety cone; a :class:`FilterOutcome` with the solve's fields.
 
-    ``optimal`` means the returned u has cone margin >= -tol * max(1, |A u + b|);
-    ``infeasible`` means no such u exists, and u is u_nom.  The record's
+    ``optimal`` means the returned u has a finite cone margin
+    >= -tol * max(1, |A u + b|); ``infeasible`` means no such u was found,
+    and u is u_nom.  A margin that overflows certifies nothing.  The record's
     ``iterations`` counts root-finder and polishing iterations; it is 0 and
     ``analytic`` is True when u_nom already satisfies the cone.
     ``cone_margin`` is the margin at u (at u_nom on an infeasible step).
@@ -303,7 +307,7 @@ def solve(u_nom, cone: SafetyConeData, tol: float = 1e-8) -> FilterOutcome:
     u_nom = np.atleast_1d(np.asarray(u_nom, dtype=float))
     with np.errstate(all="ignore"):  # an overflowing margin fails every test below
         margin = cone_margin(cone, u_nom)
-        analytic = margin >= 0.0
+        analytic = 0.0 <= margin < math.inf
         if analytic:
             u, status, iterations = u_nom.copy(), STATUS_OPTIMAL, 0
         else:
@@ -335,7 +339,8 @@ def _project(cone: SafetyConeData, u_nom: np.ndarray, tol: float, margin: float)
     half-space point for beta = 0, the polish and check of
     :func:`_nearest_feasible` and the fallback to :func:`_nearest_critical`
     are the same for every m, but a cone whose H or g is not finite has no
-    critical point: least squares does not converge on it.
+    critical point, and for m >= 2 no secular candidates: least squares and
+    the eigendecomposition do not converge on it.
     """
     iterations = 0
     if cone.degenerate:
@@ -350,8 +355,10 @@ def _project(cone: SafetyConeData, u_nom: np.ndarray, tol: float, margin: float)
         if u_nom.size == 1:
             root = _scalar_root(cone.S3.item(), g.item(), k, c.item(), d, u_nom.item())
             candidates = [] if root is None else [np.array([root])]
-        else:
+        elif _all_finite(cone.S3.ravel()):  # else eigh does not converge
             candidates, iterations = _secular_candidates(cone, g, k, u_nom)
+        else:
+            candidates = []
     found, steps = _nearest_feasible(cone, u_nom, candidates, tol)
     if found is None and not cone.degenerate:
         if np.isfinite(cone.S3).all() and np.isfinite(g).all():
@@ -382,14 +389,17 @@ def _nearest_critical(cone: SafetyConeData, g: np.ndarray, u_nom: np.ndarray) ->
 def _nearest_feasible(cone: SafetyConeData, u_nom: np.ndarray, candidates, tol: float):
     """Polish each candidate; ((u, margin) of the nearest feasible one or None, steps).
 
-    A feasible candidate counts even when its distance to u_nom overflows to inf.
+    A candidate is feasible when its margin is finite and at least
+    -tol * max(1, |A u + b|); it counts even when its distance to u_nom
+    overflows to inf.
     """
     found, best, steps = None, math.inf, 0
     for cand in candidates:
         cand, taken, cand_margin, norm = _polish(cone, cand)
         steps += taken
         dist = _norm(cand - u_nom)
-        if cand_margin >= -tol * max(1.0, norm) and (found is None or dist < best):
+        feasible = math.isfinite(cand_margin) and cand_margin >= -tol * max(1.0, norm)
+        if feasible and (found is None or dist < best):
             found, best = (cand, cand_margin), dist
     return found, steps
 
@@ -490,15 +500,17 @@ def _numerator(h, a2, q0, sign) -> np.ndarray:
 def _polish(cone: SafetyConeData, u: np.ndarray):
     """Newton steps on the cone margin along its gradient.
 
-    Returns (u, steps taken, cone margin at u, |A u + b|).
+    Where A u + b = 0, as everywhere on a beta = 0 cone, the gradient is c:
+    there a step repairs the rounding of a half-space point projected from
+    far away.  Returns (u, steps taken, cone margin at u, |A u + b|).
     """
     A, b, c, d = cone.A, cone.b, cone.c, cone.d
     res = A @ u + b
     s = _norm(res)
     t = float(c @ u) + d
     steps = 0
-    while steps < _MAX_POLISH and s > 0.0 and abs(t - s) > 4.0 * _EPS * (abs(t) + s):
-        grad = c - (A.T @ res) / s
+    while steps < _MAX_POLISH and abs(t - s) > 4.0 * _EPS * (abs(t) + s):
+        grad = c - (A.T @ res) / s if s > 0.0 else c
         norm2 = float(grad @ grad)
         if norm2 == 0.0:
             break

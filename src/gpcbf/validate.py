@@ -237,7 +237,7 @@ def _benchmark_filter_states(plant_name: str, rng: np.random.Generator, n_states
     prior = fit(
         ResidualDataset(
             X=np.zeros((0, sc.plant.n)), Y=np.zeros((0, len(sc.kernel_params))),
-            z=np.zeros(0), noise_variance=1e-4,
+            z=np.zeros(0), noise_variance=cfg.gp.noise_variance,
         ),
         sc.kernel_params,
     )

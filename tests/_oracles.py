@@ -4,24 +4,21 @@ Everything here deliberately avoids the package's own code paths: symbolic
 Lie chains via sympy, a from-scratch stacked-input GP, an exactly summed
 forward substitution for the posterior covariance, a dense linear solve for
 the necessary feasibility condition, a brute-force Riccati ODE integrator,
-dense grid searches, the vectorised numpy RK4 step with numpy plant fields
-and random polynomial fields that the float-based integrator must match
-bit for bit, the vector half-space projection that the one-input path must
-match bit for bit, a ``csv.writer`` episode writer that the row-format
-writer must match byte for byte, the vector filter step and projection for
-one input, a reference the filter's m = 1 step must match bit for bit, and
-two references float paths of one control step must match bit for bit: the
-posterior query with a list of triangular solves, and the certificate terms
-evaluated on numpy scalars.
+dense grid searches, the one-input filter cone in closed form and exact
+rationals, and the references that float paths must match bit for bit: the
+vectorised numpy RK4 step with numpy plant fields and random polynomial
+fields, the vector half-space projection, a ``csv.writer`` episode writer,
+the posterior query with a list of triangular solves, and the certificate
+terms evaluated on numpy scalars.
 """
 
 import csv
 import math
+from fractions import Fraction
 
 import numpy as np
 import sympy as sp
 from scipy.linalg.blas import dtrsv
-from scipy.linalg.lapack import dpotrf
 
 
 class SymbolicSystem:
@@ -314,147 +311,96 @@ def episode_csv_reference(log, path, trace=False):
             writer.writerow(row)
 
 
-def safety_filter_step_vector(u_nom, cert, mu, sigma, beta, gamma, tol=1e-8):
-    """The one-input cone filter step on numpy vectors: (u, status, iterations, diagnostics).
+def _fractions(v):
+    return [Fraction(x) for x in np.asarray(v, dtype=float).reshape(-1).tolist()]
 
-    The general vector formulation of the filter step for one input: the
-    cone from the upper Cholesky factor, its quadric matrix
-    S3 = A^T A - c c^T symmetrized, the margin and the Newton polish on
-    numpy 1-arrays, the nearest root of the scalar quadratic, and the
-    least-squares critical point when no root qualifies.  Every dot product
-    is the numpy ``@`` of the same shapes as the filter's, so the filter's
-    m = 1 step must match it bit for bit.
+
+def _float(x):
+    """The float nearest the Fraction x, +-inf beyond the float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
+class OneInputCone:
+    """The filter step's cone for one input in closed form, in exact rationals and with no factor.
+
+    With y = [gamma; u], beta sqrt(y^T Sigma y) <= phi . y reads sqrt(P) <= L with
+    y^T Sigma y = v2 u^2 + v1 u + v0, P = beta^2 y^T Sigma y and L = c u + d: a
+    quadratic inequality P <= L^2 whose nappe L >= 0 picks, so the feasible set is
+    at most two intervals with closed-form ends, and the projection is a clamp.
+    ``v_size`` and ``d_size`` sum the magnitudes of the coefficients' terms.
     """
-    mu = np.asarray(mu, dtype=float).reshape(-1)
-    gamma = np.asarray(gamma, dtype=float)
-    u_nom = np.atleast_1d(np.asarray(u_nom, dtype=float))
-    r = gamma.size
-    m = mu.size - r
-    c = cert.zg + mu[r:]
-    d = float((cert.zf + mu[:r]) @ gamma) + cert.const
-    L = None
-    if beta == 0.0:
-        A = np.zeros((m + r, m))
-        b = np.zeros(m + r)
-    else:
-        lower, info = dpotrf(np.asarray(sigma, dtype=float), lower=1, clean=1)
-        if info != 0 or math.isnan(lower[-1, -1]):
-            u = _vector_halfspace(u_nom, c, d)
-            diagnostics = {
-                "analytic": False,
-                "cone_margin": math.nan,
-                "necessary_value": math.nan,
-                "sufficient_eig": math.nan,
-                "sufficient_certified": False,
-                "sigma": _vector_std(sigma, gamma, u),
-            }
-            return u, "factorization_failed", 0, diagnostics
-        L = lower.T
-        A = beta * L[:, r:]
-        b = beta * (L[:, :r] @ gamma)
-    S3 = 1.0**2 * (A.T @ A) - np.outer(c, c)
-    S3 = 0.5 * (S3 + S3.T)
-    if beta > 0.0:
-        phi = np.concatenate((cert.zf, cert.zg)) + mu
-        phi[r - 1] += cert.const
-        z = dtrsv(L.T, phi, lower=1)
-        necessary = 1.0 - float(z @ z) / beta**2
-    else:
-        necessary = -math.inf
-    max_eig = float(S3[0, 0])
-    u, status, iterations, margin, analytic = solve_vector(u_nom, A, b, c, d, S3, tol)
-    if status != "optimal":
-        u = _vector_halfspace(u_nom, c, d)
-    diagnostics = {
-        "analytic": analytic,
-        "cone_margin": margin,
-        "necessary_value": necessary,
-        "sufficient_eig": max_eig,
-        "sufficient_certified": max_eig < -1e-10,
-        "sigma": _vector_std(sigma, gamma, u),
-    }
-    return u, status, iterations, diagnostics
 
+    def __init__(self, v_terms, beta, c, d_terms):
+        self.v = [sum(t, Fraction(0)) for t in v_terms]
+        self.v_size = [sum(map(abs, t), Fraction(0)) for t in v_terms]
+        self.b2, self.c = Fraction(beta) ** 2, Fraction(c)
+        self.d, self.d_size = sum(d_terms, Fraction(0)), sum(map(abs, d_terms), Fraction(0))
 
-def solve_vector(u_nom, A, b, c, d, S3, tol=1e-8):
-    """Projection of u_nom onto |A u + b| <= c u + d for one input, on numpy vectors.
+    @classmethod
+    def from_step(cls, cert, mu, sigma, beta, gamma):
+        """The cone of a filter step, straight from Sigma, gamma, phi and beta."""
+        g, mu, r = _fractions(gamma), _fractions(mu), len(gamma)
+        S = [_fractions(row) for row in np.asarray(sigma, dtype=float)]
+        v1 = [S[r][j] * g[j] for j in range(r)] + [S[j][r] * g[j] for j in range(r)]
+        v0 = [g[i] * S[i][j] * g[j] for i in range(r) for j in range(r)]
+        d = [z * x for z, x in zip(_fractions(cert.zf) + mu, g + g)] + [Fraction(cert.const)]
+        return cls(([S[r][r]], v1, v0), beta, Fraction(float(cert.zg[0])) + mu[r], d)
 
-    S3 is the quadric's matrix A^T A - c c^T.  Returns (u, status,
-    iterations, cone margin, analytic); u is u_nom when the cone is empty.
-    """
-    u_nom = np.atleast_1d(np.asarray(u_nom, dtype=float))
-    margin = float(c @ u_nom + d - math.sqrt((A @ u_nom + b) @ (A @ u_nom + b)))
-    if margin >= 0.0:
-        return u_nom.copy(), "optimal", 0, margin, True
-    with np.errstate(all="ignore"):
-        found, iterations = _vector_project(A, b, c, d, S3, u_nom, tol)
-    if found is None:
-        return u_nom.copy(), "infeasible", iterations, margin, False
-    return found[0], "optimal", iterations, found[1], False
+    @classmethod
+    def from_rows(cls, A, b, c, d):
+        """The hand-written cone |A u + b| <= c u + d for one input, from a^2, 2 a b and b^2."""
+        a, b = _fractions(A), _fractions(b)
+        v_terms = ([x * x for x in a], [2 * x * y for x, y in zip(a, b)], [y * y for y in b])
+        return cls(v_terms, 1.0, _fractions(c)[0], [Fraction(float(d))])
 
+    def variance(self, u):
+        """y^T Sigma y at y = [gamma; u] and the sum of its terms' magnitudes, as floats."""
+        u = Fraction(u)
+        (v2, v1, v0), (s2, s1, s0) = self.v, self.v_size
+        return _float(v2 * u * u + v1 * u + v0), _float(s2 * u * u + s1 * abs(u) + s0)
 
-def _vector_halfspace(u_nom, c, d):
-    u = halfspace_projection_vector(u_nom, c, d)
-    return np.atleast_1d(np.array(u_nom, dtype=float)) if u is None else u
+    def intervals(self, slack=0.0):
+        """The feasible set, as at most two (lo, hi), of the cone tightened by a slack e > 0.
 
+        A slack e < 0 loosens it.  P gains e beta^2 ((s2 + s1 / 2) u^2 + s0 + s1 / 2),
+        at least e times the magnitudes of P's terms, and L becomes
+        (1 - e) L - e (2 d_size + 1), at most L - e (|c u| + d_size + 1) where L >= 0.
+        So neither rounding of relative size |e| nor a margin tolerance of |e| / 2
+        where P < 1 carries a point across both the tightened and the loosened cone.
+        """
+        e, inf = Fraction(slack), math.inf
+        (v2, v1, v0), (s2, s1, s0) = self.v, self.v_size
+        c, d = (1 - e) * self.c, (1 - e) * self.d - e * (2 * self.d_size + 1)
+        a2 = self.b2 * (v2 + e * (s2 + s1 / 2)) - c * c  # P - L^2 = a2 u^2 + a1 u + a0
+        a1 = self.b2 * v1 - 2 * c * d
+        a0 = self.b2 * (v0 + e * (s0 + s1 / 2)) - d * d
+        if a2 == 0 == a1:
+            pieces = [(-inf, inf)] if a0 <= 0 else []
+        elif a2 == 0:
+            pieces = [(-inf, -a0 / a1)] if a1 > 0 else [(-a0 / a1, inf)]
+        elif a1 * a1 < 4 * a2 * a0:
+            pieces = [] if a2 > 0 else [(-inf, inf)]
+        else:  # the root of the discriminant to 2^-100 relative, then roots without cancellation
+            disc = a1 * a1 - 4 * a2 * a0
+            n, m = disc.numerator, disc.denominator
+            root = Fraction(math.isqrt(n * m << 200), m << 100)
+            q = -(a1 + (root if a1 >= 0 else -root)) / 2
+            lo, hi = sorted((q / a2, a0 / q)) if q else (q, q)
+            pieces = [(lo, hi)] if a2 > 0 else [(-inf, lo), (hi, inf)]
+        if c == 0:  # L >= 0
+            return pieces if d >= 0 else []
+        half = (-d / c, inf) if c > 0 else (-inf, -d / c)
+        ends = [(max(lo, half[0]), min(hi, half[1])) for lo, hi in pieces]
+        return [(lo, hi) for lo, hi in ends if lo <= hi]
 
-def _vector_std(sigma, gamma, u):
-    y = np.concatenate((gamma, u))
-    return math.sqrt(max(float(y @ sigma @ y), 0.0))
-
-
-def _vector_project(A, b, c, d, H, u_nom, tol):
-    """((u, margin) of the projection or None, iterations) for one input."""
-    if not (A.any() or b.any()):
-        u = halfspace_projection_vector(u_nom, c, d)
-        candidates = [] if u is None else [u]
-    else:
-        g, k = A.T @ b - d * c, float(b @ b) - d * d
-        hh, g0, c0 = float(H[0, 0]), float(g[0]), float(c[0])
-        disc = g0 * g0 - hh * k
-        candidates = []
-        if disc >= 0.0:
-            q = -(g0 + math.copysign(math.sqrt(disc), g0))
-            roots = ([q / hh] if hh != 0.0 else []) + ([k / q] if q != 0.0 else [])
-            best = None
-            for root in roots:
-                if c0 * root + d >= 0.0 and (best is None or abs(root - u_nom[0]) < abs(best - u_nom[0])):
-                    best = root
-            candidates = [] if best is None else [np.array([best])]
-    found, steps = _vector_nearest(A, b, c, d, u_nom, candidates, tol)
-    if found is None and (A.any() or b.any()):
-        u = u_nom - np.linalg.lstsq(H, H @ u_nom + g, rcond=None)[0]
-        if float(c @ u) + d < 0.0:
-            M = np.vstack((H, c))
-            u = u_nom - np.linalg.lstsq(M, M @ u_nom + np.append(g, d), rcond=None)[0]
-        found, more = _vector_nearest(A, b, c, d, u_nom, [u], tol)
-        steps += more
-    return found, steps
-
-
-def _vector_nearest(A, b, c, d, u_nom, candidates, tol):
-    found, best, steps = None, math.inf, 0
-    for u in candidates:
-        res = A @ u + b
-        s = math.sqrt(res @ res)
-        t = float(c @ u) + d
-        taken = 0
-        while taken < 3 and s > 0.0 and abs(t - s) > 4.0 * np.finfo(float).eps * (abs(t) + s):
-            grad = c - (A.T @ res) / s
-            norm2 = float(grad @ grad)
-            if norm2 == 0.0:
-                break
-            u_new = u - ((t - s) / norm2) * grad
-            res_new = A @ u_new + b
-            s_new = math.sqrt(res_new @ res_new)
-            t_new = float(c @ u_new) + d
-            if abs(t_new - s_new) >= abs(t - s):
-                break
-            u, res, s, t = u_new, res_new, s_new, t_new
-            taken += 1
-        steps += taken
-        dist = math.sqrt((u - u_nom) @ (u - u_nom))
-        # a feasible candidate counts even when its distance to u_nom overflows to inf
-        if t - s >= -tol * max(1.0, s) and (found is None or dist < best):
-            found, best = (u, t - s), dist
-    return found, steps
+    def project(self, u_nom, slack=0.0):
+        """The float nearest the feasible point nearest u_nom; None when there is no such float."""
+        x = Fraction(u_nom)
+        points = [min(max(x, lo), hi) for lo, hi in self.intervals(slack)]
+        try:
+            return float(min(points, key=lambda p: abs(p - x)))
+        except (ValueError, OverflowError):  # no point, or none within the float range
+            return None

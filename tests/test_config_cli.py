@@ -211,6 +211,9 @@ class TestCli:
             ("synthetic", "sim:\n  horizon: 0.015", "sim.horizon"),
             ("synthetic", "sim:\n  horizon: 0.025", "sim.horizon"),
             ("synthetic", "sim:\n  horizon: .inf", "sim.horizon"),
+            # ratios that overflow to inf are no whole multiples
+            ("acc", "sim:\n  dt: 5.0e-324\n  control_period: 1.0", "sim.control_period"),
+            ("acc", "sim:\n  horizon: 1.0e+308\n  control_period: 1.0e-2", "sim.horizon"),
             ("synthetic", "filter:\n  beta: .nan", "filter.beta"),
             ("synthetic", "gp:\n  noise_variance: .nan", "gp.noise_variance"),
             ("synthetic", "gp:\n  lengthscales: [.nan, 2.0]", "gp.lengthscales"),
@@ -253,6 +256,8 @@ class TestCli:
             "sim-horizon_1.5_holds",
             "sim-horizon_2.5_holds",
             "sim-horizon_inf",
+            "sim-control_period_over_dt_overflows",
+            "sim-horizon_over_control_period_overflows",
             "filter-beta_nan",
             "gp-noise_variance_nan",
             "gp-lengthscales_nan",

@@ -1,8 +1,10 @@
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gpcbf.barrier import CertificateTerms, certificate_terms, halfspace_qp_filter
@@ -28,7 +30,7 @@ from gpcbf import validate as validate_mod
 from gpcbf.gp import posterior_coefficients
 from gpcbf.validate import _benchmark_filter_states, grid_oracle_u, random_feasible_instance
 
-from _oracles import necessary_value_dense, safety_filter_step_vector, solve_vector
+from _oracles import OneInputCone, necessary_value_dense
 
 
 def _random_spd(rng, n, scale=1.0):
@@ -790,157 +792,233 @@ class TestFilterInvariants:
         assert report["passed"]
 
 
-def _same_step(out, oracle):
-    """Every field of a filter outcome equals the vector oracle's, bit for bit."""
-    u, status, iterations, diagnostics = oracle
-    assert out.u.tobytes() == np.atleast_1d(u).tobytes()
-    assert (out.status, out.iterations) == (status, iterations)
-    for key, value in diagnostics.items():
-        assert repr(getattr(out, key)) == repr(value), key
-
-
-def _same_step_as_oracle(*args):
-    """The filter step on args matches the vector oracle, with no warning from the step."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        expected = safety_filter_step_vector(*args)
-    _same_step(safety_filter_step(*args), expected)
+_SLACK = 4e-8  # four times the step's tolerance; see OneInputCone.intervals
 
 
 def _one_input_draw(rng, i):
-    """Filter inputs for one input over scales, ties, zeros and a NaN Sigma."""
+    """Filter inputs for one input over scales, ties, zeros and a Sigma holding NaN."""
     r = 1 + i % 4
-    q = r + 1
-    M = rng.normal(size=(q, q))
-    sigma = 10.0 ** rng.uniform(-6, 8) * (M @ M.T) + 10.0 ** rng.uniform(-12, 0) * np.eye(q)
+    M = rng.normal(size=(r + 1, r + 1))
+    sigma = 10.0 ** rng.uniform(-6, 8) * (M @ M.T) + 10.0 ** rng.uniform(-12, 0) * np.eye(r + 1)
     if i % 7 == 0:
         sigma = np.round(sigma, 1)
     if i % 53 == 0:
-        sigma[rng.integers(q), rng.integers(q)] = np.nan
+        j, k = rng.integers(r + 1, size=2)
+        sigma[j, k] = sigma[k, j] = np.nan
     zg = np.zeros(1) if i % 11 == 0 else rng.normal(size=1) * 10.0 ** rng.uniform(-3, 1)
-    cert = CertificateTerms(
-        zf=rng.normal(size=r) * 10.0 ** rng.uniform(-3, 3),
-        zg=zg,
-        const=float(rng.normal() * 10.0 ** rng.uniform(-3, 3)),
-    )
-    mu = rng.normal(size=q) * 10.0 ** rng.uniform(-4, 2)
+    zf = rng.normal(size=r) * 10.0 ** rng.uniform(-3, 3)
+    cert = _cert(zf, zg, rng.normal() * 10.0 ** rng.uniform(-3, 3))
+    mu = rng.normal(size=r + 1) * 10.0 ** rng.uniform(-4, 2)
     beta = float(rng.choice([0.0, 1.0, 2.0, rng.uniform(0.01, 10.0)]))
-    gamma = np.concatenate((rng.uniform(0.1, 50.0, size=r - 1), [1.0]))
+    gamma = np.append(rng.uniform(0.1, 50.0, size=r - 1), 1.0)
     u_nom = np.zeros(1) if i % 13 == 0 else rng.normal(size=1) * 10.0 ** rng.uniform(-3, 8)
     return u_nom, cert, mu, sigma, beta, gamma
 
 
-class TestOneInputFloatPath:
-    """The m = 1 filter step against its vector formulation in the oracles, bit for bit."""
+def _check_projection(cone, u_nom, out):
+    """A projection's status, u and analytic flag against the reference; True near the boundary.
 
-    def test_matches_vector_oracle_on_every_kind_of_step(self, monkeypatch):
-        critical_calls = []
+    The loosened cone empty means ``infeasible``; an optimal u lies in it.
+    The tightened cone non-empty means ``optimal``, with u no farther from
+    u_nom than its nearest point, unless the step's floats cannot reach that
+    point.  Else the cone lies within tolerance of the boundary.
+    """
+    loose, tight = (cone.project(u_nom, e) for e in (-_SLACK, _SLACK))
+    u = float(out.u[0])
+    assert loose is not None or out.status == STATUS_INFEASIBLE
+    assert out.status != STATUS_OPTIMAL or cone.project(u, -_SLACK) == u
+    assert not out.analytic or (out.status == STATUS_OPTIMAL and u == u_nom)
+    if tight is None or _out_of_range(cone, u_nom, tight):
+        return loose is not None
+    assert out.status == STATUS_OPTIMAL and abs(u - u_nom) <= abs(tight - u_nom)
+    assert out.analytic or tight != u_nom
+    return False
+
+
+def _out_of_range(cone, u_nom, point):
+    """True when the step's floats cannot reach point, the nearest point of a cone.
+
+    That is so when a square the step forms (c^2, d^2, |A|^2 or |b|^2) is
+    subnormal, or when (point - u_nom) / c overflows, as it does within the
+    half-space point u_nom - ((c u_nom + d) / c^2) c: the step refuses the
+    point 1.5e154 on c = 6.8e-155, as ``test_barrier`` pins.
+    """
+    squares = (cone.c * cone.c, cone.d * cone.d, cone.b2 * cone.v[0], cone.b2 * cone.v[2])
+    too_far = abs(point - u_nom) > sys.float_info.max * abs(cone.c)
+    return too_far or any(0 < x < sys.float_info.min for x in squares)
+
+
+def _check_step(out, u_nom, cert, mu, sigma, beta, gamma):
+    """Every field of a one-input step's record against the reference; True near the boundary."""
+    u_nom, u = float(u_nom[0]), float(out.u[0])
+    finite = np.isfinite(sigma).all()
+    cone = OneInputCone.from_step(cert, mu, sigma if finite else np.zeros_like(sigma), beta, gamma)
+    var, size = cone.variance(u)
+    if finite:  # y^T Sigma y may overflow to inf
+        assert out.sigma**2 == var or abs(out.sigma**2 - max(var, 0.0)) <= 1e-12 * size
+    else:
+        assert math.isnan(out.sigma)
+    eig = np.linalg.eigvalsh(sigma) if finite else [math.nan]
+    if out.status == STATUS_FACTORIZATION_FAILED:  # only a Sigma not safely positive definite
+        assert beta > 0.0 and not eig[0] > 1e-12 * eig[-1]
+        for key in ("cone_margin", "necessary_value", "sufficient_eig"):
+            assert math.isnan(getattr(out, key))
+    else:
+        assert finite or beta == 0.0
+        top = cone.b2 * cone.v[0] - cone.c * cone.c  # beta^2 Sigma_mm - c^2
+        assert abs(out.sufficient_eig - top) <= 1e-12 * (cone.b2 * cone.v_size[0] + cone.c**2)
+        if beta == 0.0:
+            assert out.necessary_value == -math.inf
+        elif eig[0] > 1e-9 * eig[-1]:  # else the two solves share few digits
+            dense = necessary_value_dense(effective_phi(cert, mu), sigma, beta)
+            assert abs(out.necessary_value - dense) <= 1e-13 * eig[-1] / eig[0] * (2 + abs(dense))
+    if out.status != STATUS_OPTIMAL:  # the mean-only half-space point, or u_nom without one
+        mean = OneInputCone.from_step(cert, mu, np.zeros_like(sigma), 0.0, gamma)
+        loose, tight = (mean.project(u_nom, e) for e in (-_SLACK, _SLACK))
+        assert loose is not None or u == u_nom
+        if tight is not None and not _out_of_range(mean, u_nom, tight):
+            assert min(loose, tight) <= u <= max(loose, tight)
+    return out.status != STATUS_FACTORIZATION_FAILED and _check_projection(cone, u_nom, out)
+
+
+def _floats(draw, size, entries):
+    return np.array(draw(st.lists(entries, min_size=size, max_size=size)))
+
+
+class TestOneInputReference:
+    """The m = 1 filter step against the closed-form reference in the oracles."""
+
+    def test_every_kind_of_step(self, monkeypatch):
+        critical = []
         nearest_critical = socp_mod._nearest_critical
-
-        def counted(cone, g, u_nom):
-            critical_calls.append(1)
-            return nearest_critical(cone, g, u_nom)
-
-        monkeypatch.setattr(socp_mod, "_nearest_critical", counted)
+        monkeypatch.setattr(
+            socp_mod, "_nearest_critical", lambda *a: critical.append(1) or nearest_critical(*a)
+        )
         rng = np.random.default_rng(21)
-        steps = []
+        steps, near = [], 0
         for i in range(3000):
             args = _one_input_draw(rng, i)
             out = safety_filter_step(*args)
-            _same_step(out, safety_filter_step_vector(*args))
+            near += _check_step(out, *args)
             steps.append((out.status, out.analytic, out.iterations > 0, args[4] > 0.0))
 
-        def count(status, analytic=None, polished=None, beta_positive=True):
-            want = (status, analytic, polished, beta_positive)
+        def count(*want):  # status, analytic, polished, beta > 0; None matches either
             return sum(all(w is None or w == v for w, v in zip(want, step)) for step in steps)
 
-        assert count(STATUS_OPTIMAL, analytic=True, beta_positive=None) >= 300
-        assert count(STATUS_OPTIMAL, analytic=False, polished=False) >= 200
-        assert count(STATUS_OPTIMAL, analytic=False, polished=True) >= 100
-        assert count(STATUS_INFEASIBLE) >= 300
-        assert count(STATUS_OPTIMAL, analytic=False, beta_positive=False) >= 100
-        assert count(STATUS_FACTORIZATION_FAILED) >= 100
-        # An assembled cone with beta > 0 has no apex and an interior, so the
-        # nearest root answers every feasible projecting step, and the
-        # critical point is tried, and fails, on the empty cones only.
-        assert len(critical_calls) == count(STATUS_INFEASIBLE)
+        assert count(STATUS_OPTIMAL, True) >= 300 and count(STATUS_INFEASIBLE) >= 300
+        assert count(STATUS_OPTIMAL, False, False, True) >= 200
+        assert count(STATUS_OPTIMAL, False, True, True) >= 100
+        assert count(STATUS_OPTIMAL, False, None, False) >= 100
+        assert count(STATUS_FACTORIZATION_FAILED) >= 100 and near <= 30
+        # A cone with beta > 0 has no apex and an interior, so the nearest root answers every
+        # feasible projecting step, and the critical point is tried on the empty cones only.
+        assert len(critical) == count(STATUS_INFEASIBLE, None, None, True)
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 4), st.data())
-    def test_matches_vector_oracle_on_drawn_inputs(self, r, data):
-        q = r + 1
-        entries = st.floats(-100.0, 100.0, allow_nan=False, allow_infinity=False)
-        M = np.array(data.draw(st.lists(entries, min_size=q * q, max_size=q * q))).reshape(q, q)
-        sigma = M @ M.T + data.draw(st.sampled_from([0.0, 1e-12, 1e-3, 1.0])) * np.eye(q)
+    def test_drawn_steps(self, r, data):
+        floats = lambda size: _floats(data.draw, size, st.floats(-100.0, 100.0))
+        M = floats((r + 1) ** 2).reshape(r + 1, r + 1)
+        sigma = M @ M.T + data.draw(st.sampled_from([0.0, 1e-12, 1e-3, 1.0])) * np.eye(r + 1)
         if data.draw(st.booleans()) and data.draw(st.booleans()):
-            i, j = data.draw(st.integers(0, q - 1)), data.draw(st.integers(0, q - 1))
+            i, j = data.draw(st.integers(0, r)), data.draw(st.integers(0, r))
             sigma[i, j] = sigma[j, i] = np.nan
-        cert = CertificateTerms(
-            zf=np.array(data.draw(st.lists(entries, min_size=r, max_size=r))),
-            zg=np.array([data.draw(entries)]),
-            const=data.draw(entries),
-        )
-        mu = np.array(data.draw(st.lists(entries, min_size=q, max_size=q)))
+        cert = _cert(floats(r), floats(1), floats(1)[0])
         beta = data.draw(st.sampled_from([0.0, 0.5, 2.0, 7.5]))
-        gamma = np.array(data.draw(st.lists(st.floats(0.1, 50.0), min_size=r - 1, max_size=r - 1)) + [1.0])
-        u_nom = np.array([data.draw(entries)])
-        _same_step_as_oracle(u_nom, cert, mu, sigma, beta, gamma)
-
-    @pytest.mark.parametrize(
-        "sigma, zf, zg, mu, beta",
-        [
-            # a half-space step with a tiny c: y^T Sigma y overflows, sigma logs inf
-            (np.diag([0.0, 37.0**2]), [0.0], 5.493957006876899e-153, [-2.0, 0.0], 0.0),
-            # a tinier c with Sigma = 0: the half-space point overflows, so u is u_nom
-            (np.zeros((2, 2)), [0.0], 0.0, [-1.0, 6.816585878920056e-155], 0.0),
-            # a Sigma holding NaN does not factor; the mean half-space point overflows, so u is u_nom
-            (np.array([[np.nan, 0.0], [0.0, 0.0]]), [0.0], 1e-160, [-1.0, 0.0], 2.0),
-            # a last pivot near 1e-155: phi Sigma^-1 phi^T overflows, the necessary value is -inf
-            (np.diag([1.0, 1.0, 1.0, 9.444759738299146e-156**2]), [0.0, 0.0, 0.0], 1.0, [0.0] * 4, 0.5),
-        ],
-    )
-    def test_matches_vector_oracle_on_overflowing_inputs(self, sigma, zf, zg, mu, beta):
-        # Inputs drawn by the test above that once raised RuntimeWarning in the step.
-        r = len(zf)
-        cert = CertificateTerms(zf=np.array(zf), zg=np.array([zg]), const=0.0)
-        gamma = np.ones(r)
-        _same_step_as_oracle(np.zeros(1), cert, np.array(mu), sigma, beta, gamma)
+        gamma = np.append(_floats(data.draw, r - 1, st.floats(0.1, 50.0)), 1.0)
+        args = (floats(1), cert, floats(r + 1), sigma, beta, gamma)
+        _check_step(safety_filter_step(*args), *args)
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 4), st.booleans(), st.data())
-    def test_solve_matches_vector_oracle_on_hand_written_cones(self, rows, strided, data):
+    def test_hand_written_cones(self, rows, strided, data):
         # any row count, and A as a strided view, as a hand-written cone may be
-        entries = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
-        A = np.array(data.draw(st.lists(entries, min_size=2 * rows, max_size=2 * rows)))
+        entries = st.floats(-10.0, 10.0)
+        A, b, (c, d, u_nom) = (_floats(data.draw, n, entries) for n in (2 * rows, rows, 3))
         A = A.reshape(rows, 2)[:, :1] if strided else A[:rows].reshape(rows, 1)
-        b = np.array(data.draw(st.lists(entries, min_size=rows, max_size=rows)))
-        c = np.array([data.draw(entries)])
-        d = data.draw(entries)
-        u_nom = np.array([data.draw(entries)])
-        cone = SafetyConeData(A=A, b=b, c=c, d=d)
-        out = solve(u_nom, cone, tol=1e-8)
-        u, status, iterations, margin, analytic = solve_vector(u_nom, A, b, c, d, cone.S3, tol=1e-8)
-        assert out.u.tobytes() == u.tobytes()
-        assert (out.status, out.iterations) == (status, iterations)
-        assert repr(out.cone_margin) == repr(margin)
-        assert out.analytic is analytic
+        out = solve(np.array([u_nom]), SafetyConeData(A=A, b=b, c=np.array([c]), d=d))
+        _check_projection(OneInputCone.from_rows(A, b, c, d), u_nom, out)
 
     @pytest.mark.parametrize(
-        "A, b, c, d, u_nom",
+        "A, b, c, d, u_nom, expected",
         [
-            # one row: numpy's A.T @ b starts its sum at +0.0, so g = +0.0 and the root is -0.0
-            ([[-1.0]], [0.0], [0.0], 0.0, 1.0),
-            ([[-1.0]], [-0.0], [-0.0], 0.0, 1.0),
+            # |u| <= 0 is the single point 0, all boundary, which the step reaches as -0.0
+            ([[-1.0]], [0.0], [0.0], 0.0, 1.0, 0.0),
+            ([[-1.0]], [-0.0], [-0.0], 0.0, 1.0, 0.0),
             # A = 0 with b != 0 is no half-space c u + d >= 0 but c u + d >= |b|
-            ([[0.0], [0.0]], [1.0, 0.0], [1.0], 0.0, -3.0),
-            ([[0.0], [0.0]], [0.0, -2.0], [-2.0], 1.0, 5.0),
+            ([[0.0], [0.0]], [1.0, 0.0], [1.0], 0.0, -3.0, 1.0),
+            ([[0.0], [0.0]], [0.0, -2.0], [-2.0], 1.0, 5.0, -0.5),
         ],
     )
-    def test_solve_matches_vector_oracle_on_edge_cones(self, A, b, c, d, u_nom):
-        A, b, c, u_nom = np.array(A), np.array(b), np.array(c), np.array([u_nom])
-        cone = SafetyConeData(A=A, b=b, c=c, d=d)
-        out = solve(u_nom, cone, tol=1e-8)
-        u, status, iterations, margin, analytic = solve_vector(u_nom, A, b, c, d, cone.S3, tol=1e-8)
-        assert out.u.tobytes() == u.tobytes()
-        assert (out.status, out.iterations) == (status, iterations)
-        assert out.analytic is analytic
-        assert repr(out.cone_margin) == repr(margin)
+    def test_edge_cones(self, A, b, c, d, u_nom, expected):
+        cone = OneInputCone.from_rows(A, b, c, d)
+        out = solve(np.array([u_nom]), SafetyConeData(np.array(A), np.array(b), np.array(c), d))
+        assert cone.project(u_nom) == expected and out.u.tolist() == [expected]
+        assert _check_projection(cone, u_nom, out) is (expected == 0.0)
+
+
+def _recomputed_margin(u, cert, mu, sigma, beta, gamma):
+    """(zeta_r + mu . y - beta s, beta s) at y = [gamma; u], s^2 = y^T Sigma y, with no factor.
+
+    zeta_r = zf . gamma + const + zg . u; each sum is one math.fsum, and a
+    sum that meets inf - inf or overflows makes both NaN.  beta = 0 drops s,
+    as the step does.
+    """
+    y = gamma.tolist() + u.tolist()
+    rows = cert.zf.tolist() + cert.zg.tolist() + mu.tolist()
+    try:
+        mean = math.fsum([a * b for a, b in zip(rows, y + y)] + [cert.const])
+        S = sigma.tolist()
+        var = math.fsum(a * s * b for a, row in zip(y, S) for s, b in zip(row, y)) if beta else 0.0
+    except (OverflowError, ValueError):
+        return math.nan, math.nan
+    spread = beta * math.sqrt(max(var, 0.0)) if beta else 0.0
+    return mean - spread, spread
+
+
+_NASTY = st.one_of(st.floats(-1e300, 1e300), st.sampled_from([0.0, math.inf, -math.inf, math.nan]))
+
+
+@st.composite
+def _step_inputs(draw):
+    """Filter-step inputs for m = 1, 2 or 3 whose entries include inf, NaN, 0 and 1e300."""
+    r, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    M = _floats(draw, (r + m) ** 2, _NASTY).reshape(r + m, r + m)
+    with np.errstate(all="ignore"):
+        sigma = M @ M.T if draw(st.booleans()) else M + M.T
+    cert = _cert(_floats(draw, r, _NASTY), _floats(draw, m, _NASTY), draw(_NASTY))
+    u_nom, mu = _floats(draw, m, st.floats(-1e300, 1e300)), _floats(draw, r + m, _NASTY)
+    return u_nom, cert, mu, sigma, abs(draw(_NASTY)), _floats(draw, r, _NASTY)
+
+
+def _pinned(sigma, zf, zg, mu, beta, const=0.0):
+    """Step inputs with u_nom = 0 and gamma = 1."""
+    cert = _cert(zf, zg, const)
+    return np.zeros(np.size(zg)), cert, np.array(mu), np.array(sigma), beta, np.ones(len(zf))
+
+
+class TestStepContract:
+    """Every filter step, on any input: no exception, no warning, a finite u, and
+    ``optimal`` only where a recomputation without the factor confirms the cone."""
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(_step_inputs())
+    # once RuntimeWarnings: y^T Sigma y, the half-space point and phi Sigma^-1 phi^T overflow
+    @example(_pinned(np.diag([0.0, 37.0**2]), [0.0], 5.493957006876899e-153, [-2.0, 0.0], 0.0))
+    @example(_pinned(np.zeros((2, 2)), [0.0], 0.0, [-1.0, 6.816585878920056e-155], 0.0))
+    @example(_pinned([[np.nan, 0.0], [0.0, 0.0]], [0.0], 1e-160, [-1.0, 0.0], 2.0))
+    @example(_pinned(np.diag([1, 1, 1, 9.444759738299146e-156**2]), [0.0] * 3, 1.0, [0.0] * 4, 0.5))
+    # an infinite mean or constant, once optimal; S3 = -c c^T not finite, once a LinAlgError
+    @example(_pinned(np.eye(2), [0.0], 1.0, [math.inf, 0.0], 2.0))
+    @example(_pinned(np.zeros((2, 2)), [0.0], 0.0, [0.0, 0.0], 0.0, const=math.inf))
+    @example(_pinned(np.zeros((4, 4)), [0.0], [0.0, 1.4e154, 0.0], [0.0] * 4, 0.0))
+    def test_never_raises_and_certifies_only_a_checked_u(self, args):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = safety_filter_step(*args)
+        assert out.u.shape == args[0].shape and np.isfinite(out.u).all()
+        if not np.isfinite(args[2]).all():  # a mean that is not finite assembles no cone
+            assert out.status == STATUS_INFEASIBLE and math.isnan(out.cone_margin)
+        if out.status == STATUS_OPTIMAL:
+            margin, spread = _recomputed_margin(out.u, *args[1:])
+            assert math.isfinite(margin) and margin >= -1e-8 * max(1.0, spread)
