@@ -957,6 +957,32 @@ class TestOneInputReference:
         assert _check_projection(cone, u_nom, out) is (expected == 0.0)
 
 
+class TestOneInputFloatPath:
+    """Pinned m = 1 steps whose floats overflow, against the closed-form reference."""
+
+    @pytest.mark.parametrize(
+        "sigma, zf, zg, mu, beta",
+        [
+            # a half-space step with a tiny c: y^T Sigma y overflows, sigma logs inf
+            (np.diag([0.0, 37.0**2]), [0.0], 5.493957006876899e-153, [-2.0, 0.0], 0.0),
+            # a tinier c with Sigma = 0: the half-space point overflows, so u is u_nom
+            (np.zeros((2, 2)), [0.0], 0.0, [-1.0, 6.816585878920056e-155], 0.0),
+            # a Sigma holding NaN does not factor; the mean half-space point overflows, so u is u_nom
+            (np.array([[np.nan, 0.0], [0.0, 0.0]]), [0.0], 1e-160, [-1.0, 0.0], 2.0),
+            # a last pivot near 1e-155: phi Sigma^-1 phi^T overflows, the necessary value is -inf
+            (np.diag([1.0, 1.0, 1.0, 9.444759738299146e-156**2]), [0.0, 0.0, 0.0], 1.0, [0.0] * 4, 0.5),
+        ],
+    )
+    def test_matches_vector_oracle_on_overflowing_inputs(self, sigma, zf, zg, mu, beta):
+        # Inputs that once raised RuntimeWarning in the step; the record must
+        # still agree, field by field, with the reference.
+        args = _pinned(sigma, zf, zg, mu, beta)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = safety_filter_step(*args)
+        _check_step(out, *args)
+
+
 def _recomputed_margin(u, cert, mu, sigma, beta, gamma):
     """(zeta_r + mu . y - beta s, beta s) at y = [gamma; u], s^2 = y^T Sigma y, with no factor.
 
