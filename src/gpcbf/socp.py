@@ -211,10 +211,19 @@ def _necessary_from_factor(phi: np.ndarray, L: np.ndarray, beta: float) -> float
     with L^T z = phi: one triangular solve, the single-threaded BLAS
     level-2 ``dtrsv`` on the Fortran-ordered lower factor L^T in place.
     A nearly singular Sigma may overflow |z|^2; the value is then -inf, and
-    :func:`safety_filter_step` silences the overflow warning.
+    :func:`safety_filter_step` silences the overflow warning.  A beta whose
+    square leaves the float range takes beta^2 as inf (above 1.3e154) or as
+    0 (below 1.5e-162), where the value is 1 for phi = 0 and -inf otherwise.
     """
     z = dtrsv(L.T, phi, lower=1)
-    return 1.0 - float(z @ z) / beta**2
+    zz = float(z @ z)
+    try:
+        b2 = beta**2
+    except OverflowError:
+        b2 = math.inf
+    if b2 == 0.0:
+        return 1.0 if zz == 0.0 else -math.inf
+    return 1.0 - zz / b2
 
 
 def feasibility_sufficient(S3: np.ndarray) -> tuple[bool, float]:

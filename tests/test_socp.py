@@ -757,6 +757,15 @@ class TestFilterInvariants:
             assert np.isnan(getattr(out, key))
         assert out.sufficient_certified is False
 
+    def test_sigma_holding_nan_above_the_diagonal_is_read_by_its_lower_triangle(self):
+        # dpotrf reads the lower triangle only; the logged posterior std reads all of Sigma
+        args = (np.array([-5.0]), _cert([0.2, -0.1], [1.0], 0.5), np.array([0.1, 0.0, 0.2]))
+        sigma = np.eye(3)
+        sigma[0, 2] = np.nan
+        out, clean = (safety_filter_step(*args, s, 2.0, np.array([2.0, 1.0])) for s in (sigma, np.eye(3)))
+        assert out.status == clean.status and out.u.tobytes() == clean.u.tobytes()
+        assert math.isnan(out.sigma) and not math.isnan(clean.sigma)
+
     @pytest.mark.parametrize(
         "sigma, zg, mu, beta, status",
         [
@@ -796,15 +805,14 @@ _SLACK = 4e-8  # four times the step's tolerance; see OneInputCone.intervals
 
 
 def _one_input_draw(rng, i):
-    """Filter inputs for one input over scales, ties, zeros and a Sigma holding NaN."""
+    """Filter inputs for one input over scales, ties, zeros and a NaN in Sigma."""
     r = 1 + i % 4
     M = rng.normal(size=(r + 1, r + 1))
     sigma = 10.0 ** rng.uniform(-6, 8) * (M @ M.T) + 10.0 ** rng.uniform(-12, 0) * np.eye(r + 1)
     if i % 7 == 0:
         sigma = np.round(sigma, 1)
-    if i % 53 == 0:
-        j, k = rng.integers(r + 1, size=2)
-        sigma[j, k] = sigma[k, j] = np.nan
+    if i % 53 == 0:  # one entry: above the diagonal, dpotrf does not read it
+        sigma[rng.integers(r + 1), rng.integers(r + 1)] = np.nan
     zg = np.zeros(1) if i % 11 == 0 else rng.normal(size=1) * 10.0 ** rng.uniform(-3, 1)
     zf = rng.normal(size=r) * 10.0 ** rng.uniform(-3, 3)
     cert = _cert(zf, zg, rng.normal() * 10.0 ** rng.uniform(-3, 3))
@@ -851,14 +859,15 @@ def _out_of_range(cone, u_nom, point):
 def _check_step(out, u_nom, cert, mu, sigma, beta, gamma):
     """Every field of a one-input step's record against the reference; True near the boundary."""
     u_nom, u = float(u_nom[0]), float(out.u[0])
-    finite = np.isfinite(sigma).all()
-    cone = OneInputCone.from_step(cert, mu, sigma if finite else np.zeros_like(sigma), beta, gamma)
+    lower = np.tril(sigma) + np.tril(sigma, -1).T  # the Sigma that dpotrf reads
+    finite = np.isfinite(lower).all()
+    cone = OneInputCone.from_step(cert, mu, lower if finite else np.zeros_like(sigma), beta, gamma)
     var, size = cone.variance(u)
-    if finite:  # y^T Sigma y may overflow to inf
+    if np.isfinite(sigma).all():  # y^T Sigma y may overflow to inf
         assert out.sigma**2 == var or abs(out.sigma**2 - max(var, 0.0)) <= 1e-12 * size
-    else:
+    else:  # the logged std reads all of Sigma, a NaN above the diagonal too
         assert math.isnan(out.sigma)
-    eig = np.linalg.eigvalsh(sigma) if finite else [math.nan]
+    eig = np.linalg.eigvalsh(lower) if finite else [math.nan]
     if out.status == STATUS_FACTORIZATION_FAILED:  # only a Sigma not safely positive definite
         assert beta > 0.0 and not eig[0] > 1e-12 * eig[-1]
         for key in ("cone_margin", "necessary_value", "sufficient_eig"):
@@ -870,7 +879,7 @@ def _check_step(out, u_nom, cert, mu, sigma, beta, gamma):
         if beta == 0.0:
             assert out.necessary_value == -math.inf
         elif eig[0] > 1e-9 * eig[-1]:  # else the two solves share few digits
-            dense = necessary_value_dense(effective_phi(cert, mu), sigma, beta)
+            dense = necessary_value_dense(effective_phi(cert, mu), lower, beta)
             assert abs(out.necessary_value - dense) <= 1e-13 * eig[-1] / eig[0] * (2 + abs(dense))
     if out.status != STATUS_OPTIMAL:  # the mean-only half-space point, or u_nom without one
         mean = OneInputCone.from_step(cert, mu, np.zeros_like(sigma), 0.0, gamma)
@@ -905,7 +914,7 @@ class TestOneInputReference:
         def count(*want):  # status, analytic, polished, beta > 0; None matches either
             return sum(all(w is None or w == v for w, v in zip(want, step)) for step in steps)
 
-        assert count(STATUS_OPTIMAL, True) >= 300 and count(STATUS_INFEASIBLE) >= 300
+        assert count(STATUS_OPTIMAL, True) >= 300 and count(STATUS_INFEASIBLE, None, None, True) >= 300
         assert count(STATUS_OPTIMAL, False, False, True) >= 200
         assert count(STATUS_OPTIMAL, False, True, True) >= 100
         assert count(STATUS_OPTIMAL, False, None, False) >= 100
@@ -914,30 +923,42 @@ class TestOneInputReference:
         # feasible projecting step, and the critical point is tried on the empty cones only.
         assert len(critical) == count(STATUS_INFEASIBLE, None, None, True)
 
-    @settings(max_examples=300, deadline=None)
-    @given(st.integers(1, 4), st.data())
-    def test_drawn_steps(self, r, data):
-        floats = lambda size: _floats(data.draw, size, st.floats(-100.0, 100.0))
-        M = floats((r + 1) ** 2).reshape(r + 1, r + 1)
-        sigma = M @ M.T + data.draw(st.sampled_from([0.0, 1e-12, 1e-3, 1.0])) * np.eye(r + 1)
-        if data.draw(st.booleans()) and data.draw(st.booleans()):
-            i, j = data.draw(st.integers(0, r)), data.draw(st.integers(0, r))
-            sigma[i, j] = sigma[j, i] = np.nan
-        cert = _cert(floats(r), floats(1), floats(1)[0])
-        beta = data.draw(st.sampled_from([0.0, 0.5, 2.0, 7.5]))
-        gamma = np.append(_floats(data.draw, r - 1, st.floats(0.1, 50.0)), 1.0)
-        args = (floats(1), cert, floats(r + 1), sigma, beta, gamma)
-        _check_step(safety_filter_step(*args), *args)
+    def test_drawn_steps(self):
+        near = []
 
-    @settings(max_examples=300, deadline=None)
-    @given(st.integers(1, 4), st.booleans(), st.data())
-    def test_hand_written_cones(self, rows, strided, data):
-        # any row count, and A as a strided view, as a hand-written cone may be
-        entries = st.floats(-10.0, 10.0)
-        A, b, (c, d, u_nom) = (_floats(data.draw, n, entries) for n in (2 * rows, rows, 3))
-        A = A.reshape(rows, 2)[:, :1] if strided else A[:rows].reshape(rows, 1)
-        out = solve(np.array([u_nom]), SafetyConeData(A=A, b=b, c=np.array([c]), d=d))
-        _check_projection(OneInputCone.from_rows(A, b, c, d), u_nom, out)
+        @settings(max_examples=300, deadline=None)
+        @given(st.integers(1, 4), st.data())
+        def check(r, data):
+            floats = lambda size: _floats(data.draw, size, st.floats(-100.0, 100.0))
+            M = floats((r + 1) ** 2).reshape(r + 1, r + 1)
+            sigma = M @ M.T + data.draw(st.sampled_from([0.0, 1e-12, 1e-3, 1.0])) * np.eye(r + 1)
+            if data.draw(st.booleans()) and data.draw(st.booleans()):
+                i, j = data.draw(st.integers(0, r)), data.draw(st.integers(0, r))
+                sigma[i, j] = sigma[j, i] = np.nan
+            cert = _cert(floats(r), floats(1), floats(1)[0])
+            beta = data.draw(st.sampled_from([0.0, 0.5, 2.0, 7.5]))
+            gamma = np.append(_floats(data.draw, r - 1, st.floats(0.1, 50.0)), 1.0)
+            args = (floats(1), cert, floats(r + 1), sigma, beta, gamma)
+            near.append(_check_step(safety_filter_step(*args), *args))
+
+        check()  # near-boundary cases, whose status and u go unchecked, are about 5%
+        assert sum(near) <= len(near) // 10
+
+    def test_hand_written_cones(self):
+        near = []
+
+        @settings(max_examples=300, deadline=None)
+        @given(st.integers(1, 4), st.booleans(), st.data())
+        def check(rows, strided, data):
+            # any row count, and A as a strided view, as a hand-written cone may be
+            entries = st.floats(-10.0, 10.0)
+            A, b, (c, d, u_nom) = (_floats(data.draw, n, entries) for n in (2 * rows, rows, 3))
+            A = A.reshape(rows, 2)[:, :1] if strided else A[:rows].reshape(rows, 1)
+            out = solve(np.array([u_nom]), SafetyConeData(A=A, b=b, c=np.array([c]), d=d))
+            near.append(_check_projection(OneInputCone.from_rows(A, b, c, d), u_nom, out))
+
+        check()  # zeros and ties put about a fifth of the cones near the boundary
+        assert sum(near) <= 2 * len(near) // 5
 
     @pytest.mark.parametrize(
         "A, b, c, d, u_nom, expected",
@@ -1029,15 +1050,13 @@ class TestStepContract:
 
     @settings(max_examples=500, deadline=None, derandomize=True)
     @given(_step_inputs())
-    # once RuntimeWarnings: y^T Sigma y, the half-space point and phi Sigma^-1 phi^T overflow
-    @example(_pinned(np.diag([0.0, 37.0**2]), [0.0], 5.493957006876899e-153, [-2.0, 0.0], 0.0))
-    @example(_pinned(np.zeros((2, 2)), [0.0], 0.0, [-1.0, 6.816585878920056e-155], 0.0))
-    @example(_pinned([[np.nan, 0.0], [0.0, 0.0]], [0.0], 1e-160, [-1.0, 0.0], 2.0))
-    @example(_pinned(np.diag([1, 1, 1, 9.444759738299146e-156**2]), [0.0] * 3, 1.0, [0.0] * 4, 0.5))
     # an infinite mean or constant, once optimal; S3 = -c c^T not finite, once a LinAlgError
     @example(_pinned(np.eye(2), [0.0], 1.0, [math.inf, 0.0], 2.0))
     @example(_pinned(np.zeros((2, 2)), [0.0], 0.0, [0.0, 0.0], 0.0, const=math.inf))
     @example(_pinned(np.zeros((4, 4)), [0.0], [0.0, 1.4e154, 0.0], [0.0] * 4, 0.0))
+    # beta^2 leaves the float range: once ZeroDivisionError and OverflowError
+    @example(_pinned(np.eye(2), [0.0], 0.0, [0.0, 0.0], 2.2250738585e-313))
+    @example(_pinned(np.eye(2), [0.0], 1.0, [0.0, 0.0], 1e300))
     def test_never_raises_and_certifies_only_a_checked_u(self, args):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
