@@ -370,7 +370,7 @@ def _project(cone: SafetyConeData, u_nom: np.ndarray, tol: float, margin: float)
             candidates = []
     found, steps = _nearest_feasible(cone, u_nom, candidates, tol)
     if found is None and not cone.degenerate:
-        if np.isfinite(cone.S3).all() and np.isfinite(g).all():
+        if _all_finite(cone.S3.ravel()) and _all_finite(g):
             found, more = _nearest_feasible(cone, u_nom, [_nearest_critical(cone, g, u_nom)], tol)
             steps += more
     if found is None:

@@ -193,13 +193,15 @@ class TestCriterion8FeasibilityConditions:
             report["states_checked"] >= 1000
             and report["necessary_counterexamples"] == 0
             and report["sufficient_counterexamples"] == 0
+            and report["pointwise_condition_violations"] == 0
         )
         _report(
             "8 (feasibility conditions)",
             ok,
             f"{report['states_checked']} states, statuses {report['statuses']}, "
             f"necessary/sufficient counterexamples "
-            f"{report['necessary_counterexamples']}/{report['sufficient_counterexamples']}",
+            f"{report['necessary_counterexamples']}/{report['sufficient_counterexamples']}, "
+            f"pointwise condition violations {report['pointwise_condition_violations']}",
         )
 
 

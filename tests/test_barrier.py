@@ -70,14 +70,13 @@ class TestElementarySymmetric:
 
 
 class TestGammaVector:
-    def test_two_gains(self):
-        np.testing.assert_allclose(gamma_vector([1.5, 2.5]), [4.0, 1.0])
-
-    def test_single_gain(self):
-        np.testing.assert_allclose(gamma_vector([0.7]), [1.0])
-
-    def test_three_gains(self):
-        np.testing.assert_allclose(gamma_vector([1.0, 2.0, 3.0]), [11.0, 6.0, 1.0])
+    @pytest.mark.parametrize(
+        "gains, gamma",
+        [([0.7], [1.0]), ([1.5, 2.5], [4.0, 1.0]), ([1.0, 2.0, 3.0], [11.0, 6.0, 1.0])],
+        ids=["r1", "r2", "r3"],
+    )
+    def test_hand_values(self, gains, gamma):
+        np.testing.assert_allclose(gamma_vector(gains), gamma)
 
     def test_last_entry_always_one(self):
         rng = np.random.default_rng(5)
@@ -191,12 +190,6 @@ class TestZetaChain:
 
 
 class TestHalfspaceFilter:
-    def test_feasible_passthrough(self):
-        np.testing.assert_allclose(halfspace_qp_filter(5.0, [1.0], 0.0), [5.0])
-
-    def test_projection(self):
-        np.testing.assert_allclose(halfspace_qp_filter(5.0, [1.0], -10.0), [10.0])
-
     def test_multidim_feasible(self):
         np.testing.assert_allclose(
             halfspace_qp_filter([3.0, 4.0], [0.0, 1.0], 0.0), [3.0, 4.0]
@@ -268,16 +261,6 @@ class TestHalfspaceFilter:
                 assert got.tobytes() == want.tobytes()
             sides["feasible" if want.tobytes() == np.array([u_nom]).tobytes() else "projected"] += 1
         assert min(sides.values()) >= 50, sides
-
-    @pytest.mark.parametrize("u_nom", [0.0, -0.0])
-    def test_one_input_keeps_signed_zero(self, u_nom):
-        # feasible with zero margin: u_nom comes back with its sign bit
-        for a, b in ((1.0, 0.0), (-1.0, -0.0), (0.0, 0.0), (-0.0, 1.0)):
-            got = halfspace_qp_filter(u_nom, a, b)
-            assert got.tobytes() == np.array([u_nom]).tobytes()
-        # projected onto the boundary from the wrong side
-        got = halfspace_qp_filter(u_nom, -2.0, -1.0)
-        assert got.tobytes() == halfspace_projection_vector([u_nom], [-2.0], -1.0).tobytes()
 
     @pytest.mark.parametrize("a", [0.0, -0.0])
     def test_one_input_zero_row_raises_only_when_violated(self, a):

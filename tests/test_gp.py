@@ -411,42 +411,6 @@ class TestPosterior:
         assert float(mu @ np.ones(1)) == pytest.approx(mean_ref, abs=1e-10)
         assert float(sigma[0, 0]) == pytest.approx(var_ref, abs=1e-9)
 
-    def test_matches_generic_stacked_gp(self):
-        rng = np.random.default_rng(7)
-        for _ in range(50):
-            N = int(rng.integers(1, 12))
-            ds = _random_dataset(rng, N, sn2=float(rng.uniform(1e-3, 0.1)))
-            params = _random_params(rng, 3, 2)
-            model = fit(ds, params)
-            xstar = rng.normal(size=2)
-            ystar = rng.normal(size=3)
-            mu, sigma = posterior_coefficients(model, xstar)
-            sf2s = [p.signal_variance for p in params]
-            ells = [p.lengthscales for p in params]
-            kfn = lambda x, y, x2, y2: composite_kernel_ref(x, y, x2, y2, sf2s, ells)
-            mean_ref, var_ref = stacked_gp_posterior(
-                ds.X, ds.Y, ds.z, ds.noise_variance, kfn, xstar, ystar
-            )
-            assert float(mu @ ystar) == pytest.approx(mean_ref, abs=1e-8)
-            assert float(ystar @ sigma @ ystar) == pytest.approx(var_ref, abs=1e-8)
-
-    def test_mean_linear_variance_quadratic_in_regressor(self):
-        rng = np.random.default_rng(8)
-        ds = _random_dataset(rng, 10)
-        params = _random_params(rng, 3, 2)
-        model = fit(ds, params)
-        for _ in range(25):
-            xstar = rng.normal(size=2)
-            ystar = rng.normal(size=3)
-            alpha = float(rng.uniform(-3.0, 3.0))
-            mu, sigma = posterior_coefficients(model, xstar)
-            mean = float(mu @ ystar)
-            var = float(ystar @ sigma @ ystar)
-            mean_scaled = float(mu @ (alpha * ystar))
-            var_scaled = float((alpha * ystar) @ sigma @ (alpha * ystar))
-            assert abs(mean_scaled - alpha * mean) <= 1e-10 * max(1.0, abs(mean))
-            assert abs(var_scaled - alpha**2 * var) <= 1e-10 * max(1.0, var)
-
     def test_interpolates_training_labels(self):
         rng = np.random.default_rng(9)
         X = np.linspace(-2, 2, 7)[:, None]
@@ -517,15 +481,17 @@ class TestPosterior:
 
 
 class TestDatasetCsv:
-    def test_round_trip(self, tmp_path):
+    @pytest.mark.parametrize("N", [0, 9])
+    def test_round_trip(self, tmp_path, N):
+        # %.17g writes each float so that it reads back with the same bits;
+        # N = 0 writes the header alone
         rng = np.random.default_rng(12)
-        ds = _random_dataset(rng, 9)
+        ds = _random_dataset(rng, N)
         path = tmp_path / "dataset.csv"
         save_dataset_csv(ds, path)
         loaded = load_dataset_csv(path, n=2, noise_variance=ds.noise_variance)
-        np.testing.assert_allclose(loaded.X, ds.X)
-        np.testing.assert_allclose(loaded.Y, ds.Y)
-        np.testing.assert_allclose(loaded.z, ds.z)
+        for got, want in ((loaded.X, ds.X), (loaded.Y, ds.Y), (loaded.z, ds.z)):
+            assert got.shape == want.shape and np.array_equal(got, want)
 
     def test_header_schema(self, tmp_path):
         rng = np.random.default_rng(13)

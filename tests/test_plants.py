@@ -258,14 +258,6 @@ class TestLqr:
         K_ode, _ = riccati_ode_gain(A, B, np.eye(2), np.ones((1, 1)), dt=2e-4, t_final=60.0)
         np.testing.assert_allclose(K, K_ode, atol=1e-6)
 
-    def test_suspension_vs_scipy(self):
-        A, B = suspension_linear_matrices(SUSPENSION_NOMINAL)
-        Q = 10.0 * np.eye(4)
-        R = np.array([[1.0]])
-        K, P = lqr_gain(A, B, Q, R)
-        P_ref = scipy.linalg.solve_continuous_are(A, B, Q, R)
-        np.testing.assert_allclose(P, P_ref, rtol=1e-7)
-
     def test_closed_loop_stable_on_benchmark(self):
         A, B = suspension_linear_matrices(SUSPENSION_NOMINAL)
         K, _ = lqr_gain(A, B, 10.0 * np.eye(4), np.array([[1.0]]))

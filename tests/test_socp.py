@@ -14,7 +14,6 @@ from gpcbf.socp import (
     STATUS_INFEASIBLE,
     STATUS_OPTIMAL,
     SafetyConeData,
-    _necessary_from_factor,
     assemble_safety_cone,
     build_S,
     cone_margin,
@@ -28,7 +27,7 @@ from gpcbf.socp import (
 from gpcbf import socp as socp_mod
 from gpcbf import validate as validate_mod
 from gpcbf.gp import posterior_coefficients
-from gpcbf.validate import _benchmark_filter_states, grid_oracle_u, random_feasible_instance
+from gpcbf.validate import _benchmark_filter_states, random_feasible_instance
 
 from _oracles import OneInputCone, necessary_value_dense
 
@@ -39,14 +38,6 @@ def _random_spd(rng, n, scale=1.0):
 
 
 class TestMatrixSqrtFactor:
-    def test_identity(self):
-        np.testing.assert_allclose(matrix_sqrt_factor(np.eye(3)), np.eye(3))
-
-    def test_diagonal(self):
-        np.testing.assert_allclose(
-            matrix_sqrt_factor(np.diag([4.0, 9.0])), np.diag([2.0, 3.0])
-        )
-
     def test_random_spd_reconstructs(self):
         rng = np.random.default_rng(0)
         S = _random_spd(rng, 5)
@@ -74,18 +65,6 @@ class TestMatrixSqrtFactor:
         with pytest.raises(FactorizationError):
             matrix_sqrt_factor(S)
 
-    def test_necessary_value_matches_dense_solve(self):
-        rng = np.random.default_rng(5)
-        for i in range(200):
-            n = 2 + i % 5
-            S = _random_spd(rng, n, scale=10.0 ** rng.uniform(-4, 4))
-            phi = rng.normal(size=n)
-            beta = rng.uniform(0.2, 4.0)
-            dense = necessary_value_dense(phi, S, beta)
-            assert _necessary_from_factor(phi, matrix_sqrt_factor(S), beta) == pytest.approx(
-                dense, rel=1e-12
-            )
-
 
 def _cert(zf, zg, const):
     return CertificateTerms(zf=np.asarray(zf, float), zg=np.atleast_1d(np.asarray(zg, float)), const=float(const))
@@ -107,13 +86,6 @@ class TestAssembleSafetyCone:
         assert cone.degenerate
         np.testing.assert_allclose(cone.A, np.zeros((3, 1)))
         np.testing.assert_allclose(cone.b, np.zeros(3))
-
-    def test_zero_mean_prior(self):
-        cert = _cert([1.0, 2.0], [-0.5], 3.0)
-        gamma = np.array([3.0, 1.0])
-        cone = assemble_safety_cone(cert, np.zeros(3), np.eye(3), 2.0, gamma)
-        np.testing.assert_allclose(cone.c, cert.zg)
-        assert cone.d == pytest.approx(float(cert.zf @ gamma) + cert.const)
 
     def test_cone_encodes_posterior_std(self):
         # |A u + b| must equal beta * sqrt(y' Sigma y) at y = [gamma; u]
@@ -165,15 +137,6 @@ class TestSolve:
         assert out.analytic is True
         np.testing.assert_allclose(out.u, [5.0])
 
-    def test_matches_grid_oracle(self):
-        rng = np.random.default_rng(3)
-        for _ in range(150):
-            cone, u_nom = random_feasible_instance(rng)
-            out = solve(u_nom, cone, tol=1e-9)
-            assert out.status == STATUS_OPTIMAL
-            ustar = grid_oracle_u(cone, u_nom)
-            assert abs(float(out.u[0]) - ustar) <= 2e-4
-
     def test_detects_infeasible_cone(self):
         # |u| <= -5 has no solution
         cone = SafetyConeData(
@@ -189,15 +152,6 @@ class TestSolve:
         out2 = solve(u_nom, cone, tol=1e-9)
         assert float(out1.u[0]) == float(out2.u[0])
         assert out1.iterations == out2.iterations
-
-    def test_optimal_satisfies_constraints(self):
-        rng = np.random.default_rng(6)
-        for _ in range(100):
-            cone, u_nom = random_feasible_instance(rng)
-            out = solve(u_nom, cone, tol=1e-9)
-            assert out.status == STATUS_OPTIMAL
-            assert out.cone_margin >= -1e-7
-            assert out.cone_margin == cone_margin(cone, out.u)
 
     def test_multi_input_projection(self):
         # m = 2 affine constraint: solution is the Euclidean projection
@@ -383,14 +337,15 @@ class TestGeneralProjection:
             assert out.sufficient_certified == (top < -1e-10)
 
     def test_necessary_value_from_factor_matches_dense_solve(self):
+        # r + m from 2 to 6, Sigma scaled by 1e-4 to 1e4
         rng = np.random.default_rng(16)
-        for i in range(50):
-            r, m = 2 + i % 3, 1 + i % 2
-            cert, mu, sigma, beta, gamma = _random_filter_inputs(rng, r, m, beta_range=(0.2, 4.0))
+        for i in range(200):
+            r, m, scale = 1 + i % 4, 1 + i % 2, 10.0 ** rng.uniform(-4, 4)
+            cert, mu, sigma, beta, gamma = _random_filter_inputs(rng, r, m, scale, (0.2, 4.0))
             out = safety_filter_step(np.zeros(m), cert, mu, sigma, beta, gamma)
             dense = necessary_value_dense(effective_phi(cert, mu), sigma, beta)
             value = out.necessary_value
-            assert value == pytest.approx(dense, rel=1e-12, abs=1e-12)
+            assert value == pytest.approx(dense, rel=1e-12)
         # The feasibility suite's 1000 states at seed 0: both plants, the
         # first episode's model and the prior, beta in {1, 2, 4}.  The
         # certificate is checked against the trailing block of the full S,
@@ -429,27 +384,8 @@ class TestGeneralProjection:
         if out.status != STATUS_INFEASIBLE:
             assert out.status == STATUS_OPTIMAL
             scale = max(1.0, float(np.linalg.norm(cone.A @ out.u + cone.b)))
-            assert cone_margin(cone, out.u) >= -1e-8 * scale
-
-
-def _necessary(phi, sigma, beta):
-    """The filter step's necessary-condition value: from the factor of Sigma."""
-    return _necessary_from_factor(np.asarray(phi), matrix_sqrt_factor(sigma), beta)
-
-
-class TestFeasibilityNecessary:
-    def test_boundary(self):
-        assert _necessary([1.0, 0, 0], np.eye(3), 1.0) == pytest.approx(0.0)
-
-    def test_certified_infeasible(self):
-        assert _necessary([1.0, 0, 0], np.eye(3), 2.0) == pytest.approx(0.75)
-
-    def test_scaled(self):
-        assert _necessary([2.0, 0.0], 4.0 * np.eye(2), 1.0) == pytest.approx(0.0)
-
-    def test_singular_sigma_raises(self):
-        with pytest.raises(FactorizationError):
-            _necessary([1.0, 0.0], np.zeros((2, 2)), 1.0)
+            assert out.cone_margin == cone_margin(cone, out.u)
+            assert out.cone_margin >= -1e-8 * scale
 
 
 class TestBuildS:
@@ -555,28 +491,6 @@ class TestPointwiseConditions:
         affine, quad = pointwise_conditions(np.zeros(2), np.zeros(1), S, phi)
         assert affine == 0.0 and quad == 0.0
 
-    def test_hold_at_solver_optimum(self):
-        rng = np.random.default_rng(10)
-        checked = 0
-        for _ in range(100):
-            r, m = 2, 1
-            cert = _cert(rng.normal(size=r), rng.normal(size=m), rng.normal())
-            mu = 0.1 * rng.normal(size=r + m)
-            sigma = _random_spd(rng, r + m, scale=0.2)
-            beta = float(rng.uniform(0.2, 1.5))
-            gamma = np.array([rng.uniform(0.5, 3.0), 1.0])
-            cone = assemble_safety_cone(cert, mu, sigma, beta, gamma)
-            out = solve(rng.normal(size=m), cone, tol=1e-9)
-            if out.status != STATUS_OPTIMAL:
-                continue
-            phi = effective_phi(cert, mu)
-            S = build_S(phi, sigma, beta)
-            affine, quad = pointwise_conditions(gamma, out.u, S, phi)
-            assert affine >= -1e-8
-            assert quad <= 1e-8 * max(1.0, np.abs(S).max() * (1 + float(out.u @ out.u)))
-            checked += 1
-        assert checked > 50
-
     def test_certified_eigendirection_makes_quadratic_negative(self):
         # replicate the sufficient-condition proof construction numerically
         rng = np.random.default_rng(11)
@@ -624,40 +538,12 @@ class TestFilterInvariants:
             assert dists[1] >= dists[0] - 1e-7
             checked += 1
 
-    def test_beta_zero_reduces_to_halfspace(self):
-        rng = np.random.default_rng(13)
-        for _ in range(100):
-            r, m = 2, 1
-            cert = _cert(rng.normal(size=r), rng.normal(size=m), rng.normal())
-            mu = rng.normal(size=3)
-            sigma = _random_spd(rng, 3)
-            gamma = np.array([rng.uniform(0.5, 4.0), 1.0])
-            u_nom = rng.normal(size=1) * 3
-            out = safety_filter_step(u_nom, cert, mu, sigma, 0.0, gamma, tol=1e-10)
-            phi = effective_phi(cert, mu)
-            c, d = phi[r:], float(phi[:r] @ gamma)
-            if np.linalg.norm(c) < 1e-3:
-                continue
-            expected = halfspace_qp_filter(u_nom, c, d)
-            assert out.status == STATUS_OPTIMAL
-            np.testing.assert_allclose(out.u, expected, atol=1e-8)
-
-    def test_step_diagnostics_populated(self):
-        rng = np.random.default_rng(14)
-        cert = _cert([0.2, -0.1], [1.0], 0.5)
-        out = safety_filter_step(
-            np.zeros(1), cert, np.zeros(3), np.eye(3), 1.0, np.array([2.0, 1.0])
-        )
-        assert math.isfinite(out.necessary_value)
-        assert math.isfinite(out.sufficient_eig)
-        assert math.isfinite(out.cone_margin)
-        assert math.isfinite(out.sigma)
-
     @pytest.mark.parametrize("m", [1, 2])
     def test_non_finite_cone_is_an_infeasible_step(self, m, capfd):
-        # A NaN posterior mean on an input makes S3 and g NaN: no root and
-        # no critical point qualifies, so the step is infeasible and keeps
-        # u_nom, without a LinAlgError or a LAPACK message.
+        # A NaN posterior mean on an input assembles no cone: the step is
+        # infeasible and keeps u_nom, and nothing reaches stdout or stderr
+        # (no LAPACK message).  TestStepContract checks the rest of the
+        # record for any mean that is not finite.
         cert = _cert([1.0, 2.0], [-1.0, 0.5][:m], 0.5)
         mu = np.zeros(2 + m)
         mu[2] = np.nan
@@ -665,24 +551,6 @@ class TestFilterInvariants:
         out = safety_filter_step(u_nom, cert, mu, 0.1 * np.eye(2 + m), 2.0, np.array([3.0, 1.0]))
         assert out.status == STATUS_INFEASIBLE
         assert out.u.tolist() == u_nom.tolist()
-        assert capfd.readouterr() == ("", "")
-
-    @pytest.mark.parametrize("m", [1, 2])
-    @pytest.mark.parametrize("entry", [0, 1, 2], ids=["drift", "gain", "input"])
-    @pytest.mark.parametrize("value", [np.inf, -np.inf])
-    def test_infinite_mean_is_a_flagged_step(self, m, entry, value, capfd):
-        # An infinite mean once made the margin +inf and the step optimal
-        # and analytic; a mean that is not finite certifies no input.
-        cert = _cert([1.0, 2.0], [-1.0, 0.5][:m], 0.5)
-        mu = np.zeros(2 + m)
-        mu[entry] = value
-        u_nom = np.array([5.0, 1.0][:m])
-        out = safety_filter_step(u_nom, cert, mu, 0.1 * np.eye(2 + m), 2.0, np.array([3.0, 1.0]))
-        assert out.status == STATUS_INFEASIBLE
-        assert out.u.tolist() == u_nom.tolist()
-        assert (out.analytic, out.iterations) == (False, 0)
-        for key in ("cone_margin", "necessary_value", "sufficient_eig"):
-            assert np.isnan(getattr(out, key))
         assert capfd.readouterr() == ("", "")
 
     @pytest.mark.parametrize("m", [1, 2])
@@ -725,16 +593,6 @@ class TestFilterInvariants:
         assert not np.array_equal(out.u, u_nom)
         y = np.concatenate((gamma, out.u))
         assert out.sigma == float(np.sqrt(max(y @ sigma @ y, 0.0)))
-
-    def test_necessary_condition_certificate_upgrades_status(self):
-        # tiny beta-scaled uncertainty dominated by phi: value > 0 certifies
-        # that the cone is empty, which the exact projection reports
-        cert = _cert([0.0, 0.0], [0.0], 0.0)
-        mu = np.array([1.0, 0.0, 0.0])
-        sigma = np.eye(3)
-        out = safety_filter_step(np.zeros(1), cert, mu, sigma, 2.0, np.array([1.0, 1.0]))
-        assert out.status == STATUS_INFEASIBLE
-        assert out.necessary_value > 0.0
 
     @pytest.mark.parametrize("where", [(0, 0), (2, 2), (2, 0)])
     def test_sigma_holding_nan_is_a_flagged_mean_halfspace_step(self, where):
@@ -977,10 +835,6 @@ class TestOneInputReference:
         assert cone.project(u_nom) == expected and out.u.tolist() == [expected]
         assert _check_projection(cone, u_nom, out) is (expected == 0.0)
 
-
-class TestOneInputFloatPath:
-    """Pinned m = 1 steps whose floats overflow, against the closed-form reference."""
-
     @pytest.mark.parametrize(
         "sigma, zf, zg, mu, beta",
         [
@@ -994,9 +848,9 @@ class TestOneInputFloatPath:
             (np.diag([1.0, 1.0, 1.0, 9.444759738299146e-156**2]), [0.0, 0.0, 0.0], 1.0, [0.0] * 4, 0.5),
         ],
     )
-    def test_matches_vector_oracle_on_overflowing_inputs(self, sigma, zf, zg, mu, beta):
-        # Inputs that once raised RuntimeWarning in the step; the record must
-        # still agree, field by field, with the reference.
+    def test_overflowing_steps(self, sigma, zf, zg, mu, beta):
+        # Steps whose intermediate values overflow: the step must not warn,
+        # and every field of its record must agree with the reference.
         args = _pinned(sigma, zf, zg, mu, beta)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -1063,7 +917,10 @@ class TestStepContract:
             out = safety_filter_step(*args)
         assert out.u.shape == args[0].shape and np.isfinite(out.u).all()
         if not np.isfinite(args[2]).all():  # a mean that is not finite assembles no cone
-            assert out.status == STATUS_INFEASIBLE and math.isnan(out.cone_margin)
+            assert out.status == STATUS_INFEASIBLE and out.u.tolist() == args[0].tolist()
+            assert (out.analytic, out.iterations) == (False, 0)
+            for key in ("cone_margin", "necessary_value", "sufficient_eig"):
+                assert math.isnan(getattr(out, key))
         if out.status == STATUS_OPTIMAL:
             margin, spread = _recomputed_margin(out.u, *args[1:])
             assert math.isfinite(margin) and margin >= -1e-8 * max(1.0, spread)
