@@ -183,44 +183,39 @@ def zeta_chain(
     return out
 
 
+def _floats(v) -> list:
+    """v's entries as Python floats; a Python float skips numpy's conversion."""
+    return [float(v)] if isinstance(v, float) else np.asarray(v, dtype=float).ravel().tolist()
+
+
 def halfspace_qp_filter(u_nom, a, b: float) -> np.ndarray:
     """Min-norm filter for a single affine constraint a.u + b >= 0.
 
     Returns u_nom when already feasible, otherwise the Euclidean projection
     u_nom - ((a.u_nom + b) / |a|^2) a onto the constraint boundary, which is
-    the global minimizer of |u - u_nom| over the half-space.  With one
-    input the projection runs on Python floats in the same operation order,
-    so it returns the vector formula's bits as a 1-array.  Raises
-    :class:`InfeasibleConstraintError` when a = 0 and u_nom violates the
-    constraint, and when the projected point is not finite, as when a tiny
-    |a| overflows it: such a half-space has no point a plant can apply.
-    Neither branch warns on that overflow.
+    the global minimizer of |u - u_nom| over the half-space.  Every input
+    count runs on Python floats: a.u_nom and |a|^2 are summed in index
+    order, so one input returns the vector formula's bits as a 1-array.
+    Raises :class:`InfeasibleConstraintError` when a = 0 and u_nom violates
+    the constraint, and when the projected point is not finite, as when a
+    tiny |a| overflows it: such a half-space has no point a plant can apply.
+    Float arithmetic does not warn on that overflow.
     """
-    u_nom = np.asarray(u_nom, dtype=float)
-    a = np.asarray(a, dtype=float)
-    b = float(b)
-    if u_nom.size == 1 and a.size == 1:
-        u0, a0 = u_nom.item(), a.item()
-        margin = a0 * u0 + b
-        if margin >= 0.0:
-            return np.array([u0])
-        norm2 = a0 * a0
-        if norm2 == 0.0:
-            raise InfeasibleConstraintError(f"constraint 0.u + {b} >= 0 is infeasible")
-        u = u0 - (margin / norm2) * a0
-        if not math.isfinite(u):
-            raise InfeasibleConstraintError(f"projection onto {a0} u + {b} >= 0 overflows")
-        return np.array([u])
-    u_nom = np.atleast_1d(u_nom)
-    a = np.atleast_1d(a)
-    margin = float(a @ u_nom) + b
+    u, a, b = _floats(u_nom), _floats(a), float(b)
+    if len(a) != len(u):
+        raise ValueError(f"constraint has {len(a)} coefficients for {len(u)} inputs")
+    dot = norm2 = 0.0
+    for i, ai in enumerate(a):
+        dot += ai * u[i]
+        norm2 += ai * ai
+    margin = dot + b
     if margin >= 0.0:
-        return u_nom.copy()
-    norm2 = float(a @ a)
+        return np.array(u)
     if norm2 == 0.0:
         raise InfeasibleConstraintError(f"constraint 0.u + {b} >= 0 is infeasible")
-    with np.errstate(over="ignore", invalid="ignore"):
-        u = u_nom - (margin / norm2) * a
-    if not np.isfinite(u).all():
-        raise InfeasibleConstraintError(f"projection onto {a} . u + {b} >= 0 overflows")
-    return u
+    step = margin / norm2
+    for i, ai in enumerate(a):
+        u[i] -= step * ai
+        if not math.isfinite(u[i]):
+            raise InfeasibleConstraintError(f"projection onto {a} . u + {b} >= 0 overflows")
+    return np.array(u)

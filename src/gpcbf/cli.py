@@ -40,7 +40,7 @@ def _cmd_run(args) -> int:
     logger.setLevel(logging.INFO)
     try:
         run_benchmark(cfg, out_dir)
-    except GpcbfError as exc:
+    except (GpcbfError, OSError) as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     finally:

@@ -14,6 +14,7 @@ run / label / refit until an episode finishes without a safety violation.
 """
 
 import logging
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -46,6 +47,29 @@ _FLAGGED_STEPS = (STATUS_INFEASIBLE, STATUS_FACTORIZATION_FAILED)
 # Rows that EpisodeLog.to_csv turns into Python objects at a time, so that
 # writing a log holds a few hundred rows of them, not the whole episode.
 _CSV_BLOCK_ROWS = 256
+
+# The values a log row takes from its step's FilterOutcome, each declared
+# once as (record field, CSV header, format).  EpisodeLog holds each under
+# the record field's name, and to_csv writes them after the zeta columns;
+# the trace columns follow only with ``trace``.
+_STEP_COLUMNS = (
+    ("sigma", "sigma", "%.17g"),
+    ("status", "status", "%s"),
+    ("necessary_value", "necessary_value", "%.17g"),
+    ("sufficient_eig", "sufficient_eig", "%.17g"),
+)
+_TRACE_COLUMNS = (
+    ("iterations", "solve_iterations", "%d"),
+    ("cone_margin", "cone_margin", "%.17g"),
+)
+_LOGGED = _STEP_COLUMNS + _TRACE_COLUMNS
+_logged_values = operator.attrgetter(*(field for field, _, _ in _LOGGED))
+# How EpisodeLog holds a column of each format; status words stay a list.
+_HELD_AS = {
+    "%.17g": lambda values: np.asarray(values, dtype=float),
+    "%d": lambda values: np.asarray(values, dtype=int),
+    "%s": list,
+}
 
 
 def fd_derivative(samples, order: int, dt: float) -> float:
@@ -99,8 +123,8 @@ class EpisodeLog:
     zeta: np.ndarray  # (steps, r)
     sigma: np.ndarray
     status: list
-    necessary: np.ndarray
-    sufficient: np.ndarray
+    necessary_value: np.ndarray
+    sufficient_eig: np.ndarray
     iterations: np.ndarray
     cone_margin: np.ndarray
     termination: str
@@ -127,19 +151,16 @@ class EpisodeLog:
         n = self.x.shape[1] if self.x.size else 0
         m = self.u.shape[1] if self.u.size else 0
         r = self.zeta.shape[1]
+        logged = _STEP_COLUMNS + (_TRACE_COLUMNS if trace else ())
         header = (
             ["t"]
             + [f"x_{i}" for i in range(1, n + 1)]
             + [f"u_{i}" for i in range(1, m + 1)]
             + ["h"]
             + [f"zeta_{i}" for i in range(r)]
-            + ["sigma", "status", "necessary_value", "sufficient_eig"]
+            + [name for _, name, _ in logged]
         )
-        fields = ["%.17g"] * (n + m + r + 3) + ["%s", "%.17g", "%.17g"]
-        if trace:
-            header += ["solve_iterations", "cone_margin"]
-            fields += ["%d", "%.17g"]
-        row = ",".join(fields) + "\r\n"
+        row = ",".join(["%.17g"] * (n + m + r + 2) + [fmt for _, _, fmt in logged]) + "\r\n"
 
         def columns(rows: slice) -> list:
             cols = [
@@ -148,13 +169,10 @@ class EpisodeLog:
                 *self.u[rows].T.tolist(),
                 self.h[rows].tolist(),
                 *self.zeta[rows].T.tolist(),
-                self.sigma[rows].tolist(),
-                self.status[rows],
-                self.necessary[rows].tolist(),
-                self.sufficient[rows].tolist(),
             ]
-            if trace:
-                cols += [self.iterations[rows].tolist(), self.cone_margin[rows].tolist()]
+            for field, _, _ in logged:
+                values = getattr(self, field)[rows]
+                cols.append(values if isinstance(values, list) else values.tolist())
             return cols
 
         with open(path, "w", newline="") as fh:
@@ -162,27 +180,6 @@ class EpisodeLog:
             for start in range(0, len(self), _CSV_BLOCK_ROWS):
                 block = columns(slice(start, start + _CSV_BLOCK_ROWS))
                 fh.writelines(row % values for values in zip(*block))
-
-
-def _log_row(design: HocbfDesign, t: float, x: np.ndarray, step: FilterOutcome) -> tuple:
-    """One logged step in EpisodeLog's field order, read from the step's record.
-
-    zeta comes from the step's certificate terms when the record carries
-    them as ``cert`` (the chain then is evaluated once per step), else from
-    fresh evaluations at x.
-    """
-    return (
-        t,
-        x.copy(),
-        step.u.copy(),
-        zeta_chain(design, x, step.cert),
-        step.sigma,
-        step.status,
-        step.necessary_value,
-        step.sufficient_eig,
-        step.iterations,
-        step.cone_margin,
-    )
 
 
 def run_episode(
@@ -214,7 +211,7 @@ def run_episode(
     substeps = max(1, int(round(control_period / dt)))
     n_ctrl = int(round(horizon / control_period))
 
-    rows = []
+    rows = []  # per step: t, x, u, zeta, then the record's logged values
     termination = TERM_COMPLETED
     violation_time = None
     min_h = float(design.h(x))
@@ -223,7 +220,8 @@ def run_episode(
     t = 0.0
     for k in range(n_ctrl):
         step = controller(t, x)
-        rows.append(_log_row(design, t, x, step))
+        zeta = zeta_chain(design, x, step.cert)
+        rows.append((t, x.copy(), step.u.copy(), zeta, *_logged_values(step)))
 
         if step.status in _FLAGGED_STEPS:
             consec_infeasible += 1
@@ -246,28 +244,24 @@ def run_episode(
                     break
         if stop:
             termination = TERM_VIOLATION
-            rows.append(_log_row(design, t, np.array(state), FilterOutcome(step.u, "violation")))
+            x, last = np.array(state), FilterOutcome(step.u, "violation")
+            rows.append((t, x, last.u.copy(), zeta_chain(design, x), *_logged_values(last)))
             break
         if len(states) < substeps:
             termination = TERM_ABORTED
             break
         x = np.array(states[-1])
 
-    t_, x_, u_, zeta, sigma, status, nec, suf, iters, margin = zip(*rows) if rows else [()] * 10
-    if termination == TERM_COMPLETED and violation_time is not None and zeta and zeta[-1][0] < 0.0:
+    ts, xs, us, zetas, *logged = zip(*rows) if rows else [()] * (4 + len(_LOGGED))
+    if termination == TERM_COMPLETED and violation_time is not None and zetas[-1][0] < 0.0:
         termination = TERM_VIOLATION
 
     return EpisodeLog(
-        t=np.asarray(t_, dtype=float),
-        x=np.asarray(x_, dtype=float).reshape(-1, plant.n),
-        u=np.asarray(u_, dtype=float).reshape(-1, plant.m),
-        zeta=np.asarray(zeta, dtype=float).reshape(-1, design.r),
-        sigma=np.asarray(sigma, dtype=float),
-        status=list(status),
-        necessary=np.asarray(nec, dtype=float),
-        sufficient=np.asarray(suf, dtype=float),
-        iterations=np.asarray(iters, dtype=int),
-        cone_margin=np.asarray(margin, dtype=float),
+        t=np.asarray(ts, dtype=float),
+        x=np.asarray(xs, dtype=float).reshape(-1, plant.n),
+        u=np.asarray(us, dtype=float).reshape(-1, plant.m),
+        zeta=np.asarray(zetas, dtype=float).reshape(-1, design.r),
+        **{field: _HELD_AS[fmt](column) for (field, _, fmt), column in zip(_LOGGED, logged)},
         termination=termination,
         violation_time=violation_time,
         min_h=min_h,

@@ -259,14 +259,14 @@ def pointwise_conditions(
 class FilterOutcome:
     """One control step: the input the plant applies and what its log row keeps.
 
-    ``u`` and ``status`` come first, then the logged values in the log's
-    column order: ``sigma``, the posterior std at [gamma; u];
-    ``necessary_value`` and ``sufficient_eig``, the feasibility values;
-    ``iterations`` of the root finder and polish; and ``cone_margin`` at u.
-    ``analytic`` (u_nom was already in the cone), ``sufficient_certified``
-    and ``cert``, the step's certificate terms, follow.  The defaults are
-    the values of a step that assembled no cone, such as a nominal QP step
-    or a trailing violation row.
+    Besides ``u`` and ``status`` it holds ``sigma``, the posterior std at
+    [gamma; u]; ``necessary_value`` and ``sufficient_eig``, the feasibility
+    values; ``iterations`` of the root finder and polish; ``cone_margin``
+    at u; ``analytic`` (u_nom was already in the cone);
+    ``sufficient_certified``; and ``cert``, the step's certificate terms.
+    :mod:`gpcbf.episodic` declares which fields a log row keeps.  The
+    defaults are the values of a step that assembled no cone, such as a
+    nominal QP step or a trailing violation row.
     """
 
     u: np.ndarray

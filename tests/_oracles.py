@@ -304,7 +304,7 @@ def episode_csv_reference(log, path, trace=False):
                 + [f"{log.h[k]:.17g}"]
                 + [f"{v:.17g}" for v in log.zeta[k]]
                 + [f"{log.sigma[k]:.17g}", log.status[k]]
-                + [f"{log.necessary[k]:.17g}", f"{log.sufficient[k]:.17g}"]
+                + [f"{log.necessary_value[k]:.17g}", f"{log.sufficient_eig[k]:.17g}"]
             )
             if trace:
                 row += [str(int(log.iterations[k])), f"{log.cone_margin[k]:.17g}"]

@@ -192,6 +192,16 @@ class TestCli:
     def test_run_missing_config_exits_2(self, capsys):
         assert cli.main(["run", "/nonexistent/config.yaml"]) == 2
 
+    def test_run_output_dir_that_cannot_be_made_exits_1(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "synthetic.yaml"
+        path.write_text("plant: synthetic\n")
+        blocker = tmp_path / "a_file"
+        blocker.write_text("")
+        monkeypatch.setenv("GPCBF_OUTPUT_DIR", str(blocker / "out"))
+        assert cli.main(["run", str(path)]) == cli.EXIT_RUNTIME
+        assert capsys.readouterr().err.startswith("runtime failure: ")
+        assert logging.getLogger("gpcbf").handlers == []
+
     @pytest.mark.parametrize(
         "plant, section, key",
         [

@@ -22,6 +22,8 @@ from gpcbf.episodic import (
     TERM_INFEASIBLE,
     TERM_VIOLATION,
     _CSV_BLOCK_ROWS,
+    _STEP_COLUMNS,
+    _TRACE_COLUMNS,
     EpisodeLog,
     episodic_train,
     fd_derivative,
@@ -509,18 +511,16 @@ class TestStepRecordToLog:
             assert log.u[k].tobytes() == step.u.tobytes()
             assert log.h[k] == step.cert.h
             assert log.zeta[k].tobytes() == zeta_chain(design, x, step.cert).tobytes()
-            assert log.sigma[k] == step.sigma
-            assert log.necessary[k] == step.necessary_value
-            assert log.sufficient[k] == step.sufficient_eig
-            assert log.iterations[k] == step.iterations
-            assert log.cone_margin[k] == step.cone_margin
+            # Every declared column, compared as its CSV field.
+            for field, _, fmt in _STEP_COLUMNS + _TRACE_COLUMNS:
+                assert fmt % getattr(log, field)[k] == fmt % getattr(step, field)
         # The violation row holds the last input and the record's defaults.
         last = len(records)
         fresh = zeta_chain(design, log.x[last])
         assert log.t[last] == log.violation_time
         assert log.u[last].tobytes() == records[-1].u.tobytes()
         assert log.zeta[last].tobytes() == fresh.tobytes() and log.h[last] == fresh[0] < 0.0
-        for column in (log.sigma, log.necessary, log.sufficient, log.cone_margin):
+        for column in (log.sigma, log.necessary_value, log.sufficient_eig, log.cone_margin):
             assert math.isnan(column[last])
         assert log.iterations[last] == 0
 
@@ -566,8 +566,8 @@ def _special_values_log(steps: int) -> EpisodeLog:
         zeta=values[:, 5:8],  # h is zeta[:, 0]
         sigma=values[:, 9],
         status=status,
-        necessary=values[:, 10],
-        sufficient=values[:, 11],
+        necessary_value=values[:, 10],
+        sufficient_eig=values[:, 11],
         iterations=np.arange(steps) * 7,
         cone_margin=values[::-1, 4].copy(),
         termination=TERM_VIOLATION,
