@@ -78,18 +78,17 @@ class HocbfDesign:
 
     The relative degree r is the number of gains.  lie_f_chain[i-1]
     evaluates Lf^i h for i = 1..r on the nominal model; lie_g evaluates
-    LgLf^{r-1} h as a length-m row.  r, gamma, e_r and the zeta-chain
-    weights are derived from the gains at construction; zeta_weights[i-1]
-    weighs [h, Lf h, ..., Lf^i h] in zeta_i.  Every evaluator reads the
-    state by index: :func:`certificate_terms` passes it as a list of
-    floats, other callers as a numpy array.
+    LgLf^{r-1} h as a row with one entry per plant input.  r, gamma, e_r
+    and the zeta-chain weights are derived from the gains at construction;
+    zeta_weights[i-1] weighs [h, Lf h, ..., Lf^i h] in zeta_i.  Every
+    evaluator reads the state by index: :func:`certificate_terms` passes it
+    as a list of floats, other callers as a numpy array.
     """
 
     gains: np.ndarray
     h: StateFn
     lie_f_chain: Sequence[StateFn]
     lie_g: RowFn
-    m: int = 1
     r: int = field(init=False)
     gamma: np.ndarray = field(init=False)
     e_r: float = field(init=False)

@@ -42,6 +42,12 @@ class GpConfig:
     lengthscales: list = field(default_factory=lambda: [8.0, 40.0])
     noise_variance: float = 1e-4  # label noise variance of every fit; a number >= 0
 
+    def lengthscale_rows(self) -> list:
+        """One lengthscale list per signal variance: the shared list, or the lists given."""
+        if any(isinstance(ell, (list, tuple)) for ell in self.lengthscales):
+            return list(self.lengthscales)
+        return [self.lengthscales] * len(self.signal_variances)
+
 
 @dataclass
 class FilterConfig:
@@ -163,10 +169,8 @@ class ExperimentConfig:
             raise ConfigError(f"gp.signal_variances must have {q} entries (m + r)")
         if any(v <= 0 for v in self.gp.signal_variances):
             raise ConfigError("signal variances must be positive")
-        ells = self.gp.lengthscales
-        per_coord = any(isinstance(ell, (list, tuple)) for ell in ells)
-        rows = ells if per_coord else [ells]
-        if (per_coord and len(ells) != q) or any(
+        rows = self.gp.lengthscale_rows()
+        if len(rows) != q or any(
             not isinstance(row, (list, tuple)) or len(row) != n for row in rows
         ):
             raise ConfigError(
@@ -186,6 +190,13 @@ class ExperimentConfig:
             raise ConfigError(f"sim.x0 must have {n} entries for plant {self.plant}")
         if self.plant == "synthetic" and len(self.controller.target) != n:
             raise ConfigError(f"controller.target must have {n} entries")
+        if self.plant == "suspension":
+            if self.controller.lqr_q < 0:
+                raise ConfigError("controller.lqr_q must be non-negative")
+            if self.controller.lqr_r <= 0:
+                raise ConfigError("controller.lqr_r must be positive")
+            if self.disturbance.width <= 0:
+                raise ConfigError("disturbance.width must be positive")
         if self.sim.horizon <= 0:
             raise ConfigError("sim.horizon must be positive")
         if not _whole_multiple(self.sim.horizon, self.sim.control_period):

@@ -22,7 +22,8 @@ import numpy as np
 
 from .barrier import HocbfDesign, certificate_terms, halfspace_qp_filter, zeta_chain
 from .errors import IllConditionedDataError, InfeasibleConstraintError
-from .gp import BaseKernelParams, CompositeGpModel, ResidualDataset, fit, posterior_coefficients
+from .gp import BaseKernelParams, CompositeGpModel, ResidualDataset
+from .gp import fit, fit_prior, posterior_coefficients
 from .plants import PlantModel, rk4_step
 from .socp import (
     STATUS_FACTORIZATION_FAILED,
@@ -38,6 +39,7 @@ TERM_COMPLETED = "completed"
 TERM_VIOLATION = "safety_violation"
 TERM_INFEASIBLE = "infeasible_abort"
 TERM_ABORTED = "aborted"
+STATUS_VIOLATION = "violation"  # the trailing row that logs the state past the barrier
 
 # Consecutive flagged filter steps after which an episode is abandoned: a
 # step is flagged when its cone is empty or its Sigma does not factor.
@@ -135,6 +137,13 @@ class EpisodeLog:
         return self.t.size
 
     @property
+    def control_steps(self) -> int:
+        """Rows written by a controller call: all but a trailing violation row."""
+        if self.status and self.status[-1] == STATUS_VIOLATION:
+            return len(self) - 1
+        return len(self)
+
+    @property
     def h(self) -> np.ndarray:
         """h at each step, as zeta_0 = h."""
         return self.zeta[:, 0]
@@ -197,7 +206,7 @@ def run_episode(
     controller(t, x) returns the step's :class:`FilterOutcome`: its u is held
     for a control period, and the record is the step's log row, with the
     step's certificate terms as ``cert`` when the controller evaluated them.
-    The trailing violation row is ``FilterOutcome(u, "violation")`` for the
+    The trailing violation row is ``FilterOutcome(u, STATUS_VIOLATION)`` for the
     last u, with the record's defaults.  Each hold is one :func:`rk4_step`
     call of control_period / dt substeps, whose states are then scanned in
     order for h and the first crossing.
@@ -244,7 +253,7 @@ def run_episode(
                     break
         if stop:
             termination = TERM_VIOLATION
-            x, last = np.array(state), FilterOutcome(step.u, "violation")
+            x, last = np.array(state), FilterOutcome(step.u, STATUS_VIOLATION)
             rows.append((t, x, last.u.copy(), zeta_chain(design, x), *_logged_values(last)))
             break
         if len(states) < substeps:
@@ -280,11 +289,8 @@ def label_episode(
     row, which is off the control grid) are dropped.
     """
     r = design.r
-    usable = len(log)
-    if usable and log.status and log.status[-1] == "violation":
-        usable -= 1
     rows = []
-    for c in range(r, usable - r, max(1, stride)):
+    for c in range(r, log.control_steps - r, max(1, stride)):
         window = log.h[c - r : c + r + 1]
         rows.append(label_window(window, log.x[c], log.u[c], design, control_period))
     return rows
@@ -340,7 +346,11 @@ def make_gp_socp_controller(
 class TrainResult:
     model: CompositeGpModel
     episodes: list
-    succeeded: bool
+
+    @property
+    def succeeded(self) -> bool:
+        """True when the last episode completed without a violation."""
+        return bool(self.episodes) and self.episodes[-1].termination == TERM_COMPLETED
 
     @property
     def dataset(self) -> ResidualDataset:
@@ -372,21 +382,12 @@ def episodic_train(
     the label noise variance ``noise_variance`` and walks the default jitter
     schedule, and every cone projection uses the default tolerance 1e-8.
     """
-    q = design.m + design.r
+    q = plant.m + design.r
     if len(kernel_params) != q:
         raise ValueError(f"need {q} base kernels, got {len(kernel_params)}")
     xs, ys, zs = [], [], []
     episodes = []
-    model = fit(
-        ResidualDataset(
-            X=np.zeros((0, plant.n)),
-            Y=np.zeros((0, q)),
-            z=np.zeros(0),
-            noise_variance=noise_variance,
-        ),
-        kernel_params,
-    )
-    succeeded = False
+    model = fit_prior(plant.n, kernel_params, noise_variance)
     for ep in range(max_episodes):
         if ep == 0:
             controller = make_nominal_qp_controller(design, u_nom_fn)
@@ -404,7 +405,6 @@ def episodic_train(
         )
         episodes.append(log)
         if log.termination == TERM_COMPLETED:
-            succeeded = True
             break
         for x, y, z in label_episode(log, design, control_period, stride=label_stride):
             xs.append(x)
@@ -423,4 +423,4 @@ def episodic_train(
                 "training ends after episode %d with the last good model: %s", ep + 1, exc
             )
             break
-    return TrainResult(model=model, episodes=episodes, succeeded=succeeded)
+    return TrainResult(model=model, episodes=episodes)

@@ -84,18 +84,15 @@ def build_scenario(cfg: ExperimentConfig) -> Scenario:
     else:
         raise ValueError(f"unknown plant {cfg.plant!r}")
 
-    ells = cfg.gp.lengthscales
-    per_coord = isinstance(ells[0], (list, tuple))
     kernel_params = [
-        BaseKernelParams(float(sf2), np.asarray(ells[i] if per_coord else ells, dtype=float))
-        for i, sf2 in enumerate(cfg.gp.signal_variances)
+        BaseKernelParams(float(sf2), np.asarray(ells, dtype=float))
+        for sf2, ells in zip(cfg.gp.signal_variances, cfg.gp.lengthscale_rows())
     ]
     return Scenario(plant, design_nom, design_true, u_nom, kernel_params)
 
 
 @dataclass
 class ArmResult:
-    name: str
     log: episodic.EpisodeLog
 
 
@@ -104,13 +101,10 @@ class BenchmarkResult:
     arms: dict
     train: episodic.TrainResult
     summary: list
-    out_dir: str
 
 
 def _rms_vs(log: episodic.EpisodeLog, ref: episodic.EpisodeLog) -> float:
-    n = min(len(log), len(ref))
-    if log.status and log.status[-1] == "violation":
-        n = min(n, len(log) - 1)
+    n = min(log.control_steps, len(ref))
     if n == 0:
         return float("nan")
     du = log.u[:n] - ref.u[:n]
@@ -126,10 +120,9 @@ def _grid_violation_time(log: episodic.EpisodeLog) -> Optional[float]:
     return float(log.t[idx[0]]) if idx.size else None
 
 
-def run_benchmark(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> BenchmarkResult:
-    """Run all three arms and write artifacts under the output directory."""
+def run_benchmark(cfg: ExperimentConfig, out_dir: str) -> BenchmarkResult:
+    """Run all three arms and write artifacts under out_dir."""
     cfg.validate()
-    out_dir = out_dir or cfg.output.dir
     os.makedirs(out_dir, exist_ok=True)
     sc = build_scenario(cfg)
     sim = cfg.sim
@@ -150,7 +143,7 @@ def run_benchmark(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> Bench
 
     def finish_arm(name, log):
         log.to_csv(os.path.join(out_dir, f"{name}.csv"), trace=cfg.filter.trace)
-        arms[name] = ArmResult(name=name, log=log)
+        arms[name] = ArmResult(log=log)
         return log
 
     log_nom = finish_arm(
@@ -197,7 +190,7 @@ def run_benchmark(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> Bench
     summary = []
     for name in ("nominal", "gp", "oracle"):
         log = arms[name].log
-        solved = log.iterations[np.asarray([s != "violation" for s in log.status])]
+        solved = log.iterations[: log.control_steps]
         summary.append(
             {
                 "arm": name,
@@ -224,4 +217,4 @@ def run_benchmark(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> Bench
             "rms_vs_oracle={rms_dev_from_oracle:.4g}".format(**row)
         )
     logger.info("  dataset: %d rows over %d episodes", len(train.dataset), len(train.episodes))
-    return BenchmarkResult(arms=arms, train=train, summary=summary, out_dir=out_dir)
+    return BenchmarkResult(arms=arms, train=train, summary=summary)

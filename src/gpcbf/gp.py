@@ -21,7 +21,7 @@ the base-kernel vector at (x*, x_j) scaled elementwise by y_j.
 """
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -60,7 +60,7 @@ class ResidualDataset:
     """Labeled residual rows ((x_j, y_j), z_j) with shared noise variance.
 
     Every regressor carries the same leading gamma block: one barrier design
-    per dataset.
+    per dataset.  X, Y and z are stored C-contiguous, as queries read them.
     """
 
     X: np.ndarray  # (N, n)
@@ -69,9 +69,9 @@ class ResidualDataset:
     noise_variance: float
 
     def __post_init__(self):
-        X = np.atleast_2d(np.asarray(self.X, dtype=float))
-        Y = np.atleast_2d(np.asarray(self.Y, dtype=float))
-        z = np.atleast_1d(np.asarray(self.z, dtype=float))
+        X = np.atleast_2d(np.ascontiguousarray(self.X, dtype=float))
+        Y = np.atleast_2d(np.ascontiguousarray(self.Y, dtype=float))
+        z = np.atleast_1d(np.ascontiguousarray(self.z, dtype=float))
         if X.shape[0] != Y.shape[0] or X.shape[0] != z.size:
             raise ValueError(f"inconsistent row counts {X.shape[0]}, {Y.shape[0]}, {z.size}")
         if self.noise_variance < 0.0:
@@ -142,7 +142,7 @@ class CompositeGpModel:
     """Fitted residual model; immutable and safe for concurrent queries.
 
     :func:`fit` builds it with the query invariants fixed (stacked kernel
-    parameters, contiguous X and Y, a Fortran-ordered factor), so a
+    parameters, a Fortran-ordered factor; X and Y are the dataset's), so a
     posterior query does no per-call preparation.  The factor is kept in
     Fortran order because BLAS ``dtrsv`` reads it in place: f2py passes a
     Fortran-ordered array without a copy, and the query's triangular solves
@@ -152,8 +152,6 @@ class CompositeGpModel:
     dataset: ResidualDataset
     sf2: np.ndarray  # (q,) signal variances; Lambda(x, x) = diag(sf2)
     inv_ell2: np.ndarray  # (q, n) inverse squared lengthscales
-    X: np.ndarray = field(repr=False)  # dataset.X, C-ordered
-    Y: np.ndarray = field(repr=False)  # dataset.Y, C-ordered
     factor: np.ndarray  # lower Cholesky of K_c + (sigma_n^2 + jitter) I, (N, N)
     weights: np.ndarray  # (K_c + sigma_n^2 I)^{-1} z
     jitter: float
@@ -182,8 +180,7 @@ def fit(dataset: ResidualDataset, params: Sequence[BaseKernelParams]) -> Composi
     if dataset.Y.shape[1] != len(params):
         raise ValueError(f"regressor width {dataset.Y.shape[1]} != {len(params)} base kernels")
     sf2, inv_ell2 = _stacked_params(params, dataset.X.shape[1])
-    X, Y = np.ascontiguousarray(dataset.X), np.ascontiguousarray(dataset.Y)
-    K = _gram_composite(X, Y, sf2, inv_ell2)
+    K = _gram_composite(dataset.X, dataset.Y, sf2, inv_ell2)
     for jitter in DEFAULT_JITTER_SCHEDULE:
         try:
             factor = _cholesky(K + (dataset.noise_variance + jitter) * np.eye(N))
@@ -193,8 +190,6 @@ def fit(dataset: ResidualDataset, params: Sequence[BaseKernelParams]) -> Composi
             dataset=dataset,
             sf2=sf2,
             inv_ell2=inv_ell2,
-            X=X,
-            Y=Y,
             factor=np.asfortranarray(factor),
             weights=_chol_solve(factor, dataset.z),
             jitter=float(jitter),
@@ -202,6 +197,14 @@ def fit(dataset: ResidualDataset, params: Sequence[BaseKernelParams]) -> Composi
     raise IllConditionedDataError(
         f"Gram factorization failed for N={N} after jitter schedule {DEFAULT_JITTER_SCHEDULE}"
     )
+
+
+def fit_prior(
+    n: int, params: Sequence[BaseKernelParams], noise_variance: float
+) -> CompositeGpModel:
+    """The prior-only model: :func:`fit` on no rows of n-dimensional states."""
+    empty = np.zeros((0, n)), np.zeros((0, len(params))), np.zeros(0)
+    return fit(ResidualDataset(*empty, noise_variance), params)
 
 
 def _cholesky(A: np.ndarray) -> np.ndarray:
@@ -299,7 +302,7 @@ def posterior_coefficients(model: CompositeGpModel, xstar) -> tuple[np.ndarray, 
     q = model.sf2.size
     if len(model.dataset) == 0:  # dtrsv rejects the length-0 rows of Kbar
         return np.zeros(q), np.diag(model.sf2) + SIGMA_JITTER * np.eye(q)
-    kbar = _cross_kbar(model.X, model.Y, xstar, model.sf2, model.inv_ell2)
+    kbar = _cross_kbar(model.dataset.X, model.dataset.Y, xstar, model.sf2, model.inv_ell2)
     mu = kbar @ model.weights
     # Row t of Kbar becomes the solution v of L v = Kbar[t] in place, which
     # needs Kbar's C order (see _cross_kbar).

@@ -73,7 +73,6 @@ class PlantModel:
     and the time as a float, and returns xdot as a tuple of n floats.
     """
 
-    name: str
     n: int
     m: int
     field: Callable[[Sequence[float], Sequence[float], float], tuple]
@@ -94,7 +93,7 @@ def make_acc_plant(params: dict = ACC_TRUE) -> PlantModel:
         v = x[0]
         return (-(f0 + f1 * v + f2 * v * v) / m + inv_m * u[0], v0 - v)
 
-    return PlantModel("acc", *DIMENSIONS["acc"][:2], field)
+    return PlantModel(*DIMENSIONS["acc"][:2], field)
 
 
 def make_suspension_plant(
@@ -119,7 +118,7 @@ def make_suspension_plant(
                 wheel = wheel + road_gain * d
         return (x3, x4, (k1 * (x2 - x1) + b * (x4 - x3)) / m1 + inv_m1 * u0, wheel)
 
-    return PlantModel("suspension", *DIMENSIONS["suspension"][:2], field)
+    return PlantModel(*DIMENSIONS["suspension"][:2], field)
 
 
 def make_synthetic_plant(mismatch: float = 0.0) -> PlantModel:
@@ -129,7 +128,7 @@ def make_synthetic_plant(mismatch: float = 0.0) -> PlantModel:
         x0 = x[0]  # x0 * x0, not x0 ** 2: float ** raises OverflowError where * gives inf
         return (x[1], mismatch * (1.0 + 0.5 * (x0 * x0)) + u[0])
 
-    return PlantModel("synthetic", *DIMENSIONS["synthetic"][:2], field)
+    return PlantModel(*DIMENSIONS["synthetic"][:2], field)
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +151,6 @@ def acc_design(params: dict, gains, D: float = 30.0) -> HocbfDesign:
             lambda x: p.rolling_resistance(x[0]) / p.m,
         ),
         lie_g=lambda x: np.array([-1.0 / p.m]),
-        m=DIMENSIONS["acc"][1],
     )
 
 
@@ -171,7 +169,6 @@ def suspension_design(params: dict, gains, D: float = 0.06) -> HocbfDesign:
             lambda x: -(p.k1 * (x[1] - x[0]) + p.b * (x[3] - x[2])) / p.m1,
         ),
         lie_g=lambda x: np.array([-1.0 / p.m1]),
-        m=DIMENSIONS["suspension"][1],
     )
 
 
@@ -182,7 +179,6 @@ def double_integrator_design(gains, D: float = 1.0) -> HocbfDesign:
         h=lambda x: D - x[0],
         lie_f_chain=(lambda x: -x[1], lambda x: 0.0),
         lie_g=lambda x: np.array([-1.0]),
-        m=DIMENSIONS["synthetic"][1],
     )
 
 
@@ -352,7 +348,7 @@ def clf_nominal_acc(x, v_d: float, lambda_rate: float, p: AccParams) -> np.ndarr
     return halfspace_qp_filter(0.0, a, b)
 
 
-def road_profile(t: float, amplitude: float = 0.08, start: float = 1.0, width: float = 1.0) -> float:
+def road_profile(t: float, amplitude: float, start: float, width: float) -> float:
     """Smooth bump: amplitude * sin^2(pi (t - start) / width) inside the window.
 
     It runs at every RK4 stage inside the bump, so it takes Python floats

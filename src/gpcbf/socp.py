@@ -81,6 +81,7 @@ STATUS_INFEASIBLE = "infeasible"
 STATUS_FACTORIZATION_FAILED = "factorization_failed"
 
 _EPS = np.finfo(float).eps
+_CERTIFIED_EIG = -1e-10  # a top eigenvalue of S3 below it meets the sufficient condition
 _MAX_POLISH = 3  # Newton steps per candidate; each roughly squares the error
 
 
@@ -240,7 +241,7 @@ def feasibility_sufficient(S3: np.ndarray) -> tuple[bool, float]:
         max_eig = float(np.linalg.eigvalsh(S3)[-1])
     else:  # eigvalsh does not converge on a matrix that is not finite
         max_eig = math.nan
-    return max_eig < -1e-10, max_eig
+    return max_eig < _CERTIFIED_EIG, max_eig
 
 
 def pointwise_conditions(
@@ -262,11 +263,11 @@ class FilterOutcome:
     Besides ``u`` and ``status`` it holds ``sigma``, the posterior std at
     [gamma; u]; ``necessary_value`` and ``sufficient_eig``, the feasibility
     values; ``iterations`` of the root finder and polish; ``cone_margin``
-    at u; ``analytic`` (u_nom was already in the cone);
-    ``sufficient_certified``; and ``cert``, the step's certificate terms.
-    :mod:`gpcbf.episodic` declares which fields a log row keeps.  The
-    defaults are the values of a step that assembled no cone, such as a
-    nominal QP step or a trailing violation row.
+    at u; ``analytic`` (u_nom was already in the cone); and ``cert``, the
+    step's certificate terms.  ``sufficient_certified`` is read from
+    ``sufficient_eig``.  :mod:`gpcbf.episodic` declares which fields a log
+    row keeps.  The defaults are the values of a step that assembled no
+    cone, such as a nominal QP step or a trailing violation row.
     """
 
     u: np.ndarray
@@ -277,8 +278,12 @@ class FilterOutcome:
     iterations: int = 0
     cone_margin: float = math.nan
     analytic: bool = False
-    sufficient_certified: bool = False
     cert: Optional[CertificateTerms] = None
+
+    @property
+    def sufficient_certified(self) -> bool:
+        """True when the sufficient condition certified the step (False on a NaN eigenvalue)."""
+        return self.sufficient_eig < _CERTIFIED_EIG
 
     @property
     def diagnostics(self) -> dict:
@@ -556,8 +561,7 @@ def safety_filter_step(
     keep the record's defaults: iterations 0, and NaN cone margin and
     feasibility values.  Otherwise the record carries ``iterations``,
     ``cone_margin`` and ``analytic`` from :func:`solve`, and the
-    feasibility values ``necessary_value``, ``sufficient_eig`` and
-    ``sufficient_certified``.
+    feasibility values ``necessary_value`` and ``sufficient_eig``.
     Every step's record carries ``sigma``, the posterior std
     sqrt(y^T Sigma y) at y = [gamma; u] for the returned u, and ``cert``.
     The sufficient condition reads the cone's S3, the matrix of the quadric
@@ -582,14 +586,13 @@ def safety_filter_step(
             _, c, d = _mean_row(cert, mu, gamma)
             u = _mean_halfspace(u_nom, c, d)
             return FilterOutcome(u, no_cone, sigma=_posterior_std(sigma, gamma, u), cert=cert)
-        certified, max_eig = feasibility_sufficient(cone.S3)
+        _, max_eig = feasibility_sufficient(cone.S3)
         outcome = solve(u_nom, cone, tol=tol)
         if outcome.status != STATUS_OPTIMAL:
             outcome.u = _mean_halfspace(u_nom, cone.c, cone.d)
         outcome.sigma = _posterior_std(sigma, gamma, outcome.u)
     outcome.necessary_value = cone.necessary_value
     outcome.sufficient_eig = max_eig
-    outcome.sufficient_certified = certified
     outcome.cert = cert
     return outcome
 

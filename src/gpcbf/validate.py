@@ -15,10 +15,9 @@ from .barrier import certificate_terms, gamma_vector
 from .experiment import build_scenario
 from .gp import (
     BaseKernelParams,
-    ResidualDataset,
     _gram_composite,
     _stacked_params,
-    fit,
+    fit_prior,
     posterior_coefficients,
 )
 from .socp import (
@@ -234,13 +233,7 @@ def _benchmark_filter_states(plant_name: str, rng: np.random.Generator, n_states
         label_stride=cfg.episodic.label_stride,
         noise_variance=cfg.gp.noise_variance,
     )
-    prior = fit(
-        ResidualDataset(
-            X=np.zeros((0, sc.plant.n)), Y=np.zeros((0, len(sc.kernel_params))),
-            z=np.zeros(0), noise_variance=cfg.gp.noise_variance,
-        ),
-        sc.kernel_params,
-    )
+    prior = fit_prior(sc.plant.n, sc.kernel_params, cfg.gp.noise_variance)
     x = train.episodes[0].x
     lo = x.min(axis=0)
     hi = x.max(axis=0)

@@ -77,8 +77,8 @@ def posterior_coefficients_rows(model, xstar):
     lam = np.diag(model.sf2)
     if len(model.dataset) == 0:
         return np.zeros(q), lam + 1e-12 * np.eye(q)
-    diff2 = (xstar[None, :] - model.X) ** 2
-    kbar = model.sf2[:, None] * np.exp(-0.5 * (model.inv_ell2 @ diff2.T)) * model.Y.T
+    diff2 = (xstar[None, :] - model.dataset.X) ** 2
+    kbar = model.sf2[:, None] * np.exp(-0.5 * (model.inv_ell2 @ diff2.T)) * model.dataset.Y.T
     mu = kbar @ model.weights
     Vt = np.array([dtrsv(model.factor, row, lower=1) for row in kbar])
     sigma = lam - Vt @ Vt.T

@@ -236,6 +236,12 @@ class TestCli:
             ("synthetic", "sim: [unclosed", "bad.yaml"),
             ("synthetic", "sim:\n  horizon: 0.0", "sim.horizon"),
             ("synthetic", "output:\n  dir: ''", "output.dir"),
+            # A nominal LQR law needs R > 0 and Q >= 0; a bump needs a width.
+            ("suspension", "controller:\n  lqr_r: 0", "controller.lqr_r"),
+            ("suspension", "controller:\n  lqr_r: -1", "controller.lqr_r"),
+            ("suspension", "controller:\n  lqr_q: -1", "controller.lqr_q"),
+            ("suspension", "disturbance:\n  width: 0", "disturbance.width"),
+            ("suspension", "disturbance:\n  width: -1", "disturbance.width"),
             # Three gains with four signal variances is consistent with m + r,
             # but every plant's barrier has relative degree 2.
             (
@@ -280,6 +286,11 @@ class TestCli:
             "yaml-syntax_error",
             "sim-horizon_zero",
             "output-dir_empty",
+            "controller-lqr_r_zero",
+            "controller-lqr_r_negative",
+            "controller-lqr_q_negative",
+            "disturbance-width_zero",
+            "disturbance-width_negative",
             "hocbf-three_gains",
             "hocbf-three_char_coeffs",
         ]

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -239,7 +240,7 @@ class TestRunEpisode:
         # after the second substep; the field returns inf from t = 0.0047 on,
         # so the fifth substep of the same hold is non-finite.
         field = lambda x, u, t: (1.0, math.inf if t > 0.0047 else 0.0)
-        return PlantModel(name="diverging", n=2, m=1, field=field)
+        return PlantModel(n=2, m=1, field=field)
 
     def test_violation_before_divergence_in_one_hold_is_a_violation(self):
         plant = self._cross_then_diverge_plant()
@@ -398,9 +399,7 @@ class TestEpisodicTrain:
         # two rows are all 0.75 * 4 + 1 = 4: the second Cholesky pivot is
         # 4 - 2 * 2 = 0 exactly, and no noise or jitter lifts it.
         monkeypatch.setattr(gp_mod, "DEFAULT_JITTER_SCHEDULE", (0.0,))
-        plant = PlantModel(
-            name="stand-then-go", n=2, m=1, field=lambda x, u, t: (10.0 if t > 0.1 else 0.0, 0.0)
-        )
+        plant = PlantModel(n=2, m=1, field=lambda x, u, t: (10.0 if t > 0.1 else 0.0, 0.0))
         design = double_integrator_design([1.0, 1.0], D=1.0)
         kp = [
             BaseKernelParams(0.75, np.array([1.0, 1.0])),
@@ -425,16 +424,12 @@ class TestEpisodicTrain:
         # neither the drift nor the gain on u1, so the nominal episode drives
         # through h = 1 - p = 0 and the GP filter projects onto m = 2 cones
         # through the secular equation.
-        plant = PlantModel(
-            name="two-input", n=2, m=2,
-            field=lambda x, u, t: (x[1], 0.5 + 1.3 * u[0] + 0.5 * u[1]),
-        )
+        plant = PlantModel(n=2, m=2, field=lambda x, u, t: (x[1], 0.5 + 1.3 * u[0] + 0.5 * u[1]))
         design = HocbfDesign(
             gains=np.array([1.5, 2.5]),
             h=lambda x: 1.0 - x[0],
             lie_f_chain=(lambda x: -x[1], lambda x: 0.0),
             lie_g=lambda x: np.array([-1.0, -0.5]),
-            m=2,
         )
         kp = [BaseKernelParams(sf2, np.array([0.5, 0.5])) for sf2 in (1.0, 0.1, 0.1, 0.1)]
         projections, secular_calls = [], []
@@ -481,7 +476,7 @@ class TestStepRecordToLog:
         # x1 rises by 1e-3 per substep from 0.9765, so h = 1 - x1 turns
         # negative inside the third hold: three control rows, then the
         # violation row.
-        plant = PlantModel(name="ramp", n=2, m=1, field=lambda x, u, t: (1.0, 0.0))
+        plant = PlantModel(n=2, m=1, field=lambda x, u, t: (1.0, 0.0))
         design = double_integrator_design([1.0, 1.0], D=1.0)
         calls, records = [], []
 
@@ -574,6 +569,14 @@ def _special_values_log(steps: int) -> EpisodeLog:
         violation_time=None,
         min_h=0.0,
     )
+
+
+class TestControlSteps:
+    def test_all_rows_but_a_trailing_violation_row(self):
+        violated = _special_values_log(4)  # three control rows, then the violation row
+        completed = dataclasses.replace(violated, status=["optimal"] * 4)
+        empty = _special_values_log(0)
+        assert [log.control_steps for log in (violated, completed, empty)] == [3, 4, 0]
 
 
 class TestEpisodeCsvBytes:

@@ -21,6 +21,7 @@ from gpcbf.gp import (
     _gram_composite,
     _stacked_params,
     fit,
+    fit_prior,
     load_dataset_csv,
     posterior_coefficients,
     save_dataset_csv,
@@ -177,9 +178,9 @@ class TestKernelAssembly:
 
 class TestFit:
     def test_empty_dataset_gives_prior_model(self):
-        ds = ResidualDataset(X=np.zeros((0, 2)), Y=np.zeros((0, 3)), z=np.zeros(0), noise_variance=1e-4)
         params = _random_params(np.random.default_rng(4), 3, 2)
-        model = fit(ds, params)
+        model = fit_prior(2, params, 1e-4)
+        assert len(model.dataset) == 0 and model.dataset.Y.shape == (0, 3)
         mu, sigma = posterior_coefficients(model, [0.1, 0.2])
         np.testing.assert_allclose(mu, np.zeros(3))
         expected = np.diag([p.signal_variance for p in params])

@@ -371,8 +371,8 @@ class TestClfNominalAcc:
 
 class TestRoadProfile:
     def test_zero_outside_window(self):
-        assert road_profile(0.5) == 0.0
-        assert road_profile(2.5) == 0.0
+        assert road_profile(0.5, 0.08, 1.0, 1.0) == 0.0
+        assert road_profile(2.5, 0.08, 1.0, 1.0) == 0.0
 
     def test_peak_at_center(self):
         assert road_profile(1.5, amplitude=0.08, start=1.0, width=1.0) == pytest.approx(0.08)
