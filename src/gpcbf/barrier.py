@@ -183,8 +183,18 @@ def zeta_chain(
 
 
 def _floats(v) -> list:
-    """v's entries as Python floats; a Python float skips numpy's conversion."""
-    return [float(v)] if isinstance(v, float) else np.asarray(v, dtype=float).ravel().tolist()
+    """v's entries as Python floats, in a list that callers only read.
+
+    A list is taken as it is, as a list of floats.  A Python float and a
+    1-D float64 array skip numpy's conversion.
+    """
+    if type(v) is list:
+        return v
+    if type(v) is np.ndarray and v.ndim == 1 and v.dtype == np.float64:
+        return v.tolist()
+    if isinstance(v, float):
+        return [float(v)]
+    return np.asarray(v, dtype=float).ravel().tolist()
 
 
 def halfspace_qp_filter(u_nom, a, b: float) -> np.ndarray:
@@ -213,8 +223,7 @@ def halfspace_qp_filter(u_nom, a, b: float) -> np.ndarray:
     if norm2 == 0.0:
         raise InfeasibleConstraintError(f"constraint 0.u + {b} >= 0 is infeasible")
     step = margin / norm2
-    for i, ai in enumerate(a):
-        u[i] -= step * ai
-        if not math.isfinite(u[i]):
-            raise InfeasibleConstraintError(f"projection onto {a} . u + {b} >= 0 overflows")
+    u = [ui - step * ai for ui, ai in zip(u, a)]
+    if not all(map(math.isfinite, u)):
+        raise InfeasibleConstraintError(f"projection onto {a} . u + {b} >= 0 overflows")
     return np.array(u)

@@ -172,7 +172,8 @@ def random_feasible_instance(rng: np.random.Generator, m: int = 1):
 
 def grid_oracle_u(cone: SafetyConeData, u_nom: np.ndarray, u_max: float = 4.0, step: float = 1e-4):
     us = np.arange(-u_max, u_max + step, step)
-    lhs = np.linalg.norm(cone.A @ us[None, :] + cone.b[:, None], axis=0)
+    A, b = np.array(cone.A), np.array(cone.b)
+    lhs = np.linalg.norm(A @ us[None, :] + b[:, None], axis=0)
     feas = lhs <= cone.c[0] * us + cone.d
     cand = us[feas]
     if cand.size == 0:

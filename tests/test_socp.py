@@ -13,6 +13,7 @@ from gpcbf.socp import (
     STATUS_FACTORIZATION_FAILED,
     STATUS_INFEASIBLE,
     STATUS_OPTIMAL,
+    FilterOutcome,
     SafetyConeData,
     assemble_safety_cone,
     build_S,
@@ -97,7 +98,7 @@ class TestAssembleSafetyCone:
         cone = assemble_safety_cone(cert, rng.normal(size=3), sigma, beta, gamma)
         for u in (-2.0, 0.0, 1.5):
             y = np.array([2.0, 1.0, u])
-            lhs = np.linalg.norm(cone.A @ [u] + cone.b)
+            lhs = np.linalg.norm(np.array(cone.A) @ [u] + cone.b)
             assert lhs == pytest.approx(beta * np.sqrt(y @ sigma @ y), rel=1e-10)
 
     def test_hand_written_cone_forms_S3(self):
@@ -125,7 +126,7 @@ class TestEffectivePhi:
             phi = effective_phi(cert, mu)
             u = rng.normal()
             y = np.concatenate((gamma, [u]))
-            assert float(phi @ y) == pytest.approx(float(cone.c @ [u]) + cone.d, rel=1e-12)
+            assert float(phi @ y) == pytest.approx(cone.c[0] * u + cone.d, rel=1e-12)
 
 
 class TestSolve:
@@ -233,18 +234,18 @@ class TestGeneralProjection:
                 sigma = (Q * 10.0 ** rng.uniform(-8.0, 1.0, size=r + m)) @ Q.T
                 sigma = 0.5 * (sigma + sigma.T)
             cone = assemble_safety_cone(cert, mu, sigma, beta, gamma)
+            A, b, c = (np.array(v) for v in (cone.A, cone.b, cone.c))
             u_nom = 3.0 * rng.normal(size=m)
             if i % 2:
-                cc = float(cone.c @ cone.c)
-                u_nom -= (float(cone.c @ u_nom) + cone.d + 30.0 * (1.0 + abs(cone.d))) / cc * cone.c
-            opposite = np.linalg.norm(cone.A @ u_nom + cone.b) <= -(float(cone.c @ u_nom) + cone.d)
+                u_nom -= (float(c @ u_nom) + cone.d + 30.0 * (1.0 + abs(cone.d))) / float(c @ c) * c
+            opposite = np.linalg.norm(A @ u_nom + b) <= -(float(c @ u_nom) + cone.d)
             out = solve(u_nom, cone, tol=1e-9)
             if out.status != STATUS_OPTIMAL or out.analytic:
                 continue
-            res = cone.A @ out.u + cone.b
+            res = A @ out.u + b
             s = float(np.linalg.norm(res))
             assert out.cone_margin >= -1e-9 * max(1.0, s)
-            grad = cone.c - cone.A.T @ res / s
+            grad = c - A.T @ res / s
             step = out.u - u_nom
             nu = float(step @ grad) / float(grad @ grad)
             assert nu >= 0.0
@@ -362,9 +363,9 @@ class TestGeneralProjection:
                 phi = effective_phi(cert, mu)
                 dense = necessary_value_dense(phi, sigma, beta)
                 assert out.necessary_value == pytest.approx(dense, rel=1e-10)
-                S = build_S(phi, sigma, beta)
-                certified, _ = feasibility_sufficient(S[gamma.size :, gamma.size :])
-                assert out.sufficient_certified == certified
+                S = np.array(build_S(phi, sigma, beta))
+                top = feasibility_sufficient(S[gamma.size :, gamma.size :])
+                assert out.sufficient_certified == (top < -1e-10)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -408,11 +409,12 @@ class TestBuildS:
             phi = effective_phi(cert, mu)
             zf, c = phi[:r], phi[r:]
             bLr = beta * matrix_sqrt_factor(sigma)[:, :r]
+            A = np.array(cone.A)
             S1 = bLr.T @ bLr - np.outer(zf, zf)
-            S2 = bLr.T @ cone.A - np.outer(zf, c)
-            S3 = cone.A.T @ cone.A - np.outer(c, c)
+            S2 = bLr.T @ A - np.outer(zf, c)
+            S3 = A.T @ A - np.outer(c, c)
             blockwise = np.block([[S1, S2], [S2.T, S3]])
-            S = build_S(phi, sigma, beta)
+            S = np.array(build_S(phi, sigma, beta))
             np.testing.assert_allclose(S, blockwise, atol=1e-10 * max(1, np.abs(blockwise).max()))
 
     def test_identity_case(self):
@@ -428,13 +430,13 @@ class TestBuildS:
                 cert, mu, sigma, beta, gamma = self._random_inputs(rng, r=r, m=m)
                 phi = effective_phi(cert, mu)
                 assert np.array_equal(
-                    build_S(phi[r:], sigma[r:, r:], beta), build_S(phi, sigma, beta)[r:, r:]
+                    build_S(phi[r:], sigma[r:, r:], beta), np.array(build_S(phi, sigma, beta))[r:, r:]
                 )
 
     def test_symmetry(self):
         rng = np.random.default_rng(8)
         cert, mu, sigma, beta, gamma = self._random_inputs(rng, r=3, m=2)
-        S = build_S(effective_phi(cert, mu), sigma, beta)
+        S = np.array(build_S(effective_phi(cert, mu), sigma, beta))
         assert np.array_equal(S, S.T)
 
     @pytest.mark.parametrize("m", [2, 3])
@@ -447,41 +449,37 @@ class TestBuildS:
                 full = rng.normal(size=(rows, 2 * m)) * 10.0 ** rng.uniform(-3, 3, size=(rows, 2 * m))
                 A = full[:, ::2] if strided else np.ascontiguousarray(full[:, :m])
                 assert A.flags.c_contiguous is not strided
-                cone = SafetyConeData(A=A, b=rng.normal(size=rows), c=rng.normal(size=m), d=1.0)
-                assert np.array_equal(cone.S3, cone.S3.T)
+                S3 = np.array(SafetyConeData(A=A, b=rng.normal(size=rows), c=rng.normal(size=m), d=1.0).S3)
+                assert np.array_equal(S3, S3.T)
 
 
 class TestFeasibilitySufficient:
     def test_scalar_certified(self):
-        certified, eig = feasibility_sufficient(np.array([[0.25 - 1.0]]))
-        assert certified and eig == pytest.approx(-0.75)
+        # the eigenvalue is the entry itself, and the step's record applies the threshold
+        eig = feasibility_sufficient(np.array([[0.25 - 1.0]]))
+        assert eig == -0.75
+        assert FilterOutcome(np.zeros(1), STATUS_OPTIMAL, sufficient_eig=eig).sufficient_certified
 
     def test_scalar_equals_eigvalsh_bitwise(self):
         rng = np.random.default_rng(10)
         values = rng.choice([-1.0, 1.0], size=2000) * 10.0 ** rng.uniform(-300, 300, size=2000)
         for s in np.concatenate((values, [0.0, -0.0, -1e-10, 1e-10])):
             S3 = np.array([[s]])
-            certified, eig = feasibility_sufficient(S3)
             expected = float(np.linalg.eigvalsh(0.5 * (S3 + S3.T))[-1])
-            assert repr(eig) == repr(expected)  # the sign of zero too
-            assert certified == (eig < -1e-10)
+            assert repr(feasibility_sufficient(S3)) == repr(expected)  # the sign of zero too
 
     def test_zero_actuation_not_certified(self):
         A = np.array([[0.5], [0.2]])
         S3 = A.T @ A  # c = 0
-        certified, eig = feasibility_sufficient(S3)
-        assert not certified
-        assert eig >= 0.0
+        assert feasibility_sufficient(S3) >= 0.0
 
     def test_matches_characteristic_polynomial_oracle(self):
         rng = np.random.default_rng(9)
         for _ in range(30):
             M = rng.normal(size=(3, 3))
             S3 = 0.5 * (M + M.T)
-            certified, eig = feasibility_sufficient(S3)
             roots = np.roots(np.poly(S3))
-            assert eig == pytest.approx(float(np.max(roots.real)), abs=1e-8)
-            assert certified == bool(np.max(roots.real) < -1e-10)
+            assert feasibility_sufficient(S3) == pytest.approx(float(np.max(roots.real)), abs=1e-8)
 
 
 class TestPointwiseConditions:
@@ -502,10 +500,9 @@ class TestPointwiseConditions:
             beta = 0.4
             gamma = np.array([1.5, 1.0])
             phi = effective_phi(cert, mu)
-            S = build_S(phi, sigma, beta)
+            S = np.array(build_S(phi, sigma, beta))
             S3 = S[r:, r:]
-            certified, max_eig = feasibility_sufficient(S3)
-            if not certified:
+            if not feasibility_sufficient(S3) < -1e-10:
                 continue
             eigvals, eigvecs = np.linalg.eigh(S3)
             e_m = eigvecs[:, -1]
@@ -616,13 +613,13 @@ class TestFilterInvariants:
         assert out.sufficient_certified is False
 
     def test_sigma_holding_nan_above_the_diagonal_is_read_by_its_lower_triangle(self):
-        # dpotrf reads the lower triangle only; the logged posterior std reads all of Sigma
+        # dpotrf and the logged posterior std read the lower triangle only
         args = (np.array([-5.0]), _cert([0.2, -0.1], [1.0], 0.5), np.array([0.1, 0.0, 0.2]))
         sigma = np.eye(3)
         sigma[0, 2] = np.nan
         out, clean = (safety_filter_step(*args, s, 2.0, np.array([2.0, 1.0])) for s in (sigma, np.eye(3)))
         assert out.status == clean.status and out.u.tobytes() == clean.u.tobytes()
-        assert math.isnan(out.sigma) and not math.isnan(clean.sigma)
+        assert out.sigma == clean.sigma
 
     @pytest.mark.parametrize(
         "sigma, zg, mu, beta, status",
@@ -657,6 +654,42 @@ class TestFilterInvariants:
         assert report["states_checked"] == 4
         assert sum(report["statuses"].values()) == 4
         assert report["passed"]
+
+
+class TestTracedSeams:
+    """The layers the benchmark traces by rebinding ``gpcbf.socp``'s globals."""
+
+    SEAMS = ("assemble_safety_cone", "matrix_sqrt_factor", "build_S", "solve")
+
+    def _counted(self, monkeypatch):
+        calls = dict.fromkeys(self.SEAMS, 0)
+        for name in self.SEAMS:
+            original = getattr(socp_mod, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(socp_mod, name, counted)
+        return calls
+
+    def _step(self, u_nom, sigma):
+        cert, mu = _cert([0.2, -0.1], [1.0], 0.5), np.array([0.1, 0.0, 0.2])
+        return safety_filter_step(np.array([u_nom]), cert, mu, sigma, 2.0, np.array([2.0, 1.0]))
+
+    @pytest.mark.parametrize("u_nom, analytic", [(5.0, True), (-5.0, False)])
+    def test_cone_step_calls_each_seam_once(self, monkeypatch, u_nom, analytic):
+        calls = self._counted(monkeypatch)
+        out = self._step(u_nom, 0.1 * np.eye(3))
+        assert out.status == STATUS_OPTIMAL and out.analytic is analytic
+        assert calls == dict.fromkeys(self.SEAMS, 1)
+
+    def test_factorization_failed_step_calls_no_solve(self, monkeypatch):
+        calls = self._counted(monkeypatch)
+        sigma = np.eye(3)
+        sigma[0, 0] = np.nan
+        assert self._step(-5.0, sigma).status == STATUS_FACTORIZATION_FAILED
+        assert calls == {"assemble_safety_cone": 1, "matrix_sqrt_factor": 1, "build_S": 0, "solve": 0}
 
 
 _SLACK = 4e-8  # four times the step's tolerance; see OneInputCone.intervals
@@ -721,9 +754,9 @@ def _check_step(out, u_nom, cert, mu, sigma, beta, gamma):
     finite = np.isfinite(lower).all()
     cone = OneInputCone.from_step(cert, mu, lower if finite else np.zeros_like(sigma), beta, gamma)
     var, size = cone.variance(u)
-    if np.isfinite(sigma).all():  # y^T Sigma y may overflow to inf
+    if finite:  # y^T Sigma y may overflow to inf
         assert out.sigma**2 == var or abs(out.sigma**2 - max(var, 0.0)) <= 1e-12 * size
-    else:  # the logged std reads all of Sigma, a NaN above the diagonal too
+    else:  # the logged std reads the lower triangle, as dpotrf does
         assert math.isnan(out.sigma)
     eig = np.linalg.eigvalsh(lower) if finite else [math.nan]
     if out.status == STATUS_FACTORIZATION_FAILED:  # only a Sigma not safely positive definite
