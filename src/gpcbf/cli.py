@@ -83,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=_cmd_run)
 
     p_val = sub.add_parser("validate", help="run a property suite")
-    p_val.add_argument("suite", choices=list(config_mod.VALIDATE_SUITES) + ["all"])
+    p_val.add_argument("suite", help="a suite name, or all")
     p_val.add_argument("--seed", type=int, default=0)
     p_val.set_defaults(func=_cmd_validate)
 

@@ -86,13 +86,6 @@ class SuspensionControllerConfig:
 
 
 @dataclass
-class SyntheticControllerConfig:
-    """LQR law toward a set-point."""
-
-    target: list = field(default_factory=lambda: [1.5, 0.0])
-
-
-@dataclass
 class NoDisturbanceConfig:
     """A plant with no disturbance: the section holds no keys."""
 
@@ -111,15 +104,7 @@ class RoadBumpConfig:
 PLANT_SECTIONS = {
     "acc": (AccControllerConfig, NoDisturbanceConfig),
     "suspension": (SuspensionControllerConfig, RoadBumpConfig),
-    "synthetic": (SyntheticControllerConfig, NoDisturbanceConfig),
 }
-
-
-# The property suites behind ``gpcbf validate``, in the order "all" runs
-# them; ``gpcbf.validate.SUITES`` maps each name to its ``<name>_suite``.
-# Kept here so that the CLI parser imports neither the suites nor the
-# numerics behind them.
-VALIDATE_SUITES = ("kernel", "solver", "decomposition", "feasibility")
 
 
 @dataclass
@@ -135,9 +120,9 @@ class ExperimentConfig:
     filter: FilterConfig = field(default_factory=FilterConfig)
     sim: SimConfig = field(default_factory=SimConfig)
     episodic: EpisodicConfig = field(default_factory=EpisodicConfig)
-    controller: Union[
-        AccControllerConfig, SuspensionControllerConfig, SyntheticControllerConfig
-    ] = field(default_factory=AccControllerConfig)
+    controller: Union[AccControllerConfig, SuspensionControllerConfig] = field(
+        default_factory=AccControllerConfig
+    )
     disturbance: Union[NoDisturbanceConfig, RoadBumpConfig] = field(
         default_factory=NoDisturbanceConfig
     )
@@ -188,8 +173,6 @@ class ExperimentConfig:
             raise ConfigError("sim.control_period must be a whole multiple of sim.dt")
         if len(self.sim.x0) != n:
             raise ConfigError(f"sim.x0 must have {n} entries for plant {self.plant}")
-        if self.plant == "synthetic" and len(self.controller.target) != n:
-            raise ConfigError(f"controller.target must have {n} entries")
         if self.plant == "suspension":
             if self.controller.lqr_q < 0:
                 raise ConfigError("controller.lqr_q must be non-negative")
@@ -330,13 +313,4 @@ def defaults(plant: str = "acc") -> ExperimentConfig:
         )
         cfg.sim = SimConfig(horizon=10.0, x0=[0.0, 0.0, 0.0, 0.0])
         cfg.episodic = EpisodicConfig(max_episodes=8, label_stride=1)
-    elif plant == "synthetic":
-        cfg.hocbf = HocbfConfig(gains=[1.5, 2.5], threshold=1.0)
-        cfg.gp = GpConfig(
-            signal_variances=[1.0, 1.0, 1e-4],
-            lengthscales=[2.0, 2.0],
-            noise_variance=1e-4,
-        )
-        cfg.sim = SimConfig(horizon=8.0, x0=[0.0, 0.0])
-        cfg.episodic = EpisodicConfig(max_episodes=4, label_stride=5)
     return cfg.validate()

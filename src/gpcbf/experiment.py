@@ -69,18 +69,6 @@ def build_scenario(cfg: ExperimentConfig) -> Scenario:
         def u_nom(t, x):
             return -(K @ x)
 
-    elif cfg.plant == "synthetic":
-        plant = plants.make_synthetic_plant()
-        design_nom = plants.double_integrator_design(gains, D)
-        design_true = plants.double_integrator_design(gains, D)
-        A = np.array([[0.0, 1.0], [0.0, 0.0]])
-        B = np.array([[0.0], [1.0]])
-        K, _ = plants.lqr_gain(A, B, np.eye(2), np.array([[1.0]]))
-        target = np.asarray(cfg.controller.target, dtype=float)
-
-        def u_nom(t, x):
-            return -(K @ (x - target))
-
     else:
         raise ValueError(f"unknown plant {cfg.plant!r}")
 

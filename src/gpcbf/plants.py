@@ -6,8 +6,7 @@ the body displacement under a road bump).  A plant is what the runner
 integrates: the true-parameter field, with the road disturbance folded in.
 The nominal model reaches the filter only through the barrier designs,
 whose Lie-derivative chains are hand-derived below (relative degree two
-throughout).  A synthetic double integrator with an optional drift mismatch
-rounds out the set for end-to-end sanity checks.
+throughout).
 """
 
 import functools
@@ -28,7 +27,7 @@ SUSPENSION_TRUE = dict(m1=675.0, m2=135.0, k1=36e3, k2=427.5e3, b=2.25e3)
 # (n, m, r) of each plant, by config name: state dimension, input count and
 # the relative degree of its barrier.  r fixes the gain count, and r + m the
 # number of base kernels.
-DIMENSIONS = {"acc": (2, 1, 2), "suspension": (4, 1, 2), "synthetic": (2, 1, 2)}
+DIMENSIONS = {"acc": (2, 1, 2), "suspension": (4, 1, 2)}
 
 
 @dataclass(frozen=True)
@@ -121,16 +120,6 @@ def make_suspension_plant(
     return PlantModel(*DIMENSIONS["suspension"][:2], field)
 
 
-def make_synthetic_plant(mismatch: float = 0.0) -> PlantModel:
-    """Double integrator; mismatch scales an extra drift on the acceleration."""
-
-    def field(x, u, t):
-        x0 = x[0]  # x0 * x0, not x0 ** 2: float ** raises OverflowError where * gives inf
-        return (x[1], mismatch * (1.0 + 0.5 * (x0 * x0)) + u[0])
-
-    return PlantModel(*DIMENSIONS["synthetic"][:2], field)
-
-
 # ---------------------------------------------------------------------------
 # hand-derived barrier designs (relative degree two throughout)
 # ---------------------------------------------------------------------------
@@ -169,16 +158,6 @@ def suspension_design(params: dict, gains, D: float = 0.06) -> HocbfDesign:
             lambda x: -(p.k1 * (x[1] - x[0]) + p.b * (x[3] - x[2])) / p.m1,
         ),
         lie_g=lambda x: np.array([-1.0 / p.m1]),
-    )
-
-
-def double_integrator_design(gains, D: float = 1.0) -> HocbfDesign:
-    """Position barrier h = D - x1 for the synthetic double integrator."""
-    return HocbfDesign(
-        gains=np.asarray(gains, dtype=float),
-        h=lambda x: D - x[0],
-        lie_f_chain=(lambda x: -x[1], lambda x: 0.0),
-        lie_g=lambda x: np.array([-1.0]),
     )
 
 

@@ -9,7 +9,9 @@ rationals, and the references that float paths must match bit for bit: the
 vectorised numpy RK4 step with numpy plant fields and random polynomial
 fields, the vector half-space projection, a ``csv.writer`` episode writer,
 the posterior query with a list of triangular solves, and the certificate
-terms evaluated on numpy scalars.
+terms evaluated on numpy scalars.  It also holds the double integrator with
+a drift mismatch and its position barrier, the small closed loop that the
+episode and training tests run on.
 """
 
 import csv
@@ -19,6 +21,9 @@ from fractions import Fraction
 import numpy as np
 import sympy as sp
 from scipy.linalg.blas import dtrsv
+
+from gpcbf.barrier import HocbfDesign
+from gpcbf.plants import PlantModel
 
 
 class SymbolicSystem:
@@ -270,6 +275,16 @@ def suspension_field_numpy(p, road):
     return field
 
 
+def make_synthetic_plant(mismatch: float = 0.0) -> PlantModel:
+    """Double integrator; mismatch scales an extra drift on the acceleration."""
+
+    def field(x, u, t):
+        x0 = x[0]  # x0 * x0, not x0 ** 2: float ** raises OverflowError where * gives inf
+        return (x[1], mismatch * (1.0 + 0.5 * (x0 * x0)) + u[0])
+
+    return PlantModel(2, 1, field)
+
+
 def synthetic_field_numpy(mismatch):
     """Double integrator with drift mismatch * (1 + x1^2 / 2), written with numpy's x**2."""
 
@@ -277,6 +292,16 @@ def synthetic_field_numpy(mismatch):
         return np.array([x[1], mismatch * (1.0 + 0.5 * x[0] ** 2) + u[0]])
 
     return field
+
+
+def double_integrator_design(gains, D: float = 1.0) -> HocbfDesign:
+    """Position barrier h = D - x1 for the double integrator."""
+    return HocbfDesign(
+        gains=np.asarray(gains, dtype=float),
+        h=lambda x: D - x[0],
+        lie_f_chain=(lambda x: -x[1], lambda x: 0.0),
+        lie_g=lambda x: np.array([-1.0]),
+    )
 
 
 def episode_csv_reference(log, path, trace=False):

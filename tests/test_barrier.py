@@ -19,7 +19,6 @@ from gpcbf.plants import (
     ACC_NOMINAL,
     SUSPENSION_NOMINAL,
     acc_design,
-    double_integrator_design,
     suspension_design,
 )
 
@@ -27,6 +26,7 @@ from _oracles import (
     SymbolicSystem,
     certificate_terms_numpy,
     certificate_value,
+    double_integrator_design,
     grid_min_norm_halfspace,
     halfspace_projection_vector,
 )

@@ -1,6 +1,8 @@
 import csv
+import dataclasses
 import json
 import logging
+import math
 import os
 import re
 import subprocess
@@ -10,6 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from gpcbf import cli
 from gpcbf import config as config_mod
@@ -25,7 +29,6 @@ PLANT_KEYS = {
         "controller": ["lqr_q", "lqr_r"],
         "disturbance": ["amplitude", "start", "width"],
     },
-    "synthetic": {"controller": ["target"]},
 }
 # Another plant's keys, by test id: each must fail as unknown in its section.
 OTHER_PLANT_KEYS = {
@@ -42,13 +45,48 @@ OTHER_PLANT_KEYS = {
 }
 
 
+def _leaves(section, path=()):
+    """(key path, declared type, value) of every leaf field of a config section."""
+    for f in dataclasses.fields(section):
+        value = getattr(section, f.name)
+        if dataclasses.is_dataclass(value):
+            yield from _leaves(value, (*path, f.name))
+        else:
+            yield (*path, f.name), f.type, value
+
+
+# Each leaf field of each plant's defaults, the fields its printed YAML holds.
+LEAVES = [
+    (plant, *leaf)
+    for plant in config_mod.PLANT_SECTIONS
+    for leaf in _leaves(config_mod.defaults(plant))
+]
+
+
+def _invalid_values(declared, value):
+    """Values that a field of the declared type, holding value, must reject."""
+    if declared is float:
+        return st.sampled_from([math.nan, math.inf, -math.inf])
+    if declared is int:
+        return st.sampled_from([1.5, True])
+    if declared is bool:
+        return st.just("yes")
+    if declared is str:
+        return st.just(1.5)
+    entries = [0.0] if value is None else value  # list or Optional[list]
+    nan_entry = st.integers(0, len(entries) - 1).map(
+        lambda i: [*entries[:i], math.nan, *entries[i + 1 :]]
+    )
+    return nan_entry | st.just(1.0)
+
+
 def _section_keys(data: dict) -> dict:
     """The controller and disturbance keys of a config's plain data."""
     return {name: list(data[name]) for name in ("controller", "disturbance") if name in data}
 
 
 class TestConfigSchema:
-    @pytest.mark.parametrize("plant", ["acc", "suspension", "synthetic"])
+    @pytest.mark.parametrize("plant", ["acc", "suspension"])
     def test_round_trip_identity(self, plant):
         cfg = config_mod.defaults(plant)
         text = config_mod.dump(cfg)
@@ -88,13 +126,13 @@ class TestConfigSchema:
 
     def test_signal_variance_count_is_r_plus_m(self, tmp_path, monkeypatch, capsys):
         # One signal variance per base kernel, q = r + m: a two-input
-        # synthetic plant takes four, and its three defaults exit 2.
-        cfg = config_mod.defaults("synthetic")
-        monkeypatch.setitem(plants.DIMENSIONS, "synthetic", (2, 2, 2))
-        cfg.gp.signal_variances = [1.0, 1.0, 1.0e-4, 1.0e-4]
+        # acc plant takes four, and its three defaults exit 2.
+        cfg = config_mod.defaults("acc")
+        monkeypatch.setitem(plants.DIMENSIONS, "acc", (2, 2, 2))
+        cfg.gp.signal_variances = [4.0, 0.25, 1.0e-7, 1.0e-7]
         assert cfg.validate() is cfg
         path = tmp_path / "three.yaml"
-        path.write_text("plant: synthetic\n")
+        path.write_text("plant: acc\n")
         assert cli.main(["run", str(path)]) == 2
         assert "gp.signal_variances must have 4 entries" in capsys.readouterr().err
 
@@ -105,7 +143,7 @@ class TestConfigSchema:
         with pytest.raises(ConfigError):
             config_mod.from_dict(data)
 
-    @pytest.mark.parametrize("plant", ["acc", "suspension", "synthetic"])
+    @pytest.mark.parametrize("plant", ["acc", "suspension"])
     def test_plant_alone_gives_its_defaults(self, plant):
         assert config_mod.from_dict({"plant": plant}) == config_mod.defaults(plant)
 
@@ -135,19 +173,19 @@ class TestConfigSchema:
         with pytest.raises(ConfigError, match="^disturbance: plant suspension takes"):
             cfg.validate()
         acc = config_mod.defaults("acc")
-        acc.controller = config_mod.SyntheticControllerConfig()
+        acc.controller = config_mod.SuspensionControllerConfig()
         with pytest.raises(ConfigError, match="^controller: plant acc takes"):
             acc.validate()
 
     def test_comments_allowed_in_yaml(self, tmp_path):
         path = tmp_path / "cfg.yaml"
-        path.write_text("# benchmark setup\nplant: synthetic\n")
+        path.write_text("# benchmark setup\nplant: suspension\n")
         cfg = config_mod.load(path)
-        assert cfg.plant == "synthetic"
+        assert cfg.plant == "suspension"
 
 
 class TestCli:
-    @pytest.mark.parametrize("plant", ["acc", "suspension", "synthetic"])
+    @pytest.mark.parametrize("plant", ["acc", "suspension"])
     def test_print_defaults_parses(self, plant, capsys):
         rc = cli.main(["print-defaults", "--plant", plant])
         assert rc == 0
@@ -155,7 +193,7 @@ class TestCli:
         cfg = config_mod.from_dict(yaml.safe_load(out))
         assert cfg == config_mod.defaults(plant)
 
-    @pytest.mark.parametrize("plant", ["acc", "suspension", "synthetic"])
+    @pytest.mark.parametrize("plant", ["acc", "suspension"])
     def test_run_config_yaml_holds_only_its_plants_keys(self, plant, tmp_path, capsys):
         cfg = config_mod.defaults(plant)
         cfg.sim.horizon = 0.1
@@ -166,13 +204,15 @@ class TestCli:
         assert config_mod.load(path) == cfg
 
     def test_run_prints_progress_lines_on_stdout(self, tmp_path, monkeypatch, capsys):
-        path = tmp_path / "synthetic.yaml"
-        path.write_text("plant: synthetic\nsim:\n  horizon: 0.5\n")
+        # The nominal arm first violates after 5 s, so in 0.5 s no arm
+        # violates and training ends after one episode.
+        path = tmp_path / "acc.yaml"
+        path.write_text("plant: acc\nsim:\n  horizon: 0.5\n")
         monkeypatch.setenv("GPCBF_OUTPUT_DIR", str(tmp_path / "out"))
         assert cli.main(["run", str(path)]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 5
-        assert re.fullmatch(r"benchmark synthetic: \d+\.\ds wall", lines[0])
+        assert re.fullmatch(r"benchmark acc: \d+\.\ds wall", lines[0])
         for line, arm in zip(lines[1:4], ("nominal", "gp", "oracle")):
             assert re.fullmatch(
                 rf"  {arm}: completed, min_h=\S+, viol=None, rms_vs_oracle=\S+", line
@@ -181,20 +221,20 @@ class TestCli:
         assert logging.getLogger("gpcbf").handlers == []
 
     def test_run_benchmark_logs_instead_of_printing(self, tmp_path, capsys, caplog):
-        cfg = config_mod.defaults("synthetic")
+        cfg = config_mod.defaults("acc")
         cfg.sim.horizon = 0.5
         with caplog.at_level(logging.INFO, logger="gpcbf"):
             run_benchmark(cfg, str(tmp_path))
         assert capsys.readouterr().out == ""
         messages = [r.getMessage() for r in caplog.records if r.name == "gpcbf.experiment"]
-        assert messages[0].startswith("benchmark synthetic: ") and len(messages) == 5
+        assert messages[0].startswith("benchmark acc: ") and len(messages) == 5
 
     def test_run_missing_config_exits_2(self, capsys):
         assert cli.main(["run", "/nonexistent/config.yaml"]) == 2
 
     def test_run_output_dir_that_cannot_be_made_exits_1(self, tmp_path, monkeypatch, capsys):
-        path = tmp_path / "synthetic.yaml"
-        path.write_text("plant: synthetic\n")
+        path = tmp_path / "acc.yaml"
+        path.write_text("plant: acc\n")
         blocker = tmp_path / "a_file"
         blocker.write_text("")
         monkeypatch.setenv("GPCBF_OUTPUT_DIR", str(blocker / "out"))
@@ -215,38 +255,38 @@ class TestCli:
             ("acc", "gp:\n  noise_variance: null", "gp.noise_variance"),
             ("acc", "sim:\n  x0: [20.0, 100.0, 0.0]", "sim.x0"),
             ("acc", "gp:\n  lengthscales: [8.0, 40.0, 1.0]", "gp.lengthscales"),
-            ("synthetic", "controller:\n  target: [1.5, 0.0, 0.0]", "controller.target"),
             ("acc", "sim:\n  dt: 0.003\n  control_period: 0.01", "sim.control_period"),
             # round(1.5) and round(2.5) both give 2 holds.
-            ("synthetic", "sim:\n  horizon: 0.015", "sim.horizon"),
-            ("synthetic", "sim:\n  horizon: 0.025", "sim.horizon"),
-            ("synthetic", "sim:\n  horizon: .inf", "sim.horizon"),
+            ("acc", "sim:\n  horizon: 0.015", "sim.horizon"),
+            ("suspension", "sim:\n  horizon: 0.025", "sim.horizon"),
+            ("acc", "sim:\n  horizon: .inf", "sim.horizon"),
             # ratios that overflow to inf are no whole multiples
             ("acc", "sim:\n  dt: 5.0e-324\n  control_period: 1.0", "sim.control_period"),
             ("acc", "sim:\n  horizon: 1.0e+308\n  control_period: 1.0e-2", "sim.horizon"),
-            ("synthetic", "filter:\n  beta: .nan", "filter.beta"),
-            ("synthetic", "gp:\n  noise_variance: .nan", "gp.noise_variance"),
-            ("synthetic", "gp:\n  lengthscales: [.nan, 2.0]", "gp.lengthscales"),
-            ("synthetic", "gp:\n  signal_variances: [1.0, .nan, 1.0e-4]", "gp.signal_variances"),
-            ("synthetic", "sim:\n  x0: [.nan, 0.0]", "sim.x0"),
-            ("synthetic", "sim:\n  x0: [a, 0.0]", "sim.x0"),
-            ("synthetic", "episodic:\n  label_stride: 1.5", "episodic.label_stride"),
-            ("synthetic", "episodic:\n  max_episodes: 2.5", "episodic.max_episodes"),
-            ("synthetic", "filter:\n  trace: \"yes\"", "filter.trace"),
-            ("synthetic", "sim: [unclosed", "bad.yaml"),
-            ("synthetic", "sim:\n  horizon: 0.0", "sim.horizon"),
-            ("synthetic", "output:\n  dir: ''", "output.dir"),
+            ("acc", "filter:\n  beta: .nan", "filter.beta"),
+            ("suspension", "gp:\n  noise_variance: .nan", "gp.noise_variance"),
+            ("suspension", "gp:\n  lengthscales: [.nan, 0.5, 3.0, 10.0]", "gp.lengthscales"),
+            ("acc", "gp:\n  signal_variances: [4.0, .nan, 1.0e-7]", "gp.signal_variances"),
+            ("suspension", "sim:\n  x0: [0.0, .nan, 0.0, 0.0]", "sim.x0"),
+            ("acc", "sim:\n  x0: [a, 100.0]", "sim.x0"),
+            ("suspension", "episodic:\n  label_stride: 1.5", "episodic.label_stride"),
+            ("acc", "episodic:\n  max_episodes: 2.5", "episodic.max_episodes"),
+            ("suspension", "filter:\n  trace: \"yes\"", "filter.trace"),
+            ("acc", "sim: [unclosed", "bad.yaml"),
+            ("suspension", "sim:\n  horizon: 0.0", "sim.horizon"),
+            ("acc", "output:\n  dir: ''", "output.dir"),
             # A nominal LQR law needs R > 0 and Q >= 0; a bump needs a width.
             ("suspension", "controller:\n  lqr_r: 0", "controller.lqr_r"),
             ("suspension", "controller:\n  lqr_r: -1", "controller.lqr_r"),
             ("suspension", "controller:\n  lqr_q: -1", "controller.lqr_q"),
             ("suspension", "disturbance:\n  width: 0", "disturbance.width"),
             ("suspension", "disturbance:\n  width: -1", "disturbance.width"),
+            ("synthetic", "", "unknown plant 'synthetic'"),
             # Three gains with four signal variances is consistent with m + r,
             # but every plant's barrier has relative degree 2.
             (
-                "synthetic",
-                "hocbf:\n  gains: [1.0, 2.0, 3.0]\ngp:\n  signal_variances: [1.0, 1.0, 1.0, 1.0e-4]",
+                "suspension",
+                "hocbf:\n  gains: [1.0, 2.0, 3.0]\ngp:\n  signal_variances: [1.0e-4, 1.0e-2, 1.0e-2, 1.0e-6]",
                 "hocbf.gains",
             ),
             (
@@ -267,7 +307,6 @@ class TestCli:
             "gp-noise_variance_null",
             "sim-x0_length",
             "gp-lengthscales_length",
-            "controller-target_length",
             "sim-control_period_not_multiple_of_dt",
             "sim-horizon_1.5_holds",
             "sim-horizon_2.5_holds",
@@ -291,6 +330,7 @@ class TestCli:
             "controller-lqr_q_negative",
             "disturbance-width_zero",
             "disturbance-width_negative",
+            "plant-synthetic_unknown",
             "hocbf-three_gains",
             "hocbf-three_char_coeffs",
         ]
@@ -301,6 +341,35 @@ class TestCli:
         path.write_text(f"plant: {plant}\n{section}\n")
         assert cli.main(["run", str(path)]) == 2
         assert key in capsys.readouterr().err
+
+    @settings(
+        max_examples=200,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_run_exits_2_on_any_leaf_made_invalid(self, data, tmp_path, monkeypatch, capsys):
+        # One leaf of a plant's printed defaults set to a value of the wrong
+        # type: a non-finite float, a non-integer, a non-bool, a non-string,
+        # or a NaN entry or a bare scalar for a list.
+        plant, path, declared, value = data.draw(st.sampled_from(LEAVES))
+        invalid = data.draw(_invalid_values(declared, value))
+        config = yaml.safe_load(config_mod.dump(config_mod.defaults(plant)))
+        section = config
+        for name in path[:-1]:
+            section = section[name]
+        section[path[-1]] = invalid
+        file = tmp_path / "bad.yaml"
+        file.write_text(yaml.safe_dump(config, sort_keys=False))
+        monkeypatch.setenv("GPCBF_OUTPUT_DIR", str(tmp_path / "out"))
+        capsys.readouterr()
+        assert cli.main(["run", str(file)]) == 2
+        assert ".".join(path) in capsys.readouterr().err
+
+    def test_print_defaults_of_unknown_plant_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["print-defaults", "--plant", "synthetic"])
+        assert exc.value.code == 2
 
     def test_validate_reports_json(self, capsys):
         rc = cli.main(["validate", "kernel", "--seed", "1"])
@@ -335,15 +404,14 @@ class TestCli:
         assert json.loads(capsys.readouterr().out) == [{"suite": "solver", "passed": True}]
         with pytest.raises(ValueError, match="bogus"):
             validate_mod.run_suite("bogus")
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["validate", "bogus"])
-        assert exc.value.code == 2
+        assert cli.main(["validate", "bogus"]) == 2
+        assert "unknown suite 'bogus'" in capsys.readouterr().err
 
     def test_print_defaults_and_config_error_load_no_scipy(self, tmp_path):
         # Both commands exit before any numerics, so they must not pay for
         # importing scipy through the suites or the experiment runner.
         bad = tmp_path / "bad.yaml"
-        bad.write_text("plant: synthetic\nsim:\n  horizon: 0.0\n")
+        bad.write_text("plant: acc\nsim:\n  horizon: 0.0\n")
         code = (
             "import sys\n"
             "from gpcbf import cli\n"
@@ -362,28 +430,27 @@ class TestCli:
         assert proc.stdout.startswith("plant: suspension\n")
         assert "config error:" in proc.stderr
 
-    def test_synthetic_run_end_to_end(self, tmp_path, monkeypatch, capsys):
-        cfg = config_mod.defaults("synthetic")
-        path = tmp_path / "syn.yaml"
+    def test_run_end_to_end(self, tmp_path, monkeypatch, capsys):
+        cfg = config_mod.defaults("acc")
+        cfg.sim.horizon = 0.5
+        path = tmp_path / "acc.yaml"
         path.write_text(config_mod.dump(cfg))
         monkeypatch.setenv("GPCBF_OUTPUT_DIR", str(tmp_path / "out"))
         assert cli.main(["run", str(path)]) == 0
         out_dir = tmp_path / "out"
         for name in ("nominal.csv", "gp.csv", "oracle.csv", "summary.csv", "dataset.csv", "config.yaml"):
             assert (out_dir / name).exists()
-        # zero mismatch: the three arms coincide within solver tolerance
-        us = {}
-        for arm in ("nominal", "gp", "oracle"):
-            with open(out_dir / f"{arm}.csv") as fh:
-                us[arm] = np.array([float(r["u_1"]) for r in csv.DictReader(fh)])
-        np.testing.assert_allclose(us["nominal"], us["oracle"], atol=1e-8)
-        np.testing.assert_allclose(us["gp"], us["oracle"], atol=1e-8)
+        # No arm violates in 0.5 s, so training stops after its first
+        # episode, which runs the nominal arm's filter: the three files match.
         episodes = sorted(out_dir.glob("gp_episode_*.csv"))
-        assert episodes and (out_dir / "gp.csv").read_bytes() == episodes[-1].read_bytes()
+        assert [p.name for p in episodes] == ["gp_episode_1.csv"]
+        nominal = (out_dir / "nominal.csv").read_bytes()
+        assert (out_dir / "gp.csv").read_bytes() == episodes[0].read_bytes() == nominal
 
     def test_summary_recomputable_from_csvs(self, tmp_path, monkeypatch, capsys):
-        cfg = config_mod.defaults("synthetic")
-        path = tmp_path / "syn.yaml"
+        cfg = config_mod.defaults("acc")
+        cfg.sim.horizon = 0.5
+        path = tmp_path / "acc.yaml"
         path.write_text(config_mod.dump(cfg))
         out_dir = tmp_path / "out"
         monkeypatch.setenv("GPCBF_OUTPUT_DIR", str(out_dir))

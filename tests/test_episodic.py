@@ -41,14 +41,12 @@ from gpcbf.plants import (
     AccParams,
     PlantModel,
     acc_design,
-    double_integrator_design,
     make_acc_plant,
-    make_synthetic_plant,
 )
 from gpcbf.experiment import build_scenario, run_benchmark
 from gpcbf.socp import STATUS_FACTORIZATION_FAILED, STATUS_INFEASIBLE, STATUS_OPTIMAL, FilterOutcome
 
-from _oracles import episode_csv_reference
+from _oracles import double_integrator_design, episode_csv_reference, make_synthetic_plant
 
 
 class TestFdDerivative:
@@ -344,7 +342,7 @@ class TestLoggedChain:
             assert log.zeta[k].tobytes() == fresh.tobytes()
             assert log.h[k : k + 1].tobytes() == fresh[:1].tobytes()
 
-    @pytest.mark.parametrize("plant", ["acc", "suspension", "synthetic"])
+    @pytest.mark.parametrize("plant", ["acc", "suspension"])
     def test_every_arm(self, plant, tmp_path):
         cfg = config_mod.defaults(plant)
         result = run_benchmark(cfg, str(tmp_path))
@@ -352,9 +350,9 @@ class TestLoggedChain:
         designs = {"nominal": sc.design_nom, "gp": sc.design_nom, "oracle": sc.design_true}
         for name, design in designs.items():
             self._assert_rows_match_fresh_chain(result.arms[name].log, design)
-        if plant != "synthetic":  # a trailing violation row, and a gp arm on the cone filter
-            assert result.arms["nominal"].log.status[-1] == "violation"
-            assert len(result.train.episodes) > 1
+        # a trailing violation row, and a gp arm on the cone filter
+        assert result.arms["nominal"].log.status[-1] == "violation"
+        assert len(result.train.episodes) > 1
 
     def test_controllers_pass_their_certificate_terms(self):
         design = acc_design(ACC_NOMINAL, gains=(1.5, 2.5), D=30.0)

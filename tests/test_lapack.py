@@ -41,9 +41,10 @@ def test_routines_are_the_objects_scipy_hands_out():
 
 def test_run_loads_neither_scipy_linalg_nor_numpy_f2py(tmp_path):
     # A whole `python -m gpcbf.cli run`; the child lists its modules at exit.
-    cfg = config_mod.defaults("synthetic")
-    cfg.sim.horizon = 1.0
-    path = tmp_path / "syn.yaml"
+    # The suspension scenario's LQR gain runs LAPACK's dgees.
+    cfg = config_mod.defaults("suspension")
+    cfg.sim.horizon = 0.5
+    path = tmp_path / "suspension.yaml"
     path.write_text(config_mod.dump(cfg))
     modules = tmp_path / "modules.json"
     code = (

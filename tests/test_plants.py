@@ -15,7 +15,6 @@ from gpcbf.plants import (
     lqr_gain,
     make_acc_plant,
     make_suspension_plant,
-    make_synthetic_plant,
     rk4_step,
     road_profile,
     suspension_linear_matrices,
@@ -23,6 +22,7 @@ from gpcbf.plants import (
 
 from _oracles import (
     acc_field_numpy,
+    make_synthetic_plant,
     polynomial_field,
     riccati_ode_gain,
     rk4_numpy_hold,
