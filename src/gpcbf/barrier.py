@@ -80,9 +80,10 @@ class HocbfDesign:
     evaluates Lf^i h for i = 1..r on the nominal model; lie_g evaluates
     LgLf^{r-1} h as a row with one entry per plant input.  r, gamma, e_r
     and the zeta-chain weights are derived from the gains at construction;
-    zeta_weights[i-1] weighs [h, Lf h, ..., Lf^i h] in zeta_i.  Every
-    evaluator reads the state by index: :func:`certificate_terms` passes it
-    as a list of floats, other callers as a numpy array.
+    zeta_weights[i-1], a tuple of floats, weighs [h, Lf h, ..., Lf^i h] in
+    zeta_i.  Every evaluator reads the state by index:
+    :func:`certificate_terms` and :func:`zeta_chain` pass it as a tuple or
+    list of floats, other callers as a numpy array.
     """
 
     gains: np.ndarray
@@ -106,7 +107,7 @@ class HocbfDesign:
         object.__setattr__(self, "gamma", gamma_vector(gains))
         object.__setattr__(self, "e_r", float(e[-1]))
         weights = tuple(
-            np.concatenate((elementary_symmetric(gains[:i])[::-1], [1.0]))
+            tuple(elementary_symmetric(gains[:i])[::-1].tolist()) + (1.0,)
             for i in range(1, self.r)
         )
         object.__setattr__(self, "zeta_weights", weights)
@@ -119,16 +120,18 @@ class CertificateTerms:
     zeta_r(x, u) = zf . gamma + const + zg . u, with const = e_r * h(x).
     h is h(x) as :func:`certificate_terms` evaluated it, so the log row of
     the step reads it and :func:`zeta_chain` builds on it; terms written by
-    hand for a cone alone may leave it NaN.
+    hand for a cone alone may leave it NaN.  zf and zg are float sequences:
+    lists from :func:`certificate_terms`, and any sequence when written by
+    hand.
     """
 
-    zf: np.ndarray
-    zg: np.ndarray
+    zf: list
+    zg: list
     const: float
     h: float = math.nan
 
 
-def certificate_terms(design: HocbfDesign, x: np.ndarray) -> CertificateTerms:
+def certificate_terms(design: HocbfDesign, x) -> CertificateTerms:
     """Evaluate the certificate's affine pieces at state x.
 
     One evaluation of the chain [h, Lf h, ..., Lf^r h, LgLf^{r-1} h] per
@@ -138,48 +141,37 @@ def certificate_terms(design: HocbfDesign, x: np.ndarray) -> CertificateTerms:
     degrades; feasibility of the resulting constraint is the filter's
     concern, not this function's.
 
-    The evaluators read the state as a list of Python floats, so plain
-    float arithmetic runs without numpy's scalar overhead and gives the bits
-    it gives on numpy scalars.
+    The evaluators read the state as Python floats (a tuple or list is
+    taken as it is, other sequences are converted), so plain float
+    arithmetic runs without numpy's scalar overhead and gives the bits it
+    gives on numpy scalars.  zf and zg come back as lists of floats.
     """
-    x = np.asarray(x, dtype=float)
-    xs = x.tolist()
-    zf = np.array([lf(xs) for lf in design.lie_f_chain], dtype=float)
-    zg = design.lie_g(xs)
-    if not (type(zg) is np.ndarray and zg.ndim == 1 and zg.dtype == np.float64):
-        zg = np.atleast_1d(np.asarray(zg, dtype=float))
-    if not all(map(math.isfinite, zg.tolist())):
-        raise InvalidDesignError(f"non-finite actuation row {zg} at x={x}")
+    xs = x if type(x) is tuple else _floats(x)
+    zf = [float(lf(xs)) for lf in design.lie_f_chain]
+    zg = _floats(design.lie_g(xs))
+    if not all(map(math.isfinite, zg)):
+        raise InvalidDesignError(f"non-finite actuation row {zg} at x={list(xs)}")
     h = float(design.h(xs))
     return CertificateTerms(zf=zf, zg=zg, const=design.e_r * h, h=h)
 
 
-def zeta_chain(
-    design: HocbfDesign, x: np.ndarray, cert: Optional[CertificateTerms] = None
-) -> np.ndarray:
-    """Values [zeta_0(x), ..., zeta_{r-1}(x)] of the nominal auxiliary chain.
+def zeta_chain(design: HocbfDesign, x, cert: Optional[CertificateTerms] = None) -> tuple:
+    """Values (zeta_0(x), ..., zeta_{r-1}(x)) of the nominal auxiliary chain, as a float tuple.
 
     zeta_i depends only on the first i gains:
-    zeta_i = sum_{j=0}^{i} e_{i-j}(k_1..k_i) * Lf^j h(x).
-    When cert holds the :func:`certificate_terms` of this x, the chain is
-    built from its h and zf[:r-1], with the same operations as from fresh
-    evaluations at x, so the values are the same bits; else h and
-    Lf h .. Lf^{r-1} h are evaluated at x.
+    zeta_i = sum_{j=0}^{i} e_{i-j}(k_1..k_i) * Lf^j h(x), summed in index
+    order from 0.0.  When cert holds the :func:`certificate_terms` of this
+    x, the chain is built from its h and zf[:r-1], with the same operations
+    as from fresh evaluations at x, so the values are the same bits; else h
+    and Lf h .. Lf^{r-1} h are evaluated at x.
     """
-    lf = np.empty(design.r + 1)
     if cert is None:
-        x = np.asarray(x, dtype=float)
-        lf[0] = float(design.h(x))
-        for j in range(1, design.r):
-            lf[j] = float(design.lie_f_chain[j - 1](x))
+        xs = x if type(x) is tuple else _floats(x)
+        lf = [float(design.h(xs))]
+        lf += [float(design.lie_f_chain[j](xs)) for j in range(design.r - 1)]
     else:
-        lf[0] = cert.h
-        lf[1 : design.r] = cert.zf[: design.r - 1]
-    out = np.empty(design.r)
-    out[0] = lf[0]
-    for i in range(1, design.r):
-        out[i] = float(design.zeta_weights[i - 1] @ lf[: i + 1])
-    return out
+        lf = [cert.h, *_floats(cert.zf)[: design.r - 1]]
+    return (lf[0], *[weighted_sum(weights, lf) for weights in design.zeta_weights])
 
 
 def _floats(v) -> list:
@@ -195,6 +187,28 @@ def _floats(v) -> list:
     if isinstance(v, float):
         return [float(v)]
     return np.asarray(v, dtype=float).ravel().tolist()
+
+
+def _dot(a, b) -> float:
+    """sum_i a_i b_i over two float sequences, in index order from 0.0; zip stops at the shorter."""
+    s = 0.0
+    for x, y in zip(a, b):
+        s += x * y
+    return s
+
+
+def weighted_sum(weights, values) -> float:
+    """sum_i w_i v_i over the len(weights) first values, with the bits of numpy's dot product.
+
+    For weights whose last entry is 1, as gamma and the zeta-chain weights
+    are.  Two terms summed in index order give numpy's bits, since the
+    product with the last weight is exact and a fused multiply-add then
+    rounds as the plain sum does.  Longer sums go through ``np.dot``, whose
+    kernel fuses multiply-adds that a float loop cannot.
+    """
+    if len(weights) == 2:
+        return _dot(weights, values)
+    return float(np.dot(weights, values[: len(weights)]))
 
 
 def halfspace_qp_filter(u_nom, a, b: float) -> np.ndarray:

@@ -20,7 +20,14 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .barrier import HocbfDesign, certificate_terms, halfspace_qp_filter, zeta_chain
+from .barrier import (
+    HocbfDesign,
+    _floats,
+    certificate_terms,
+    halfspace_qp_filter,
+    weighted_sum,
+    zeta_chain,
+)
 from .errors import IllConditionedDataError, InfeasibleConstraintError
 from .gp import BaseKernelParams, CompositeGpModel, ResidualDataset
 from .gp import fit, fit_prior, posterior_coefficients
@@ -201,36 +208,40 @@ def run_episode(
     control_period: float = 1e-2,
     stop_on_violation: bool = True,
 ) -> EpisodeLog:
-    """Integrate plant.field under a filtered controller, one RK4 call per hold.
+    """Integrate the plant under a filtered controller, one RK4 call per hold.
 
-    controller(t, x) returns the step's :class:`FilterOutcome`: its u is held
-    for a control period, and the record is the step's log row, with the
-    step's certificate terms as ``cert`` when the controller evaluated them.
-    The trailing violation row is ``FilterOutcome(u, STATUS_VIOLATION)`` for the
-    last u, with the record's defaults.  Each hold is one :func:`rk4_step`
-    call of control_period / dt substeps, whose states are then scanned in
-    order for h and the first crossing.
+    controller(t, x) gets the state as a tuple of floats and returns the
+    step's :class:`FilterOutcome`: its u is held for a control period, and
+    the record is the step's log row, with the step's certificate terms as
+    ``cert`` when the controller evaluated them.  The trailing violation row
+    is ``FilterOutcome(u, STATUS_VIOLATION)`` for the last u, with the
+    record's defaults.  Each hold is one :func:`rk4_step` call of
+    control_period / dt substeps, whose states are then scanned in order
+    for h and the first crossing.  The state and the input stay float
+    tuples from step to step; the log's arrays are built once, at the end.
     Stops at the horizon, at the first barrier violation when flagged
     (logging the crossing state as a trailing "violation" row), on a
     non-finite state that no such violation precedes, or after
     MAX_CONSECUTIVE_INFEASIBLE steps in a row that are infeasible or whose
     Sigma would not factor.
     """
-    x = np.asarray(x0, dtype=float).copy()
+    x = tuple(np.asarray(x0, dtype=float).ravel().tolist())
     substeps = max(1, int(round(control_period / dt)))
     n_ctrl = int(round(horizon / control_period))
+    h = design.h
 
     rows = []  # per step: t, x, u, zeta, then the record's logged values
     termination = TERM_COMPLETED
     violation_time = None
-    min_h = float(design.h(x))
+    min_h = h(x)
     consec_infeasible = 0
 
     t = 0.0
     for k in range(n_ctrl):
         step = controller(t, x)
+        u = tuple(_floats(step.u))
         zeta = zeta_chain(design, x, step.cert)
-        rows.append((t, x.copy(), step.u.copy(), zeta, *_logged_values(step)))
+        rows.append((t, x, u, zeta, *_logged_values(step)))
 
         if step.status in _FLAGGED_STEPS:
             consec_infeasible += 1
@@ -240,12 +251,13 @@ def run_episode(
         else:
             consec_infeasible = 0
 
-        states = rk4_step(plant.field, x, step.u, t, dt, substeps)
+        states = rk4_step(plant, x, u, t, dt, substeps)
         stop = False
         for state in states:
             t = t + dt
-            hval = float(design.h(state))
-            min_h = min(min_h, hval)
+            hval = h(state)
+            if hval < min_h:
+                min_h = hval
             if hval < 0.0 and violation_time is None:
                 violation_time = t
                 if stop_on_violation:
@@ -253,13 +265,13 @@ def run_episode(
                     break
         if stop:
             termination = TERM_VIOLATION
-            x, last = np.array(state), FilterOutcome(step.u, STATUS_VIOLATION)
-            rows.append((t, x, last.u.copy(), zeta_chain(design, x), *_logged_values(last)))
+            last = FilterOutcome(step.u, STATUS_VIOLATION)
+            rows.append((t, state, u, zeta_chain(design, state), *_logged_values(last)))
             break
         if len(states) < substeps:
             termination = TERM_ABORTED
             break
-        x = np.array(states[-1])
+        x = states[-1]
 
     ts, xs, us, zetas, *logged = zip(*rows) if rows else [()] * (4 + len(_LOGGED))
     if termination == TERM_COMPLETED and violation_time is not None and zetas[-1][0] < 0.0:
@@ -273,7 +285,7 @@ def run_episode(
         **{field: _HELD_AS[fmt](column) for (field, _, fmt), column in zip(_LOGGED, logged)},
         termination=termination,
         violation_time=violation_time,
-        min_h=min_h,
+        min_h=float(min_h),
     )
 
 
@@ -300,18 +312,19 @@ def make_nominal_qp_controller(design: HocbfDesign, u_nom_fn: Callable) -> Calla
     """Min-norm QP filter on the design's own certificate (closed form).
 
     Each call returns a :class:`FilterOutcome` with the step's certificate
-    terms; its other logged values keep the record's defaults.
+    terms; its other logged values keep the record's defaults.  The
+    constraint's offset zf . gamma + e_r h is summed on floats.
     """
+    gamma = design.gamma.tolist()
 
     def controller(t, x):
         u_nom = u_nom_fn(t, x)
         cert = certificate_terms(design, x)
-        a = cert.zg
-        b = float(cert.zf @ design.gamma) + cert.const
+        b = weighted_sum(gamma, cert.zf) + cert.const
         try:
-            u, status = halfspace_qp_filter(u_nom, a, b), STATUS_OPTIMAL
+            u, status = halfspace_qp_filter(u_nom, cert.zg, b), STATUS_OPTIMAL
         except InfeasibleConstraintError:
-            u, status = np.atleast_1d(np.asarray(u_nom, dtype=float)), STATUS_INFEASIBLE
+            u, status = np.array(_floats(u_nom)), STATUS_INFEASIBLE
         return FilterOutcome(u, status, cert=cert)
 
     return controller

@@ -3,16 +3,18 @@
 Two closed-loop case studies: adaptive cruise control (keep a safe headway
 while tracking a desired speed) and a quarter-car active suspension (bound
 the body displacement under a road bump).  A plant is what the runner
-integrates: the true-parameter field, with the road disturbance folded in.
-The nominal model reaches the filter only through the barrier designs,
-whose Lie-derivative chains are hand-derived below (relative degree two
-throughout).
+integrates: the true-parameter field, with the road disturbance folded in,
+declared once as derivative statements from which the plant's field and
+its RK4 hold are generated.  The nominal model reaches the filter only
+through the barrier designs, whose Lie-derivative chains are hand-derived
+below (relative degree two throughout).
 """
 
+import ast
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -64,35 +66,51 @@ class SuspensionParams:
                 raise ValueError(f"{name} must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PlantModel:
-    """True dynamics xdot = field(x, u, t), disturbances included.
+    """True dynamics xdot = f(x, u, t), disturbances included, declared once as source.
 
-    field takes the state and the input as float sequences (n and m entries)
-    and the time as a float, and returns xdot as a tuple of n floats.
+    ``derivatives`` holds Python statements that read the state as x0 ..
+    x{n-1}, the input as u0 .. u{m-1}, the time as t and the names in
+    ``params``, and assign xdot as dx0 .. dx{n-1}; any other name they
+    assign is a temporary, and no name starts with an underscore.  From that
+    one source the plant builds, on first use, ``field(x, u, t)``, which
+    takes x and u as float sequences of n and m entries and returns xdot as
+    a tuple of n floats, and ``hold``, the RK4 hold that :func:`rk4_step`
+    runs with the statements written out at each stage.
     """
 
     n: int
     m: int
-    field: Callable[[Sequence[float], Sequence[float], float], tuple]
+    derivatives: str
+    params: dict
+
+    def _build(self, name: str) -> Callable:
+        namespace = dict(self.params, _isfinite=math.isfinite)
+        exec(_compiled(self.n, self.m, self.derivatives)[name], namespace)
+        return namespace[name]
+
+    @functools.cached_property
+    def field(self) -> Callable:
+        return self._build("field")
+
+    @functools.cached_property
+    def hold(self) -> Callable:
+        return self._build("hold")
 
 
-# Each field is one closure over its parameters, on Python floats.  It adds
-# the input term as (1/m) u after the drift, never (drift + u) / m: closed-loop
-# outputs depend on that rounding.
+# Each field adds the input term as (1/m) u after the drift, never
+# (drift + u) / m: closed-loop outputs depend on that rounding.
 
 
 def make_acc_plant(params: dict = ACC_TRUE) -> PlantModel:
     """x = [v, z]: ego speed and headway; vdot = -F_r(v) / m + u / m, zdot = v0 - v."""
     p = AccParams(**params)
-    m, f0, f1, f2, v0 = p.m, p.f0, p.f1, p.f2, p.v0
-    inv_m = 1.0 / m
-
-    def field(x, u, t):
-        v = x[0]
-        return (-(f0 + f1 * v + f2 * v * v) / m + inv_m * u[0], v0 - v)
-
-    return PlantModel(*DIMENSIONS["acc"][:2], field)
+    return PlantModel(
+        *DIMENSIONS["acc"][:2],
+        "dx0 = -(f0 + f1 * x0 + f2 * x0 * x0) / m + inv_m * u0\ndx1 = v0 - x0",
+        dict(m=p.m, f0=p.f0, f1=p.f1, f2=p.f2, v0=p.v0, inv_m=1.0 / p.m),
+    )
 
 
 def make_suspension_plant(
@@ -100,24 +118,23 @@ def make_suspension_plant(
 ) -> PlantModel:
     """Quarter car driven over the road height profile road(t) (flat when None).
 
-    x = [x1, x2, x3, x4]: body/wheel displacements then velocities; a nonzero
-    road height d adds (k2 / m2) d to the wheel acceleration.
+    x = [x1, x2, x3, x4] (x0 .. x3 in the source): body/wheel displacements
+    then velocities; a nonzero road height d adds (k2 / m2) d to the wheel
+    acceleration.
     """
     p = SuspensionParams(**params)
-    m1, m2, k1, k2, b = p.m1, p.m2, p.k1, p.k2, p.b
-    inv_m1, inv_m2, road_gain = 1.0 / m1, 1.0 / m2, k2 / m2
-
-    def field(x, u, t):
-        x1, x2, x3, x4 = x
-        u0 = u[0]
-        wheel = (k1 * (x1 - x2) - k2 * x2 + b * (x3 - x4)) / m2 - inv_m2 * u0
-        if road is not None:
-            d = road(t)
-            if d != 0.0:
-                wheel = wheel + road_gain * d
-        return (x3, x4, (k1 * (x2 - x1) + b * (x4 - x3)) / m1 + inv_m1 * u0, wheel)
-
-    return PlantModel(*DIMENSIONS["suspension"][:2], field)
+    wheel = "wheel = (k1 * (x0 - x1) - k2 * x1 + b * (x2 - x3)) / m2 - inv_m2 * u0\n"
+    if road is not None:
+        wheel += "d = road(t)\nif d != 0.0:\n    wheel = wheel + road_gain * d\n"
+    return PlantModel(
+        *DIMENSIONS["suspension"][:2],
+        wheel + "dx0 = x2\ndx1 = x3\n"
+        "dx2 = (k1 * (x1 - x0) + b * (x3 - x2)) / m1 + inv_m1 * u0\ndx3 = wheel",
+        dict(
+            m1=p.m1, m2=p.m2, k1=p.k1, k2=p.k2, b=p.b, road=road,
+            inv_m1=1.0 / p.m1, inv_m2=1.0 / p.m2, road_gain=p.k2 / p.m2,
+        ),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -131,15 +148,16 @@ def acc_design(params: dict, gains, D: float = 30.0) -> HocbfDesign:
     Lf h = v0 - v;  Lf^2 h = F_r(v) / m;  Lg Lf h = -1 / m.
     """
     p = AccParams(**params)
+    m, f0, f1, f2, v0, lg = p.m, p.f0, p.f1, p.f2, p.v0, -1.0 / p.m
 
     return HocbfDesign(
         gains=np.asarray(gains, dtype=float),
         h=lambda x: x[1] - D,
         lie_f_chain=(
-            lambda x: p.v0 - x[0],
-            lambda x: p.rolling_resistance(x[0]) / p.m,
+            lambda x: v0 - x[0],
+            lambda x: (f0 + f1 * x[0] + f2 * x[0] * x[0]) / m,
         ),
-        lie_g=lambda x: np.array([-1.0 / p.m]),
+        lie_g=lambda x: [lg],
     )
 
 
@@ -149,15 +167,16 @@ def suspension_design(params: dict, gains, D: float = 0.06) -> HocbfDesign:
     Lf h = -x3;  Lf^2 h = -(k1 (x2 - x1) + b (x4 - x3)) / m1;  Lg Lf h = -1 / m1.
     """
     p = SuspensionParams(**params)
+    m1, k1, b, lg = p.m1, p.k1, p.b, -1.0 / p.m1
 
     return HocbfDesign(
         gains=np.asarray(gains, dtype=float),
         h=lambda x: D - x[0],
         lie_f_chain=(
             lambda x: -x[2],
-            lambda x: -(p.k1 * (x[1] - x[0]) + p.b * (x[3] - x[2])) / p.m1,
+            lambda x: -(k1 * (x[1] - x[0]) + b * (x[3] - x[2])) / m1,
         ),
-        lie_g=lambda x: np.array([-1.0 / p.m1]),
+        lie_g=lambda x: [lg],
     )
 
 
@@ -166,82 +185,110 @@ def suspension_design(params: dict, gains, D: float = 0.06) -> HocbfDesign:
 # ---------------------------------------------------------------------------
 
 
-# One RK4 hold per state dimension n, built from this source with the state
-# and the stages as named float locals, the way dataclasses and namedtuple
-# build their methods.  Each stage passes the field a tuple of n floats, and
-# every operation keeps the left-to-right order of
+# A plant's field and its RK4 hold, built from these sources with the state,
+# the input and the stages as named float locals, the way dataclasses and
+# namedtuple build their methods.  The hold writes the plant's derivative
+# statements out at each stage, renamed to the stage's state, time and
+# slopes, and every operation keeps the left-to-right order of
 # x + (dt/6) (k1 + 2 k2 + 2 k3 + k4).
+_FIELD_SOURCE = """\
+def field(_x, _u, t):
+    {x} = _x
+    {u} = _u
+{k1}
+    return {xdot}
+"""
+
 _RK4_HOLD_SOURCE = """\
-def hold(field, x, u, t, dt, substeps):
-    half = 0.5 * dt
-    sixth = dt / 6.0
-    {x} = x
-    states = []
-    for _ in range(substeps):
-        t_mid = t + half
-        {k1} = field({x}, u, t)
-        {k2} = field({x_half_k1}, u, t_mid)
-        {k3} = field({x_half_k2}, u, t_mid)
-        {k4} = field({x_dt_k3}, u, t + dt)
+def hold(_x, _u, t, _dt, _substeps):
+    _half = 0.5 * _dt
+    _sixth = _dt / 6.0
+    {x} = _x
+    {u} = _u
+    _states = []
+    for _ in range(_substeps):
+        _t_mid = t + _half
+        _t_end = t + _dt
+{k1}
+{x_half_k1}
+{k2}
+{x_half_k2}
+{k3}
+{x_dt_k3}
+{k4}
 {update}
         if not ({finite}):
             break
-        states.append({x})
-        t = t + dt
-    return states
+        _states.append({x})
+        t = _t_end
+    return _states
 """
 
 
-def _rk4_hold_source(n: int) -> str:
-    """_RK4_HOLD_SOURCE written out for states of n entries."""
-
-    def tup(items) -> str:
-        return "(" + "".join(f"{item}, " for item in items) + ")"
-
-    xs = [f"x{i}" for i in range(n)]
-    k1, k2, k3, k4 = ([f"{s}{i}" for i in range(n)] for s in "abcd")
-    update = [
-        f"        {x} = {x} + sixth * ((({a} + 2.0 * {b}) + 2.0 * {c}) + {d})"
-        for x, a, b, c, d in zip(xs, k1, k2, k3, k4)
-    ]
-    return _RK4_HOLD_SOURCE.format(
-        x=tup(xs),
-        k1=tup(k1),
-        k2=tup(k2),
-        k3=tup(k3),
-        k4=tup(k4),
-        x_half_k1=tup(f"{x} + half * {k}" for x, k in zip(xs, k1)),
-        x_half_k2=tup(f"{x} + half * {k}" for x, k in zip(xs, k2)),
-        x_dt_k3=tup(f"{x} + dt * {k}" for x, k in zip(xs, k3)),
-        update="\n".join(update),
-        finite=" and ".join(f"isfinite({x})" for x in xs),
-    )
+def _renamed(derivatives: str, names: dict, indent: str) -> str:
+    """The derivative statements with each name in names renamed, every line indented."""
+    tree = ast.parse(derivatives)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            node.id = names.get(node.id, node.id)
+    return "\n".join(indent + line for line in ast.unparse(tree).splitlines())
 
 
 @functools.cache
-def _rk4_hold(n: int) -> Callable:
-    """The RK4 hold for states of n entries, built on the first call for each n."""
-    namespace = {"isfinite": math.isfinite}
-    exec(compile(_rk4_hold_source(n), f"<rk4 hold, n={n}>", "exec"), namespace)
-    return namespace["hold"]
+def _compiled(n: int, m: int, derivatives: str) -> dict:
+    """Code objects of a plant's field and RK4 hold, by name, compiled once per source."""
+    xs, us, xdot = ([f"{v}{i}" for i in range(size)] for v, size in (("x", n), ("u", m), ("dx", n)))
+    names = [node for node in ast.walk(ast.parse(derivatives)) if isinstance(node, ast.Name)]
+    stored = {node.id for node in names if isinstance(node.ctx, ast.Store)}
+    if stored & {*xs, *us, "t"} or not stored >= {*xdot} or any(v.id[0] == "_" for v in names):
+        raise ValueError(
+            f"derivatives must assign {', '.join(xdot)}, may assign no state, input or t, "
+            "and may name nothing with a leading underscore"
+        )
+    k = [[f"_{s}{i}" for i in range(n)] for s in "abcd"]  # the stages' slopes
+    y = [xs] + [[f"_x{s}{i}" for i in range(n)] for s in "bcd"]  # the stages' states
+
+    def tup(items) -> str:
+        return f"({', '.join(items)},)"
+
+    def stage(s: int, t: str) -> str:
+        return _renamed(derivatives, {**dict(zip(xs + xdot, y[s] + k[s])), "t": t}, " " * 8)
+
+    def state(s: int, step: str) -> str:
+        return "\n".join(f"        {a} = {b} + {step} * {c}" for a, b, c in zip(y[s], xs, k[s - 1]))
+
+    update = (
+        f"        {x} = {x} + _sixth * ((({a} + 2.0 * {b}) + 2.0 * {c}) + {d})"
+        for x, a, b, c, d in zip(xs, *k)
+    )
+    sources = {
+        "field": _FIELD_SOURCE.format(
+            x=tup(xs), u=tup(us), k1=_renamed(derivatives, {}, " " * 4), xdot=tup(xdot)
+        ),
+        "hold": _RK4_HOLD_SOURCE.format(
+            x=tup(xs), u=tup(us), k1=stage(0, "t"), x_half_k1=state(1, "_half"),
+            k2=stage(1, "_t_mid"), x_half_k2=state(2, "_half"), k3=stage(2, "_t_mid"),
+            x_dt_k3=state(3, "_dt"), k4=stage(3, "_t_end"), update="\n".join(update),
+            finite=" and ".join(f"_isfinite({x})" for x in xs),
+        ),
+    }  # fmt: skip
+    return {name: compile(text, f"<plant {name}, n={n}>", "exec") for name, text in sources.items()}
 
 
-def rk4_step(field, x, u, t: float, dt: float, substeps: int = 1) -> list:
+def rk4_step(plant: PlantModel, x, u, t: float, dt: float, substeps: int = 1) -> list:
     """Classical fourth-order Runge-Kutta over one zero-order hold of u.
 
-    Takes substeps steps of dt from (x, t) on Python floats and returns the
-    state after each one as a tuple of floats.  The list stops before the
-    first non-finite state, so a short list means the state diverged.  Every
-    operation follows the left-to-right order of
-    x + (dt/6) (k1 + 2 k2 + 2 k3 + k4), with t advanced by t = t + dt per
-    step, so the states equal that formula evaluated elementwise in numpy,
-    bit for bit.  The stages run on named float locals in a hold built once
-    per state dimension; field gets the stage state as a tuple and u as a
-    list of floats.
+    Takes substeps steps of dt from (x, t), with x and u float sequences of
+    the plant's n and m entries, and returns the state after each one as a
+    tuple of floats.  The list stops before the first non-finite state, so
+    a short list means the state diverged.  Every operation follows the
+    left-to-right order of x + (dt/6) (k1 + 2 k2 + 2 k3 + k4), with t
+    advanced by t = t + dt per step, so the states equal that formula
+    evaluated elementwise in numpy on the plant's field, bit for bit.  The
+    hold is the plant's own, with its derivative statements written out at
+    each stage.
     """
-    x = np.asarray(x, dtype=float).ravel().tolist()
-    u = np.asarray(u, dtype=float).ravel().tolist()
-    return _rk4_hold(len(x))(field, x, u, t, dt, substeps)
+    return plant.hold(x, u, t, dt, substeps)
 
 
 def lqr_gain(A, B, Q, R):
@@ -324,7 +371,7 @@ def clf_nominal_acc(x, v_d: float, lambda_rate: float, p: AccParams) -> np.ndarr
     b = 2.0 * err * p.rolling_resistance(v) / p.m - lambda_rate * err * err
     if a == 0.0:
         return np.zeros(1)
-    return halfspace_qp_filter(0.0, a, b)
+    return halfspace_qp_filter([0.0], [a], b)
 
 
 def road_profile(t: float, amplitude: float, start: float, width: float) -> float:

@@ -68,7 +68,7 @@ from typing import Optional
 import numpy as np
 
 from ._lapack import dpotrf
-from .barrier import CertificateTerms, _floats, halfspace_qp_filter
+from .barrier import CertificateTerms, _dot, _floats, halfspace_qp_filter
 from .errors import FactorizationError, InfeasibleConstraintError
 
 __all__ = [
@@ -117,14 +117,6 @@ def matrix_sqrt_factor(sigma: np.ndarray) -> np.ndarray:
 def _all_finite(v) -> bool:
     """True when every entry of the flat sequence v is finite."""
     return all(map(math.isfinite, v))
-
-
-def _dot(a, b) -> float:
-    """sum_i a_i b_i over two float sequences, in index order."""
-    s = 0.0
-    for x, y in zip(a, b):
-        s += x * y
-    return s
 
 
 @dataclass(slots=True)
@@ -332,18 +324,24 @@ def solve(u_nom, cone: SafetyConeData, tol: float = 1e-8) -> FilterOutcome:
     ``iterations`` counts root-finder and polishing iterations; it is 0 and
     ``analytic`` is True when u_nom already satisfies the cone.
     ``cone_margin`` is the margin at u (at u_nom on an infeasible step).
-    The step's other fields keep their defaults.  Every input count takes
-    the same route: the margin at u_nom, then :func:`_project`.
+    ``sufficient_eig`` is the top eigenvalue of S3 when the projection
+    decomposed S3 for its candidates (m >= 2), and NaN otherwise.  The
+    step's other fields keep their defaults.  Every input count takes the
+    same route: the margin at u_nom, then :func:`_project`.
     """
     u_nom = _floats(u_nom)
     _, s, t = _residual(cone, u_nom)
     margin = t - s
     analytic = 0.0 <= margin < math.inf
+    top = math.nan
     if analytic:
         u, status, iterations = u_nom, STATUS_OPTIMAL, 0
     else:
-        u, status, iterations, margin = _project(cone, u_nom, tol, margin)
-    return FilterOutcome(np.array(u), status, iterations=iterations, cone_margin=margin, analytic=analytic)
+        u, status, iterations, margin, top = _project(cone, u_nom, tol, margin)
+    return FilterOutcome(
+        np.array(u), status, sufficient_eig=top, iterations=iterations, cone_margin=margin,
+        analytic=analytic,
+    )
 
 
 def _scalar_root(H: float, g: float, k: float, c: float, d: float, u0: float) -> Optional[float]:
@@ -362,7 +360,7 @@ def _scalar_root(H: float, g: float, k: float, c: float, d: float, u0: float) ->
 
 
 def _project(cone: SafetyConeData, u_nom: list, tol: float, margin: float):
-    """The nearest candidate that passes the feasibility check; (u, status, iterations, margin).
+    """The nearest candidate that passes the feasibility check; (u, status, iterations, margin, top).
 
     The input count m picks the candidates only: the nearest root of the
     scalar quadric from :func:`_scalar_root` for m = 1, the roots of the
@@ -371,9 +369,10 @@ def _project(cone: SafetyConeData, u_nom: list, tol: float, margin: float):
     :func:`_nearest_feasible` and the fallback to :func:`_nearest_critical`
     are the same for every m, but a cone whose H or g is not finite has no
     critical point, and for m >= 2 no secular candidates: least squares and
-    the eigendecomposition do not converge on it.
+    the eigendecomposition do not converge on it.  top is the top
+    eigenvalue of S3 from the secular route's decomposition, NaN without one.
     """
-    iterations = 0
+    iterations, top = 0, math.nan
     H, c, d, degenerate = cone.S3, cone.c, cone.d, cone.degenerate
     if degenerate:
         try:
@@ -388,7 +387,7 @@ def _project(cone: SafetyConeData, u_nom: list, tol: float, margin: float):
             root = _scalar_root(H[0][0], g[0], k, c[0], d, u_nom[0])
             candidates = [] if root is None else [[root]]
         elif all(map(_all_finite, H)):  # else eigh does not converge
-            candidates, iterations = _secular_candidates(cone, g, k, u_nom)
+            candidates, iterations, top = _secular_candidates(cone, g, k, u_nom)
         else:
             candidates = []
     found, steps = _nearest_feasible(cone, u_nom, candidates, tol)
@@ -396,9 +395,9 @@ def _project(cone: SafetyConeData, u_nom: list, tol: float, margin: float):
         found, more = _nearest_feasible(cone, u_nom, [_nearest_critical(cone, g, u_nom)], tol)
         steps += more
     if found is None:
-        return u_nom, STATUS_INFEASIBLE, iterations + steps, margin
+        return u_nom, STATUS_INFEASIBLE, iterations + steps, margin, top
     u, margin = found
-    return u, STATUS_OPTIMAL, iterations + steps, margin
+    return u, STATUS_OPTIMAL, iterations + steps, margin, top
 
 
 def _nearest_critical(cone: SafetyConeData, g: list, u_nom: list) -> list:
@@ -443,12 +442,15 @@ def _secular_candidates(cone: SafetyConeData, g: list, k: float, u_nom: list):
     times prod_i (1 + lam h_i)^2 is a polynomial of degree <= 2m; each of its
     real roots lam >= 0, refined by Newton on the cone margin along u(lam)
     without crossing the pole, is a candidate when u(lam) lands on the nappe
-    c u + d > 0.  The candidates come back as float lists.
+    c u + d > 0.  The candidates come back as float lists, with the
+    iterations and the top eigenvalue of H, taken before rounding noise is
+    zeroed.
     """
     A, b, c, g, u_nom = (np.array(v) for v in (cone.A, cone.b, cone.c, g, u_nom))
     d = cone.d
     with np.errstate(all="ignore"):  # an overflow makes a candidate that fails the margin check
         h, V = np.linalg.eigh(np.array(cone.S3))  # only h[0] can be negative, so only it makes a pole
+        top = float(h[-1])
         h[np.abs(h) <= 8.0 * _EPS * float(np.sum(A * A) + c @ c)] = 0.0  # rounding noise
         w = V.T @ u_nom
         gam = V.T @ g
@@ -484,7 +486,7 @@ def _secular_candidates(cone: SafetyConeData, g: list, k: float, u_nom: list):
             # candidates, and skipping them spares their polishing.
             if abs(1.0 + lam * h[0]) > 1e-12 and float(c @ u) + d > 0.0:
                 candidates.append(u.tolist())
-    return candidates, iterations
+    return candidates, iterations, top
 
 
 def _numerator_roots(h, a2, q0, a2_size, q0_size) -> list:
@@ -568,7 +570,9 @@ def safety_filter_step(
     feasibility values.  Otherwise the record carries ``iterations``,
     ``cone_margin`` and ``analytic`` from :func:`solve`, the cone's
     ``necessary_value`` and ``sufficient_eig``, the top eigenvalue of the
-    S3 that the projection solves with.  Every record carries ``cert`` and
+    S3 that the projection solves with: from the projection's own ``eigh``
+    of S3 when it ran one (m >= 2), so S3 is decomposed once per step, and
+    from :func:`feasibility_sufficient` otherwise.  Every record carries ``cert`` and
     ``sigma``, the posterior std at [gamma; u] for the returned u.
     """
     mu, gamma = _floats(mu), _floats(gamma)
@@ -589,7 +593,8 @@ def safety_filter_step(
         outcome.u = _mean_halfspace(u_nom, cone.c, cone.d)
     outcome.sigma = _posterior_std(sigma, gamma + outcome.u.tolist())
     outcome.necessary_value = cone.necessary_value
-    outcome.sufficient_eig = feasibility_sufficient(cone.S3)
+    if math.isnan(outcome.sufficient_eig):  # the projection did not decompose S3
+        outcome.sufficient_eig = feasibility_sufficient(cone.S3)
     outcome.cert = cert
     return outcome
 

@@ -11,7 +11,9 @@ fields, the vector half-space projection, a ``csv.writer`` episode writer,
 the posterior query with a list of triangular solves, and the certificate
 terms evaluated on numpy scalars.  It also holds the double integrator with
 a drift mismatch and its position barrier, the small closed loop that the
-episode and training tests run on.
+episode and training tests run on, and random polynomial plants; these
+plants are declared through the package's derivative source, the route
+whose generated fields and holds the tests check.
 """
 
 import csv
@@ -218,13 +220,15 @@ def rk4_numpy_hold(field, x, u, t, dt, substeps):
     return states
 
 
-def polynomial_field(n, rng, coupled=True):
-    """A random field with quadratic state terms, input and time, on float sequences.
+def polynomial_plant(n, rng, coupled=True):
+    """A random plant with quadratic state terms, input and time, and its field as a closure.
 
-    Returns xdot as a tuple; each entry is one fixed-order float expression,
-    so it takes the same bits whether x holds Python floats or numpy
-    scalars.  With coupled False, entry i reads x_i alone, so a non-finite
-    x_i leaves the other entries finite.
+    Returns (plant, field): the plant is declared through the package's
+    derivative source, and field writes the same fixed-order float
+    expressions independently, as a closure that reads x, u and t by index
+    and returns xdot as a tuple, so it takes the same bits whether x holds
+    Python floats or numpy scalars.  With coupled False, entry i reads x_i
+    alone, so a non-finite x_i leaves the other entries finite.
     """
     mask = np.ones((n, n)) if coupled else np.eye(n)
     c0 = rng.normal(size=n).tolist()
@@ -244,7 +248,15 @@ def polynomial_field(n, rng, coupled=True):
             out.append(v)
         return tuple(out)
 
-    return field
+    lines, params = [], {}
+    for i in range(n):
+        params.update({f"c0_{i}": c0[i], f"cu_{i}": cu[i], f"ct_{i}": ct[i]})
+        lines.append(f"dx{i} = c0_{i} + cu_{i} * u0 + ct_{i} * t")
+        for j in range(n):
+            if c1[i][j] or c2[i][j]:
+                params.update({f"c1_{i}_{j}": c1[i][j], f"c2_{i}_{j}": c2[i][j]})
+                lines.append(f"dx{i} = dx{i} + c1_{i}_{j} * x{j} + c2_{i}_{j} * (x{j} * x{pair[j]})")
+    return PlantModel(n, 1, "\n".join(lines), params), field
 
 
 def acc_field_numpy(p):
@@ -276,13 +288,15 @@ def suspension_field_numpy(p, road):
 
 
 def make_synthetic_plant(mismatch: float = 0.0) -> PlantModel:
-    """Double integrator; mismatch scales an extra drift on the acceleration."""
+    """Double integrator; mismatch scales an extra drift on the acceleration.
 
-    def field(x, u, t):
-        x0 = x[0]  # x0 * x0, not x0 ** 2: float ** raises OverflowError where * gives inf
-        return (x[1], mismatch * (1.0 + 0.5 * (x0 * x0)) + u[0])
-
-    return PlantModel(2, 1, field)
+    Declared through the package's derivative source, so its field and its
+    RK4 hold are the generated ones.  x0 * x0, not x0 ** 2: float ** raises
+    OverflowError where * gives inf.
+    """
+    return PlantModel(
+        2, 1, "dx0 = x1\ndx1 = mismatch * (1.0 + 0.5 * (x0 * x0)) + u0", {"mismatch": mismatch}
+    )
 
 
 def synthetic_field_numpy(mismatch):

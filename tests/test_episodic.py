@@ -237,8 +237,7 @@ class TestRunEpisode:
         # x1 grows by 1e-3 per substep from 0.9985, so h = 1 - x1 turns negative
         # after the second substep; the field returns inf from t = 0.0047 on,
         # so the fifth substep of the same hold is non-finite.
-        field = lambda x, u, t: (1.0, math.inf if t > 0.0047 else 0.0)
-        return PlantModel(n=2, m=1, field=field)
+        return PlantModel(2, 1, "dx0 = 1.0\ndx1 = inf if t > 0.0047 else 0.0", {"inf": math.inf})
 
     def test_violation_before_divergence_in_one_hold_is_a_violation(self):
         plant = self._cross_then_diverge_plant()
@@ -338,7 +337,7 @@ class TestLoggedChain:
     def _assert_rows_match_fresh_chain(log, design):
         assert len(log) > 0
         for k in range(len(log)):
-            fresh = zeta_chain(design, log.x[k])
+            fresh = np.array(zeta_chain(design, log.x[k]))
             assert log.zeta[k].tobytes() == fresh.tobytes()
             assert log.h[k : k + 1].tobytes() == fresh[:1].tobytes()
 
@@ -372,7 +371,7 @@ class TestLoggedChain:
             cert = controller(0.0, x).cert
             fresh = certificate_terms(design, x)
             assert cert.h == float(design.h(x)) == 70.0
-            assert cert.zf.tobytes() == fresh.zf.tobytes()
+            assert np.array(cert.zf).tobytes() == np.array(fresh.zf).tobytes()
             assert cert.const == fresh.const
 
 
@@ -397,7 +396,7 @@ class TestEpisodicTrain:
         # two rows are all 0.75 * 4 + 1 = 4: the second Cholesky pivot is
         # 4 - 2 * 2 = 0 exactly, and no noise or jitter lifts it.
         monkeypatch.setattr(gp_mod, "DEFAULT_JITTER_SCHEDULE", (0.0,))
-        plant = PlantModel(n=2, m=1, field=lambda x, u, t: (10.0 if t > 0.1 else 0.0, 0.0))
+        plant = PlantModel(2, 1, "dx0 = 10.0 if t > 0.1 else 0.0\ndx1 = 0.0", {})
         design = double_integrator_design([1.0, 1.0], D=1.0)
         kp = [
             BaseKernelParams(0.75, np.array([1.0, 1.0])),
@@ -422,7 +421,7 @@ class TestEpisodicTrain:
         # neither the drift nor the gain on u1, so the nominal episode drives
         # through h = 1 - p = 0 and the GP filter projects onto m = 2 cones
         # through the secular equation.
-        plant = PlantModel(n=2, m=2, field=lambda x, u, t: (x[1], 0.5 + 1.3 * u[0] + 0.5 * u[1]))
+        plant = PlantModel(2, 2, "dx0 = x1\ndx1 = 0.5 + 1.3 * u0 + 0.5 * u1", {})
         design = HocbfDesign(
             gains=np.array([1.5, 2.5]),
             h=lambda x: 1.0 - x[0],
@@ -474,7 +473,7 @@ class TestStepRecordToLog:
         # x1 rises by 1e-3 per substep from 0.9765, so h = 1 - x1 turns
         # negative inside the third hold: three control rows, then the
         # violation row.
-        plant = PlantModel(n=2, m=1, field=lambda x, u, t: (1.0, 0.0))
+        plant = PlantModel(2, 1, "dx0 = 1.0\ndx1 = 0.0", {})
         design = double_integrator_design([1.0, 1.0], D=1.0)
         calls, records = [], []
 
@@ -491,7 +490,7 @@ class TestStepRecordToLog:
                 cone_margin=0.0625 + k,
                 cert=cert,
             )
-            calls.append((t, x.copy()))
+            calls.append((t, x))
             records.append(step)
             return step
 
@@ -500,16 +499,16 @@ class TestStepRecordToLog:
         assert log.status == ["optimal", "nominal", "infeasible", "violation"]
         for k, ((t, x), step) in enumerate(zip(calls, records)):
             assert log.t[k] == t
-            assert log.x[k].tobytes() == x.tobytes()
+            assert type(x) is tuple and log.x[k].tobytes() == np.array(x).tobytes()
             assert log.u[k].tobytes() == step.u.tobytes()
             assert log.h[k] == step.cert.h
-            assert log.zeta[k].tobytes() == zeta_chain(design, x, step.cert).tobytes()
+            assert log.zeta[k].tobytes() == np.array(zeta_chain(design, x, step.cert)).tobytes()
             # Every declared column, compared as its CSV field.
             for field, _, fmt in _STEP_COLUMNS + _TRACE_COLUMNS:
                 assert fmt % getattr(log, field)[k] == fmt % getattr(step, field)
         # The violation row holds the last input and the record's defaults.
         last = len(records)
-        fresh = zeta_chain(design, log.x[last])
+        fresh = np.array(zeta_chain(design, log.x[last]))
         assert log.t[last] == log.violation_time
         assert log.u[last].tobytes() == records[-1].u.tobytes()
         assert log.zeta[last].tobytes() == fresh.tobytes() and log.h[last] == fresh[0] < 0.0

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gpcbf.plants import (
     ACC_NOMINAL,
@@ -10,6 +12,7 @@ from gpcbf.plants import (
     SUSPENSION_NOMINAL,
     SUSPENSION_TRUE,
     AccParams,
+    PlantModel,
     SuspensionParams,
     clf_nominal_acc,
     lqr_gain,
@@ -23,7 +26,7 @@ from gpcbf.plants import (
 from _oracles import (
     acc_field_numpy,
     make_synthetic_plant,
-    polynomial_field,
+    polynomial_plant,
     riccati_ode_gain,
     rk4_numpy_hold,
     suspension_field_numpy,
@@ -116,25 +119,57 @@ class TestSuspensionDynamics:
             )
 
 
+BUMP = lambda t: road_profile(t, 0.1, 1.0, 1.0)
+# Each benchmark plant with its field written independently on numpy arrays,
+# the strategies of its states and inputs, and the start times its holds
+# draw from.
+_NUMPY_HOLDS = {
+    # speeds down to about 1e-7 let the field's rounding reach the state's last bits
+    "acc": (
+        make_acc_plant(),
+        acc_field_numpy(ACC_TRUE),
+        st.tuples(
+            st.floats(-8.0, 0.0).map(lambda e: 40.0 * 10.0**e), st.floats(0.0, 150.0)
+        ).map(list),
+        st.floats(-6000.0, 6000.0),
+        (0.0, 20.0),
+    ),
+    # small states let the input term's rounding show; start times cover
+    # the bump window [1, 2] and both flat stretches around it
+    "suspension": (
+        make_suspension_plant(road=BUMP),
+        suspension_field_numpy(SUSPENSION_TRUE, BUMP),
+        st.tuples(
+            st.sampled_from([1e-4, 0.05]), st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4)
+        ).map(lambda sv: [sv[0] * v for v in sv[1]]),
+        st.floats(-1500.0, 1500.0),
+        (0.5, 2.5),
+    ),
+}
+
+
 class TestRk4:
     def test_zero_field(self):
         x = (1.0, -2.0)
-        np.testing.assert_allclose(rk4_step(lambda x, u, t: (0.0, 0.0), x, (0.0,), 0.0, 0.1)[-1], x)
+        plant = PlantModel(2, 1, "dx0 = 0.0\ndx1 = 0.0", {})
+        np.testing.assert_allclose(rk4_step(plant, x, (0.0,), 0.0, 0.1)[-1], x)
 
     def test_constant_field(self):
-        x = rk4_step(lambda x, u, t: (1.0,), (0.0,), (0.0,), 0.0, 0.25)[-1]
+        x = rk4_step(PlantModel(1, 1, "dx0 = 1.0", {}), (0.0,), (0.0,), 0.0, 0.25)[-1]
         np.testing.assert_allclose(x, [0.25])
 
     def test_exponential_decay_accuracy(self):
-        x = rk4_step(lambda x, u, t: (-x[0],), (1.0,), (0.0,), 0.0, 0.01)[-1]
+        x = rk4_step(PlantModel(1, 1, "dx0 = -x0", {}), (1.0,), (0.0,), 0.0, 0.01)[-1]
         assert abs(x[0] - np.exp(-0.01)) <= 1e-10
 
     def test_fourth_order_convergence(self):
+        decay = PlantModel(1, 1, "dx0 = -x0", {})
+
         def integrate(dt):
             x = (1.0,)
             t = 0.0
             while t < 1.0 - 1e-12:
-                x = rk4_step(lambda x, u, t: (-x[0],), x, (0.0,), t, dt)[-1]
+                x = rk4_step(decay, x, (0.0,), t, dt)[-1]
                 t += dt
             return abs(x[0] - np.exp(-1.0))
 
@@ -143,71 +178,83 @@ class TestRk4:
         assert 12.0 <= err_coarse / err_fine <= 20.0
 
     def test_divergence_ends_state_list(self):
-        assert rk4_step(lambda x, u, t: (math.inf,), (1.0,), (0.0,), 0.0, 0.1) == []
+        plant = PlantModel(1, 1, "dx0 = inf", {"inf": math.inf})
+        assert rk4_step(plant, (1.0,), (0.0,), 0.0, 0.1) == []
         # finite until t passes 0.35: the list holds the three states before it
-        field = lambda x, u, t: (math.inf if t > 0.35 else 1.0,)
-        states = rk4_step(field, (0.0,), (0.0,), 0.0, 0.1, substeps=10)
+        plant = PlantModel(1, 1, "dx0 = inf if t > 0.35 else 1.0", {"inf": math.inf})
+        states = rk4_step(plant, (0.0,), (0.0,), 0.0, 0.1, substeps=10)
         assert len(states) == 3
         assert all(math.isfinite(s[0]) for s in states)
 
     def test_hold_returns_float_tuples(self):
-        field = make_acc_plant().field
-        states = rk4_step(field, np.array([20.0, 100.0]), np.array([5.0]), 0.0, 1e-3, 10)
+        states = rk4_step(make_acc_plant(), [20.0, 100.0], [5.0], 0.0, 1e-3, 10)
         assert len(states) == 10
         assert all(type(s) is tuple and len(s) == 2 for s in states)
         assert all(type(v) is float for s in states for v in s)
 
+    @pytest.mark.parametrize(
+        "derivatives",
+        [
+            "dx0 = x0",  # dx1 never assigned
+            "dx0 = 1.0\ndx1 = 1.0\nx0 = 2.0",  # assigns the state
+            "t = 1.0\ndx0 = 1.0\ndx1 = 1.0",  # assigns the time
+            "dx0 = _c\ndx1 = 1.0",  # a leading underscore may clash with the hold's names
+        ],
+    )
+    def test_derivative_source_that_would_break_the_hold_is_rejected(self, derivatives):
+        plant = PlantModel(2, 1, derivatives, {"_c": 1.0})
+        with pytest.raises(ValueError, match="derivatives must assign"):
+            plant.hold
+
     @staticmethod
-    def _assert_holds_match_numpy(plant_field, oracle_field, draw, t_range, rng):
-        for _ in range(300):
-            x, u = draw(rng)
-            t = rng.uniform(*t_range)
-            substeps = int(rng.integers(1, 21))
-            dt = float(rng.choice([1e-3, 2.5e-4, 1.0 / 300.0]))
-            states = rk4_step(plant_field, x.tolist(), u.tolist(), t, dt, substeps)
-            expected = rk4_numpy_hold(oracle_field, x, u, t, dt, substeps)
-            assert len(states) == substeps
-            for got, want in zip(states, expected):
-                assert got == tuple(want.tolist())
+    def _assert_hold_matches_numpy(plant, numpy_field, x, u, t, dt, substeps):
+        """The hold's states are the numpy RK4 formula's, up to its first non-finite state."""
+        states = rk4_step(plant, x, u, t, dt, substeps)
+        with np.errstate(all="ignore"):
+            expected = rk4_numpy_hold(numpy_field, np.array(x), np.array(u), t, dt, substeps)
+        finite = []
+        for state in expected:
+            if not np.isfinite(state).all():
+                break
+            finite.append(tuple(state.tolist()))
+        assert states == finite
+        assert all(type(v) is float for s in states for v in s)
 
-    def test_acc_hold_bitwise_equal_to_numpy_rk4(self):
-        def draw(rng):
-            # speeds down to about 1e-7 let the field's rounding reach the state's last bits
-            x = np.array([40.0 * 10.0 ** rng.uniform(-8.0, 0.0), rng.uniform(0.0, 150.0)])
-            return x, rng.normal(scale=3000.0, size=1)
+    def _assert_plant_hold_matches_numpy(self, name, data):
+        plant, numpy_field, states, inputs, t_range = _NUMPY_HOLDS[name]
+        x = data.draw(states)
+        if data.draw(st.booleans()):  # a state that is not finite, or overflows the field
+            x[data.draw(st.integers(0, plant.n - 1))] = data.draw(
+                st.sampled_from([math.inf, -math.inf, math.nan, 1e300, -1e300])
+            )
+        self._assert_hold_matches_numpy(
+            plant, numpy_field, x, [data.draw(inputs)], data.draw(st.floats(*t_range)),
+            data.draw(st.sampled_from([1e-3, 2.5e-4, 1.0 / 300.0])), data.draw(st.integers(1, 20)),
+        )  # fmt: skip
 
-        self._assert_holds_match_numpy(
-            make_acc_plant().field, acc_field_numpy(ACC_TRUE), draw, (0.0, 20.0),
-            np.random.default_rng(11),
-        )
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_acc_hold_bitwise_equal_to_numpy_rk4(self, data):
+        self._assert_plant_hold_matches_numpy("acc", data)
 
-    def test_suspension_hold_bitwise_equal_to_numpy_rk4(self):
-        road = lambda t: road_profile(t, 0.1, 1.0, 1.0)
-
-        def draw(rng):
-            scale = rng.choice([1e-4, 0.05])  # small states let the input term's rounding show
-            return rng.normal(scale=scale, size=4), rng.normal(scale=500.0, size=1)
-
-        # start times cover the bump window [1, 2] and both flat stretches around it
-        self._assert_holds_match_numpy(
-            make_suspension_plant(road=road).field, suspension_field_numpy(SUSPENSION_TRUE, road),
-            draw, (0.5, 2.5), np.random.default_rng(12),
-        )
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_suspension_hold_bitwise_equal_to_numpy_rk4(self, data):
+        self._assert_plant_hold_matches_numpy("suspension", data)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_hold_bitwise_equal_to_numpy_rk4_at_each_dimension(self, n):
         rng = np.random.default_rng(100 + n)
         for _ in range(40):
-            field = polynomial_field(n, rng)
-            x = rng.normal(size=n)
-            u = rng.normal(size=1)
+            plant, field = polynomial_plant(n, rng)
+            x = rng.normal(size=n).tolist()
+            u = rng.normal(size=1).tolist()
             t = rng.uniform(0.0, 5.0)
             dt = float(rng.choice([1e-3, 2.5e-4, 1.0 / 300.0]))
             substeps = int(rng.integers(1, 21))
-            states = rk4_step(field, x, u, t, dt, substeps)
             numpy_field = lambda x, u, t: np.array(field(x, u, t))
-            expected = rk4_numpy_hold(numpy_field, x, u, t, dt, substeps)
-            assert states == [tuple(s.tolist()) for s in expected]
+            self._assert_hold_matches_numpy(plant, numpy_field, x, u, t, dt, substeps)
+            assert len(rk4_step(plant, x, u, t, dt, substeps)) == substeps
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_divergence_mid_hold_at_each_dimension(self, n):
@@ -218,8 +265,12 @@ class TestRk4:
         dt, substeps = 1e-3, 10
         for bad in range(n):
             for blowup in (math.inf, -math.inf, math.nan):
-                smooth = polynomial_field(n, rng, coupled=False)
+                smooth_plant, smooth = polynomial_plant(n, rng, coupled=False)
                 t_bad = rng.uniform(2.0, 8.0) * dt
+                plant = PlantModel(
+                    n, 1, smooth_plant.derivatives + f"\nif t > t_bad:\n    dx{bad} = blowup",
+                    dict(smooth_plant.params, t_bad=t_bad, blowup=blowup),
+                )  # fmt: skip
 
                 def field(x, u, t):
                     xdot = list(smooth(x, u, t))
@@ -228,7 +279,7 @@ class TestRk4:
                     return tuple(xdot)
 
                 x, u = rng.normal(size=n), rng.normal(size=1)
-                states = rk4_step(field, x, u, 0.0, dt, substeps)
+                states = rk4_step(plant, x.tolist(), u.tolist(), 0.0, dt, substeps)
                 with np.errstate(invalid="ignore"):
                     expected = rk4_numpy_hold(
                         lambda x, u, t: np.array(field(x, u, t)), x, u, 0.0, dt, substeps

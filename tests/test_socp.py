@@ -327,15 +327,44 @@ class TestGeneralProjection:
 
     def test_sufficient_eig_is_top_eigenvalue_of_cone_S3(self):
         # The certificate reads the S3 of the quadric the projection solves.
+        # A projecting step with two or more inputs takes it from the eigh
+        # that its secular candidates run, so S3 is decomposed once; every
+        # other step from eigvalsh.  The two agree up to rounding at m = 3.
         rng = np.random.default_rng(17)
+        decomposed_steps = 0
         for i in range(180):
             r, m = 2 + i % 3, 1 + (i // 3) % 3
             cert, mu, sigma, beta, gamma = _random_filter_inputs(rng, r, m, beta_range=(0.2, 4.0))
             cone = assemble_safety_cone(cert, mu, sigma, beta, gamma)
             out = safety_filter_step(3.0 * rng.normal(size=m), cert, mu, sigma, beta, gamma)
-            top = float(np.linalg.eigvalsh(cone.S3)[-1])
+            decomposed = m >= 2 and not out.analytic
+            decomposed_steps += decomposed
+            top = (np.linalg.eigh(cone.S3)[0] if decomposed else np.linalg.eigvalsh(cone.S3))[-1]
+            top = float(top)
             assert repr(out.sufficient_eig) == repr(top)
             assert out.sufficient_certified == (top < -1e-10)
+        assert decomposed_steps >= 20
+
+    def test_step_decomposes_S3_once_at_two_or_more_inputs(self, monkeypatch):
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            original = getattr(np.linalg, name)
+
+            def counted(a, *args, _original=original, _name=name):
+                calls.append(_name)
+                return _original(a, *args)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        rng = np.random.default_rng(18)
+        projecting = 0
+        for i in range(60):
+            m = 2 + i % 2
+            cert, mu, sigma, beta, gamma = _random_filter_inputs(rng, 2, m, beta_range=(0.2, 4.0))
+            calls.clear()
+            out = safety_filter_step(3.0 * rng.normal(size=m), cert, mu, sigma, beta, gamma)
+            assert calls == (["eigvalsh"] if out.analytic else ["eigh"])
+            projecting += not out.analytic
+        assert projecting >= 10
 
     def test_necessary_value_from_factor_matches_dense_solve(self):
         # r + m from 2 to 6, Sigma scaled by 1e-4 to 1e4
