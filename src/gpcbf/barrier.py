@@ -25,8 +25,8 @@ import numpy as np
 
 from .errors import InfeasibleConstraintError, InvalidDesignError
 
-StateFn = Callable[[np.ndarray], float]
-RowFn = Callable[[np.ndarray], np.ndarray]
+StateFn = Callable[[Sequence[float]], float]
+RowFn = Callable[[Sequence[float]], Sequence[float]]
 
 
 def elementary_symmetric(gains: Sequence[float]) -> np.ndarray:

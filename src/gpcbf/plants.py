@@ -86,7 +86,7 @@ class PlantModel:
     params: dict
 
     def _build(self, name: str) -> Callable:
-        namespace = dict(self.params, _isfinite=math.isfinite)
+        namespace = dict(self.params, _isfinite=math.isfinite, _range=range)
         exec(_compiled(self.n, self.m, self.derivatives)[name], namespace)
         return namespace[name]
 
@@ -206,7 +206,7 @@ def hold(_x, _u, t, _dt, _substeps):
     {x} = _x
     {u} = _u
     _states = []
-    for _ in range(_substeps):
+    for _ in _range(_substeps):
         _t_mid = t + _half
         _t_end = t + _dt
 {k1}
