@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from gpcbf import cli
@@ -84,13 +84,6 @@ def _invalid_leaf(leaf):
     """(plant, key path, invalid value) for one of LEAVES."""
     plant, path, declared, value = leaf
     return _invalid_values(declared, value).map(lambda invalid: (plant, path, invalid))
-
-
-def _leaf_case(plant: str, dotted: str, invalid):
-    """The case of _invalid_leaf that sets the plant's leaf at the dotted key to invalid."""
-    path = tuple(dotted.split("."))
-    assert any(leaf[:2] == (plant, path) for leaf in LEAVES), (plant, dotted)
-    return plant, path, invalid
 
 
 def _section_keys(data: dict) -> dict:
@@ -272,10 +265,19 @@ class TestCli:
             # round(1.5) and round(2.5) both give 2 holds.
             ("acc", "sim:\n  horizon: 0.015", "sim.horizon"),
             ("suspension", "sim:\n  horizon: 0.025", "sim.horizon"),
+            ("acc", "sim:\n  horizon: .inf", "sim.horizon"),
             # ratios that overflow to inf are no whole multiples
             ("acc", "sim:\n  dt: 5.0e-324\n  control_period: 1.0", "sim.control_period"),
             ("acc", "sim:\n  horizon: 1.0e+308\n  control_period: 1.0e-2", "sim.horizon"),
+            ("acc", "filter:\n  beta: .nan", "filter.beta"),
+            ("suspension", "gp:\n  noise_variance: .nan", "gp.noise_variance"),
+            ("suspension", "gp:\n  lengthscales: [.nan, 0.5, 3.0, 10.0]", "gp.lengthscales"),
+            ("acc", "gp:\n  signal_variances: [4.0, .nan, 1.0e-7]", "gp.signal_variances"),
+            ("suspension", "sim:\n  x0: [0.0, .nan, 0.0, 0.0]", "sim.x0"),
             ("acc", "sim:\n  x0: [a, 100.0]", "sim.x0"),
+            ("suspension", "episodic:\n  label_stride: 1.5", "episodic.label_stride"),
+            ("acc", "episodic:\n  max_episodes: 2.5", "episodic.max_episodes"),
+            ("suspension", "filter:\n  trace: \"yes\"", "filter.trace"),
             ("acc", "sim: [unclosed", "bad.yaml"),
             ("suspension", "sim:\n  horizon: 0.0", "sim.horizon"),
             ("acc", "output:\n  dir: ''", "output.dir"),
@@ -314,9 +316,18 @@ class TestCli:
             "sim-control_period_not_multiple_of_dt",
             "sim-horizon_1.5_holds",
             "sim-horizon_2.5_holds",
+            "sim-horizon_inf",
             "sim-control_period_over_dt_overflows",
             "sim-horizon_over_control_period_overflows",
+            "filter-beta_nan",
+            "gp-noise_variance_nan",
+            "gp-lengthscales_nan",
+            "gp-signal_variances_nan",
+            "sim-x0_nan",
             "sim-x0_string",
+            "episodic-label_stride_float",
+            "episodic-max_episodes_float",
+            "filter-trace_string",
             "yaml-syntax_error",
             "sim-horizon_zero",
             "output-dir_empty",
@@ -343,15 +354,6 @@ class TestCli:
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     @given(case=st.sampled_from(LEAVES).flatmap(_invalid_leaf))
-    @example(case=_leaf_case("acc", "filter.beta", math.nan))
-    @example(case=_leaf_case("suspension", "gp.noise_variance", math.nan))
-    @example(case=_leaf_case("suspension", "gp.lengthscales", [math.nan, 0.5, 3.0, 10.0]))
-    @example(case=_leaf_case("acc", "gp.signal_variances", [4.0, math.nan, 1.0e-7]))
-    @example(case=_leaf_case("suspension", "sim.x0", [0.0, math.nan, 0.0, 0.0]))
-    @example(case=_leaf_case("acc", "sim.horizon", math.inf))
-    @example(case=_leaf_case("suspension", "episodic.label_stride", 1.5))
-    @example(case=_leaf_case("acc", "episodic.max_episodes", 2.5))
-    @example(case=_leaf_case("suspension", "filter.trace", "yes"))
     def test_run_exits_2_on_any_leaf_made_invalid(self, case, tmp_path, monkeypatch, capsys):
         # One leaf of a plant's printed defaults set to a value of the wrong
         # type: a non-finite float, a non-integer, a non-bool, a non-string,
