@@ -177,11 +177,13 @@ def zeta_chain(design: HocbfDesign, x, cert: Optional[CertificateTerms] = None) 
 def _floats(v) -> list:
     """v's entries as Python floats, in a list that callers only read.
 
-    A list is taken as it is, as a list of floats.  A Python float and a
-    1-D float64 array skip numpy's conversion.
+    A list is taken as it is, as a list of floats, and a float tuple is
+    copied into one.  A Python float and a 1-D float64 array skip numpy.
     """
     if type(v) is list:
         return v
+    if type(v) is tuple:
+        return list(v)
     if type(v) is np.ndarray and v.ndim == 1 and v.dtype == np.float64:
         return v.tolist()
     if isinstance(v, float):
@@ -211,14 +213,14 @@ def weighted_sum(weights, values) -> float:
     return float(np.dot(weights, values[: len(weights)]))
 
 
-def halfspace_qp_filter(u_nom, a, b: float) -> np.ndarray:
+def halfspace_qp_filter(u_nom, a, b: float) -> tuple:
     """Min-norm filter for a single affine constraint a.u + b >= 0.
 
     Returns u_nom when already feasible, otherwise the Euclidean projection
     u_nom - ((a.u_nom + b) / |a|^2) a onto the constraint boundary, which is
-    the global minimizer of |u - u_nom| over the half-space.  Every input
-    count runs on Python floats: a.u_nom and |a|^2 are summed in index
-    order, so one input returns the vector formula's bits as a 1-array.
+    the global minimizer of |u - u_nom| over the half-space, as a tuple of
+    floats.  Every input count runs on Python floats: a.u_nom and |a|^2 are
+    summed in index order, so one input returns the vector formula's bits.
     Raises :class:`InfeasibleConstraintError` when a = 0 and u_nom violates
     the constraint, and when the projected point is not finite, as when a
     tiny |a| overflows it: such a half-space has no point a plant can apply.
@@ -233,11 +235,11 @@ def halfspace_qp_filter(u_nom, a, b: float) -> np.ndarray:
         norm2 += ai * ai
     margin = dot + b
     if margin >= 0.0:
-        return np.array(u)
+        return tuple(u)
     if norm2 == 0.0:
         raise InfeasibleConstraintError(f"constraint 0.u + {b} >= 0 is infeasible")
     step = margin / norm2
     u = [ui - step * ai for ui, ai in zip(u, a)]
     if not all(map(math.isfinite, u)):
         raise InfeasibleConstraintError(f"projection onto {a} . u + {b} >= 0 overflows")
-    return np.array(u)
+    return tuple(u)

@@ -40,6 +40,9 @@ def _cmd_run(args) -> int:
     logger.setLevel(logging.INFO)
     try:
         run_benchmark(cfg, out_dir)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except (GpcbfError, OSError) as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

@@ -211,13 +211,13 @@ def run_episode(
     """Integrate the plant under a filtered controller, one RK4 call per hold.
 
     controller(t, x) gets the state as a tuple of floats and returns the
-    step's :class:`FilterOutcome`: its u is held for a control period, and
-    the record is the step's log row, with the step's certificate terms as
-    ``cert`` when the controller evaluated them.  The trailing violation row
-    is ``FilterOutcome(u, STATUS_VIOLATION)`` for the last u, with the
-    record's defaults.  Each hold is one :func:`rk4_step` call of
-    control_period / dt substeps, whose states are then scanned in order
-    for h and the first crossing.  The state and the input stay float
+    step's :class:`FilterOutcome`: its u is held as it is for a control
+    period, and the record is the step's log row, with the step's
+    certificate terms as ``cert`` when the controller evaluated them.  The
+    trailing violation row is ``FilterOutcome(u, STATUS_VIOLATION)`` for the
+    last u, with the record's defaults.  Each hold is one :func:`rk4_step`
+    call of control_period / dt substeps, whose states are then scanned in
+    order for h and the first crossing.  The state and the input stay float
     tuples from step to step; the log's arrays are built once, at the end.
     Stops at the horizon, at the first barrier violation when flagged
     (logging the crossing state as a trailing "violation" row), on a
@@ -239,7 +239,7 @@ def run_episode(
     t = 0.0
     for k in range(n_ctrl):
         step = controller(t, x)
-        u = tuple(_floats(step.u))
+        u = step.u
         zeta = zeta_chain(design, x, step.cert)
         rows.append((t, x, u, zeta, *_logged_values(step)))
 
@@ -265,7 +265,7 @@ def run_episode(
                     break
         if stop:
             termination = TERM_VIOLATION
-            last = FilterOutcome(step.u, STATUS_VIOLATION)
+            last = FilterOutcome(u, STATUS_VIOLATION)
             rows.append((t, state, u, zeta_chain(design, state), *_logged_values(last)))
             break
         if len(states) < substeps:
@@ -324,7 +324,7 @@ def make_nominal_qp_controller(design: HocbfDesign, u_nom_fn: Callable) -> Calla
         try:
             u, status = halfspace_qp_filter(u_nom, cert.zg, b), STATUS_OPTIMAL
         except InfeasibleConstraintError:
-            u, status = np.array(_floats(u_nom)), STATUS_INFEASIBLE
+            u, status = tuple(_floats(u_nom)), STATUS_INFEASIBLE
         return FilterOutcome(u, status, cert=cert)
 
     return controller

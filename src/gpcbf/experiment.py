@@ -26,6 +26,7 @@ from . import config as config_mod
 from . import episodic, plants
 from .barrier import HocbfDesign
 from .config import ExperimentConfig
+from .errors import ConfigError
 from .gp import BaseKernelParams, save_dataset_csv
 
 logger = logging.getLogger(__name__)
@@ -55,19 +56,19 @@ def build_scenario(cfg: ExperimentConfig) -> Scenario:
             return plants.clf_nominal_acc(x, v_d, lam, p_nom)
 
     elif cfg.plant == "suspension":
-        d = cfg.disturbance
-        plant = plants.make_suspension_plant(
-            road=lambda t: plants.road_profile(t, d.amplitude, d.start, d.width)
-        )
+        d, c = cfg.disturbance, cfg.controller
+        plant = plants.make_suspension_plant(plants.SUSPENSION_TRUE, d.amplitude, d.start, d.width)
         design_nom = plants.suspension_design(plants.SUSPENSION_NOMINAL, gains, D)
         design_true = plants.suspension_design(plants.SUSPENSION_TRUE, gains, D)
         A, B = plants.suspension_linear_matrices(plants.SUSPENSION_NOMINAL)
-        K, _ = plants.lqr_gain(
-            A, B, cfg.controller.lqr_q * np.eye(4), np.array([[cfg.controller.lqr_r]])
-        )
+        try:
+            K, _ = plants.lqr_gain(A, B, c.lqr_q * np.eye(4), np.array([[c.lqr_r]]))
+        except np.linalg.LinAlgError as exc:
+            keys = f"controller.lqr_q = {c.lqr_q!r} and controller.lqr_r = {c.lqr_r!r}"
+            raise ConfigError(f"{keys} give no stabilizing LQR gain: {exc}") from exc
 
         def u_nom(t, x):
-            return -(K @ x)
+            return tuple((-(K @ x)).tolist())
 
     else:
         raise ValueError(f"unknown plant {cfg.plant!r}")
@@ -111,8 +112,8 @@ def _grid_violation_time(log: episodic.EpisodeLog) -> Optional[float]:
 def run_benchmark(cfg: ExperimentConfig, out_dir: str) -> BenchmarkResult:
     """Run all three arms and write artifacts under out_dir."""
     cfg.validate()
-    os.makedirs(out_dir, exist_ok=True)
     sc = build_scenario(cfg)
+    os.makedirs(out_dir, exist_ok=True)
     sim = cfg.sim
     x0 = np.asarray(sim.x0, dtype=float)
     t_start = time.monotonic()

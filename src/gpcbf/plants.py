@@ -14,7 +14,7 @@ import ast
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -113,26 +113,30 @@ def make_acc_plant(params: dict = ACC_TRUE) -> PlantModel:
     )
 
 
-def make_suspension_plant(
-    params: dict = SUSPENSION_TRUE, road: Optional[Callable[[float], float]] = None
-) -> PlantModel:
-    """Quarter car driven over the road height profile road(t) (flat when None).
+def make_suspension_plant(params: dict, amplitude: float, start: float, width: float) -> PlantModel:
+    """Quarter car driven over a road bump of height d(t) (flat when amplitude is 0).
 
     x = [x1, x2, x3, x4] (x0 .. x3 in the source): body/wheel displacements
-    then velocities; a nonzero road height d adds (k2 / m2) d to the wheel
-    acceleration.
+    then velocities.  d = amplitude sin^2(pi (t - start) / width) inside
+    start <= t <= start + width, else 0; a nonzero d adds (k2 / m2) d to the
+    wheel acceleration.  ``math.sin`` returned ``np.sin``'s bits at all
+    2,000,001 evenly spaced times of the default bump, on a CPU with AVX-512.
     """
     p = SuspensionParams(**params)
-    wheel = "wheel = (k1 * (x0 - x1) - k2 * x1 + b * (x2 - x3)) / m2 - inv_m2 * u0\n"
-    if road is not None:
-        wheel += "d = road(t)\nif d != 0.0:\n    wheel = wheel + road_gain * d\n"
     return PlantModel(
         *DIMENSIONS["suspension"][:2],
-        wheel + "dx0 = x2\ndx1 = x3\n"
+        "wheel = (k1 * (x0 - x1) - k2 * x1 + b * (x2 - x3)) / m2 - inv_m2 * u0\n"
+        "if start <= t <= start + width:\n"
+        "    s = sin(pi * (t - start) / width)\n"
+        "    d = amplitude * s * s\n"
+        "    if d != 0.0:\n"
+        "        wheel = wheel + road_gain * d\n"
+        "dx0 = x2\ndx1 = x3\n"
         "dx2 = (k1 * (x1 - x0) + b * (x3 - x2)) / m1 + inv_m1 * u0\ndx3 = wheel",
         dict(
-            m1=p.m1, m2=p.m2, k1=p.k1, k2=p.k2, b=p.b, road=road,
-            inv_m1=1.0 / p.m1, inv_m2=1.0 / p.m2, road_gain=p.k2 / p.m2,
+            m1=p.m1, m2=p.m2, k1=p.k1, k2=p.k2, b=p.b, inv_m1=1.0 / p.m1, inv_m2=1.0 / p.m2,
+            road_gain=p.k2 / p.m2, amplitude=amplitude, start=start, width=width,
+            sin=math.sin, pi=math.pi,
         ),
     )
 
@@ -358,31 +362,18 @@ def suspension_linear_matrices(params: dict):
     return A, B
 
 
-def clf_nominal_acc(x, v_d: float, lambda_rate: float, p: AccParams) -> np.ndarray:
+def clf_nominal_acc(x, v_d: float, lambda_rate: float, p: AccParams) -> tuple:
     """Min-norm speed-tracking control for V = (v - v_d)^2 on the nominal model.
 
     The decay condition Vdot <= -lambda V is the half-space a u + b >= 0 with
     a = -2 (v - v_d) / m and b = 2 (v - v_d) F_r(v) / m - lambda V; the
-    projection of u = 0 onto it is closed form.
+    projection of u = 0 onto it is closed form, a tuple of one float.
     """
     v = float(x[0])
     err = v - v_d
     a = -2.0 * err / p.m
     b = 2.0 * err * p.rolling_resistance(v) / p.m - lambda_rate * err * err
     if a == 0.0:
-        return np.zeros(1)
+        return (0.0,)
     return halfspace_qp_filter([0.0], [a], b)
 
-
-def road_profile(t: float, amplitude: float, start: float, width: float) -> float:
-    """Smooth bump: amplitude * sin^2(pi (t - start) / width) inside the window.
-
-    It runs at every RK4 stage inside the bump, so it takes Python floats
-    and ``math.sin``, without numpy's per-scalar dispatch.  ``math.sin``
-    returned ``np.sin``'s bits at all 2,000,001 evenly spaced times of the
-    default bump, on a CPU with AVX-512.
-    """
-    if start <= t <= start + width:
-        s = math.sin(math.pi * (t - start) / width)
-        return float(amplitude * s * s)
-    return 0.0

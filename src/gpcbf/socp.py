@@ -267,17 +267,17 @@ def pointwise_conditions(gamma: np.ndarray, u, S, phi: np.ndarray) -> tuple[floa
 class FilterOutcome:
     """One control step: the input the plant applies and what its log row keeps.
 
-    Besides ``u`` and ``status`` it holds ``sigma``, the posterior std at
-    [gamma; u]; ``necessary_value`` and ``sufficient_eig``, the feasibility
-    values; ``iterations`` of the root finder and polish; ``cone_margin``
-    at u; ``analytic`` (u_nom was already in the cone); and ``cert``, the
-    step's certificate terms.  ``sufficient_certified`` is read from
-    ``sufficient_eig``.  :mod:`gpcbf.episodic` declares which fields a log
-    row keeps.  The defaults are the values of a step that assembled no
-    cone, such as a nominal QP step or a trailing violation row.
+    Besides ``u``, a float tuple, and ``status`` it holds ``sigma``, the
+    posterior std at [gamma; u]; ``necessary_value`` and ``sufficient_eig``,
+    the feasibility values; ``iterations`` of the root finder and polish;
+    ``cone_margin`` at u; ``analytic`` (u_nom was already in the cone); and
+    ``cert``, the step's certificate terms.  ``sufficient_certified`` is
+    read from ``sufficient_eig``.  :mod:`gpcbf.episodic` declares which
+    fields a log row keeps.  The defaults are the values of a step that
+    assembled no cone, such as a nominal QP step or a violation row.
     """
 
-    u: np.ndarray
+    u: tuple
     status: str
     sigma: float = math.nan
     necessary_value: float = math.nan
@@ -339,7 +339,7 @@ def solve(u_nom, cone: SafetyConeData, tol: float = 1e-8) -> FilterOutcome:
     else:
         u, status, iterations, margin, top = _project(cone, u_nom, tol, margin)
     return FilterOutcome(
-        np.array(u), status, sufficient_eig=top, iterations=iterations, cone_margin=margin,
+        tuple(u), status, sufficient_eig=top, iterations=iterations, cone_margin=margin,
         analytic=analytic,
     )
 
@@ -376,7 +376,7 @@ def _project(cone: SafetyConeData, u_nom: list, tol: float, margin: float):
     H, c, d, degenerate = cone.S3, cone.c, cone.d, cone.degenerate
     if degenerate:
         try:
-            candidates = [halfspace_qp_filter(u_nom, c, d).tolist()]
+            candidates = [halfspace_qp_filter(u_nom, c, d)]
         except InfeasibleConstraintError:
             candidates = []
     else:
@@ -587,11 +587,11 @@ def safety_filter_step(
     if no_cone is not None:
         _, c, d = _mean_row(cert, mu, gamma)
         u = _mean_halfspace(u_nom, c, d)
-        return FilterOutcome(u, no_cone, sigma=_posterior_std(sigma, gamma + u.tolist()), cert=cert)
+        return FilterOutcome(u, no_cone, sigma=_posterior_std(sigma, [*gamma, *u]), cert=cert)
     outcome = solve(u_nom, cone, tol=tol)
     if outcome.status != STATUS_OPTIMAL:
         outcome.u = _mean_halfspace(u_nom, cone.c, cone.d)
-    outcome.sigma = _posterior_std(sigma, gamma + outcome.u.tolist())
+    outcome.sigma = _posterior_std(sigma, [*gamma, *outcome.u])
     outcome.necessary_value = cone.necessary_value
     if math.isnan(outcome.sufficient_eig):  # the projection did not decompose S3
         outcome.sufficient_eig = feasibility_sufficient(cone.S3)
@@ -599,8 +599,8 @@ def safety_filter_step(
     return outcome
 
 
-def _mean_halfspace(u_nom, c, d: float) -> np.ndarray:
-    """u_nom projected onto the mean-only half-space c u + d >= 0.
+def _mean_halfspace(u_nom, c, d: float) -> tuple:
+    """u_nom projected onto the mean-only half-space c u + d >= 0, as a float tuple.
 
     u_nom itself when the half-space is empty or not finite: a c or d that
     is not finite makes the margin at u_nom +inf, which keeps u_nom, or -inf
@@ -609,7 +609,7 @@ def _mean_halfspace(u_nom, c, d: float) -> np.ndarray:
     try:
         return halfspace_qp_filter(u_nom, c, d)
     except InfeasibleConstraintError:
-        return np.array(_floats(u_nom))
+        return tuple(_floats(u_nom))
 
 
 def _posterior_std(sigma: np.ndarray, y: list) -> float:

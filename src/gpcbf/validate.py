@@ -266,7 +266,7 @@ def feasibility_suite(seed: int = 0, n_states: int = 1000) -> dict:
             beta = float(beta_options[i % len(beta_options)])
             cert = certificate_terms(sc.design_nom, x)
             mu, sigma = posterior_coefficients(model, x)
-            u_nom = np.atleast_1d(sc.u_nom(0.0, x))
+            u_nom = sc.u_nom(0.0, x)
             out = safety_filter_step(u_nom, cert, mu, sigma, beta, gamma, tol=1e-9)
             if out.status == STATUS_FACTORIZATION_FAILED:
                 continue
@@ -278,7 +278,7 @@ def feasibility_suite(seed: int = 0, n_states: int = 1000) -> dict:
                 phi = effective_phi(cert, mu)
                 S = build_S(phi, sigma, beta)
                 affine, quad = pointwise_conditions(gamma, out.u, S, phi)
-                y2 = float(np.sum(gamma**2) + np.sum(out.u**2))
+                y2 = float(np.sum(gamma**2) + np.sum(np.square(out.u)))
                 aff_scale = max(1.0, float(np.linalg.norm(phi)) * np.sqrt(y2))
                 quad_scale = max(1.0, float(np.linalg.norm(S)) * y2)
                 if affine < -1e-8 * aff_scale or quad > 1e-8 * quad_scale:

@@ -6,9 +6,10 @@ forward substitution for the posterior covariance, a dense linear solve for
 the necessary feasibility condition, a brute-force Riccati ODE integrator,
 dense grid searches, the one-input filter cone in closed form and exact
 rationals, and the references that float paths must match bit for bit: the
-vectorised numpy RK4 step with numpy plant fields and random polynomial
-fields, the vector half-space projection, a ``csv.writer`` episode writer,
-the posterior query with a list of triangular solves, and the certificate
+vectorised numpy RK4 step with numpy plant fields (the suspension's road
+bump as a function of t) and random polynomial fields, the vector
+half-space projection, a ``csv.writer`` episode writer, the posterior
+query with a list of triangular solves, and the certificate
 terms evaluated on numpy scalars.  It also holds the double integrator with
 a drift mismatch and its position barrier, the small closed loop that the
 episode and training tests run on, and random polynomial plants; these
@@ -270,12 +271,20 @@ def acc_field_numpy(p):
     return field
 
 
-def suspension_field_numpy(p, road):
-    """Quarter-car xdot on numpy arrays; the road term enters the wheel row when nonzero."""
+def road_profile(t, amplitude, start, width):
+    """Smooth bump: amplitude * sin^2(pi (t - start) / width) inside the window, 0 outside."""
+    if start <= t <= start + width:
+        s = math.sin(math.pi * (t - start) / width)
+        return float(amplitude * s * s)
+    return 0.0
+
+
+def suspension_field_numpy(p, amplitude, start, width):
+    """Quarter-car xdot on numpy arrays; the road_profile bump enters the wheel row when nonzero."""
 
     def field(x, u, t):
         x1, x2, x3, x4 = x
-        d = road(t)
+        d = road_profile(t, amplitude, start, width)
         wheel = (p["k1"] * (x1 - x2) - p["k2"] * x2 + p["b"] * (x3 - x4)) / p["m2"] - (
             1.0 / p["m2"]
         ) * u[0]

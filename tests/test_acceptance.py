@@ -231,7 +231,7 @@ class TestCriterion9BetaDegeneration:
             phi = effective_phi(cert, mu)
             expected = halfspace_qp_filter(u_nom, phi[r:], float(phi[:r] @ gamma))
             assert out.status == STATUS_OPTIMAL
-            errors.append(np.max(np.abs(out.u - expected)))
+            errors.append(np.max(np.abs(np.subtract(out.u, expected))))
             checked += 1
         worst = float(np.max(errors))
         _report(

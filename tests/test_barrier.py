@@ -257,10 +257,12 @@ class TestHalfspaceFilter:
                     halfspace_qp_filter(np.array([u_nom]), np.array([a]), b)
                 sides["raised"] += 1
                 continue
-            for args in ((np.array([u_nom]), np.array([a]), b), (u_nom, a, np.float64(b))):
+            for args in (
+                (np.array([u_nom]), np.array([a]), b), (u_nom, a, np.float64(b)), ((u_nom,), (a,), b)
+            ):
                 got = halfspace_qp_filter(*args)
-                assert got.shape == (1,)
-                assert got.tobytes() == want.tobytes()
+                assert type(got) is tuple and len(got) == 1 and type(got[0]) is float
+                assert np.array(got).tobytes() == want.tobytes()
             sides["feasible" if want.tobytes() == np.array([u_nom]).tobytes() else "projected"] += 1
         assert min(sides.values()) >= 50, sides
 
@@ -268,7 +270,7 @@ class TestHalfspaceFilter:
     def test_one_input_zero_row_raises_only_when_violated(self, a):
         with pytest.raises(InfeasibleConstraintError):
             halfspace_qp_filter(3.0, a, -1e-300)
-        assert halfspace_qp_filter(3.0, a, 0.0).tobytes() == np.array([3.0]).tobytes()
+        assert np.array(halfspace_qp_filter(3.0, a, 0.0)).tobytes() == np.array([3.0]).tobytes()
 
 
 def _symbolic_polynomial_pair(r, rng):

@@ -285,6 +285,9 @@ class TestCli:
             ("suspension", "controller:\n  lqr_r: 0", "controller.lqr_r"),
             ("suspension", "controller:\n  lqr_r: -1", "controller.lqr_r"),
             ("suspension", "controller:\n  lqr_q: -1", "controller.lqr_q"),
+            # Weights that validate, but whose Riccati equation has no stabilizing solution.
+            ("suspension", "controller:\n  lqr_q: 1.0e+300", "controller.lqr_q"),
+            ("suspension", "controller:\n  lqr_r: 1.0e-300", "controller.lqr_r"),
             ("suspension", "disturbance:\n  width: 0", "disturbance.width"),
             ("suspension", "disturbance:\n  width: -1", "disturbance.width"),
             ("synthetic", "", "unknown plant 'synthetic'"),
@@ -334,6 +337,8 @@ class TestCli:
             "controller-lqr_r_zero",
             "controller-lqr_r_negative",
             "controller-lqr_q_negative",
+            "controller-lqr_q_without_stabilizing_gain",
+            "controller-lqr_r_without_stabilizing_gain",
             "disturbance-width_zero",
             "disturbance-width_negative",
             "plant-synthetic_unknown",
@@ -342,11 +347,13 @@ class TestCli:
         ]
         + list(OTHER_PLANT_KEYS),
     )
-    def test_run_invalid_config_exits_2(self, plant, section, key, tmp_path, capsys):
+    def test_run_invalid_config_exits_2(self, plant, section, key, tmp_path, monkeypatch, capsys):
         path = tmp_path / "bad.yaml"
         path.write_text(f"plant: {plant}\n{section}\n")
+        monkeypatch.setenv("GPCBF_OUTPUT_DIR", str(tmp_path / "out"))
         assert cli.main(["run", str(path)]) == 2
         assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @settings(
         max_examples=200,

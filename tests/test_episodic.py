@@ -75,7 +75,7 @@ class TestFdDerivative:
 
 def _constant_u_controller(value):
     def controller(t, x):
-        return FilterOutcome(np.array([value]), "nominal")
+        return FilterOutcome((value,), "nominal")
 
     return controller
 
@@ -216,7 +216,7 @@ class TestRunEpisode:
         design = double_integrator_design([1.0, 1.0], D=5.0)
 
         def controller(t, x):
-            return FilterOutcome(np.zeros(1), "infeasible")
+            return FilterOutcome((0.0,), "infeasible")
 
         log = run_episode(plant, design, controller, np.zeros(2), 1.0)
         assert log.termination == TERM_INFEASIBLE
@@ -271,7 +271,8 @@ class TestNominalQpController:
         )
         step = make_nominal_qp_controller(design, lambda t, x: np.zeros(1))(0.0, np.zeros(1))
         assert step.status == STATUS_INFEASIBLE
-        assert step.u.tolist() == [0.0]
+        assert type(step.u) is tuple and list(map(type, step.u)) == [float]
+        assert step.u == (0.0,)
 
 
 class TestGpSocpController:
@@ -297,7 +298,7 @@ class TestGpSocpController:
         expected = halfspace_qp_filter(
             u_nom, cert.zg + mu[r:], float((cert.zf + mu[:r]) @ design.gamma) + cert.const
         )
-        assert np.array_equal(step.u, expected)
+        assert step.u == expected
         assert not np.array_equal(step.u, u_nom)  # the half-space constraint was active
 
     def test_sigma_holding_nan_flags_steps_until_the_episode_aborts(self, monkeypatch):
@@ -342,9 +343,19 @@ class TestLoggedChain:
             assert log.h[k : k + 1].tobytes() == fresh[:1].tobytes()
 
     @pytest.mark.parametrize("plant", ["acc", "suspension"])
-    def test_every_arm(self, plant, tmp_path):
+    def test_every_arm(self, plant, tmp_path, monkeypatch):
+        made = []  # the records episodic builds: nominal QP steps and trailing violation rows
+
+        def recorded(*args, **kwargs):
+            made.append(FilterOutcome(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(episodic_mod, "FilterOutcome", recorded)
         cfg = config_mod.defaults(plant)
         result = run_benchmark(cfg, str(tmp_path))
+        assert any(step.status == "violation" for step in made)
+        for step in made:
+            assert type(step.u) is tuple and list(map(type, step.u)) == [float]
         sc = build_scenario(cfg)
         designs = {"nominal": sc.design_nom, "gp": sc.design_nom, "oracle": sc.design_true}
         for name, design in designs.items():
@@ -481,7 +492,7 @@ class TestStepRecordToLog:
             k = len(records)
             cert = CertificateTerms(zf=np.array([11.0 + k, 0.0]), zg=np.zeros(1), const=0.0, h=40.0 + k)
             step = FilterOutcome(
-                np.array([0.375 + k]),
+                (0.375 + k,),
                 ("optimal", "nominal", "infeasible")[k],
                 sigma=0.5 + k,
                 necessary_value=-2.25 - k,
@@ -500,7 +511,7 @@ class TestStepRecordToLog:
         for k, ((t, x), step) in enumerate(zip(calls, records)):
             assert log.t[k] == t
             assert type(x) is tuple and log.x[k].tobytes() == np.array(x).tobytes()
-            assert log.u[k].tobytes() == step.u.tobytes()
+            assert log.u[k].tobytes() == np.array(step.u).tobytes()
             assert log.h[k] == step.cert.h
             assert log.zeta[k].tobytes() == np.array(zeta_chain(design, x, step.cert)).tobytes()
             # Every declared column, compared as its CSV field.
@@ -510,7 +521,7 @@ class TestStepRecordToLog:
         last = len(records)
         fresh = np.array(zeta_chain(design, log.x[last]))
         assert log.t[last] == log.violation_time
-        assert log.u[last].tobytes() == records[-1].u.tobytes()
+        assert log.u[last].tobytes() == np.array(records[-1].u).tobytes()
         assert log.zeta[last].tobytes() == fresh.tobytes() and log.h[last] == fresh[0] < 0.0
         for column in (log.sigma, log.necessary_value, log.sufficient_eig, log.cone_margin):
             assert math.isnan(column[last])

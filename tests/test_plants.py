@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gpcbf.plants import (
@@ -19,7 +19,6 @@ from gpcbf.plants import (
     make_acc_plant,
     make_suspension_plant,
     rk4_step,
-    road_profile,
     suspension_linear_matrices,
 )
 
@@ -29,6 +28,7 @@ from _oracles import (
     polynomial_plant,
     riccati_ode_gain,
     rk4_numpy_hold,
+    road_profile,
     suspension_field_numpy,
     synthetic_field_numpy,
 )
@@ -55,8 +55,12 @@ def acc_dynamics(x, u: float, params: dict) -> tuple:
 
 
 def suspension_dynamics(x, u: float, d: float, params: dict) -> tuple:
-    """The plant field at road height d, held for all t."""
-    return make_suspension_plant(params, road=lambda t: d).field(x, [u], 0.0)
+    """The plant field at road height d: at t = 0, the peak of a bump of amplitude d.
+
+    The bump spans [-0.5, 0.5], so sin(pi (0 + 0.5) / 1) = sin(pi / 2) is
+    exactly 1.0 and the height is d itself.
+    """
+    return make_suspension_plant(params, d, -0.5, 1.0).field(x, [u], 0.0)
 
 
 class TestAccDynamics:
@@ -119,7 +123,8 @@ class TestSuspensionDynamics:
             )
 
 
-BUMP = lambda t: road_profile(t, 0.1, 1.0, 1.0)
+# amplitude, start, width: a width other than 1 lets the operation order of the bump's sine show
+BUMP = (0.1, 1.0037, 0.9871)
 # Each benchmark plant with its field written independently on numpy arrays,
 # the strategies of its states and inputs, and the start times its holds
 # draw from.
@@ -135,10 +140,10 @@ _NUMPY_HOLDS = {
         (0.0, 20.0),
     ),
     # small states let the input term's rounding show; start times cover
-    # the bump window [1, 2] and both flat stretches around it
+    # the bump window and both flat stretches around it
     "suspension": (
-        make_suspension_plant(road=BUMP),
-        suspension_field_numpy(SUSPENSION_TRUE, BUMP),
+        make_suspension_plant(SUSPENSION_TRUE, *BUMP),
+        suspension_field_numpy(SUSPENSION_TRUE, *BUMP),
         st.tuples(
             st.sampled_from([1e-4, 0.05]), st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4)
         ).map(lambda sv: [sv[0] * v for v in sv[1]]),
@@ -146,6 +151,29 @@ _NUMPY_HOLDS = {
         (0.5, 2.5),
     ),
 }
+
+
+def _hold_cases(name):
+    """(x, u, t, dt, substeps) of one hold of a benchmark plant from _NUMPY_HOLDS.
+
+    Half of the states hold an entry that is not finite, or that overflows
+    the field.
+    """
+    plant, _, states, inputs, t_range = _NUMPY_HOLDS[name]
+
+    @st.composite
+    def case(draw):
+        x = draw(states)
+        if draw(st.booleans()):
+            x[draw(st.integers(0, plant.n - 1))] = draw(
+                st.sampled_from([math.inf, -math.inf, math.nan, 1e300, -1e300])
+            )
+        return (
+            x, [draw(inputs)], draw(st.floats(*t_range)),
+            draw(st.sampled_from([1e-3, 2.5e-4, 1.0 / 300.0])), draw(st.integers(1, 20)),
+        )  # fmt: skip
+
+    return case()
 
 
 class TestRk4:
@@ -220,27 +248,20 @@ class TestRk4:
         assert states == finite
         assert all(type(v) is float for s in states for v in s)
 
-    def _assert_plant_hold_matches_numpy(self, name, data):
-        plant, numpy_field, states, inputs, t_range = _NUMPY_HOLDS[name]
-        x = data.draw(states)
-        if data.draw(st.booleans()):  # a state that is not finite, or overflows the field
-            x[data.draw(st.integers(0, plant.n - 1))] = data.draw(
-                st.sampled_from([math.inf, -math.inf, math.nan, 1e300, -1e300])
-            )
-        self._assert_hold_matches_numpy(
-            plant, numpy_field, x, [data.draw(inputs)], data.draw(st.floats(*t_range)),
-            data.draw(st.sampled_from([1e-3, 2.5e-4, 1.0 / 300.0])), data.draw(st.integers(1, 20)),
-        )  # fmt: skip
+    @settings(max_examples=300, deadline=None)
+    @given(case=_hold_cases("acc"))
+    def test_acc_hold_bitwise_equal_to_numpy_rk4(self, case):
+        plant, numpy_field = _NUMPY_HOLDS["acc"][:2]
+        self._assert_hold_matches_numpy(plant, numpy_field, *case)
 
     @settings(max_examples=300, deadline=None)
-    @given(data=st.data())
-    def test_acc_hold_bitwise_equal_to_numpy_rk4(self, data):
-        self._assert_plant_hold_matches_numpy("acc", data)
-
-    @settings(max_examples=300, deadline=None)
-    @given(data=st.data())
-    def test_suspension_hold_bitwise_equal_to_numpy_rk4(self, data):
-        self._assert_plant_hold_matches_numpy("suspension", data)
+    @given(case=_hold_cases("suspension"))
+    # at rest, a first RK4 stage at exactly t = start and at exactly t = start + width
+    @example(case=([0.0] * 4, [0.0], BUMP[1], 1e-3, 2))
+    @example(case=([0.0] * 4, [0.0], BUMP[1] + BUMP[2], 1e-3, 2))
+    def test_suspension_hold_bitwise_equal_to_numpy_rk4(self, case):
+        plant, numpy_field = _NUMPY_HOLDS["suspension"][:2]
+        self._assert_hold_matches_numpy(plant, numpy_field, *case)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_hold_bitwise_equal_to_numpy_rk4_at_each_dimension(self, n):
@@ -421,18 +442,28 @@ class TestClfNominalAcc:
 
 
 class TestRoadProfile:
+    """The bump as the suspension field's wheel row reads it, at rest and with u = 0."""
+
+    plant = make_suspension_plant(SUSPENSION_TRUE, 0.08, 1.0, 1.0)
+
+    def _road(self, t):
+        """The road term (k2 / m2) d(t) over a bump of 0.08 from t = 1 for 1."""
+        return self.plant.field([0.0] * 4, [0.0], t)[3]
+
     def test_zero_outside_window(self):
-        assert road_profile(0.5, 0.08, 1.0, 1.0) == 0.0
-        assert road_profile(2.5, 0.08, 1.0, 1.0) == 0.0
+        assert self._road(0.5) == 0.0
+        assert self._road(2.5) == 0.0
 
     def test_peak_at_center(self):
-        assert road_profile(1.5, amplitude=0.08, start=1.0, width=1.0) == pytest.approx(0.08)
+        p = SuspensionParams(**SUSPENSION_TRUE)
+        assert self._road(1.5) == pytest.approx(p.k2 / p.m2 * 0.08)
 
     def test_bump_integral(self):
+        p = SuspensionParams(**SUSPENSION_TRUE)
         ts = np.linspace(0.0, 3.0, 300001)
-        vals = np.array([road_profile(t, amplitude=0.08, start=1.0, width=1.0) for t in ts])
+        vals = np.array([self._road(t) for t in ts.tolist()])
         integral = np.trapezoid(vals, ts)
-        assert integral == pytest.approx(0.08 * 1.0 / 2.0, rel=1e-6)
+        assert integral == pytest.approx(p.k2 / p.m2 * 0.08 * 1.0 / 2.0, rel=1e-6)
 
 
 class TestPlantModels:
@@ -453,14 +484,15 @@ class TestPlantModels:
 
     def test_suspension_disturbance_enters_wheel_only(self):
         p = SuspensionParams(**SUSPENSION_TRUE)
-        flat = make_suspension_plant()
-        bump = make_suspension_plant(road=lambda t: 0.02 * t)
+        # amplitude 0 over the whole time range is the flat road
+        flat = make_suspension_plant(SUSPENSION_TRUE, 0.0, 0.5, 2.5)
+        bump = make_suspension_plant(SUSPENSION_TRUE, *BUMP)
         rng = np.random.default_rng(6)
         for scale in [0.05] * 50 + [1e-4] * 50:  # small states let the input term's rounding show
             x = rng.normal(scale=scale, size=4)
             x1, x2, x3, x4 = x
             u = rng.normal(scale=500.0, size=1)
-            t = rng.uniform(0.5, 3.0)
+            t = rng.uniform(BUMP[1], BUMP[1] + BUMP[2])  # inside the bump
             f = np.array(
                 [
                     x3,
@@ -473,11 +505,11 @@ class TestPlantModels:
             road_gain = np.array([0.0, 0.0, 0.0, p.k2 / p.m2])
             xs, us = x.tolist(), u.tolist()
             assert np.all(flat.field(xs, us, t) == f + g @ u)
-            assert np.all(bump.field(xs, us, t) == f + g @ u + road_gain * (0.02 * t))
+            assert np.all(bump.field(xs, us, t) == f + g @ u + road_gain * road_profile(t, *BUMP))
             assert bump.field(xs, us, t)[:3] == flat.field(xs, us, t)[:3]
             assert bump.field(xs, us, t)[3] != flat.field(xs, us, t)[3]
-        # a road at zero height is the flat road
-        assert bump.field(xs, us, 0.0) == flat.field(xs, us, 0.0)
+        # outside the bump the road is flat
+        assert bump.field(xs, us, 0.75) == flat.field(xs, us, 0.75)
 
     def test_synthetic_zero_mismatch(self):
         plant = make_synthetic_plant(0.0)

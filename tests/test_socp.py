@@ -187,7 +187,7 @@ class TestSolve:
         )
         out = solve(np.array([u_nom]), cone)
         assert out.status == STATUS_OPTIMAL
-        assert out.u.tolist() == [1e-100] and out.cone_margin == 0.0
+        assert out.u == (1e-100,) and out.cone_margin == 0.0
 
     @pytest.mark.parametrize(
         "A, c, d, u_nom, analytic",
@@ -246,7 +246,7 @@ class TestGeneralProjection:
             s = float(np.linalg.norm(res))
             assert out.cone_margin >= -1e-9 * max(1.0, s)
             grad = c - A.T @ res / s
-            step = out.u - u_nom
+            step = np.subtract(out.u, u_nom)
             nu = float(step @ grad) / float(grad @ grad)
             assert nu >= 0.0
             np.testing.assert_allclose(step, nu * grad, atol=1e-8 * max(1.0, np.linalg.norm(step)))
@@ -303,7 +303,7 @@ class TestGeneralProjection:
         u_nom = np.array(u_nom)
         out = solve(u_nom, cone, tol=1e-10)
         assert out.status == STATUS_OPTIMAL
-        assert np.linalg.norm(out.u - u_nom) == pytest.approx(distance, rel=1e-7)
+        assert np.linalg.norm(np.subtract(out.u, u_nom)) == pytest.approx(distance, rel=1e-7)
 
     def test_infeasible_verdicts_match_feasibility_conditions(self):
         # A positive necessary-condition value proves the cone empty; a
@@ -413,7 +413,7 @@ class TestGeneralProjection:
         out = solve(u_nom, cone, tol=1e-8)
         if out.status != STATUS_INFEASIBLE:
             assert out.status == STATUS_OPTIMAL
-            scale = max(1.0, float(np.linalg.norm(cone.A @ out.u + cone.b)))
+            scale = max(1.0, float(np.linalg.norm(np.array(cone.A) @ out.u + cone.b)))
             assert out.cone_margin == cone_margin(cone, out.u)
             assert out.cone_margin >= -1e-8 * scale
 
@@ -560,7 +560,7 @@ class TestFilterInvariants:
                 outs.append(solve(u_nom, cone, tol=1e-9))
             if any(o.status != STATUS_OPTIMAL for o in outs):
                 continue
-            dists = [float(np.linalg.norm(o.u - u_nom)) for o in outs]
+            dists = [float(np.linalg.norm(np.subtract(o.u, u_nom))) for o in outs]
             assert dists[1] >= dists[0] - 1e-7
             checked += 1
 
@@ -576,7 +576,7 @@ class TestFilterInvariants:
         u_nom = np.array([5.0, 1.0][:m])
         out = safety_filter_step(u_nom, cert, mu, 0.1 * np.eye(2 + m), 2.0, np.array([3.0, 1.0]))
         assert out.status == STATUS_INFEASIBLE
-        assert out.u.tolist() == u_nom.tolist()
+        assert list(out.u) == u_nom.tolist()
         assert capfd.readouterr() == ("", "")
 
     @pytest.mark.parametrize("m", [1, 2])
@@ -601,7 +601,7 @@ class TestFilterInvariants:
         u_nom = np.array([0.0, -3.0])
         out = safety_filter_step(u_nom, cert, np.zeros(4), sigma, 2.0, np.array([3.0, 1.0]))
         assert out.status == STATUS_FACTORIZATION_FAILED
-        assert out.u.tolist() == u_nom.tolist()
+        assert list(out.u) == u_nom.tolist()
 
     def test_infeasible_step_applies_mean_halfspace(self):
         # beta large enough to empty the cone while the mean half-space
@@ -647,7 +647,7 @@ class TestFilterInvariants:
         sigma = np.eye(3)
         sigma[0, 2] = np.nan
         out, clean = (safety_filter_step(*args, s, 2.0, np.array([2.0, 1.0])) for s in (sigma, np.eye(3)))
-        assert out.status == clean.status and out.u.tobytes() == clean.u.tobytes()
+        assert out.status == clean.status and np.array(out.u).tobytes() == np.array(clean.u).tobytes()
         assert out.sigma == clean.sigma
 
     @pytest.mark.parametrize(
@@ -664,7 +664,7 @@ class TestFilterInvariants:
         cert = _cert([0.0], [zg], 0.0)
         out = safety_filter_step(np.zeros(1), cert, np.array(mu), sigma, beta, np.ones(1))
         assert out.status == status
-        assert out.u.tolist() == [0.0]
+        assert out.u == (0.0,)
 
     def test_feasibility_suite_skips_states_whose_sigma_does_not_factor(self, monkeypatch):
         calls = []
@@ -778,7 +778,8 @@ def _out_of_range(cone, u_nom, point):
 
 def _check_step(out, u_nom, cert, mu, sigma, beta, gamma):
     """Every field of a one-input step's record against the reference; True near the boundary."""
-    u_nom, u = float(u_nom[0]), float(out.u[0])
+    assert type(out.u) is tuple and list(map(type, out.u)) == [float]
+    u_nom, u = float(u_nom[0]), out.u[0]
     lower = np.tril(sigma) + np.tril(sigma, -1).T  # the Sigma that dpotrf reads
     finite = np.isfinite(lower).all()
     cone = OneInputCone.from_step(cert, mu, lower if finite else np.zeros_like(sigma), beta, gamma)
@@ -894,7 +895,7 @@ class TestOneInputReference:
     def test_edge_cones(self, A, b, c, d, u_nom, expected):
         cone = OneInputCone.from_rows(A, b, c, d)
         out = solve(np.array([u_nom]), SafetyConeData(np.array(A), np.array(b), np.array(c), d))
-        assert cone.project(u_nom) == expected and out.u.tolist() == [expected]
+        assert cone.project(u_nom) == expected and out.u == (expected,)
         assert _check_projection(cone, u_nom, out) is (expected == 0.0)
 
     @pytest.mark.parametrize(
@@ -927,7 +928,7 @@ def _recomputed_margin(u, cert, mu, sigma, beta, gamma):
     sum that meets inf - inf or overflows makes both NaN.  beta = 0 drops s,
     as the step does.
     """
-    y = gamma.tolist() + u.tolist()
+    y = gamma.tolist() + list(u)
     rows = cert.zf.tolist() + cert.zg.tolist() + mu.tolist()
     try:
         mean = math.fsum([a * b for a, b in zip(rows, y + y)] + [cert.const])
@@ -977,9 +978,10 @@ class TestStepContract:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             out = safety_filter_step(*args)
-        assert out.u.shape == args[0].shape and np.isfinite(out.u).all()
+        assert type(out.u) is tuple and list(map(type, out.u)) == [float] * len(args[0])
+        assert np.isfinite(out.u).all()
         if not np.isfinite(args[2]).all():  # a mean that is not finite assembles no cone
-            assert out.status == STATUS_INFEASIBLE and out.u.tolist() == args[0].tolist()
+            assert out.status == STATUS_INFEASIBLE and list(out.u) == args[0].tolist()
             assert (out.analytic, out.iterations) == (False, 0)
             for key in ("cone_margin", "necessary_value", "sufficient_eig"):
                 assert math.isnan(getattr(out, key))
