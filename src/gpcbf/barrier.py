@@ -12,9 +12,9 @@ form
 
 where gamma_j is the (r-j)-th elementary symmetric polynomial of the gains
 (gamma_r = 1) and e_r is their product.  The module keeps that decomposition
-explicit: designs carry analytic Lie-derivative evaluators and the derived
-coefficient vector, and :func:`certificate_terms` returns the affine pieces
-consumed by the nominal QP filter and the cone filter.
+explicit: designs declare h and its nominal Lie chain once, as source, and
+carry the derived coefficient vector; :func:`certificate_terms` returns the
+affine pieces consumed by the nominal QP filter and the cone filter.
 """
 
 import math
@@ -24,9 +24,6 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import InfeasibleConstraintError, InvalidDesignError
-
-StateFn = Callable[[Sequence[float]], float]
-RowFn = Callable[[Sequence[float]], Sequence[float]]
 
 
 def elementary_symmetric(gains: Sequence[float]) -> np.ndarray:
@@ -72,36 +69,38 @@ def gains_from_char_coeffs(coeffs: Sequence[float]) -> np.ndarray:
     return gains
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HocbfDesign:
-    """Barrier design: evaluators for the nominal Lie chain plus derived gains.
+    """Barrier design: h and its nominal Lie chain declared once as source, plus derived gains.
 
-    The relative degree r is the number of gains.  lie_f_chain[i-1]
-    evaluates Lf^i h for i = 1..r on the nominal model; lie_g evaluates
-    LgLf^{r-1} h as a row with one entry per plant input.  r, gamma, e_r
-    and the zeta-chain weights are derived from the gains at construction;
-    zeta_weights[i-1], a tuple of floats, weighs [h, Lf h, ..., Lf^i h] in
-    zeta_i.  Every evaluator reads the state by index:
-    :func:`certificate_terms` and :func:`zeta_chain` pass it as a tuple or
-    list of floats, other callers as a numpy array.
+    The relative degree r is the number of gains.  ``derivatives`` holds
+    statements in ``plants.PlantModel``'s conventions that read x0 ..
+    x{n-1} and the names in ``params`` and assign h, lfi = Lf^i h on the
+    nominal model for i = 1..r, and the row LgLf^{r-1} h as lg0 .. lg{m-1}.
+    The plants' generator builds ``terms(x)``, which returns (h, [lf1 ..
+    lfr], [lg0 .. lg{m-1}]), and ``barrier(x)``, which runs only what h
+    needs; on float sequences both return floats.  r, gamma, e_r and the
+    zeta-chain weights are derived from the gains at construction;
+    zeta_weights[i-1] weighs [h, Lf h, ..., Lf^i h] in zeta_i.
     """
 
+    n: int
+    m: int
+    derivatives: str
+    params: dict
     gains: np.ndarray
-    h: StateFn
-    lie_f_chain: Sequence[StateFn]
-    lie_g: RowFn
     r: int = field(init=False)
     gamma: np.ndarray = field(init=False)
     e_r: float = field(init=False)
     zeta_weights: tuple = field(init=False)
+    terms: Callable = field(init=False, repr=False)
+    barrier: Callable = field(init=False, repr=False)
 
     def __post_init__(self):
+        from .plants import _generated  # plants imports this module
+
         gains = np.asarray(self.gains, dtype=float)
         e = elementary_symmetric(gains)
-        if len(self.lie_f_chain) != gains.size:
-            raise InvalidDesignError(
-                f"need {gains.size} drift Lie evaluators, got {len(self.lie_f_chain)}"
-            )
         object.__setattr__(self, "r", gains.size)
         object.__setattr__(self, "gains", gains)
         object.__setattr__(self, "gamma", gamma_vector(gains))
@@ -111,6 +110,11 @@ class HocbfDesign:
             for i in range(1, self.r)
         )
         object.__setattr__(self, "zeta_weights", weights)
+        lf = ", ".join(f"lf{i}" for i in range(1, self.r + 1))
+        lg = ", ".join(f"lg{j}" for j in range(self.m))
+        for name, returns in (("terms", f"h, [{lf}], [{lg}]"), ("barrier", "h")):
+            built = _generated(self.params, self.derivatives, name, self.n, 0, returns)
+            object.__setattr__(self, name, built)
 
 
 @dataclass(slots=True)
@@ -134,24 +138,21 @@ class CertificateTerms:
 def certificate_terms(design: HocbfDesign, x) -> CertificateTerms:
     """Evaluate the certificate's affine pieces at state x.
 
-    One evaluation of the chain [h, Lf h, ..., Lf^r h, LgLf^{r-1} h] per
-    call: the terms carry h(x) and zf = [Lf h, ..., Lf^r h], from which
-    :func:`zeta_chain` builds the step's auxiliary chain without evaluating
-    any of them again.  zg may be zero at states where the relative degree
-    degrades; feasibility of the resulting constraint is the filter's
-    concern, not this function's.
+    One call of the design's ``terms`` per call: the terms carry h(x) and
+    zf = [Lf h, ..., Lf^r h], from which :func:`zeta_chain` builds the
+    step's auxiliary chain without evaluating any of them again.  zg may be
+    zero at states where the relative degree degrades; feasibility of the
+    resulting constraint is the filter's concern, not this function's.
 
-    The evaluators read the state as Python floats (a tuple or list is
+    The evaluator reads the state as Python floats (a tuple or list is
     taken as it is, other sequences are converted), so plain float
     arithmetic runs without numpy's scalar overhead and gives the bits it
     gives on numpy scalars.  zf and zg come back as lists of floats.
     """
     xs = x if type(x) is tuple else _floats(x)
-    zf = [float(lf(xs)) for lf in design.lie_f_chain]
-    zg = _floats(design.lie_g(xs))
+    h, zf, zg = design.terms(xs)
     if not all(map(math.isfinite, zg)):
         raise InvalidDesignError(f"non-finite actuation row {zg} at x={list(xs)}")
-    h = float(design.h(xs))
     return CertificateTerms(zf=zf, zg=zg, const=design.e_r * h, h=h)
 
 
@@ -162,15 +163,14 @@ def zeta_chain(design: HocbfDesign, x, cert: Optional[CertificateTerms] = None) 
     zeta_i = sum_{j=0}^{i} e_{i-j}(k_1..k_i) * Lf^j h(x), summed in index
     order from 0.0.  When cert holds the :func:`certificate_terms` of this
     x, the chain is built from its h and zf[:r-1], with the same operations
-    as from fresh evaluations at x, so the values are the same bits; else h
-    and Lf h .. Lf^{r-1} h are evaluated at x.
+    as from a fresh evaluation at x, so the values are the same bits; else
+    h and zf come from one call of the design's ``terms`` at x.
     """
     if cert is None:
-        xs = x if type(x) is tuple else _floats(x)
-        lf = [float(design.h(xs))]
-        lf += [float(design.lie_f_chain[j](xs)) for j in range(design.r - 1)]
+        h, zf, _ = design.terms(x if type(x) is tuple else _floats(x))
     else:
-        lf = [cert.h, *_floats(cert.zf)[: design.r - 1]]
+        h, zf = cert.h, _floats(cert.zf)
+    lf = [h, *zf[: design.r - 1]]
     return (lf[0], *[weighted_sum(weights, lf) for weights in design.zeta_weights])
 
 

@@ -111,12 +111,13 @@ def label_window(
         raise ValueError(f"window must hold {2 * design.r + 1} samples")
     u_center = np.atleast_1d(np.asarray(u_center, dtype=float))
     r = design.r
+    _, zf, zg = design.terms(x_center)
     z = 0.0
     for j in range(1, r + 1):
         measured = fd_derivative(h_window, j, dt)
-        nominal = float(design.lie_f_chain[j - 1](x_center))
+        nominal = float(zf[j - 1])
         if j == r:
-            nominal += float(design.lie_g(x_center) @ u_center)
+            nominal += float(zg @ u_center)
         z += design.gamma[j - 1] * (measured - nominal)
     y = np.concatenate((design.gamma, u_center))
     return np.asarray(x_center, dtype=float), y, z
@@ -228,7 +229,7 @@ def run_episode(
     x = tuple(np.asarray(x0, dtype=float).ravel().tolist())
     substeps = max(1, int(round(control_period / dt)))
     n_ctrl = int(round(horizon / control_period))
-    h = design.h
+    h = design.barrier
 
     rows = []  # per step: t, x, u, zeta, then the record's logged values
     termination = TERM_COMPLETED

@@ -60,7 +60,8 @@ def build_scenario(cfg: ExperimentConfig) -> Scenario:
         plant = plants.make_suspension_plant(plants.SUSPENSION_TRUE, d.amplitude, d.start, d.width)
         design_nom = plants.suspension_design(plants.SUSPENSION_NOMINAL, gains, D)
         design_true = plants.suspension_design(plants.SUSPENSION_TRUE, gains, D)
-        A, B = plants.suspension_linear_matrices(plants.SUSPENSION_NOMINAL)
+        flat = plants.make_suspension_plant(plants.SUSPENSION_NOMINAL, 0.0, 0.0, 1.0)
+        A, B = plants.linear_matrices(flat)
         try:
             K, _ = plants.lqr_gain(A, B, c.lqr_q * np.eye(4), np.array([[c.lqr_r]]))
         except np.linalg.LinAlgError as exc:

@@ -6,8 +6,8 @@ the body displacement under a road bump).  A plant is what the runner
 integrates: the true-parameter field, with the road disturbance folded in,
 declared once as derivative statements from which the plant's field and
 its RK4 hold are generated.  The nominal model reaches the filter only
-through the barrier designs, whose Lie-derivative chains are hand-derived
-below (relative degree two throughout).
+through the barrier designs, whose Lie chains are declared as statements of
+the same kind and compiled by the same generator.
 """
 
 import ast
@@ -86,9 +86,8 @@ class PlantModel:
     params: dict
 
     def _build(self, name: str) -> Callable:
-        namespace = dict(self.params, _isfinite=math.isfinite, _range=range)
-        exec(_compiled(self.n, self.m, self.derivatives)[name], namespace)
-        return namespace[name]
+        xdot = _tuple(f"dx{i}" for i in range(self.n))
+        return _generated(self.params, self.derivatives, name, self.n, self.m, xdot)
 
     @functools.cached_property
     def field(self) -> Callable:
@@ -142,45 +141,29 @@ def make_suspension_plant(params: dict, amplitude: float, start: float, width: f
 
 
 # ---------------------------------------------------------------------------
-# hand-derived barrier designs (relative degree two throughout)
+# barrier designs on the nominal parameters, declared as derivative source
 # ---------------------------------------------------------------------------
 
 
 def acc_design(params: dict, gains, D: float = 30.0) -> HocbfDesign:
-    """Headway barrier h = z - D for the cruise-control model.
-
-    Lf h = v0 - v;  Lf^2 h = F_r(v) / m;  Lg Lf h = -1 / m.
-    """
+    """Headway barrier h = z - D (x1 in the source) of the cruise control: Lf^2 h = F_r(v) / m."""
     p = AccParams(**params)
-    m, f0, f1, f2, v0, lg = p.m, p.f0, p.f1, p.f2, p.v0, -1.0 / p.m
-
     return HocbfDesign(
-        gains=np.asarray(gains, dtype=float),
-        h=lambda x: x[1] - D,
-        lie_f_chain=(
-            lambda x: v0 - x[0],
-            lambda x: (f0 + f1 * x[0] + f2 * x[0] * x[0]) / m,
-        ),
-        lie_g=lambda x: [lg],
+        *DIMENSIONS["acc"][:2],
+        "h = x1 - D\nlf1 = v0 - x0\nlf2 = (f0 + f1 * x0 + f2 * x0 * x0) / m\nlg0 = -1.0 / m",
+        dict(m=p.m, f0=p.f0, f1=p.f1, f2=p.f2, v0=p.v0, D=D),
+        np.asarray(gains, dtype=float),
     )
 
 
 def suspension_design(params: dict, gains, D: float = 0.06) -> HocbfDesign:
-    """Body-displacement barrier h = D - x1.
-
-    Lf h = -x3;  Lf^2 h = -(k1 (x2 - x1) + b (x4 - x3)) / m1;  Lg Lf h = -1 / m1.
-    """
+    """Body-displacement barrier h = D - x1 (x0 in the source): Lf^2 h is -x1'' at u = 0."""
     p = SuspensionParams(**params)
-    m1, k1, b, lg = p.m1, p.k1, p.b, -1.0 / p.m1
-
     return HocbfDesign(
-        gains=np.asarray(gains, dtype=float),
-        h=lambda x: D - x[0],
-        lie_f_chain=(
-            lambda x: -x[2],
-            lambda x: -(k1 * (x[1] - x[0]) + b * (x[3] - x[2])) / m1,
-        ),
-        lie_g=lambda x: [lg],
+        *DIMENSIONS["suspension"][:2],
+        "h = D - x0\nlf1 = -x2\nlf2 = -(k1 * (x1 - x0) + b * (x3 - x2)) / m1\nlg0 = -1.0 / m1",
+        dict(m1=p.m1, k1=p.k1, b=p.b, D=D),
+        np.asarray(gains, dtype=float),
     )
 
 
@@ -189,18 +172,19 @@ def suspension_design(params: dict, gains, D: float = 0.06) -> HocbfDesign:
 # ---------------------------------------------------------------------------
 
 
-# A plant's field and its RK4 hold, built from these sources with the state,
-# the input and the stages as named float locals, the way dataclasses and
-# namedtuple build their methods.  The hold writes the plant's derivative
-# statements out at each stage, renamed to the stage's state, time and
-# slopes, and every operation keeps the left-to-right order of
-# x + (dt/6) (k1 + 2 k2 + 2 k3 + k4).
-_FIELD_SOURCE = """\
-def field(_x, _u, t):
+# Functions generated from derivative statements, with the state, the input
+# and the stages as named float locals, the way dataclasses and namedtuple
+# build their methods.  A function runs the statements its returned names
+# depend on; called without u and t, it serves a design's evaluators of x.
+# The hold writes the plant's statements out at each stage, renamed to the
+# stage's state, time and slopes, and every operation keeps the
+# left-to-right order of x + (dt/6) (k1 + 2 k2 + 2 k3 + k4).
+_FUNCTION_SOURCE = """\
+def {name}(_x, _u=(), t=0.0):
     {x} = _x
     {u} = _u
-{k1}
-    return {xdot}
+{body}
+    return {returns}
 """
 
 _RK4_HOLD_SOURCE = """\
@@ -229,9 +213,19 @@ def hold(_x, _u, t, _dt, _substeps):
 """
 
 
-def _renamed(derivatives: str, names: dict, indent: str) -> str:
-    """The derivative statements with each name in names renamed, every line indented."""
-    tree = ast.parse(derivatives)
+def _tuple(names) -> str:
+    return "(" + "".join(f"{v}, " for v in names) + ")"
+
+
+def _statements(derivatives: str, returned, names: dict, indent: str) -> str:
+    """The statements that the returned names depend on, in order, each name in names renamed."""
+    needed, kept = set(returned), []
+    for statement in reversed(ast.parse(derivatives).body):
+        used = [node for node in ast.walk(statement) if isinstance(node, ast.Name)]
+        if needed & {node.id for node in used if isinstance(node.ctx, ast.Store)}:
+            kept.insert(0, statement)
+            needed |= {node.id for node in used}
+    tree = ast.Module(kept, [])
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             node.id = names.get(node.id, node.id)
@@ -239,24 +233,33 @@ def _renamed(derivatives: str, names: dict, indent: str) -> str:
 
 
 @functools.cache
-def _compiled(n: int, m: int, derivatives: str) -> dict:
-    """Code objects of a plant's field and RK4 hold, by name, compiled once per source."""
-    xs, us, xdot = ([f"{v}{i}" for i in range(size)] for v, size in (("x", n), ("u", m), ("dx", n)))
+def _compiled(derivatives: str, name: str, n: int, m: int, returns: str):
+    """Code of the function ``name`` generated from derivative statements, compiled once per source.
+
+    It reads the state as x0 .. x{n-1}, the input as u0 .. u{m-1} and the
+    time as t, and returns the expression ``returns``.  The name "hold"
+    builds a plant's RK4 hold instead, whose returns are the derivatives.
+    """
+    xs, us = [f"x{i}" for i in range(n)], [f"u{i}" for i in range(m)]
+    returned = [node.id for node in ast.walk(ast.parse(returns)) if isinstance(node, ast.Name)]
     names = [node for node in ast.walk(ast.parse(derivatives)) if isinstance(node, ast.Name)]
     stored = {node.id for node in names if isinstance(node.ctx, ast.Store)}
-    if stored & {*xs, *us, "t"} or not stored >= {*xdot} or any(v.id[0] == "_" for v in names):
+    if stored & {*xs, *us, "t"} or not stored >= {*returned} or any(v.id[0] == "_" for v in names):
         raise ValueError(
-            f"derivatives must assign {', '.join(xdot)}, may assign no state, input or t, "
+            f"derivatives must assign {', '.join(returned)}, may assign no state, input or t, "
             "and may name nothing with a leading underscore"
         )
+    x, u = _tuple(xs), _tuple(us)
+    if name != "hold":
+        body = _statements(derivatives, returned, {}, " " * 4)
+        source = _FUNCTION_SOURCE.format(name=name, x=x, u=u, body=body, returns=returns)
+        return compile(source, f"<generated {name}>", "exec")
     k = [[f"_{s}{i}" for i in range(n)] for s in "abcd"]  # the stages' slopes
     y = [xs] + [[f"_x{s}{i}" for i in range(n)] for s in "bcd"]  # the stages' states
 
-    def tup(items) -> str:
-        return f"({', '.join(items)},)"
-
     def stage(s: int, t: str) -> str:
-        return _renamed(derivatives, {**dict(zip(xs + xdot, y[s] + k[s])), "t": t}, " " * 8)
+        renamed = {**dict(zip(xs + returned, y[s] + k[s])), "t": t}
+        return _statements(derivatives, returned, renamed, " " * 8)
 
     def state(s: int, step: str) -> str:
         return "\n".join(f"        {a} = {b} + {step} * {c}" for a, b, c in zip(y[s], xs, k[s - 1]))
@@ -265,18 +268,20 @@ def _compiled(n: int, m: int, derivatives: str) -> dict:
         f"        {x} = {x} + _sixth * ((({a} + 2.0 * {b}) + 2.0 * {c}) + {d})"
         for x, a, b, c, d in zip(xs, *k)
     )
-    sources = {
-        "field": _FIELD_SOURCE.format(
-            x=tup(xs), u=tup(us), k1=_renamed(derivatives, {}, " " * 4), xdot=tup(xdot)
-        ),
-        "hold": _RK4_HOLD_SOURCE.format(
-            x=tup(xs), u=tup(us), k1=stage(0, "t"), x_half_k1=state(1, "_half"),
-            k2=stage(1, "_t_mid"), x_half_k2=state(2, "_half"), k3=stage(2, "_t_mid"),
-            x_dt_k3=state(3, "_dt"), k4=stage(3, "_t_end"), update="\n".join(update),
-            finite=" and ".join(f"_isfinite({x})" for x in xs),
-        ),
-    }  # fmt: skip
-    return {name: compile(text, f"<plant {name}, n={n}>", "exec") for name, text in sources.items()}
+    source = _RK4_HOLD_SOURCE.format(
+        x=x, u=u, k1=stage(0, "t"), x_half_k1=state(1, "_half"),
+        k2=stage(1, "_t_mid"), x_half_k2=state(2, "_half"), k3=stage(2, "_t_mid"),
+        x_dt_k3=state(3, "_dt"), k4=stage(3, "_t_end"), update="\n".join(update),
+        finite=" and ".join(f"_isfinite({x})" for x in xs),
+    )  # fmt: skip
+    return compile(source, "<generated hold>", "exec")
+
+
+def _generated(params: dict, derivatives: str, name: str, n: int, m: int, returns: str):
+    """The function that :func:`_compiled` generates, run with params as its globals."""
+    namespace = dict(params, _isfinite=math.isfinite, _range=range)
+    exec(_compiled(derivatives, name, n, m, returns), namespace)
+    return namespace[name]
 
 
 def rk4_step(plant: PlantModel, x, u, t: float, dt: float, substeps: int = 1) -> list:
@@ -347,19 +352,11 @@ def lqr_gain(A, B, Q, R):
     return K, P
 
 
-def suspension_linear_matrices(params: dict):
-    """State-space (A, B) of the suspension model (it is linear)."""
-    p = SuspensionParams(**params)
-    A = np.array(
-        [
-            [0.0, 0.0, 1.0, 0.0],
-            [0.0, 0.0, 0.0, 1.0],
-            [-p.k1 / p.m1, p.k1 / p.m1, -p.b / p.m1, p.b / p.m1],
-            [p.k1 / p.m2, -(p.k1 + p.k2) / p.m2, p.b / p.m2, -p.b / p.m2],
-        ]
-    )
-    B = np.array([[0.0], [0.0], [1.0 / p.m1], [-1.0 / p.m2]])
-    return A, B
+def linear_matrices(plant: PlantModel):
+    """(A, B) of a plant whose field at t = 0 is A x + B u: its values at unit vectors."""
+    unit = np.eye(plant.n + plant.m).tolist()
+    columns = [plant.field(e[: plant.n], e[plant.n :], 0.0) for e in unit]
+    return np.column_stack(columns[: plant.n]), np.column_stack(columns[plant.n :])
 
 
 def clf_nominal_acc(x, v_d: float, lambda_rate: float, p: AccParams) -> tuple:

@@ -75,7 +75,7 @@ class AffineChainSystem:
             val += self.quad * x[0] ** 2
         return val
 
-    def lie_g(self, x: np.ndarray) -> float:
+    def lg_lf(self, x: np.ndarray) -> float:
         return self.bgain
 
     def zeta_r_direct(self, gains: np.ndarray, x: np.ndarray, u: float) -> float:
@@ -118,7 +118,7 @@ def decomposition_suite(seed: int = 0, cases: int = 100, tol: float = 1e-8) -> d
             resid = sum(
                 gamma[i - 1] * (true.lie_f(i, x) - nom.lie_f(i, x)) for i in range(1, r + 1)
             )
-            resid += (true.lie_g(x) - nom.lie_g(x)) * u
+            resid += (true.lg_lf(x) - nom.lg_lf(x)) * u
             err = abs(zeta_true - (zeta_nom + resid))
             rel = err / max(1.0, abs(zeta_true))
             worst = max(worst, rel)

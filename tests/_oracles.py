@@ -1,7 +1,8 @@
 """Independent oracles used by the tests.
 
 Everything here deliberately avoids the package's own code paths: symbolic
-Lie chains via sympy, a from-scratch stacked-input GP, an exactly summed
+Lie chains via sympy, derived from a plant's own derivative statements run
+on symbols, a from-scratch stacked-input GP, an exactly summed
 forward substitution for the posterior covariance, a dense linear solve for
 the necessary feasibility condition, a brute-force Riccati ODE integrator,
 dense grid searches, the one-input filter cone in closed form and exact
@@ -13,14 +14,15 @@ query with a list of triangular solves, and the certificate
 terms evaluated on numpy scalars.  It also holds the double integrator with
 a drift mismatch and its position barrier, the small closed loop that the
 episode and training tests run on, and random polynomial plants; these
-plants are declared through the package's derivative source, the route
-whose generated fields and holds the tests check.
+plants and the barrier are declared through the package's derivative
+source, the route whose generated functions the tests check.
 """
 
 import csv
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import sympy as sp
 from scipy.linalg.blas import dtrsv
@@ -30,7 +32,10 @@ from gpcbf.plants import PlantModel
 
 
 class SymbolicSystem:
-    """Exact Lie-derivative chain for a control-affine system via sympy."""
+    """Exact Lie-derivative chain for a control-affine system via sympy.
+
+    g holds one column per input; :meth:`zeta_r` takes one input.
+    """
 
     def __init__(self, states, f_exprs, g_exprs, h_expr):
         self.states = list(states)
@@ -39,7 +44,7 @@ class SymbolicSystem:
         self.g = sp.Matrix(g_exprs)
         self.h = sp.sympify(h_expr)
 
-    def lie_f_chain(self, order):
+    def lf_chain(self, order):
         """Expressions Lf^i h for i = 0..order."""
         exprs = [self.h]
         for _ in range(order):
@@ -47,14 +52,15 @@ class SymbolicSystem:
             exprs.append(sp.expand((grad * self.f)[0, 0]))
         return exprs
 
-    def lie_g_of(self, expr):
+    def lg_row(self, expr):
+        """The row Lg expr, one expression per input."""
         grad = sp.Matrix([expr]).jacobian(self.states)
-        return sp.expand((grad * self.g)[0, 0])
+        return [sp.expand(v) for v in grad * self.g]
 
     def lambdify_chain(self, r):
-        chain = self.lie_f_chain(r)
+        chain = self.lf_chain(r)
         lfs = [sp.lambdify(self.states, e, "numpy") for e in chain]
-        lg = sp.lambdify(self.states, self.lie_g_of(chain[r - 1]), "numpy")
+        lg = sp.lambdify(self.states, self.lg_row(chain[r - 1])[0], "numpy")
         return lfs, lg
 
     def zeta_r(self, gains, x, u):
@@ -66,6 +72,34 @@ class SymbolicSystem:
             zeta = sp.expand((grad * (self.f + self.g * usym))[0, 0] + k * zeta)
         fn = sp.lambdify(list(self.states) + [usym], zeta, "numpy")
         return float(fn(*x, u))
+
+
+def run_statements(derivatives, params, names):
+    """The namespace after derivative statements ran on params and names, sympy symbols allowed."""
+    namespace = dict(params, **names)
+    exec(derivatives, namespace)
+    return namespace
+
+
+def plant_symbolic_system(plant, design):
+    """The plant's own statements run on symbols x0 .. x{n-1} at t = 0, as a SymbolicSystem.
+
+    f is the field at u = 0, and the j-th column of g is the field at
+    u = e_j less f; h is the one that the design's statements assign.
+    """
+    xs = sp.symbols(f"x0:{plant.n}")
+    states = {str(x): x for x in xs}
+
+    def field(u):
+        names = dict(states, t=0.0, **{f"u{j}": v for j, v in enumerate(u)})
+        namespace = run_statements(plant.derivatives, plant.params, names)
+        return [sp.sympify(namespace[f"dx{i}"]) for i in range(plant.n)]
+
+    f = field([0.0] * plant.m)
+    columns = [field(e) for e in np.eye(plant.m).tolist()]
+    g = [[sp.expand(column[i] - f[i]) for column in columns] for i in range(plant.n)]
+    h = run_statements(design.derivatives, design.params, states)["h"]
+    return SymbolicSystem(xs, f, g, h)
 
 
 def certificate_value(cert, gamma, u):
@@ -94,11 +128,9 @@ def posterior_coefficients_rows(model, xstar):
 
 
 def certificate_terms_numpy(design, x):
-    """(zf, zg, h) with every evaluator reading x as a numpy array of numpy scalars."""
-    x = np.asarray(x, dtype=float)
-    zf = np.array([lf(x) for lf in design.lie_f_chain], dtype=float)
-    zg = np.atleast_1d(np.asarray(design.lie_g(x), dtype=float))
-    return zf, zg, float(design.h(x))
+    """(zf, zg, h) with the design's evaluator reading x as a numpy array of numpy scalars."""
+    h, zf, zg = design.terms(np.asarray(x, dtype=float))
+    return np.array(zf, dtype=float), np.array(zg, dtype=float), float(h)
 
 
 def stacked_gp_posterior(X, Y, z, noise_var, kernel_fn, xstar, ystar):
@@ -318,13 +350,8 @@ def synthetic_field_numpy(mismatch):
 
 
 def double_integrator_design(gains, D: float = 1.0) -> HocbfDesign:
-    """Position barrier h = D - x1 for the double integrator."""
-    return HocbfDesign(
-        gains=np.asarray(gains, dtype=float),
-        h=lambda x: D - x[0],
-        lie_f_chain=(lambda x: -x[1], lambda x: 0.0),
-        lie_g=lambda x: np.array([-1.0]),
-    )
+    """Position barrier h = D - x1 (x0 in the source) for the double integrator."""
+    return HocbfDesign(2, 1, "h = D - x0\nlf1 = -x1\nlf2 = 0.0\nlg0 = -1.0", {"D": D}, gains)
 
 
 def episode_csv_reference(log, path, trace=False):
@@ -452,3 +479,161 @@ class OneInputCone:
             return float(min(points, key=lambda p: abs(p - x)))
         except (ValueError, OverflowError):  # no point, or none within the float range
             return None
+
+
+class ConeReference:
+    """The cone {u : |A u + b| <= c u + d} of any input count, at 50 digits in mpmath.
+
+    It shares nothing with the filter's secular route.  :meth:`max_margin`
+    maximizes the concave margin c u + d - |A u + b| over (u, t) with
+    c u + d - t >= |A u + b|, and :meth:`project` minimizes |u - u_nom|^2 / 2
+    over the cone.  Both follow the central path of the log barrier
+    -log(T^2 - |S|^2) of that convex form (T the cone's right side, S its
+    vector) by damped Newton steps, multiplying the objective's weight tau
+    by 100 between paths until it has grown 1e30-fold.  The barrier's
+    parameter is 2, so the point at weight tau is within 2 / tau of the
+    optimal value.
+    """
+
+    DIGITS = 50
+    GROWTH = mpmath.mpf(10) ** 30
+
+    def __init__(self, A, b, c, d):
+        with mpmath.workdps(self.DIGITS):
+            self.A = [[mpmath.mpf(float(v)) for v in row] for row in np.atleast_2d(A)]
+            self.b = [mpmath.mpf(float(v)) for v in np.ravel(b)]
+            self.c = [mpmath.mpf(float(v)) for v in np.ravel(c)]
+            self.d = mpmath.mpf(float(d))
+
+    def margin(self, u) -> tuple:
+        """(c u + d - |A u + b|, |A u + b|) at u."""
+        with mpmath.workdps(self.DIGITS):
+            u = [mpmath.mpf(v) for v in u]
+            res = [_mp_dot(row, u) + bi for row, bi in zip(self.A, self.b)]
+            norm = mpmath.sqrt(mpmath.fsum(v * v for v in res))
+            return _mp_dot(self.c, u) + self.d - norm, norm
+
+    def max_margin(self) -> tuple:
+        """(margin, u) at the first u found whose margin is positive; else, once the path ends,
+        an upper bound on the largest margin, and the path's last u."""
+        m = len(self.c)
+        with mpmath.workdps(self.DIGITS):
+            barrier = _LogBarrier([row + [0] for row in self.A], self.b, self.c + [-1], self.d)
+            f = [0] * m + [-1]
+            t0 = self.d - mpmath.sqrt(mpmath.fsum(bi * bi for bi in self.b)) - 1
+            z, tau = [mpmath.mpf(0)] * m + [t0], mpmath.mpf(1)
+            positive = lambda z: self.margin(z[:m])[0] > 0
+            while True:
+                z = barrier.center(False, f, z, tau, positive)
+                if positive(z):
+                    return self.margin(z[:m])[0], z[:m]
+                if tau >= self.GROWTH:
+                    return z[m] + 2 / tau, z[:m]
+                tau *= 100
+
+    def project(self, u_nom, inside):
+        """The point of the cone nearest u_nom, outside it, from a point strictly inside it.
+
+        The path starts on the segment from u_nom to ``inside``, at the
+        point nearest u_nom whose margin the margin's concavity keeps
+        positive.
+        """
+        with mpmath.workdps(self.DIGITS):
+            u_nom = [mpmath.mpf(float(v)) for v in u_nom]
+            (m0, _), (m1, _) = self.margin(u_nom), self.margin(inside)
+            s = min(mpmath.mpf(1), -2 * m0 / (m1 - m0))
+            z = [a + s * (b - a) for a, b in zip(u_nom, inside)]
+            tau = 1 / (1 + mpmath.fsum((a - b) ** 2 for a, b in zip(z, u_nom)))
+            f, end = [-v for v in u_nom], tau * self.GROWTH
+            barrier = _LogBarrier(self.A, self.b, self.c, self.d)
+            while tau <= end:
+                z = barrier.center(True, f, z, tau)
+                tau *= 100
+            return z
+
+
+def _mp_dot(a, b):
+    return mpmath.fsum(x * y for x, y in zip(a, b))
+
+
+def _mp_solve(H, g):
+    """x with H x = g, by Gaussian elimination with partial pivoting."""
+    n = len(g)
+    M = [list(row) + [gi] for row, gi in zip(H, g)]
+    for col in range(n):
+        pivot = max(range(col, n), key=lambda i: abs(M[i][col]))
+        M[col], M[pivot] = M[pivot], M[col]
+        for i in range(col + 1, n):
+            factor = M[i][col] / M[col][col]
+            M[i] = [a - factor * b for a, b in zip(M[i], M[col])]
+    x = [0] * n
+    for i in reversed(range(n)):
+        x[i] = (M[i][n] - _mp_dot(M[i][i + 1 : n], x[i + 1 :])) / M[i][i]
+    return x
+
+
+class _LogBarrier:
+    """-log(T^2 - |S|^2) with S = P z + p and T = q z + q0, on T > |S|."""
+
+    def __init__(self, P, p, q, q0):
+        self.P, self.p, self.q, self.q0 = P, p, q, q0
+        n = len(q)  # the Hessian of T^2 - |S|^2, which is constant
+        self.curvature = [
+            [2 * q[j] * q[k] - 2 * mpmath.fsum(row[j] * row[k] for row in P) for k in range(n)]
+            for j in range(n)
+        ]
+
+    def value(self, z):
+        """(-log(T^2 - |S|^2), S, T, T^2 - |S|^2), the first None outside."""
+        S = [_mp_dot(row, z) + pi for row, pi in zip(self.P, self.p)]
+        T = _mp_dot(self.q, z) + self.q0
+        D = T * T - mpmath.fsum(s * s for s in S)
+        return (-mpmath.log(D) if T > 0 and D > 0 else None), S, T, D
+
+    def center(self, identity, f, z, tau, stop=lambda z: False):
+        """Minimizer of tau (z^T Q z / 2 + f z) plus the barrier, from z strictly inside.
+
+        Q is the identity when ``identity`` is set, else 0; the Newton steps
+        end early at a z where ``stop`` holds.  The function is
+        self-concordant, so a Newton step of length 1 / (1 + lambda), with
+        lambda the Newton decrement, stays strictly inside, and full steps
+        converge quadratically once lambda is below 1/4.  Each step halves a
+        full step while it does not decrease the function enough, down to
+        that length.
+        """
+        n = len(z)
+
+        def objective(z, log_term):
+            quad = mpmath.fsum(v * v for v in z) / 2 if identity else 0
+            return None if log_term is None else tau * (quad + _mp_dot(f, z)) + log_term
+
+        for _ in range(500):
+            log_term, S, T, D = self.value(z)
+            assert log_term is not None, "left the cone's interior"
+            dD = [2 * T * self.q[j] - 2 * _mp_dot([row[j] for row in self.P], S) for j in range(n)]
+            grad = [tau * ((z[j] if identity else 0) + f[j]) - dD[j] / D for j in range(n)]
+            hess = [
+                [(tau if identity and j == k else 0) - self.curvature[j][k] / D + dD[j] * dD[k] / D**2
+                 for k in range(n)]
+                for j in range(n)
+            ]  # fmt: skip
+            step = _mp_solve(hess, [-g for g in grad])
+            decrement = -_mp_dot(grad, step)
+            # within 1/10 of the minimizer in its local norm, and 1e-40 of the minimum in z's
+            # objective, above the rounding floor of the decrement, which grows with tau
+            if decrement <= min(mpmath.mpf("0.01"), tau * mpmath.mpf(10) ** -40):
+                return z
+            lam = mpmath.sqrt(max(decrement, 0))
+            least = 1 if lam < mpmath.mpf(1) / 4 else 1 / (1 + lam)
+            length = mpmath.mpf(1)
+            current = objective(z, log_term) if least < 1 else None
+            while length > least:
+                trial = [a + length * b for a, b in zip(z, step)]
+                new = objective(trial, self.value(trial)[0])
+                if new is not None and new <= current - length * decrement / 4:
+                    break
+                length /= 2
+            z = [a + max(length, least) * b for a, b in zip(z, step)]
+            if stop(z):
+                return z
+        raise AssertionError("the Newton steps did not converge")

@@ -17,8 +17,12 @@ from gpcbf.barrier import (
 from gpcbf.errors import InfeasibleConstraintError, InvalidDesignError
 from gpcbf.plants import (
     ACC_NOMINAL,
+    ACC_TRUE,
     SUSPENSION_NOMINAL,
+    SUSPENSION_TRUE,
     acc_design,
+    make_acc_plant,
+    make_suspension_plant,
     suspension_design,
 )
 
@@ -29,17 +33,17 @@ from _oracles import (
     double_integrator_design,
     grid_min_norm_halfspace,
     halfspace_projection_vector,
+    plant_symbolic_system,
+    run_statements,
 )
 
 
-def double_integrator_negx_design(gains):
-    # xdot1 = x2, xdot2 = u, h = -x1
-    return HocbfDesign(
-        gains=np.asarray(gains, dtype=float),
-        h=lambda x: -x[0],
-        lie_f_chain=(lambda x: -x[1], lambda x: 0.0),
-        lie_g=lambda x: np.array([-1.0]),
-    )
+def _design_with_row(row):
+    """The design h = -x1 of the double integrator, its LgLf h row passed through params."""
+    row = np.atleast_1d(row)
+    lg = "".join(f"\nlg{j} = row{j}" for j in range(row.size))
+    params = {f"row{j}": v for j, v in enumerate(row)}
+    return HocbfDesign(2, row.size, "h = -x0\nlf1 = -x1\nlf2 = 0.0" + lg, params, [1.0, 1.0])
 
 
 class TestElementarySymmetric:
@@ -100,7 +104,7 @@ class TestGainsFromCharCoeffs:
 
 class TestCertificateTerms:
     def test_double_integrator_hand_values(self):
-        design = double_integrator_negx_design([1.0, 1.0])
+        design = double_integrator_design([1.0, 1.0], D=0.0)
         cert = certificate_terms(design, np.array([1.0, 2.0]))
         np.testing.assert_allclose(cert.zf, [-2.0, 0.0])
         np.testing.assert_allclose(cert.zg, [-1.0])
@@ -153,35 +157,21 @@ class TestCertificateTermsOnFloats:
         assert repr(cert.h) == repr(h)
         assert repr(cert.const) == repr(design.e_r * h)
 
-    @pytest.mark.parametrize("row", [2.0, [2.0], (2.0, -1.0), np.array([2]), np.float64(2.0)])
-    def test_actuation_row_that_is_no_float_array_is_converted(self, row):
-        design = double_integrator_negx_design([1.0, 1.0])
-        design = HocbfDesign(
-            gains=design.gains, h=design.h, lie_f_chain=design.lie_f_chain, lie_g=lambda x: row
-        )
-        zg = certificate_terms(design, np.array([1.0, 2.0])).zg
-        assert type(zg) is list and all(type(v) is float for v in zg)
-        assert zg == np.atleast_1d(np.asarray(row, dtype=float)).tolist()
-
     @pytest.mark.parametrize(
         "row", [np.array([np.nan]), np.array([np.inf]), np.array([1.0, -np.inf]), [np.nan], -np.inf]
     )
     def test_non_finite_actuation_row_raises(self, row):
-        design = double_integrator_negx_design([1.0, 1.0])
-        design = HocbfDesign(
-            gains=design.gains, h=design.h, lie_f_chain=design.lie_f_chain, lie_g=lambda x: row
-        )
         with pytest.raises(InvalidDesignError, match="non-finite actuation row"):
-            certificate_terms(design, np.array([1.0, 2.0]))
+            certificate_terms(_design_with_row(row), np.array([1.0, 2.0]))
 
 
 class TestZetaChain:
     def test_double_integrator(self):
-        design = double_integrator_negx_design([1.0, 1.0])
+        design = double_integrator_design([1.0, 1.0], D=0.0)
         np.testing.assert_allclose(zeta_chain(design, np.array([1.0, 2.0])), [-1.0, -3.0])
 
     def test_zero_barrier_gives_zero_head(self):
-        design = double_integrator_negx_design([2.0, 3.0])
+        design = double_integrator_design([2.0, 3.0], D=0.0)
         assert zeta_chain(design, np.array([0.0, 1.5]))[0] == 0.0
 
     def test_acc(self):
@@ -316,40 +306,63 @@ class TestResidualDecomposition:
             assert abs(zeta_true - (zeta_nom + resid)) <= 1e-8 * max(1.0, abs(zeta_true))
 
 
-class TestCertificateConsistency:
-    """Affine decomposition equals the recursive chain on the benchmarks."""
+# Each benchmark's plant factory, design factory, gains, threshold and its
+# nominal and true parameters.  The suspension's bump starts at t = 1 s, so
+# its statements at t = 0 leave the road out.
+_BENCHMARKS = {
+    "acc": (
+        make_acc_plant, acc_design, (1.5, 2.5), 30.0, {"nominal": ACC_NOMINAL, "true": ACC_TRUE}
+    ),
+    "suspension": (
+        lambda params: make_suspension_plant(params, 0.1, 1.0, 1.0),
+        suspension_design,
+        gains_from_char_coeffs([41.0, 395.0]),
+        0.06,
+        {"nominal": SUSPENSION_NOMINAL, "true": SUSPENSION_TRUE},
+    ),
+}
 
-    @pytest.mark.parametrize(
-        "plant_name",
-        ["acc", "suspension"],
-    )
+
+def _plant_and_design(name, side):
+    make_plant, make_design, gains, D, params = _BENCHMARKS[name]
+    return make_plant(params[side]), make_design(params[side], gains, D)
+
+
+def _assert_same_coefficients(got, want):
+    """got and want, expanded, have the same monomials, each coefficient within 1e-12 relative."""
+    got, want = (sp.expand(sp.sympify(e)).as_coefficients_dict() for e in (got, want))
+    for monomial in got.keys() | want.keys():
+        a, b = float(got.get(monomial, 0)), float(want.get(monomial, 0))
+        assert abs(a - b) <= 1e-12 * max(abs(a), abs(b)), (monomial, a, b)
+
+
+class TestCertificateConsistency:
+    """A design's statements are the Lie chain of its plant's own statements, run on symbols."""
+
+    @pytest.mark.parametrize("side", ["nominal", "true"])
+    @pytest.mark.parametrize("name", sorted(_BENCHMARKS))
+    def test_design_statements_are_the_plants_lie_chain(self, name, side):
+        plant, design = _plant_and_design(name, side)
+        system = plant_symbolic_system(plant, design)
+        symbols = {str(x): x for x in system.states}
+        stated = run_statements(design.derivatives, design.params, symbols)
+        chain = system.lf_chain(design.r)
+        for i in range(1, design.r + 1):
+            _assert_same_coefficients(stated[f"lf{i}"], chain[i])
+        row = system.lg_row(chain[design.r - 1])
+        assert len(row) == design.m and all(v != 0 for v in row)
+        for j, want in enumerate(row):
+            _assert_same_coefficients(stated[f"lg{j}"], want)
+
+    @pytest.mark.parametrize("plant_name", ["acc", "suspension"])
     def test_against_symbolic_zeta_r(self, plant_name):
+        # the affine decomposition equals the recursive chain on the nominal plant
         rng = np.random.default_rng(23)
+        plant, design = _plant_and_design(plant_name, "nominal")
+        system = plant_symbolic_system(plant, design)
         if plant_name == "acc":
-            v, z = sp.symbols("v z")
-            p = ACC_NOMINAL
-            fr = p["f0"] + p["f1"] * v + p["f2"] * v**2
-            sys = SymbolicSystem(
-                (v, z), [-fr / p["m"], p["v0"] - v], [sp.Rational(1) / p["m"], 0], z - 30
-            )
-            design = acc_design(p, gains=(1.5, 2.5), D=30.0)
             sample = lambda: np.array([rng.uniform(10, 30), rng.uniform(20, 120)])
         else:
-            x1, x2, x3, x4 = sp.symbols("x1 x2 x3 x4")
-            p = SUSPENSION_NOMINAL
-            sys = SymbolicSystem(
-                (x1, x2, x3, x4),
-                [
-                    x3,
-                    x4,
-                    (p["k1"] * (x2 - x1) + p["b"] * (x4 - x3)) / p["m1"],
-                    (p["k1"] * (x1 - x2) - p["k2"] * x2 + p["b"] * (x3 - x4)) / p["m2"],
-                ],
-                [0, 0, sp.Rational(1) / p["m1"], -sp.Rational(1) / p["m2"]],
-                sp.Rational(6, 100) - x1,
-            )
-            gains = gains_from_char_coeffs([41.0, 395.0])
-            design = suspension_design(p, gains=gains, D=0.06)
             sample = lambda: rng.uniform(-0.2, 0.2, size=4)
 
         for _ in range(50):
@@ -357,5 +370,5 @@ class TestCertificateConsistency:
             u = rng.normal() * 100
             cert = certificate_terms(design, x)
             affine_val = certificate_value(cert, design.gamma, np.array([u]))
-            recursive_val = sys.zeta_r(design.gains, x, u)
+            recursive_val = system.zeta_r(design.gains, x, u)
             assert abs(affine_val - recursive_val) <= 1e-10 * max(1.0, abs(recursive_val))

@@ -263,12 +263,7 @@ class TestRunEpisode:
 class TestNominalQpController:
     def test_half_space_point_that_overflows_is_an_infeasible_step(self):
         # zg is so small that the half-space point overflows: u_nom stays, flagged
-        design = HocbfDesign(
-            gains=np.array([1.0]),
-            h=lambda x: -1.0,
-            lie_f_chain=(lambda x: 0.0,),
-            lie_g=lambda x: np.array([6.8e-155]),
-        )
+        design = HocbfDesign(1, 1, "h = -1.0\nlf1 = 0.0\nlg0 = 6.8e-155", {}, [1.0])
         step = make_nominal_qp_controller(design, lambda t, x: np.zeros(1))(0.0, np.zeros(1))
         assert step.status == STATUS_INFEASIBLE
         assert type(step.u) is tuple and list(map(type, step.u)) == [float]
@@ -381,7 +376,7 @@ class TestLoggedChain:
         ):
             cert = controller(0.0, x).cert
             fresh = certificate_terms(design, x)
-            assert cert.h == float(design.h(x)) == 70.0
+            assert cert.h == float(design.barrier(x)) == 70.0
             assert np.array(cert.zf).tobytes() == np.array(fresh.zf).tobytes()
             assert cert.const == fresh.const
 
@@ -434,10 +429,7 @@ class TestEpisodicTrain:
         # through the secular equation.
         plant = PlantModel(2, 2, "dx0 = x1\ndx1 = 0.5 + 1.3 * u0 + 0.5 * u1", {})
         design = HocbfDesign(
-            gains=np.array([1.5, 2.5]),
-            h=lambda x: 1.0 - x[0],
-            lie_f_chain=(lambda x: -x[1], lambda x: 0.0),
-            lie_g=lambda x: np.array([-1.0, -0.5]),
+            2, 2, "h = 1.0 - x0\nlf1 = -x1\nlf2 = 0.0\nlg0 = -1.0\nlg1 = -0.5", {}, [1.5, 2.5]
         )
         kp = [BaseKernelParams(sf2, np.array([0.5, 0.5])) for sf2 in (1.0, 0.1, 0.1, 0.1)]
         projections, secular_calls = [], []

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from gpcbf.gp import BaseKernelParams, ResidualDataset, fit
-from gpcbf.plants import SUSPENSION_NOMINAL, lqr_gain, suspension_linear_matrices
+from gpcbf.plants import SUSPENSION_NOMINAL, linear_matrices, lqr_gain, make_suspension_plant
 
 TASKS = Path("/proc/self/task")
 
@@ -57,5 +57,5 @@ def test_fit_at_n137_wakes_no_worker():
 
 
 def test_suspension_lqr_wakes_no_worker():
-    A, B = suspension_linear_matrices(SUSPENSION_NOMINAL)
+    A, B = linear_matrices(make_suspension_plant(SUSPENSION_NOMINAL, 0.0, 0.0, 1.0))
     assert _worker_cpu_s(lambda: lqr_gain(A, B, 10.0 * np.eye(4), np.array([[1.0]]))) < 0.03

@@ -6,6 +6,7 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gpcbf.barrier import HocbfDesign
 from gpcbf.plants import (
     ACC_NOMINAL,
     ACC_TRUE,
@@ -15,11 +16,11 @@ from gpcbf.plants import (
     PlantModel,
     SuspensionParams,
     clf_nominal_acc,
+    linear_matrices,
     lqr_gain,
     make_acc_plant,
     make_suspension_plant,
     rk4_step,
-    suspension_linear_matrices,
 )
 
 from _oracles import (
@@ -61,6 +62,11 @@ def suspension_dynamics(x, u: float, d: float, params: dict) -> tuple:
     exactly 1.0 and the height is d itself.
     """
     return make_suspension_plant(params, d, -0.5, 1.0).field(x, [u], 0.0)
+
+
+def suspension_matrices(params: dict = SUSPENSION_NOMINAL):
+    """(A, B) of the suspension on the flat road."""
+    return linear_matrices(make_suspension_plant(params, 0.0, 0.0, 1.0))
 
 
 class TestAccDynamics:
@@ -111,7 +117,7 @@ class TestSuspensionDynamics:
             np.testing.assert_allclose(lhs, rhs, atol=1e-12 * max(1, np.abs(rhs).max()))
 
     def test_linear_matrices_match_dynamics(self):
-        A, B = suspension_linear_matrices(SUSPENSION_NOMINAL)
+        A, B = suspension_matrices()
         rng = np.random.default_rng(1)
         for _ in range(10):
             x = rng.normal(size=4)
@@ -227,12 +233,18 @@ class TestRk4:
             "dx0 = 1.0\ndx1 = 1.0\nx0 = 2.0",  # assigns the state
             "t = 1.0\ndx0 = 1.0\ndx1 = 1.0",  # assigns the time
             "dx0 = _c\ndx1 = 1.0",  # a leading underscore may clash with the hold's names
+            # barrier designs of relative degree 2
+            "h = x0\nlf1 = x1\nlf2 = 0.0\nlg0 = 1.0\nx1 = 2.0",  # assigns the state
+            "h = x0\nlf1 = x1\nlg0 = 1.0",  # lf2 never assigned
+            "h = _c\nlf1 = x1\nlf2 = 0.0\nlg0 = 1.0",  # a leading underscore
         ],
     )
     def test_derivative_source_that_would_break_the_hold_is_rejected(self, derivatives):
-        plant = PlantModel(2, 1, derivatives, {"_c": 1.0})
         with pytest.raises(ValueError, match="derivatives must assign"):
-            plant.hold
+            if derivatives.startswith("h"):
+                HocbfDesign(2, 1, derivatives, {"_c": 1.0}, [1.0, 2.0])
+            else:
+                PlantModel(2, 1, derivatives, {"_c": 1.0}).hold
 
     @staticmethod
     def _assert_hold_matches_numpy(plant, numpy_field, x, u, t, dt, substeps):
@@ -331,14 +343,14 @@ class TestLqr:
         np.testing.assert_allclose(K, K_ode, atol=1e-6)
 
     def test_closed_loop_stable_on_benchmark(self):
-        A, B = suspension_linear_matrices(SUSPENSION_NOMINAL)
+        A, B = suspension_matrices()
         K, _ = lqr_gain(A, B, 10.0 * np.eye(4), np.array([[1.0]]))
         eigs = np.linalg.eigvals(A - B @ K)
         assert np.all(eigs.real < 0.0)
 
 
 _BENCHMARK_LQR = {
-    "suspension": (*suspension_linear_matrices(SUSPENSION_NOMINAL), 10.0 * np.eye(4), np.array([[1.0]])),
+    "suspension": (*suspension_matrices(), 10.0 * np.eye(4), np.array([[1.0]])),
     "synthetic": (
         np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0], [1.0]]), np.eye(2), np.array([[1.0]])
     ),

@@ -30,7 +30,7 @@ from gpcbf import validate as validate_mod
 from gpcbf.gp import posterior_coefficients
 from gpcbf.validate import _benchmark_filter_states, random_feasible_instance
 
-from _oracles import OneInputCone, necessary_value_dense
+from _oracles import ConeReference, OneInputCone, necessary_value_dense
 
 
 def _random_spd(rng, n, scale=1.0):
@@ -215,6 +215,28 @@ def _random_filter_inputs(rng, r, m, sigma_scale=0.3, beta_range=(0.2, 1.5)):
     return cert, mu, sigma, beta, gamma
 
 
+def _projection_draws(m, r, count=120):
+    """(cone, u_nom) of m >= 2 filter steps, seeded by (m, r).
+
+    Every third Sigma is ill-conditioned, and every second u_nom lies deep on
+    the wrong side (c u + d << 0); those inside the opposite nappe
+    (|A u + b| <= -(c u + d)) have their root beyond the pole.
+    """
+    rng = np.random.default_rng(100 + 10 * m + r)
+    for i in range(count):
+        cert, mu, sigma, beta, gamma = _random_filter_inputs(rng, r, m)
+        if i % 3 == 0:  # ill-conditioned Sigma: eigenvalues from 1e-8 to 10
+            Q, _ = np.linalg.qr(rng.normal(size=(r + m, r + m)))
+            sigma = (Q * 10.0 ** rng.uniform(-8.0, 1.0, size=r + m)) @ Q.T
+            sigma = 0.5 * (sigma + sigma.T)
+        cone = assemble_safety_cone(cert, mu, sigma, beta, gamma)
+        c = np.array(cone.c)
+        u_nom = 3.0 * rng.normal(size=m)
+        if i % 2:
+            u_nom -= (float(c @ u_nom) + cone.d + 30.0 * (1.0 + abs(cone.d))) / float(c @ c) * c
+        yield cone, u_nom
+
+
 class TestGeneralProjection:
     """The secular-equation path of :func:`solve` (m >= 2) and degenerate cones."""
 
@@ -222,22 +244,10 @@ class TestGeneralProjection:
     @pytest.mark.parametrize("m", [2, 3])
     def test_kkt_certificate(self, m, r):
         # u - u_nom = nu * grad(margin) with nu >= 0 at a feasible u certifies
-        # the projection onto the convex cone.  Half of the u_nom lie deep on
-        # the wrong side (c u + d << 0); those inside the opposite nappe
-        # (|A u + b| <= -(c u + d)) have their root beyond the pole.
-        rng = np.random.default_rng(100 + 10 * m + r)
+        # the projection onto the convex cone.
         checked = beyond_pole = 0
-        for i in range(120):
-            cert, mu, sigma, beta, gamma = _random_filter_inputs(rng, r, m)
-            if i % 3 == 0:  # ill-conditioned Sigma: eigenvalues from 1e-8 to 10
-                Q, _ = np.linalg.qr(rng.normal(size=(r + m, r + m)))
-                sigma = (Q * 10.0 ** rng.uniform(-8.0, 1.0, size=r + m)) @ Q.T
-                sigma = 0.5 * (sigma + sigma.T)
-            cone = assemble_safety_cone(cert, mu, sigma, beta, gamma)
+        for cone, u_nom in _projection_draws(m, r):
             A, b, c = (np.array(v) for v in (cone.A, cone.b, cone.c))
-            u_nom = 3.0 * rng.normal(size=m)
-            if i % 2:
-                u_nom -= (float(c @ u_nom) + cone.d + 30.0 * (1.0 + abs(cone.d))) / float(c @ c) * c
             opposite = np.linalg.norm(A @ u_nom + b) <= -(float(c @ u_nom) + cone.d)
             out = solve(u_nom, cone, tol=1e-9)
             if out.status != STATUS_OPTIMAL or out.analytic:
@@ -253,6 +263,34 @@ class TestGeneralProjection:
             checked += 1
             beyond_pole += bool(opposite)
         assert checked >= 30 and beyond_pole >= 5
+
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_agrees_with_a_50_digit_reference(self, m, r):
+        # The first 36 of test_kkt_certificate's draws against a log-barrier
+        # reference that shares no code with the secular route: an optimal u
+        # is the reference's projection, an infeasible claim is confirmed by
+        # the largest margin, and u_nom already in the cone is in it.
+        paths = {"analytic": 0, "projected": 0, "infeasible": 0}
+        for cone, u_nom in _projection_draws(m, r, count=36):
+            out = solve(u_nom, cone, tol=1e-9)
+            ref = ConeReference(cone.A, cone.b, cone.c, cone.d)
+            largest, inside = ref.max_margin()
+            if out.status != STATUS_OPTIMAL:
+                assert largest <= 1e-9 * max(1.0, ref.margin(inside)[1])
+                paths["infeasible"] += 1
+            elif out.analytic:
+                margin, norm = ref.margin(u_nom)
+                assert margin >= -1e-12 * max(1.0, norm)
+                paths["analytic"] += 1
+            else:
+                assert largest > 0.0
+                u = ref.project(u_nom, inside)
+                distance = float(sum((a - b) ** 2 for a, b in zip(u, u_nom)) ** 0.5)
+                error = max(abs(float(a) - b) for a, b in zip(u, out.u))
+                assert error <= 1e-10 * max(1.0, distance)
+                paths["projected"] += 1
+        assert paths["projected"] >= 20 and min(paths.values()) >= 1, paths
 
     @pytest.mark.parametrize(
         "A, b, c, d, u_nom, expected",
@@ -941,12 +979,25 @@ def _recomputed_margin(u, cert, mu, sigma, beta, gamma):
 
 
 _NASTY = st.one_of(st.floats(-1e300, 1e300), st.sampled_from([0.0, math.inf, -math.inf, math.nan]))
+_MODERATE = st.floats(-3.0, 3.0)
 
 
 @st.composite
 def _step_inputs(draw):
-    """Filter-step inputs for m = 1, 2 or 3 whose entries include inf, NaN, 0 and 1e300."""
+    """Filter-step inputs for m = 1, 2 or 3.
+
+    About half are finite and moderate, with a positive definite Sigma and
+    gamma > 0, so that projecting and fallback steps come up; the others
+    have entries that include inf, NaN, 0 and 1e300.
+    """
     r, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        M = _floats(draw, (r + m) ** 2, st.floats(-1.0, 1.0)).reshape(r + m, r + m)
+        sigma = M @ M.T + 0.01 * np.eye(r + m)
+        cert = _cert(_floats(draw, r, _MODERATE), _floats(draw, m, _MODERATE), draw(_MODERATE))
+        u_nom, mu = _floats(draw, m, _MODERATE), _floats(draw, r + m, _MODERATE)
+        beta, gamma = draw(st.floats(0.0, 3.0)), _floats(draw, r, st.floats(0.1, 10.0))
+        return u_nom, cert, mu, sigma, beta, gamma
     M = _floats(draw, (r + m) ** 2, _NASTY).reshape(r + m, r + m)
     with np.errstate(all="ignore"):
         sigma = M @ M.T if draw(st.booleans()) else M + M.T
@@ -959,6 +1010,12 @@ def _pinned(sigma, zf, zg, mu, beta, const=0.0):
     """Step inputs with u_nom = 0 and gamma = 1."""
     cert = _cert(zf, zg, const)
     return np.zeros(np.size(zg)), cert, np.array(mu), np.array(sigma), beta, np.ones(len(zf))
+
+
+# Two inputs: 0 lies outside a cone with an interior, so the step projects,
+# and a cone that is empty, whose mean half-space point (5, 5) the step applies.
+_PROJECTING_M2 = _pinned(0.01 * np.eye(3), [-1.0], [1.0, 1.0], [0.0] * 3, 1.0)
+_FALLBACK_M2 = _pinned(np.eye(3), [-1.0], [0.1, 0.1], [0.0] * 3, 2.0)
 
 
 class TestStepContract:
@@ -974,6 +1031,8 @@ class TestStepContract:
     # beta^2 leaves the float range: once ZeroDivisionError and OverflowError
     @example(_pinned(np.eye(2), [0.0], 0.0, [0.0, 0.0], 2.2250738585e-313))
     @example(_pinned(np.eye(2), [0.0], 1.0, [0.0, 0.0], 1e300))
+    @example(_PROJECTING_M2)
+    @example(_FALLBACK_M2)
     def test_never_raises_and_certifies_only_a_checked_u(self, args):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -988,3 +1047,9 @@ class TestStepContract:
         if out.status == STATUS_OPTIMAL:
             margin, spread = _recomputed_margin(out.u, *args[1:])
             assert math.isfinite(margin) and margin >= -1e-8 * max(1.0, spread)
+
+    def test_pinned_two_input_examples_reach_their_paths(self):
+        out = safety_filter_step(*_PROJECTING_M2)
+        assert out.status == STATUS_OPTIMAL and not out.analytic
+        out = safety_filter_step(*_FALLBACK_M2)
+        assert out.status == STATUS_INFEASIBLE and out.u == (5.0, 5.0)
