@@ -217,19 +217,18 @@ def _tuple(names) -> str:
     return "(" + "".join(f"{v}, " for v in names) + ")"
 
 
-def _statements(derivatives: str, returned, names: dict, indent: str) -> str:
-    """The statements that the returned names depend on, in order, each name in names renamed."""
+def _statements(body: list, returned, indent: str) -> list:
+    """The statements that the returned names depend on, in order, as text cut at each name."""
     needed, kept = set(returned), []
-    for statement in reversed(ast.parse(derivatives).body):
+    for statement in reversed(body):
         used = [node for node in ast.walk(statement) if isinstance(node, ast.Name)]
         if needed & {node.id for node in used if isinstance(node.ctx, ast.Store)}:
             kept.insert(0, statement)
             needed |= {node.id for node in used}
-    tree = ast.Module(kept, [])
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            node.id = names.get(node.id, node.id)
-    return "\n".join(indent + line for line in ast.unparse(tree).splitlines())
+            for node in used:  # a name becomes an odd piece; no unparsed source holds a NUL
+                node.id = f"\0{node.id}\0"
+    text = ast.unparse(ast.Module(kept, []))
+    return "\n".join(indent + line for line in text.splitlines()).split("\0")
 
 
 @functools.cache
@@ -242,7 +241,8 @@ def _compiled(derivatives: str, name: str, n: int, m: int, returns: str):
     """
     xs, us = [f"x{i}" for i in range(n)], [f"u{i}" for i in range(m)]
     returned = [node.id for node in ast.walk(ast.parse(returns)) if isinstance(node, ast.Name)]
-    names = [node for node in ast.walk(ast.parse(derivatives)) if isinstance(node, ast.Name)]
+    tree = ast.parse(derivatives)
+    names = [node for node in ast.walk(tree) if isinstance(node, ast.Name)]
     stored = {node.id for node in names if isinstance(node.ctx, ast.Store)}
     if stored & {*xs, *us, "t"} or not stored >= {*returned} or any(v.id[0] == "_" for v in names):
         raise ValueError(
@@ -250,16 +250,16 @@ def _compiled(derivatives: str, name: str, n: int, m: int, returns: str):
             "and may name nothing with a leading underscore"
         )
     x, u = _tuple(xs), _tuple(us)
+    pieces = _statements(tree.body, returned, " " * (8 if name == "hold" else 4))
     if name != "hold":
-        body = _statements(derivatives, returned, {}, " " * 4)
-        source = _FUNCTION_SOURCE.format(name=name, x=x, u=u, body=body, returns=returns)
+        source = _FUNCTION_SOURCE.format(name=name, x=x, u=u, body="".join(pieces), returns=returns)
         return compile(source, f"<generated {name}>", "exec")
     k = [[f"_{s}{i}" for i in range(n)] for s in "abcd"]  # the stages' slopes
     y = [xs] + [[f"_x{s}{i}" for i in range(n)] for s in "bcd"]  # the stages' states
 
-    def stage(s: int, t: str) -> str:
+    def stage(s: int, t: str) -> str:  # the statements renamed to stage s's state, time and slopes
         renamed = {**dict(zip(xs + returned, y[s] + k[s])), "t": t}
-        return _statements(derivatives, returned, renamed, " " * 8)
+        return "".join(renamed.get(v, v) if i % 2 else v for i, v in enumerate(pieces))
 
     def state(s: int, step: str) -> str:
         return "\n".join(f"        {a} = {b} + {step} * {c}" for a, b, c in zip(y[s], xs, k[s - 1]))

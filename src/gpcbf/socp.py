@@ -39,9 +39,9 @@ picks the candidate projections only:
   problem", 1993, whose m = 1 case is the scalar root above).  After one
   eigendecomposition of H it is a scalar rational function with at most
   one pole on lam > 0, and the right root lies beyond the pole when u_nom
-  sits deep on the wrong side.  Its roots are those of a polynomial of
-  degree <= 2m, each refined by Newton steps on the cone margin along
-  u(lam) without crossing the pole.
+  sits deep on the wrong side.  Each side of the pole holds at most one
+  root that can be the answer, and a bracketed search narrows each to
+  adjacent floats (Gander, Golub & von Matt, Linear Algebra Appl. 1989).
 
 Every candidate is polished by Newton steps on the cone margin
 c u + d - |A u + b|, and the nearest one whose margin is finite and at
@@ -53,14 +53,15 @@ gamma_r = 1.  A step is infeasible when K is empty.
 
 After the one LAPACK ``dpotrf`` of Sigma the step runs on Python floats,
 whose loops over a few numbers cost less than numpy's calls.  numpy is left
-for ``eigvalsh``, ``eigh`` and the polynomial roots at m >= 2, and for the
-least-squares critical point that only an empty cone or an apex reaches.
+for ``eigvalsh``, the one ``eigh`` at m >= 2 and the least-squares critical
+point that only an empty cone or an apex reaches.
 Float arithmetic overflows to inf and NaN without a warning, and every
 division and square root is guarded.  Sums run in index order, so last bits
 can differ from numpy's BLAS dot products, whose kernels fuse multiply-adds.
 """
 
 import math
+import struct
 import sys
 from dataclasses import dataclass, field
 from typing import Optional
@@ -321,8 +322,8 @@ def solve(u_nom, cone: SafetyConeData, tol: float = 1e-8) -> FilterOutcome:
     ``optimal`` means the returned u has a finite cone margin
     >= -tol * max(1, |A u + b|); ``infeasible`` means no such u was found,
     and u is u_nom.  A margin that overflows certifies nothing.  The record's
-    ``iterations`` counts root-finder and polishing iterations; it is 0 and
-    ``analytic`` is True when u_nom already satisfies the cone.
+    ``iterations`` counts secular-search probes and polishing steps; it is 0
+    and ``analytic`` is True when u_nom already satisfies the cone.
     ``cone_margin`` is the margin at u (at u_nom on an infeasible step).
     ``sufficient_eig`` is the top eigenvalue of S3 when the projection
     decomposed S3 for its candidates (m >= 2), and NaN otherwise.  The
@@ -369,7 +370,8 @@ def _project(cone: SafetyConeData, u_nom: list, tol: float, margin: float):
     :func:`_nearest_feasible` and the fallback to :func:`_nearest_critical`
     are the same for every m, but a cone whose H or g is not finite has no
     critical point, and for m >= 2 no secular candidates: least squares and
-    the eigendecomposition do not converge on it.  top is the top
+    the eigendecomposition do not converge on it.  iterations counts the
+    secular searches' probes and the polishing steps; top is the top
     eigenvalue of S3 from the secular route's decomposition, NaN without one.
     """
     iterations, top = 0, math.nan
@@ -387,7 +389,7 @@ def _project(cone: SafetyConeData, u_nom: list, tol: float, margin: float):
             root = _scalar_root(H[0][0], g[0], k, c[0], d, u_nom[0])
             candidates = [] if root is None else [[root]]
         elif all(map(_all_finite, H)):  # else eigh does not converge
-            candidates, iterations, top = _secular_candidates(cone, g, k, u_nom)
+            candidates, iterations, top = _secular_candidates(cone, g, u_nom)
         else:
             candidates = []
     found, steps = _nearest_feasible(cone, u_nom, candidates, tol)
@@ -434,97 +436,96 @@ def _nearest_feasible(cone: SafetyConeData, u_nom: list, candidates, tol: float)
     return found, steps
 
 
-def _secular_candidates(cone: SafetyConeData, g: list, k: float, u_nom: list):
-    """m >= 2: candidate projections from the secular equation; (list, iterations).
+def _secular_candidates(cone: SafetyConeData, g: list, u_nom: list):
+    """m >= 2: candidate projections from the secular equation; (float lists, probes, top).
 
-    Any u(lam) with lam >= 0, Q(u(lam)) = 0 and c u(lam) + d > 0 meets the
-    KKT conditions of the convex projection, so it is the answer.  Q(u(lam))
-    times prod_i (1 + lam h_i)^2 is a polynomial of degree <= 2m; each of its
-    real roots lam >= 0, refined by Newton on the cone margin along u(lam)
-    without crossing the pole, is a candidate when u(lam) lands on the nappe
-    c u + d > 0.  The candidates come back as float lists, with the
-    iterations and the top eigenvalue of H, taken before rounding noise is
-    zeroed.
+    A u(lam) with lam >= 0, Q(u(lam)) = 0 and c u(lam) + d > 0 meets the
+    projection's KKT conditions, so it is the answer.  With H = V diag(h) V^T,
+    a = V^T (H u_nom + g) and t = 1 / lam, u = u_nom - V (a / (t + h)) and
+    phi = Q(u) = Q(u_nom) - sum_i a_i^2 (2 t + h_i) / (t + h_i)^2.  Only h_0
+    can be negative (H is a rank-one downdate of A^T A; the others are
+    clamped at 0), so the one pole is exactly t = -h_0, and each side holds
+    at most one root that can be the answer.  Near, t > max(0, -h_0):
+    dphi/dlam = -2 sum_i a_i^2 / (1 + lam h_i)^3 <= 0.  Far, 0 < t < -h_0:
+    dphi/dlam = -2 n^T (I + lam H)^{-1} n, n = H u + g, must be >= 0 (the
+    second-order condition with indefinite I + lam H); it is while
+    a_0^2 >= sum_(i >= 1) a_i^2 (|1 + lam h_0| / (1 + lam h_i))^3, whose
+    ratios grow with lam, so phi rises from -inf at the pole to one maximum,
+    then falls.  Each root :func:`_switch` finds is a candidate, after
+    :func:`_refine`, if c u + d > 0.  top: H's top eigenvalue before the clamp.
     """
-    A, b, c, g, u_nom = (np.array(v) for v in (cone.A, cone.b, cone.c, g, u_nom))
-    d = cone.d
-    with np.errstate(all="ignore"):  # an overflow makes a candidate that fails the margin check
-        h, V = np.linalg.eigh(np.array(cone.S3))  # only h[0] can be negative, so only it makes a pole
-        top = float(h[-1])
-        h[np.abs(h) <= 8.0 * _EPS * float(np.sum(A * A) + c @ c)] = 0.0  # rounding noise
-        w = V.T @ u_nom
-        gam = V.T @ g
-        a = h * w + gam  # gradient of Q / 2 at u_nom, eigenbasis
-        noise = 8.0 * _EPS * (np.abs(h).max() * math.sqrt(w @ w) + math.sqrt(g @ g))
-        a[np.abs(a) <= noise] = 0.0  # else a flat direction adds a spurious distant root
-        q0 = float(w @ (h * w + 2.0 * gam)) + k
-        q0_size = float(np.abs(h) @ w**2 + 2.0 * np.abs(gam) @ np.abs(w) + b @ b) + d * d
+    h, V = np.linalg.eigh(np.array(cone.S3))
+    top, h, V = float(h[-1]), [float(h[0])] + [max(x, 0.0) for x in h[1:].tolist()], V.tolist()
+    a = [hj * _dot(column, u_nom) + _dot(column, g) for hj, column in zip(h, zip(*V))]
+    _, s, t_cone = _residual(cone, u_nom)
+    q0 = (s - t_cone) * (s + t_cone)
 
-        def point(lam):
-            return V @ ((w - lam * gam) / (1.0 + lam * h))
+    def probe(t, near):  # t moves right while phi < 0 near, and far while phi falls or is > 0
+        phi, slope = q0, 0.0  # slope: dphi/dt
+        for aj, s in zip(a, [t + hj for hj in h]):
+            z = aj / s
+            phi, slope = phi - z * z * (s + t), slope + 2.0 * t * z * z / s
+        right = phi < 0.0 if near else slope > 0.0 or phi > 0.0
+        return right, phi, t - phi / slope if slope < 0.0 or near and slope else math.nan
 
-        candidates, iterations = [], 0
-        for lam in _numerator_roots(h, a * a, q0, (np.abs(h * w) + np.abs(gam)) ** 2, q0_size):
-            side = math.copysign(1.0, 1.0 + lam * h[0])
-            u = point(lam)
-            for _ in range(_MAX_POLISH):
-                res = A @ u + b
-                s = math.sqrt(res @ res)
-                t = float(c @ u) + d
-                if t <= 0.0 or s == 0.0:
-                    break
-                slope = -float((c - A.T @ res / s) @ (V @ (a / (1.0 + lam * h) ** 2)))
-                step = lam - (t - s) / slope if slope != 0.0 else math.nan
-                if not (step >= 0.0 and math.copysign(1.0, 1.0 + step * h[0]) == side):
-                    break
-                iterations += 1
-                done = abs(step - lam) <= 4.0 * _EPS * lam
-                lam, u = step, point(step)
-                if done:
-                    break
-            # u(lam) is undefined at the pole; roots on the other nappe are no
-            # candidates, and skipping them spares their polishing.
-            if abs(1.0 + lam * h[0]) > 1e-12 and float(c @ u) + d > 0.0:
-                candidates.append(u.tolist())
-    return candidates, iterations, top
+    # the near search starts at the Newton step from lam = 0, the far one at lam = -2 / h_0
+    sides = [(max(0.0, -h[0]), math.inf, 2.0 * _dot(a, a) / q0, True)] if q0 > 0.0 else []
+    sides += [(0.0, -h[0], -0.5 * h[0], False)] if h[0] < 0.0 else []
+    candidates, probes = [], 0
+    for lo, hi, start, near in sides:
+        t, taken = _switch(lo, hi, start, lambda t: probe(t, near))
+        probes += taken
+        u = [uj - _dot(row, [aj / (t + hj) for aj, hj in zip(a, h)]) for uj, row in zip(u_nom, V)]
+        if t == t and _dot(cone.c, u) + cone.d > 0.0:  # t is NaN without a root
+            candidates.append(_refine(cone, g, u_nom, u, 1.0 / t))
+    return candidates, probes, top
 
 
-def _numerator_roots(h, a2, q0, a2_size, q0_size) -> list:
-    """Real roots lam >= 0 of Q(u(lam)) prod_i (1 + lam h_i)^2, a polynomial.
+def _refine(cone: SafetyConeData, g: list, u_nom: list, u: list, lam: float) -> list:
+    """Two Newton steps on u - u_nom + lam n = 0, Q(u) = 0, n = S3 u + g: regular at the pole."""
+    H, u, u_nom = np.array(cone.S3), np.array(u), np.array(u_nom)
+    with np.errstate(all="ignore"):  # a point that overflows fails the margin check
+        for _ in range(2):
+            n, (_, s, t) = H @ u + g, _residual(cone, u.tolist())
+            jacobian = np.block([[np.eye(u.size) + lam * H, n[:, None]], [n, 0.0]])
+            try:
+                step = np.linalg.solve(jacobian, [*(u - u_nom + lam * n), 0.5 * (s - t) * (s + t)])
+            except np.linalg.LinAlgError:
+                break
+            u, lam = u - step[:-1], lam - step[-1]
+    return u.tolist()
 
-    In the eigenbasis of H,
-    Q(u(lam)) = Q(u_nom) - sum_i a2_i lam (2 + lam h_i) / (1 + lam h_i)^2.
-    a2_size and q0_size bound the magnitudes of the terms behind a2 and
-    Q(u_nom); a coefficient below the rounding error of its own terms is
-    zero, else a vanishing leading coefficient adds spurious roots.
+
+def _switch(lo: float, hi: float, t: float, probe) -> tuple:
+    """(t, probes): the root in 0 <= lo < hi <= inf where probe turns from right to left, or NaN.
+
+    probe(t) is (right, phi, Newton step).  Steps go to the secant through
+    ends whose phi differ in sign (Illinois: a probe on the last one's side
+    halves the other end's phi), else to the Newton step; a step to or past
+    the far end goes to the float next to it, and one outside, or after 64
+    probes, to the midpoint in bit pattern, which halves the floats left.
     """
-    coef = _numerator(h, a2, q0, -1.0)
-    coef[np.abs(coef) <= 64.0 * _EPS * _numerator(np.abs(h), a2_size, q0_size, 1.0)] = 0.0
-    try:
-        roots = np.polynomial.Polynomial(coef).trim().roots()
-    except np.linalg.LinAlgError:  # non-finite data, or a companion matrix that overflows
-        return []
-    real = np.abs(roots.imag) <= 1e-8 * np.maximum(1.0, np.abs(roots))
-    return [float(z) for z in roots.real[real] if z >= 0.0]
+    def midpoint():  # floats >= 0 order as their bit patterns
+        a, b = struct.unpack("<2q", struct.pack("<2d", lo, hi))
+        return struct.unpack("<d", struct.pack("<q", (a + b) // 2))[0]
 
-
-def _numerator(h, a2, q0, sign) -> np.ndarray:
-    """Coefficients, lowest degree first, of the polynomial in lam
-
-    q0 prod_i (1 + lam h_i)^2 + sign sum_i a2_i lam (2 + lam h_i) prod_(j != i) (1 + lam h_j)^2.
-    """
-    P = np.polynomial.Polynomial
-    squares = [P([1.0, hi]) ** 2 for hi in h]
-
-    def product(skip):
-        return math.prod((sq for j, sq in enumerate(squares) if j != skip), start=P([1.0]))
-
-    num = q0 * product(-1)
-    for i in range(h.size):
-        num = num + sign * a2[i] * P([0.0, 2.0, h[i]]) * product(i)
-    coef = np.zeros(2 * h.size + 1)
-    coef[: num.coef.size] = num.coef
-    return coef
+    ends, kept, last, probes = [(math.nan, math.nan)] * 2, [math.nan] * 2, None, 0
+    t = t if lo < t < hi else midpoint()
+    while lo < t < hi:
+        right, phi, newton = probe(t)
+        if phi == 0.0:
+            return t, probes + 1
+        side = 0 if right else 1
+        kept[1 - side] *= 0.5 if side == last else 1.0
+        last, kept[side], ends[side], probes = side, phi, (phi, t), probes + 1
+        lo, hi = (t, hi) if right else (lo, t)
+        t = (lo * kept[1] - hi * kept[0]) / (kept[1] - kept[0]) if kept[0] * kept[1] < 0 else newton
+        if right and t >= hi or not right and t <= lo:
+            t = math.nextafter(hi, lo) if right else math.nextafter(lo, hi)
+        if not lo < t < hi or probes >= 64:
+            t = midpoint()
+    root = min(ends, key=lambda end: abs(end[0]))[1]  # the end with the smaller |phi|
+    return root if ends[0][0] * ends[1][0] < 0.0 else math.nan, probes
 
 
 def _polish(cone: SafetyConeData, u: list):

@@ -158,15 +158,13 @@ def kernel_suite(seed: int = 0, cases: int = 200, tol: float = -1e-8) -> dict:
     }
 
 
-def random_feasible_instance(rng: np.random.Generator, m: int = 1):
-    """A feasible cone instance plus a nominal input, for the grid oracle."""
+def random_feasible_instance(rng: np.random.Generator):
+    """A feasible one-input cone instance plus a nominal input, for the grid oracle."""
     kdim = int(rng.integers(1, 4))
-    A = rng.normal(size=(kdim, m))
-    b = rng.normal(size=kdim)
-    c = rng.normal(size=m)
-    u0 = rng.uniform(-1.5, 1.5, size=m)
+    A, b, c = rng.normal(size=(kdim, 1)), rng.normal(size=kdim), rng.normal(size=1)
+    u0 = rng.uniform(-1.5, 1.5, size=1)
     d = float(np.linalg.norm(A @ u0 + b) - c @ u0 + abs(rng.normal()) + 0.1)
-    u_nom = rng.uniform(-2.0, 2.0, size=m)
+    u_nom = rng.uniform(-2.0, 2.0, size=1)
     return SafetyConeData(A=A, b=b, c=c, d=d), u_nom
 
 

@@ -237,6 +237,28 @@ def _projection_draws(m, r, count=120):
         yield cone, u_nom
 
 
+def _cone_and_u_nom(A, b, c, d, u_nom):
+    return SafetyConeData(A=np.array(A), b=np.array(b), c=np.array(c), d=d), np.array(u_nom)
+
+
+# |(u1 + 0.2, u2 - 0.3, 1)| <= 2 u1 + 0.5 u2 + 1: S3 = [[-3, -1], [-1, 0.75]] has the
+# eigenvalues -3.25 and 1, so the secular function's pole lies at t = 1 / lam = 3.25.
+# u = (1, y) with 0.75 y^2 - 3.6 y - 6.47 = 0 lies on the boundary of its nappe.
+_POLE_CONE = ([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]], [0.2, -0.3, 1.0], [2.0, 0.5], 1.0)
+_ON_NAPPE = [1.0, (3.6 - math.sqrt(3.6**2 + 3.0 * 6.47)) / 1.5]
+
+
+def _projecting_onto(u, t):
+    """The pole cone and a u_nom that projects onto u, a point of its nappe's boundary, at lam = 1 / t.
+
+    u - u_nom = -lam (S3 u + g) with lam >= 0 is the projection's KKT condition at u.
+    """
+    A, b, c, d = _POLE_CONE
+    cone = SafetyConeData(A=np.array(A), b=np.array(b), c=np.array(c), d=d)
+    g = np.array(A).T @ b - d * np.array(c)
+    return cone, np.array(u) + (np.array(cone.S3) @ u + g) / t
+
+
 class TestGeneralProjection:
     """The secular-equation path of :func:`solve` (m >= 2) and degenerate cones."""
 
@@ -312,9 +334,11 @@ class TestGeneralProjection:
     @pytest.mark.parametrize(
         "A, b, c, d, u_nom, distance",
         [
-            # One row for three inputs: H has an exact zero eigenvalue, and the
-            # secular numerator loses two degrees whose coefficients come out
-            # as rounding noise.  Kept, they add a root 52 from u_nom.
+            # One row for three inputs: K is the wedge between two planes, and
+            # u_nom projects onto its edge A u + b = 0 = c u + d, where Q has no
+            # gradient and lam is infinite.  On the far side phi rises to a
+            # maximum of 0 as t = 1 / lam falls to 0, so only rounding makes a
+            # root there (lam near 1e7), whose u lies within 1e-8 of the edge.
             (
                 [[0.33950947157970146, -1.2853813931526517, 2.3691638529901975]],
                 [-0.028263162188416974],
@@ -323,8 +347,10 @@ class TestGeneralProjection:
                 [-5.374969896278695, 2.0935291034593964, -1.6910263723903098],
                 5.113659820421114,
             ),
-            # The gradient of Q along H's null direction is zero up to
-            # rounding; kept, its noise adds a root 47.9 from u_nom.
+            # H's middle eigenvalue is zero up to rounding, and so is the
+            # gradient of Q along it.  The near side's root lies on the wrong
+            # nappe, c u + d < 0, so the projection is the far side's root, on
+            # its rising branch.
             (
                 [[-2.0, 0.0, 1.0], [-2.0, -2.0, -1.0]],
                 [2.0, -1.0],
@@ -342,6 +368,26 @@ class TestGeneralProjection:
         out = solve(u_nom, cone, tol=1e-10)
         assert out.status == STATUS_OPTIMAL
         assert np.linalg.norm(np.subtract(out.u, u_nom)) == pytest.approx(distance, rel=1e-7)
+
+    @pytest.mark.parametrize(
+        "cone, u_nom",
+        [
+            pytest.param(*_cone_and_u_nom([[2.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [0.3, -0.2, 0.1],
+                                          [1.0, 0.5], 3.0, [-3.0, 2.0]), id="S3_positive_definite"),
+            pytest.param(*_projecting_onto(_ON_NAPPE, 3.25 * (1.0 + 1e-12)), id="root_1e-12_before_pole"),
+            pytest.param(*_projecting_onto(_ON_NAPPE, 3.25 * (1.0 - 1e-12)), id="root_1e-12_beyond_pole"),
+            pytest.param(*_cone_and_u_nom([[1.0, 0.0], [0.0, 1.0]], [0.5, 0.0], [1.0, 0.0], 1.0,
+                                          [-3.0, 2.0]), id="zero_eigenvalue_with_gradient"),
+            pytest.param(*_projecting_onto(_ON_NAPPE, 3.25 * 0.4), id="near_root_on_wrong_nappe"),
+        ],
+    )  # fmt: skip
+    def test_cones_at_the_search_edges_agree_with_the_reference(self, cone, u_nom):
+        out = solve(u_nom, cone, tol=1e-9)
+        assert out.status == STATUS_OPTIMAL and not out.analytic
+        ref = ConeReference(cone.A, cone.b, cone.c, cone.d)
+        u = ref.project(u_nom, ref.max_margin()[1])
+        distance = float(sum((a - b) ** 2 for a, b in zip(u, u_nom)) ** 0.5)
+        assert max(abs(float(a) - b) for a, b in zip(u, out.u)) <= 1e-10 * max(1.0, distance)
 
     def test_infeasible_verdicts_match_feasibility_conditions(self):
         # A positive necessary-condition value proves the cone empty; a
