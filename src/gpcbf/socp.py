@@ -499,11 +499,11 @@ def _refine(cone: SafetyConeData, g: list, u_nom: list, u: list, lam: float) -> 
 def _switch(lo: float, hi: float, t: float, probe) -> tuple:
     """(t, probes): the root in 0 <= lo < hi <= inf where probe turns from right to left, or NaN.
 
-    probe(t) is (right, phi, Newton step).  Steps go to the secant through
-    ends whose phi differ in sign (Illinois: a probe on the last one's side
-    halves the other end's phi), else to the Newton step; a step to or past
-    the far end goes to the float next to it, and one outside, or after 64
-    probes, to the midpoint in bit pattern, which halves the floats left.
+    probe(t) is (right, phi, Newton step), first at t.  Steps go to the
+    secant through ends whose phi differ in sign (Illinois: a probe on the
+    last one's side halves the other end's phi), else to the Newton step; a
+    step to or past the far end goes to the float next to it, and one
+    outside, or after 64 probes, to the midpoint in bit pattern, which halves the floats left.
     """
     def midpoint():  # floats >= 0 order as their bit patterns
         a, b = struct.unpack("<2q", struct.pack("<2d", lo, hi))
