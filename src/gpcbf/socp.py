@@ -45,16 +45,17 @@ picks the candidate projections only:
 
 Every candidate is polished by Newton steps on the cone margin
 c u + d - |A u + b|, and the nearest one whose margin is finite and at
-least -tol * max(1, |A u + b|) is returned.  When no root qualifies, the
-projection can only lie where Q has no gradient: at an apex of the cone
-(A u + b = 0 = c u + d), or anywhere on H u + g = 0 when K has no interior.
-The filter's cones have neither, because Sigma is positive definite and
-gamma_r = 1.  A step is infeasible when K is empty.
+least -tol * max(1, |A u + b|) is returned.  A projection that is no root
+lies where Q has no gradient: at an apex of the cone (A u + b = 0 = c u + d)
+or on H u + g = 0 when K has no interior; that point is a candidate at
+m >= 2, where rounding can make a root next to it, and the fallback at
+m = 1.  The filter's cones have neither, because Sigma is positive definite
+and gamma_r = 1.  A step is infeasible when K is empty.
 
 After the one LAPACK ``dpotrf`` of Sigma the step runs on Python floats,
 whose loops over a few numbers cost less than numpy's calls.  numpy is left
 for ``eigvalsh``, the one ``eigh`` at m >= 2 and the least-squares critical
-point that only an empty cone or an apex reaches.
+point.
 Float arithmetic overflows to inf and NaN without a warning, and every
 division and square root is guarded.  Sums run in index order, so last bits
 can differ from numpy's BLAS dot products, whose kernels fuse multiply-adds.
@@ -338,7 +339,7 @@ def solve(u_nom, cone: SafetyConeData, tol: float = 1e-8) -> FilterOutcome:
     if analytic:
         u, status, iterations = u_nom, STATUS_OPTIMAL, 0
     else:
-        u, status, iterations, margin, top = _project(cone, u_nom, tol, margin)
+        u, status, iterations, margin, top = _project(cone, u_nom, tol, margin, (s - t) * (s + t))
     return FilterOutcome(
         tuple(u), status, sufficient_eig=top, iterations=iterations, cone_margin=margin,
         analytic=analytic,
@@ -360,19 +361,19 @@ def _scalar_root(H: float, g: float, k: float, c: float, d: float, u0: float) ->
     return best
 
 
-def _project(cone: SafetyConeData, u_nom: list, tol: float, margin: float):
+def _project(cone: SafetyConeData, u_nom: list, tol: float, margin: float, q0: float):
     """The nearest candidate that passes the feasibility check; (u, status, iterations, margin, top).
 
-    The input count m picks the candidates only: the nearest root of the
-    scalar quadric from :func:`_scalar_root` for m = 1, the roots of the
-    secular equation from :func:`_secular_candidates` for m >= 2.  The
-    half-space point for beta = 0, the polish and check of
-    :func:`_nearest_feasible` and the fallback to :func:`_nearest_critical`
-    are the same for every m, but a cone whose H or g is not finite has no
-    critical point, and for m >= 2 no secular candidates: least squares and
-    the eigendecomposition do not converge on it.  iterations counts the
-    secular searches' probes and the polishing steps; top is the top
-    eigenvalue of S3 from the secular route's decomposition, NaN without one.
+    q0 is Q(u_nom).  The input count m picks the candidates only: the
+    nearest root of the scalar quadric from :func:`_scalar_root` for m = 1,
+    the roots of the secular equation from :func:`_secular_candidates` and
+    the point of :func:`_nearest_critical` for m >= 2, which m = 1 tries
+    only when its root fails.  The half-space point for beta = 0 and the
+    polish and check of :func:`_nearest_feasible` are the same for every m,
+    but a cone whose H or g is not finite has no critical point, and for
+    m >= 2 no secular candidates: least squares and eigh do not converge on
+    it.  iterations counts the searches' probes and the polishing steps; top
+    is S3's top eigenvalue from the secular route's eigh, NaN without one.
     """
     iterations, top = 0, math.nan
     H, c, d, degenerate = cone.S3, cone.c, cone.d, cone.degenerate
@@ -389,11 +390,12 @@ def _project(cone: SafetyConeData, u_nom: list, tol: float, margin: float):
             root = _scalar_root(H[0][0], g[0], k, c[0], d, u_nom[0])
             candidates = [] if root is None else [[root]]
         elif all(map(_all_finite, H)):  # else eigh does not converge
-            candidates, iterations, top = _secular_candidates(cone, g, u_nom)
+            candidates, iterations, top = _secular_candidates(cone, g, u_nom, q0)
+            candidates += [_nearest_critical(cone, g, u_nom)] if _all_finite(g) else []
         else:
             candidates = []
     found, steps = _nearest_feasible(cone, u_nom, candidates, tol)
-    if found is None and not degenerate and all(map(_all_finite, H)) and _all_finite(g):
+    if found is None and len(u_nom) == 1 and not degenerate and _all_finite(H[0] + g):
         found, more = _nearest_feasible(cone, u_nom, [_nearest_critical(cone, g, u_nom)], tol)
         steps += more
     if found is None:
@@ -436,13 +438,13 @@ def _nearest_feasible(cone: SafetyConeData, u_nom: list, candidates, tol: float)
     return found, steps
 
 
-def _secular_candidates(cone: SafetyConeData, g: list, u_nom: list):
+def _secular_candidates(cone: SafetyConeData, g: list, u_nom: list, q0: float):
     """m >= 2: candidate projections from the secular equation; (float lists, probes, top).
 
     A u(lam) with lam >= 0, Q(u(lam)) = 0 and c u(lam) + d > 0 meets the
     projection's KKT conditions, so it is the answer.  With H = V diag(h) V^T,
     a = V^T (H u_nom + g) and t = 1 / lam, u = u_nom - V (a / (t + h)) and
-    phi = Q(u) = Q(u_nom) - sum_i a_i^2 (2 t + h_i) / (t + h_i)^2.  Only h_0
+    phi = Q(u) = q0 - sum_i a_i^2 (2 t + h_i) / (t + h_i)^2, q0 = Q(u_nom).  Only h_0
     can be negative (H is a rank-one downdate of A^T A; the others are
     clamped at 0), so the one pole is exactly t = -h_0, and each side holds
     at most one root that can be the answer.  Near, t > max(0, -h_0):
@@ -457,8 +459,6 @@ def _secular_candidates(cone: SafetyConeData, g: list, u_nom: list):
     h, V = np.linalg.eigh(np.array(cone.S3))
     top, h, V = float(h[-1]), [float(h[0])] + [max(x, 0.0) for x in h[1:].tolist()], V.tolist()
     a = [hj * _dot(column, u_nom) + _dot(column, g) for hj, column in zip(h, zip(*V))]
-    _, s, t_cone = _residual(cone, u_nom)
-    q0 = (s - t_cone) * (s + t_cone)
 
     def probe(t, near):  # t moves right while phi < 0 near, and far while phi falls or is > 0
         phi, slope = q0, 0.0  # slope: dphi/dt

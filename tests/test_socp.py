@@ -337,8 +337,9 @@ class TestGeneralProjection:
             # One row for three inputs: K is the wedge between two planes, and
             # u_nom projects onto its edge A u + b = 0 = c u + d, where Q has no
             # gradient and lam is infinite.  On the far side phi rises to a
-            # maximum of 0 as t = 1 / lam falls to 0, so only rounding makes a
-            # root there (lam near 1e7), whose u lies within 1e-8 of the edge.
+            # maximum of 0 as t = 1 / lam falls to 0, so rounding makes a root
+            # there (lam near 1e7), 1e-8 off the edge; the least-squares
+            # critical point, the edge point itself, is the nearer candidate.
             (
                 [[0.33950947157970146, -1.2853813931526517, 2.3691638529901975]],
                 [-0.028263162188416974],
