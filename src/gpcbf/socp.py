@@ -483,11 +483,11 @@ def _secular_candidates(cone: SafetyConeData, g: list, u_nom: list, q0: float):
 
 def _refine(cone: SafetyConeData, g: list, u_nom: list, u: list, lam: float) -> list:
     """Two Newton steps on u - u_nom + lam n = 0, Q(u) = 0, n = S3 u + g: regular at the pole."""
-    H, u, u_nom = np.array(cone.S3), np.array(u), np.array(u_nom)
+    H, u, u_nom, eye = np.array(cone.S3), np.array(u), np.array(u_nom), np.eye(len(u))
     with np.errstate(all="ignore"):  # a point that overflows fails the margin check
         for _ in range(2):
             n, (_, s, t) = H @ u + g, _residual(cone, u.tolist())
-            jacobian = np.block([[np.eye(u.size) + lam * H, n[:, None]], [n, 0.0]])
+            jacobian = np.vstack((np.column_stack((eye + lam * H, n)), np.append(n, 0.0)))
             try:
                 step = np.linalg.solve(jacobian, [*(u - u_nom + lam * n), 0.5 * (s - t) * (s + t)])
             except np.linalg.LinAlgError:
