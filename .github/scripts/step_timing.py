@@ -3,22 +3,26 @@
 For each plant, runs ``gpcbf.experiment.run_benchmark`` once on the plant's
 defaults (outputs to a temporary directory) and records the (t, x) of every
 GP-controller call, with x the state object the controller received, the
-arguments of every ``socp.safety_filter_step`` call and the arguments of
-every ``rk4_step`` hold of every episode.  It then replays them in process:
+arguments of every ``socp.safety_filter_step`` call, of every posterior
+query and of every ``rk4_step`` hold of every episode.  It then replays them in process:
 each repeat times one pass over the recorded calls, and the best of
 ``--repeats`` passes gives the mean time per call.  Prints one JSON line per
 plant with the per-call microseconds of the controller and of the step, for
 all steps, the projecting steps (u_nom was outside the cone) and the
-analytic ones (u_nom was inside), and the count of each, and the per-call
-microseconds and count of the holds.  Steps whose Sigma did not factor count
-in ``all`` only.
+analytic ones (u_nom was inside), and the count of each, the per-call
+microseconds of the posterior query and its count for each fitted N (the
+training rows of the model it queried), and the per-call microseconds and
+count of the holds.  Steps whose Sigma did not factor count in ``all``
+only.
 
     PYTHONPATH=src python .github/scripts/step_timing.py [--repeats 11] [acc suspension ...]
 
 It reads only ``run_benchmark``, ``config.defaults``, the controller factory
 ``episodic.make_gp_socp_controller``, ``episodic.safety_filter_step``,
-``episodic.rk4_step`` (whatever its arguments) and the step's ``analytic``
-and ``status`` fields, so the same script times any commit that has them.
+``episodic.posterior_coefficients`` (its first argument the model, whose
+``factor`` is N x N), ``episodic.rk4_step`` (whatever its arguments) and the
+step's ``analytic`` and ``status`` fields, so the same script times any
+commit that has them.
 """
 
 import argparse
@@ -34,10 +38,10 @@ from gpcbf.socp import STATUS_FACTORIZATION_FAILED
 
 
 def record(plant: str) -> tuple:
-    """Controller calls [(controller, t, x)], step and hold calls [(args, kwargs)], step kinds."""
-    controller_calls, step_calls, kinds, holds = [], [], [], []
+    """Controller calls [(controller, t, x)], step, posterior and hold calls [(args, kwargs)], step kinds."""
+    controller_calls, step_calls, kinds, queries, holds = [], [], [], [], []
     make_controller, step = episodic.make_gp_socp_controller, episodic.safety_filter_step
-    hold = episodic.rk4_step
+    query, hold = episodic.posterior_coefficients, episodic.rk4_step
 
     def recording_factory(*args, **kwargs):
         controller = make_controller(*args, **kwargs)
@@ -57,22 +61,26 @@ def record(plant: str) -> tuple:
             kinds.append("analytic" if outcome.analytic else "projecting")
         return outcome
 
+    def recording_query(*args, **kwargs):
+        queries.append((args, kwargs))
+        return query(*args, **kwargs)
+
     def recording_hold(*args, **kwargs):
         holds.append((args, kwargs))
         return hold(*args, **kwargs)
 
     episodic.make_gp_socp_controller = recording_factory
     episodic.safety_filter_step = recording_step
-    episodic.rk4_step = recording_hold
+    episodic.posterior_coefficients, episodic.rk4_step = recording_query, recording_hold
     try:
         with tempfile.TemporaryDirectory() as out_dir:
             experiment.run_benchmark(config.defaults(plant), out_dir=out_dir)
     finally:
         episodic.make_gp_socp_controller, episodic.safety_filter_step = make_controller, step
-        episodic.rk4_step = hold
+        episodic.posterior_coefficients, episodic.rk4_step = query, hold
     if len(controller_calls) != len(step_calls):
         raise RuntimeError(f"{plant}: {len(controller_calls)} controller calls, {len(step_calls)} steps")
-    return controller_calls, step_calls, kinds, holds
+    return controller_calls, step_calls, kinds, queries, holds
 
 
 def best_mean_us(calls: list, invoke, repeats: int) -> float:
@@ -95,8 +103,8 @@ def best_mean_us(calls: list, invoke, repeats: int) -> float:
 
 
 def time_plant(plant: str, repeats: int) -> dict:
-    controller_calls, step_calls, kinds, holds = record(plant)
-    step, hold = episodic.safety_filter_step, episodic.rk4_step
+    controller_calls, step_calls, kinds, queries, holds = record(plant)
+    step, query, hold = episodic.safety_filter_step, episodic.posterior_coefficients, episodic.rk4_step
     groups = {
         "all": range(len(kinds)),
         "projecting": [i for i, kind in enumerate(kinds) if kind == "projecting"],
@@ -111,6 +119,13 @@ def time_plant(plant: str, repeats: int) -> dict:
         line["step_us"][name] = round(
             best_mean_us([step_calls[i] for i in index], lambda c: step(*c[0], **c[1]), repeats), 2
         )
+    by_n = {}
+    for call in queries:
+        by_n.setdefault(call[0][0].factor.shape[0], []).append(call)
+    line["posterior_calls"] = {n: len(by_n[n]) for n in sorted(by_n)}
+    line["posterior_us"] = {
+        n: round(best_mean_us(by_n[n], lambda c: query(*c[0], **c[1]), repeats), 2) for n in sorted(by_n)
+    }
     line["holds"] = len(holds)
     line["rk4_us"] = round(best_mean_us(holds, lambda c: hold(*c[0], **c[1]), repeats), 2)
     return line

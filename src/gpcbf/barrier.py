@@ -81,7 +81,8 @@ class HocbfDesign:
     lfr], [lg0 .. lg{m-1}]), and ``barrier(x)``, which runs only what h
     needs; on float sequences both return floats.  r, gamma, e_r and the
     zeta-chain weights are derived from the gains at construction;
-    zeta_weights[i-1] weighs [h, Lf h, ..., Lf^i h] in zeta_i.
+    zeta_weights[i-1] weighs [h, Lf h, ..., Lf^i h] in zeta_i, by one
+    :func:`_dot` in index order from 0.0 at any r, as gamma weighs zf.
     """
 
     n: int
@@ -160,18 +161,19 @@ def zeta_chain(design: HocbfDesign, x, cert: Optional[CertificateTerms] = None) 
     """Values (zeta_0(x), ..., zeta_{r-1}(x)) of the nominal auxiliary chain, as a float tuple.
 
     zeta_i depends only on the first i gains:
-    zeta_i = sum_{j=0}^{i} e_{i-j}(k_1..k_i) * Lf^j h(x), summed in index
-    order from 0.0.  When cert holds the :func:`certificate_terms` of this
-    x, the chain is built from its h and zf[:r-1], with the same operations
-    as from a fresh evaluation at x, so the values are the same bits; else
-    h and zf come from one call of the design's ``terms`` at x.
+    zeta_i = sum_{j=0}^{i} e_{i-j}(k_1..k_i) * Lf^j h(x), one :func:`_dot`
+    summed in index order from 0.0 at every i.  When cert holds the
+    :func:`certificate_terms` of this x, the chain is built from its h and
+    zf[:r-1], with the same operations as from a fresh evaluation at x, so
+    the values are the same bits; else h and zf come from one call of the
+    design's ``terms`` at x.
     """
     if cert is None:
         h, zf, _ = design.terms(x if type(x) is tuple else _floats(x))
     else:
         h, zf = cert.h, _floats(cert.zf)
     lf = [h, *zf[: design.r - 1]]
-    return (lf[0], *[weighted_sum(weights, lf) for weights in design.zeta_weights])
+    return (lf[0], *[_dot(weights, lf) for weights in design.zeta_weights])
 
 
 def _floats(v) -> list:
@@ -197,20 +199,6 @@ def _dot(a, b) -> float:
     for x, y in zip(a, b):
         s += x * y
     return s
-
-
-def weighted_sum(weights, values) -> float:
-    """sum_i w_i v_i over the len(weights) first values, with the bits of numpy's dot product.
-
-    For weights whose last entry is 1, as gamma and the zeta-chain weights
-    are.  Two terms summed in index order give numpy's bits, since the
-    product with the last weight is exact and a fused multiply-add then
-    rounds as the plain sum does.  Longer sums go through ``np.dot``, whose
-    kernel fuses multiply-adds that a float loop cannot.
-    """
-    if len(weights) == 2:
-        return _dot(weights, values)
-    return float(np.dot(weights, values[: len(weights)]))
 
 
 def halfspace_qp_filter(u_nom, a, b: float) -> tuple:

@@ -22,10 +22,10 @@ import numpy as np
 
 from .barrier import (
     HocbfDesign,
+    _dot,
     _floats,
     certificate_terms,
     halfspace_qp_filter,
-    weighted_sum,
     zeta_chain,
 )
 from .errors import IllConditionedDataError, InfeasibleConstraintError
@@ -314,14 +314,14 @@ def make_nominal_qp_controller(design: HocbfDesign, u_nom_fn: Callable) -> Calla
 
     Each call returns a :class:`FilterOutcome` with the step's certificate
     terms; its other logged values keep the record's defaults.  The
-    constraint's offset zf . gamma + e_r h is summed on floats.
+    constraint's offset zf . gamma + e_r h is summed on floats in index order.
     """
     gamma = design.gamma.tolist()
 
     def controller(t, x):
         u_nom = u_nom_fn(t, x)
         cert = certificate_terms(design, x)
-        b = weighted_sum(gamma, cert.zf) + cert.const
+        b = _dot(gamma, cert.zf) + cert.const
         try:
             u, status = halfspace_qp_filter(u_nom, cert.zg, b), STATUS_OPTIMAL
         except InfeasibleConstraintError:

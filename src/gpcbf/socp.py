@@ -453,8 +453,12 @@ def _secular_candidates(cone: SafetyConeData, g: list, u_nom: list, q0: float):
     second-order condition with indefinite I + lam H); it is while
     a_0^2 >= sum_(i >= 1) a_i^2 (|1 + lam h_0| / (1 + lam h_i))^3, whose
     ratios grow with lam, so phi rises from -inf at the pole to one maximum,
-    then falls.  Each root :func:`_switch` finds is a candidate, after
-    :func:`_refine`, if c u + d > 0.  top: H's top eigenvalue before the clamp.
+    then falls.  With a pole, probe's Newton step is taken in
+    w = 1 / (t + h_0)^2, exact for phi = B - C / (t + h_0)^2, and in t
+    where that model has no root on the probe's side: plain Newton in t
+    moves only about half way per probe to a root next to the pole.
+    Each root :func:`_switch` finds is a candidate, after :func:`_refine`,
+    if c u + d > 0.  top: H's top eigenvalue before the clamp.
     """
     h, V = np.linalg.eigh(np.array(cone.S3))
     top, h, V = float(h[-1]), [float(h[0])] + [max(x, 0.0) for x in h[1:].tolist()], V.tolist()
@@ -466,7 +470,11 @@ def _secular_candidates(cone: SafetyConeData, g: list, u_nom: list, q0: float):
             z = aj / s
             phi, slope = phi - z * z * (s + t), slope + 2.0 * t * z * z / s
         right = phi < 0.0 if near else slope > 0.0 or phi > 0.0
-        return right, phi, t - phi / slope if slope < 0.0 or near and slope else math.nan
+        if not (slope < 0.0 or near and slope):
+            return right, phi, math.nan
+        s = t + h[0]  # Newton in w = 1 / s^2: exact for phi = B - C / s^2, the pole's own shape
+        w = 1.0 + 2.0 * phi / (slope * s) if h[0] < 0.0 and slope * s else 0.0
+        return right, phi, s / math.sqrt(w) - h[0] if w > 0.0 else t - phi / slope
 
     # the near search starts at the Newton step from lam = 0, the far one at lam = -2 / h_0
     sides = [(max(0.0, -h[0]), math.inf, 2.0 * _dot(a, a) / q0, True)] if q0 > 0.0 else []

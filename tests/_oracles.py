@@ -10,12 +10,14 @@ rationals, and the references that float paths must match bit for bit: the
 vectorised numpy RK4 step with numpy plant fields (the suspension's road
 bump as a function of t) and random polynomial fields, the vector
 half-space projection, a ``csv.writer`` episode writer, the posterior
-query with a list of triangular solves, and the certificate
-terms evaluated on numpy scalars.  It also holds the double integrator with
-a drift mismatch and its position barrier, the small closed loop that the
-episode and training tests run on, and random polynomial plants; these
-plants and the barrier are declared through the package's derivative
-source, the route whose generated functions the tests check.
+query with a list of triangular solves, the certificate terms evaluated
+on numpy scalars, and weighted sums taken exactly in rationals.  It also
+holds the double integrator with a drift mismatch and its position
+barrier, the small closed loop that the episode and training tests run
+on, barriers on chains of integrators of any relative degree, and random
+polynomial plants; these plants and the barriers are declared through the
+package's derivative source, the route whose generated functions the
+tests check.
 """
 
 import csv
@@ -352,6 +354,25 @@ def synthetic_field_numpy(mismatch):
 def double_integrator_design(gains, D: float = 1.0) -> HocbfDesign:
     """Position barrier h = D - x1 (x0 in the source) for the double integrator."""
     return HocbfDesign(2, 1, "h = D - x0\nlf1 = -x1\nlf2 = 0.0\nlg0 = -1.0", {"D": D}, gains)
+
+
+def integrator_chain_design(gains, row, c: float = 0.5, w: float = -0.7) -> HocbfDesign:
+    """Barrier h = x0 - c on the chain x_i' = x_(i+1), x_(r-1)' = w x0 + row . u, r = len(gains).
+
+    Lf^i h = x_i for i < r, Lf^r h = w x0 and LgLf^(r-1) h = row, with
+    n = r states and len(row) inputs.
+    """
+    r = len(gains)
+    statements = ["h = x0 - c", *(f"lf{i} = x{i}" for i in range(1, r)), f"lf{r} = w * x0"]
+    statements += [f"lg{j} = row{j}" for j in range(len(row))]
+    params = {"c": c, "w": w, **{f"row{j}": float(v) for j, v in enumerate(row)}}
+    return HocbfDesign(r, len(row), "\n".join(statements), params, gains)
+
+
+def exact_dot(weights, values) -> tuple:
+    """(sum_j w_j v_j, sum_j |w_j v_j|) over float sequences, in exact rationals."""
+    terms = [Fraction(w) * Fraction(v) for w, v in zip(weights, values, strict=True)]
+    return sum(terms, Fraction(0)), sum(map(abs, terms), Fraction(0))
 
 
 def episode_csv_reference(log, path, trace=False):

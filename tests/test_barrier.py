@@ -1,3 +1,6 @@
+import sys
+from fractions import Fraction
+
 import numpy as np
 import pytest
 import sympy as sp
@@ -31,8 +34,10 @@ from _oracles import (
     certificate_terms_numpy,
     certificate_value,
     double_integrator_design,
+    exact_dot,
     grid_min_norm_halfspace,
     halfspace_projection_vector,
+    integrator_chain_design,
     plant_symbolic_system,
     run_statements,
 )
@@ -179,6 +184,24 @@ class TestZetaChain:
         np.testing.assert_allclose(
             zeta_chain(design, np.array([20.0, 100.0])), [70.0, -4.0 + 1.5 * 70.0]
         )
+
+    @pytest.mark.parametrize("r", [1, 3, 4])
+    def test_float_sums_within_four_eps_of_exact(self, r):
+        # zeta_i sums k = i + 1 <= 4 products in index order, so its error is at
+        # most k 2^-53 / (1 - k 2^-53) sum |w_j v_j| < 4 eps sum |w_j v_j|.
+        eps = Fraction(sys.float_info.epsilon)
+        rng = np.random.default_rng(r)
+        for _ in range(50):
+            design = integrator_chain_design(rng.uniform(0.2, 5.0, size=r), [1.0])
+            for _ in range(20):
+                x = rng.choice([-1.0, 1.0], size=r) * 10.0 ** rng.uniform(-3.0, 3.0, size=r)
+                cert = certificate_terms(design, x)
+                chain = zeta_chain(design, x, cert)
+                assert len(chain) == r and chain[0] == cert.h
+                lf = [cert.h, *cert.zf]
+                for i, weights in enumerate(design.zeta_weights, start=1):
+                    exact, scale = exact_dot(weights, lf[: i + 1])
+                    assert abs(Fraction(chain[i]) - exact) <= 4 * eps * scale
 
 
 class TestHalfspaceFilter:

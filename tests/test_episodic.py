@@ -1,6 +1,8 @@
 import csv
 import dataclasses
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -44,9 +46,21 @@ from gpcbf.plants import (
     make_acc_plant,
 )
 from gpcbf.experiment import build_scenario, run_benchmark
-from gpcbf.socp import STATUS_FACTORIZATION_FAILED, STATUS_INFEASIBLE, STATUS_OPTIMAL, FilterOutcome
+from gpcbf.socp import (
+    STATUS_FACTORIZATION_FAILED,
+    STATUS_INFEASIBLE,
+    STATUS_OPTIMAL,
+    FilterOutcome,
+    safety_filter_step,
+)
 
-from _oracles import double_integrator_design, episode_csv_reference, make_synthetic_plant
+from _oracles import (
+    double_integrator_design,
+    episode_csv_reference,
+    exact_dot,
+    integrator_chain_design,
+    make_synthetic_plant,
+)
 
 
 class TestFdDerivative:
@@ -268,6 +282,52 @@ class TestNominalQpController:
         assert step.status == STATUS_INFEASIBLE
         assert type(step.u) is tuple and list(map(type, step.u)) == [float]
         assert step.u == (0.0,)
+
+    @pytest.mark.parametrize("r", [1, 3, 4])
+    def test_offset_within_four_eps_of_exact(self, monkeypatch, r):
+        # gamma . zf + e_r h sums k = r + 1 <= 5 products in index order, so its
+        # error is at most k 2^-53 / (1 - k 2^-53) sum |w_j v_j| < 4 eps sum |w_j v_j|.
+        offsets, project = [], episodic_mod.halfspace_qp_filter
+
+        def recording(u_nom, a, b):
+            offsets.append(b)
+            return project(u_nom, a, b)
+
+        monkeypatch.setattr(episodic_mod, "halfspace_qp_filter", recording)
+        eps = Fraction(sys.float_info.epsilon)
+        rng = np.random.default_rng(10 + r)
+        for _ in range(50):
+            design = integrator_chain_design(rng.uniform(0.2, 5.0, size=r), [1.0])
+            controller = make_nominal_qp_controller(design, lambda t, x: (0.0,))
+            weights = [*design.gamma.tolist(), design.e_r]
+            for _ in range(20):
+                x = rng.choice([-1.0, 1.0], size=r) * 10.0 ** rng.uniform(-3.0, 3.0, size=r)
+                cert = controller(0.0, x).cert
+                exact, scale = exact_dot(weights, [*cert.zf, cert.h])
+                assert abs(Fraction(offsets[-1]) - exact) <= 4 * eps * scale
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_beta_zero_cone_step_is_this_filter(self, m, r):
+        # With a zero mean and beta = 0 the cone step projects u_nom onto the
+        # half-space zg u + gamma . zf + e_r h >= 0 of this filter; its polish
+        # may repair the last bits of the projected point.  Every fifth design
+        # has a zero actuation row, whose violated steps are infeasible.
+        rng = np.random.default_rng(10 * m + r)
+        for k in range(10):
+            row = rng.normal(size=m) if k % 5 else np.zeros(m)
+            design = integrator_chain_design(rng.uniform(0.2, 5.0, size=r), row)
+            for _ in range(20):
+                x = rng.normal(scale=3.0, size=r)
+                u_nom = tuple(rng.normal(scale=3.0, size=m).tolist())
+                nominal = make_nominal_qp_controller(design, lambda t, x: u_nom)(0.0, x)
+                M = rng.normal(size=(r + m, r + m))
+                sigma = M @ M.T + 0.1 * np.eye(r + m)
+                mu = np.zeros(r + m)
+                step = safety_filter_step(u_nom, nominal.cert, mu, sigma, 0.0, design.gamma)
+                assert step.status == nominal.status
+                for a, b in zip(step.u, nominal.u, strict=True):
+                    assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
 
 
 class TestGpSocpController:

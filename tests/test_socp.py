@@ -390,6 +390,24 @@ class TestGeneralProjection:
         distance = float(sum((a - b) ** 2 for a, b in zip(u, u_nom)) ** 0.5)
         assert max(abs(float(a) - b) for a, b in zip(u, out.u)) <= 1e-10 * max(1.0, distance)
 
+    @pytest.mark.parametrize(
+        "t", [3.25 * (1.0 + 1e-12), 3.25 * (1.0 - 1e-12)], ids=["before_pole", "beyond_pole"]
+    )
+    def test_root_next_to_the_pole_takes_few_probes(self, monkeypatch, t):
+        # Newton in w = 1 / (t + h_0)^2 follows phi's double pole, so a root
+        # 1e-12 from the pole takes a few dozen probes on either side.
+        probes, switch = [], socp_mod._switch
+
+        def counted(*args):
+            result = switch(*args)
+            probes.append(result[1])
+            return result
+
+        monkeypatch.setattr(socp_mod, "_switch", counted)
+        cone, u_nom = _projecting_onto(_ON_NAPPE, t)
+        assert solve(u_nom, cone, tol=1e-9).status == STATUS_OPTIMAL
+        assert len(probes) == 2 and max(probes) <= 40
+
     def test_infeasible_verdicts_match_feasibility_conditions(self):
         # A positive necessary-condition value proves the cone empty; a
         # negative definite S3 proves it non-empty (possible only for m = 1,
