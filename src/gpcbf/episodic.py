@@ -1,15 +1,17 @@
 """Residual labeling from closed-loop trajectories and episodic training.
 
 Labels approximate the certificate residual at sampled states: the j-th time
-derivative of the barrier along the true trajectory is measured by repeated
-central differences and compared with the nominal chain,
+derivative of the barrier along the true trajectory is measured by j rounds
+of central differences over the episode's h and compared with the nominal
+chain,
 
     dtilde_j = FD^j(h) - Lf^j h(x),    j < r,
     dtilde_r = FD^r(h) - (Lf^r h(x) + LgLf^{r-1} h(x) u),
     z = sum_j gamma_j dtilde_j,        y = [gamma; u].
 
-Windows span 2r+1 control periods, so each label lags the live trajectory by
-r control steps and labeling runs post-episode.  The training loop repeats
+The r rounds are taken once per episode, and FD^r h at a step reads the
+2r + 1 control steps centred on it, so each label lags the live trajectory
+by r control steps and labeling runs post-episode.  The training loop repeats
 run / label / refit until an episode finishes without a safety violation.
 """
 
@@ -79,48 +81,6 @@ _HELD_AS = {
     "%d": lambda values: np.asarray(values, dtype=int),
     "%s": list,
 }
-
-
-def fd_derivative(samples, order: int, dt: float) -> float:
-    """Order-j derivative at the window center by j rounds of central differences.
-
-    Each round maps f_k to (f_{k+1} - f_{k-1}) / (2 dt); truncation is O(dt^2).
-    """
-    a = np.asarray(samples, dtype=float)
-    if order < 0:
-        raise ValueError("order must be non-negative")
-    if a.size < 2 * order + 1:
-        raise ValueError(f"need at least {2 * order + 1} samples for order {order}")
-    if a.size % 2 == 0:
-        raise ValueError("window must hold an odd number of samples")
-    for _ in range(order):
-        a = (a[2:] - a[:-2]) / (2.0 * dt)
-    return float(a[a.size // 2])
-
-
-def label_window(
-    h_window: np.ndarray,
-    x_center: np.ndarray,
-    u_center: np.ndarray,
-    design: HocbfDesign,
-    dt: float,
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """One labeled row ((x, y), z) from a barrier window sampled every dt, centered at (x, u)."""
-    h_window = np.asarray(h_window, dtype=float)
-    if h_window.size != 2 * design.r + 1:
-        raise ValueError(f"window must hold {2 * design.r + 1} samples")
-    u_center = np.atleast_1d(np.asarray(u_center, dtype=float))
-    r = design.r
-    _, zf, zg = design.terms(x_center)
-    z = 0.0
-    for j in range(1, r + 1):
-        measured = fd_derivative(h_window, j, dt)
-        nominal = float(zf[j - 1])
-        if j == r:
-            nominal += float(zg @ u_center)
-        z += design.gamma[j - 1] * (measured - nominal)
-    y = np.concatenate((design.gamma, u_center))
-    return np.asarray(x_center, dtype=float), y, z
 
 
 @dataclass
@@ -296,16 +256,30 @@ def label_episode(
     control_period: float,
     stride: int = 1,
 ) -> list:
-    """Labeled rows from an episode, one window per stride-th control step.
+    """Labeled rows ((x, y), z) from an episode, one per stride-th control step.
 
-    Rows whose window would cross the episode end (or the trailing violation
-    row, which is off the control grid) are dropped.
+    h over the control steps is differenced once: round j maps round j - 1's
+    f_k to (f_{k+1} - f_{k-1}) / (2 control_period), so entry k of round j
+    is FD^j h at step k + j, and the label at step c reads entry c - j.
+    Steps whose 2r + 1 samples would cross the episode end are dropped, and
+    so is the trailing violation row, which is off the control grid.
     """
     r = design.r
+    rounds = [log.h[: log.control_steps]]
+    for _ in range(r):
+        f = rounds[-1]
+        rounds.append((f[2:] - f[:-2]) / (2.0 * control_period))
     rows = []
     for c in range(r, log.control_steps - r, max(1, stride)):
-        window = log.h[c - r : c + r + 1]
-        rows.append(label_window(window, log.x[c], log.u[c], design, control_period))
+        x, u = log.x[c], log.u[c]
+        _, zf, zg = design.terms(x)
+        z = 0.0
+        for j in range(1, r + 1):
+            nominal = float(zf[j - 1])
+            if j == r:
+                nominal += float(zg @ u)
+            z += design.gamma[j - 1] * (float(rounds[j][c - j]) - nominal)
+        rows.append((x, np.concatenate((design.gamma, u)), z))
     return rows
 
 
@@ -382,9 +356,10 @@ def episodic_train(
     horizon: float,
     dt: float = 1e-3,
     control_period: float = 1e-2,
-    max_episodes: int = 6,
-    label_stride: int = 5,
-    noise_variance: float = 1e-4,
+    *,
+    max_episodes: int,
+    label_stride: int,
+    noise_variance: float,
 ) -> TrainResult:
     """Run-collect-retrain until an episode completes without violation.
 

@@ -50,10 +50,9 @@ def build_scenario(cfg: ExperimentConfig) -> Scenario:
         design_nom = plants.acc_design(plants.ACC_NOMINAL, gains, D)
         design_true = plants.acc_design(plants.ACC_TRUE, gains, D)
         v_d, lam = cfg.controller.v_d, cfg.controller.lambda_rate
-        p_nom = plants.AccParams(**plants.ACC_NOMINAL)
 
         def u_nom(t, x):
-            return plants.clf_nominal_acc(x, v_d, lam, p_nom)
+            return plants.clf_nominal_acc(x, v_d, lam, plants.ACC_NOMINAL)
 
     elif cfg.plant == "suspension":
         d, c = cfg.disturbance, cfg.controller

@@ -20,7 +20,8 @@ import numpy as np
 
 from .barrier import HocbfDesign, halfspace_qp_filter
 
-# Parameter sets as reported for the two case studies.
+# Parameter sets as reported for the two case studies, read by name by the
+# plants' and designs' sources.
 ACC_NOMINAL = dict(m=825.0, f0=0.1, f1=5.0, f2=0.25, v0=16.0)
 ACC_TRUE = dict(m=3300.0, f0=0.2, f1=10.0, f2=0.5, v0=14.0)
 SUSPENSION_NOMINAL = dict(m1=300.0, m2=60.0, k1=16e3, k2=190e3, b=1e3)
@@ -30,40 +31,6 @@ SUSPENSION_TRUE = dict(m1=675.0, m2=135.0, k1=36e3, k2=427.5e3, b=2.25e3)
 # the relative degree of its barrier.  r fixes the gain count, and r + m the
 # number of base kernels.
 DIMENSIONS = {"acc": (2, 1, 2), "suspension": (4, 1, 2)}
-
-
-@dataclass(frozen=True)
-class AccParams:
-    """Ego-car mass, rolling-resistance coefficients, lead-car speed."""
-
-    m: float
-    f0: float
-    f1: float
-    f2: float
-    v0: float
-
-    def __post_init__(self):
-        if self.m <= 0.0:
-            raise ValueError("mass must be positive")
-
-    def rolling_resistance(self, v: float) -> float:
-        return self.f0 + self.f1 * v + self.f2 * v * v
-
-
-@dataclass(frozen=True)
-class SuspensionParams:
-    """Body/wheel masses, suspension/tire stiffnesses, damping."""
-
-    m1: float
-    m2: float
-    k1: float
-    k2: float
-    b: float
-
-    def __post_init__(self):
-        for name in ("m1", "m2", "k1", "k2", "b"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,11 +71,10 @@ class PlantModel:
 
 def make_acc_plant(params: dict = ACC_TRUE) -> PlantModel:
     """x = [v, z]: ego speed and headway; vdot = -F_r(v) / m + u / m, zdot = v0 - v."""
-    p = AccParams(**params)
     return PlantModel(
         *DIMENSIONS["acc"][:2],
         "dx0 = -(f0 + f1 * x0 + f2 * x0 * x0) / m + inv_m * u0\ndx1 = v0 - x0",
-        dict(m=p.m, f0=p.f0, f1=p.f1, f2=p.f2, v0=p.v0, inv_m=1.0 / p.m),
+        dict(params, inv_m=1.0 / params["m"]),
     )
 
 
@@ -121,7 +87,6 @@ def make_suspension_plant(params: dict, amplitude: float, start: float, width: f
     wheel acceleration.  ``math.sin`` returned ``np.sin``'s bits at all
     2,000,001 evenly spaced times of the default bump, on a CPU with AVX-512.
     """
-    p = SuspensionParams(**params)
     return PlantModel(
         *DIMENSIONS["suspension"][:2],
         "wheel = (k1 * (x0 - x1) - k2 * x1 + b * (x2 - x3)) / m2 - inv_m2 * u0\n"
@@ -133,8 +98,8 @@ def make_suspension_plant(params: dict, amplitude: float, start: float, width: f
         "dx0 = x2\ndx1 = x3\n"
         "dx2 = (k1 * (x1 - x0) + b * (x3 - x2)) / m1 + inv_m1 * u0\ndx3 = wheel",
         dict(
-            m1=p.m1, m2=p.m2, k1=p.k1, k2=p.k2, b=p.b, inv_m1=1.0 / p.m1, inv_m2=1.0 / p.m2,
-            road_gain=p.k2 / p.m2, amplitude=amplitude, start=start, width=width,
+            params, inv_m1=1.0 / params["m1"], inv_m2=1.0 / params["m2"],
+            road_gain=params["k2"] / params["m2"], amplitude=amplitude, start=start, width=width,
             sin=math.sin, pi=math.pi,
         ),
     )
@@ -147,22 +112,20 @@ def make_suspension_plant(params: dict, amplitude: float, start: float, width: f
 
 def acc_design(params: dict, gains, D: float = 30.0) -> HocbfDesign:
     """Headway barrier h = z - D (x1 in the source) of the cruise control: Lf^2 h = F_r(v) / m."""
-    p = AccParams(**params)
     return HocbfDesign(
         *DIMENSIONS["acc"][:2],
         "h = x1 - D\nlf1 = v0 - x0\nlf2 = (f0 + f1 * x0 + f2 * x0 * x0) / m\nlg0 = -1.0 / m",
-        dict(m=p.m, f0=p.f0, f1=p.f1, f2=p.f2, v0=p.v0, D=D),
+        dict(params, D=D),
         np.asarray(gains, dtype=float),
     )
 
 
 def suspension_design(params: dict, gains, D: float = 0.06) -> HocbfDesign:
     """Body-displacement barrier h = D - x1 (x0 in the source): Lf^2 h is -x1'' at u = 0."""
-    p = SuspensionParams(**params)
     return HocbfDesign(
         *DIMENSIONS["suspension"][:2],
         "h = D - x0\nlf1 = -x2\nlf2 = -(k1 * (x1 - x0) + b * (x3 - x2)) / m1\nlg0 = -1.0 / m1",
-        dict(m1=p.m1, k1=p.k1, b=p.b, D=D),
+        dict(params, D=D),
         np.asarray(gains, dtype=float),
     )
 
@@ -359,17 +322,20 @@ def linear_matrices(plant: PlantModel):
     return np.column_stack(columns[: plant.n]), np.column_stack(columns[plant.n :])
 
 
-def clf_nominal_acc(x, v_d: float, lambda_rate: float, p: AccParams) -> tuple:
-    """Min-norm speed-tracking control for V = (v - v_d)^2 on the nominal model.
+def clf_nominal_acc(x, v_d: float, lambda_rate: float, params: dict) -> tuple:
+    """Min-norm speed-tracking control for V = (v - v_d)^2 on the model with ``params``.
 
     The decay condition Vdot <= -lambda V is the half-space a u + b >= 0 with
-    a = -2 (v - v_d) / m and b = 2 (v - v_d) F_r(v) / m - lambda V; the
-    projection of u = 0 onto it is closed form, a tuple of one float.
+    a = -2 (v - v_d) / m and b = 2 (v - v_d) F_r(v) / m - lambda V, where
+    F_r(v) = f0 + f1 v + f2 v^2; the projection of u = 0 onto it is closed
+    form, a tuple of one float.
     """
+    m = params["m"]
     v = float(x[0])
     err = v - v_d
-    a = -2.0 * err / p.m
-    b = 2.0 * err * p.rolling_resistance(v) / p.m - lambda_rate * err * err
+    drag = params["f0"] + params["f1"] * v + params["f2"] * v * v
+    a = -2.0 * err / m
+    b = 2.0 * err * drag / m - lambda_rate * err * err
     if a == 0.0:
         return (0.0,)
     return halfspace_qp_filter([0.0], [a], b)

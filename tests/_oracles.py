@@ -9,7 +9,8 @@ dense grid searches, the one-input filter cone in closed form and exact
 rationals, and the references that float paths must match bit for bit: the
 vectorised numpy RK4 step with numpy plant fields (the suspension's road
 bump as a function of t) and random polynomial fields, the vector
-half-space projection, a ``csv.writer`` episode writer, the posterior
+half-space projection, a ``csv.writer`` episode writer, the residual
+label of one window with its own rounds of differences, the posterior
 query with a list of triangular solves, the certificate terms evaluated
 on numpy scalars, and weighted sums taken exactly in rationals.  It also
 holds the double integrator with a drift mismatch and its position
@@ -367,6 +368,27 @@ def integrator_chain_design(gains, row, c: float = 0.5, w: float = -0.7) -> Hocb
     statements += [f"lg{j} = row{j}" for j in range(len(row))]
     params = {"c": c, "w": w, **{f"row{j}": float(v) for j, v in enumerate(row)}}
     return HocbfDesign(r, len(row), "\n".join(statements), params, gains)
+
+
+def label_window_reference(h_window, x, u, design: HocbfDesign, dt: float) -> tuple:
+    """Labeled row ((x, y), z) of a window of 2r + 1 h samples dt apart, centred on (x, u).
+
+    Each FD^j h at the centre takes its own j rounds of central differences
+    over the window, f_k -> (f_{k+1} - f_{k-1}) / (2 dt).
+    """
+    r = design.r
+    assert len(h_window) == 2 * r + 1
+    _, zf, zg = design.terms(x)
+    z = 0.0
+    for j in range(1, r + 1):
+        a = np.asarray(h_window, dtype=float)
+        for _ in range(j):
+            a = (a[2:] - a[:-2]) / (2.0 * dt)
+        nominal = float(zf[j - 1])
+        if j == r:
+            nominal += float(zg @ u)
+        z += design.gamma[j - 1] * (float(a[r - j]) - nominal)
+    return np.asarray(x, dtype=float), np.concatenate((design.gamma, u)), z
 
 
 def exact_dot(weights, values) -> tuple:

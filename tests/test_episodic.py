@@ -24,14 +24,13 @@ from gpcbf.episodic import (
     TERM_COMPLETED,
     TERM_INFEASIBLE,
     TERM_VIOLATION,
+    STATUS_VIOLATION,
     _CSV_BLOCK_ROWS,
     _STEP_COLUMNS,
     _TRACE_COLUMNS,
     EpisodeLog,
     episodic_train,
-    fd_derivative,
     label_episode,
-    label_window,
     make_gp_socp_controller,
     make_nominal_qp_controller,
     run_episode,
@@ -40,7 +39,6 @@ from gpcbf.gp import BaseKernelParams, ResidualDataset, fit, posterior_coefficie
 from gpcbf.plants import (
     ACC_NOMINAL,
     ACC_TRUE,
-    AccParams,
     PlantModel,
     acc_design,
     make_acc_plant,
@@ -59,32 +57,9 @@ from _oracles import (
     episode_csv_reference,
     exact_dot,
     integrator_chain_design,
+    label_window_reference,
     make_synthetic_plant,
 )
-
-
-class TestFdDerivative:
-    def test_linear_first_derivative(self):
-        samples = np.arange(5.0)
-        assert fd_derivative(samples, 1, 1.0) == pytest.approx(1.0)
-
-    def test_quadratic_second_derivative_exact(self):
-        for dt in (0.5, 0.1, 0.01):
-            ts = dt * np.arange(-2, 3)
-            assert fd_derivative(ts**2, 2, dt) == pytest.approx(2.0, abs=1e-12)
-
-    def test_sine_first_derivative(self):
-        dt = 0.01
-        ts = dt * np.arange(-1, 2)
-        assert fd_derivative(np.sin(ts), 1, dt) == pytest.approx(1.0, abs=1e-4)
-
-    def test_insufficient_samples(self):
-        with pytest.raises(ValueError):
-            fd_derivative([1.0, 2.0, 3.0], 2, 0.1)
-
-    def test_even_window_rejected(self):
-        with pytest.raises(ValueError):
-            fd_derivative([1.0, 2.0, 3.0, 4.0], 1, 0.1)
 
 
 def _constant_u_controller(value):
@@ -125,13 +100,16 @@ class TestLabeling:
             plant, design, _constant_u_controller(500.0), np.array([20.0, 100.0]), 3.0,
             stop_on_violation=False,
         )
-        pt, pn = AccParams(**ACC_TRUE), AccParams(**ACC_NOMINAL)
+        pt, pn = ACC_TRUE, ACC_NOMINAL
+
+        def drag(p, v):
+            return p["f0"] + p["f1"] * v + p["f2"] * v * v
 
         def analytic(x, u):
             v = x[0]
-            d1 = (pt.v0 - v) - (pn.v0 - v)
-            d2 = pt.rolling_resistance(v) / pt.m - pn.rolling_resistance(v) / pn.m
-            dg = -1.0 / pt.m + 1.0 / pn.m
+            d1 = (pt["v0"] - v) - (pn["v0"] - v)
+            d2 = drag(pt, v) / pt["m"] - drag(pn, v) / pn["m"]
+            dg = -1.0 / pt["m"] + 1.0 / pn["m"]
             return 4.0 * d1 + d2 + dg * u
 
         rows = label_episode(log, design, 0.01, stride=5)
@@ -170,10 +148,36 @@ class TestLabeling:
             zs.append(np.array([r[2] for r in rows]))
         np.testing.assert_allclose(zs[1], 2.0 * zs[0], rtol=0.05)
 
-    def test_window_size_validated(self):
-        design = double_integrator_design([1.0, 2.0])
-        with pytest.raises(ValueError):
-            label_window(np.zeros(4), np.zeros(2), np.zeros(1), design, 0.01)
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("r", [1, 3, 4])
+    def test_episode_rounds_match_each_window_alone(self, r, m):
+        # A chain of r integrators whose last row is not the design's (w =
+        # -0.5 and a drift against w = -0.7), driven down through h = x0 -
+        # 0.5, so the log ends in a violation row.  That row's h is set to
+        # nan, which a label that read it would carry.
+        row, u = (0.9, -0.4)[:m], (-1.0, 0.5)[:m]
+        drive = " + ".join(f"{w} * u{j}" for j, w in enumerate(row))
+        chain = [f"dx{i} = x{i + 1}" for i in range(r - 1)]
+        chain.append(f"dx{r - 1} = -0.5 * x0 + {drive} + 0.1")
+        plant = PlantModel(r, m, "\n".join(chain), {})
+        design = integrator_chain_design([1.0 + 0.5 * i for i in range(r)], row)
+        controller = lambda t, x: FilterOutcome(u, "nominal")
+        log = run_episode(plant, design, controller, [0.9] + [0.0] * (r - 1), 3.0)
+        assert log.status[-1] == STATUS_VIOLATION
+        log.zeta[-1, 0] = np.nan
+        steps = log.control_steps
+        rows = label_episode(log, design, 0.01, stride=1)
+        assert len(rows) == steps - 2 * r > 10
+
+        def as_bytes(rows):
+            return [[np.asarray(v).tobytes() for v in row] for row in rows]
+
+        expected = [
+            label_window_reference(log.h[c - r : c + r + 1], log.x[c], log.u[c], design, 0.01)
+            for c in range(r, steps - r)
+        ]
+        assert as_bytes(rows) == as_bytes(expected)
+        assert as_bytes(label_episode(log, design, 0.01, stride=3)) == as_bytes(expected[::3])
 
 
 class TestRunEpisode:
@@ -448,7 +452,8 @@ class TestEpisodicTrain:
         u_nom = lambda t, x: np.array([4.0 * (1.5 - x[0]) - 2.5 * x[1]])
         kp = [BaseKernelParams(1.0, np.array([1.0, 1.0]))] * 3
         result = episodic_train(
-            plant, design, u_nom, kp, beta=2.0, x0=np.zeros(2), horizon=4.0, max_episodes=3
+            plant, design, u_nom, kp, beta=2.0, x0=np.zeros(2), horizon=4.0, max_episodes=3,
+            label_stride=5, noise_variance=1e-4,
         )
         assert result.succeeded
         assert len(result.episodes) == 1
@@ -471,7 +476,7 @@ class TestEpisodicTrain:
         ]
         result = episodic_train(
             plant, design, lambda t, x: np.zeros(1), kp, beta=2.0, x0=np.zeros(2),
-            horizon=1.0, max_episodes=3, noise_variance=0.0,
+            horizon=1.0, max_episodes=3, label_stride=5, noise_variance=0.0,
         )
         assert not result.succeeded
         assert len(result.episodes) == 1
@@ -508,7 +513,7 @@ class TestEpisodicTrain:
         monkeypatch.setattr(socp_mod, "_secular_candidates", counted_secular)
         result = episodic_train(
             plant, design, lambda t, x: np.array([1.0, 0.5]), kp, beta=2.0, x0=np.zeros(2),
-            horizon=6.0, label_stride=5, noise_variance=1e-6,
+            horizon=6.0, max_episodes=6, label_stride=5, noise_variance=1e-6,
         )
         nominal, gp_log = result.episodes[0], result.episodes[-1]
         assert nominal.termination == TERM_VIOLATION
@@ -527,7 +532,7 @@ class TestEpisodicTrain:
         with pytest.raises(ValueError):
             episodic_train(
                 plant, design, lambda t, x: np.zeros(1), kp, beta=1.0,
-                x0=np.zeros(2), horizon=1.0,
+                x0=np.zeros(2), horizon=1.0, max_episodes=6, label_stride=5, noise_variance=1e-4,
             )
 
 

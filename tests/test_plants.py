@@ -12,9 +12,7 @@ from gpcbf.plants import (
     ACC_TRUE,
     SUSPENSION_NOMINAL,
     SUSPENSION_TRUE,
-    AccParams,
     PlantModel,
-    SuspensionParams,
     clf_nominal_acc,
     linear_matrices,
     lqr_gain,
@@ -44,11 +42,10 @@ class TestParameterFidelity:
         assert SUSPENSION_NOMINAL == {"m1": 300.0, "m2": 60.0, "k1": 16e3, "k2": 190e3, "b": 1e3}
         assert SUSPENSION_TRUE == {"m1": 675.0, "m2": 135.0, "k1": 36e3, "k2": 427.5e3, "b": 2.25e3}
 
-    def test_invalid_parameters_rejected(self):
-        with pytest.raises(ValueError):
-            AccParams(m=0.0, f0=0.1, f1=5.0, f2=0.25, v0=16.0)
-        with pytest.raises(ValueError):
-            SuspensionParams(m1=300.0, m2=-60.0, k1=16e3, k2=190e3, b=1e3)
+
+def rolling_resistance(p: dict, v: float) -> float:
+    """F_r(v) = f0 + f1 v + f2 v^2 of the ACC parameters p."""
+    return p["f0"] + p["f1"] * v + p["f2"] * v * v
 
 
 def acc_dynamics(x, u: float, params: dict) -> tuple:
@@ -75,9 +72,8 @@ class TestAccDynamics:
         np.testing.assert_allclose(xdot, [-400.2 / 3300.0, -6.0])
 
     def test_force_balance(self):
-        p = AccParams(**ACC_NOMINAL)
         v = 17.3
-        u = p.rolling_resistance(v)
+        u = rolling_resistance(ACC_NOMINAL, v)
         xdot = acc_dynamics((v, 50.0), u, ACC_NOMINAL)
         assert xdot[0] == pytest.approx(0.0, abs=1e-14)
 
@@ -422,23 +418,23 @@ class TestLqrDgees:
 
 class TestClfNominalAcc:
     def test_at_target_speed(self):
-        u = clf_nominal_acc(np.array([24.0, 50.0]), 24.0, 1.0, AccParams(**ACC_NOMINAL))
+        u = clf_nominal_acc(np.array([24.0, 50.0]), 24.0, 1.0, ACC_NOMINAL)
         np.testing.assert_allclose(u, [0.0])
 
     def test_drift_decaying_fast_enough(self):
         # above target the drag decelerates; small lambda keeps u at zero
-        u = clf_nominal_acc(np.array([25.0, 50.0]), 24.0, 1e-4, AccParams(**ACC_NOMINAL))
+        u = clf_nominal_acc(np.array([25.0, 50.0]), 24.0, 1e-4, ACC_NOMINAL)
         np.testing.assert_allclose(u, [0.0])
 
     def test_hand_projection_value(self):
-        p = AccParams(**ACC_NOMINAL)
+        p = ACC_NOMINAL
         v, v_d, lam = 20.0, 24.0, 1.0
         u = clf_nominal_acc(np.array([v, 100.0]), v_d, lam, p)
-        expected = p.rolling_resistance(v) + lam * p.m * (v_d - v) / 2.0
+        expected = rolling_resistance(p, v) + lam * p["m"] * (v_d - v) / 2.0
         assert u[0] == pytest.approx(expected, rel=1e-12)
 
     def test_matches_grid_search(self):
-        p = AccParams(**ACC_NOMINAL)
+        p = ACC_NOMINAL
         rng = np.random.default_rng(2)
         for _ in range(20):
             v = rng.uniform(10, 30)
@@ -447,7 +443,7 @@ class TestClfNominalAcc:
             u = clf_nominal_acc(np.array([v, 80.0]), v_d, lam, p)[0]
             us = np.arange(-20000.0, 20000.0, 0.01)
             err = v - v_d
-            vdot = (-p.rolling_resistance(v) + us) / p.m
+            vdot = (-rolling_resistance(p, v) + us) / p["m"]
             feasible = 2 * err * vdot + lam * err * err <= 1e-12
             best = us[feasible][np.argmin(np.abs(us[feasible]))]
             assert abs(u - best) <= 0.01
@@ -467,35 +463,35 @@ class TestRoadProfile:
         assert self._road(2.5) == 0.0
 
     def test_peak_at_center(self):
-        p = SuspensionParams(**SUSPENSION_TRUE)
-        assert self._road(1.5) == pytest.approx(p.k2 / p.m2 * 0.08)
+        p = SUSPENSION_TRUE
+        assert self._road(1.5) == pytest.approx(p["k2"] / p["m2"] * 0.08)
 
     def test_bump_integral(self):
-        p = SuspensionParams(**SUSPENSION_TRUE)
+        p = SUSPENSION_TRUE
         ts = np.linspace(0.0, 3.0, 300001)
         vals = np.array([self._road(t) for t in ts.tolist()])
         integral = np.trapezoid(vals, ts)
-        assert integral == pytest.approx(p.k2 / p.m2 * 0.08 * 1.0 / 2.0, rel=1e-6)
+        assert integral == pytest.approx(p["k2"] / p["m2"] * 0.08 * 1.0 / 2.0, rel=1e-6)
 
 
 class TestPlantModels:
     """Each field equals f(x) + g(x) u (+ k2 / m2 d), the control-affine form written out."""
 
     def test_acc_field_consistency(self):
-        p = AccParams(**ACC_TRUE)
+        p = ACC_TRUE
         plant = make_acc_plant()
         rng = np.random.default_rng(5)
         for _ in range(50):
             x = np.array([rng.uniform(0.0, 40.0), rng.uniform(0.0, 150.0)])
             u = rng.normal(scale=2000.0, size=1)
-            f = np.array([(-p.rolling_resistance(x[0]) + 0.0) / p.m, p.v0 - x[0]])
-            g = np.array([[1.0 / p.m], [0.0]])
+            f = np.array([(-rolling_resistance(p, x[0]) + 0.0) / p["m"], p["v0"] - x[0]])
+            g = np.array([[1.0 / p["m"]], [0.0]])
             expected = f + g @ u
             t = rng.uniform(0.0, 20.0)
             assert np.all(plant.field(x.tolist(), u.tolist(), t) == expected)
 
     def test_suspension_disturbance_enters_wheel_only(self):
-        p = SuspensionParams(**SUSPENSION_TRUE)
+        m1, m2, k1, k2, b = (SUSPENSION_TRUE[k] for k in ("m1", "m2", "k1", "k2", "b"))
         # amplitude 0 over the whole time range is the flat road
         flat = make_suspension_plant(SUSPENSION_TRUE, 0.0, 0.5, 2.5)
         bump = make_suspension_plant(SUSPENSION_TRUE, *BUMP)
@@ -509,12 +505,12 @@ class TestPlantModels:
                 [
                     x3,
                     x4,
-                    (p.k1 * (x2 - x1) + p.b * (x4 - x3) + 0.0) / p.m1,
-                    (p.k1 * (x1 - x2) - p.k2 * x2 + p.b * (x3 - x4) - 0.0 + p.k2 * 0.0) / p.m2,
+                    (k1 * (x2 - x1) + b * (x4 - x3) + 0.0) / m1,
+                    (k1 * (x1 - x2) - k2 * x2 + b * (x3 - x4) - 0.0 + k2 * 0.0) / m2,
                 ]
             )
-            g = np.array([[0.0], [0.0], [1.0 / p.m1], [-1.0 / p.m2]])
-            road_gain = np.array([0.0, 0.0, 0.0, p.k2 / p.m2])
+            g = np.array([[0.0], [0.0], [1.0 / m1], [-1.0 / m2]])
+            road_gain = np.array([0.0, 0.0, 0.0, k2 / m2])
             xs, us = x.tolist(), u.tolist()
             assert np.all(flat.field(xs, us, t) == f + g @ u)
             assert np.all(bump.field(xs, us, t) == f + g @ u + road_gain * road_profile(t, *BUMP))
